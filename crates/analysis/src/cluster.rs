@@ -3,7 +3,7 @@
 
 use crate::error::AnalysisError;
 
-/// Linkage criterion for merging clusters.
+/// Linkage rule for merging clusters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Linkage {
     /// Minimum pairwise distance.

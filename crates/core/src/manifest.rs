@@ -5,9 +5,8 @@
 //! [`Table`], every `simt` kernel-stats record (with its stall
 //! breakdown and occupancy timeline, collected through the `obs`
 //! record buffer), and the wall-clock span timings from the global
-//! [`obs::Registry`] — as one self-describing JSON document. It is the
-//! first `BENCH_*.json`-style artifact of the repo; external tooling
-//! should dispatch on the `schema` tag.
+//! [`obs::Registry`] — as one self-describing JSON document. External
+//! tooling should dispatch on the `schema` tag.
 //!
 //! Schema (`rodinia-repro.manifest/v1`):
 //!

@@ -166,18 +166,23 @@ fn bad_requests_are_rejected_and_do_not_kill_the_daemon() {
     assert_eq!(status, 200);
     assert_eq!(body, b"{\"ok\":true}\n");
 
+    // 200 KB of `[`: deeper than the JSON nesting cap, so it is a 400
+    // rather than a stack overflow that takes the daemon down.
+    let deep = "[".repeat(200 * 1024);
     let cases = [
         "not json at all",
         r#"{"artifacts":["fig99"]}"#,
         r#"{"artifacts":["fig1"],"store":"/tmp/x"}"#,
         r#"{"artifacts":[]}"#,
         r#"{"mystery":1}"#,
+        deep.as_str(),
     ];
     for case in cases {
         let (status, body) = post_study(addr, case);
-        assert_eq!(status, 400, "case {case:?}");
+        let shown = &case[..case.len().min(64)];
+        assert_eq!(status, 400, "case {shown:?}");
         let doc = Json::parse(std::str::from_utf8(&body).expect("utf-8")).expect("error body");
-        assert!(doc.get("error").is_some(), "case {case:?}");
+        assert!(doc.get("error").is_some(), "case {shown:?}");
     }
     let (status, _) = http(addr, "GET", "/nope", "");
     assert_eq!(status, 404);

@@ -100,6 +100,27 @@ fn sweep_journal_resume_skips_every_capture() {
 }
 
 #[test]
+fn warm_store_without_journal_restores_every_capture() {
+    let reference = pb_tables(&StudySession::sequential());
+    let dir = test_dir("warm");
+    let store = Arc::new(TraceStore::open(&dir).expect("open store"));
+
+    let mut first = StudySession::sequential();
+    first.attach_store(Arc::clone(&store));
+    assert_eq!(pb_tables(&first), reference, "populating run");
+
+    // Without the sweep journal the next session cannot restore whole
+    // responses, so it takes the entry-restore path and replays.
+    let _ = fs::remove_dir_all(dir.join("journals"));
+    let mut warm = StudySession::sequential();
+    warm.attach_store(Arc::clone(&store));
+    assert_eq!(pb_tables(&warm), reference, "store-warm tables are identical");
+    assert_eq!(warm.cache().captures(), 0, "warm run captured nothing");
+    assert!(warm.cache().restores() > 0, "warm run restored from the store");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn gpu_capture_restores_from_store_without_rerunning() {
     let dir = test_dir("gpu-restore");
     let store = Arc::new(TraceStore::open(&dir).expect("open store"));

@@ -20,10 +20,9 @@
 //!   parser, since the workspace is offline and serde-free by policy.
 //! * **Analysis** — consumers that close the telemetry loop:
 //!   [`critpath`] ranks where cycles went (dominant stall chains,
-//!   what-if speedups, suite-wide bottleneck rankings), [`sampler`]
+//!   what-if speedups, suite-wide bottleneck rankings), and [`sampler`]
 //!   keeps timeline memory and overhead flat with a budget-bounded
-//!   adaptive sampler, and [`gate`] diffs two `BENCH_*.json` artifacts
-//!   with a noise-aware threshold test for CI regression gating.
+//!   adaptive sampler.
 //!
 //! The crate deliberately has **no dependencies**, not even workspace
 //! ones, so every layer of the stack can use it without cycles.
@@ -32,7 +31,6 @@
 #![warn(missing_docs, missing_debug_implementations)]
 
 pub mod critpath;
-pub mod gate;
 pub mod json;
 pub mod record;
 pub mod registry;

@@ -177,21 +177,8 @@ pub fn scan_tree(root: &Path, strip: &Path) -> std::io::Result<Vec<Finding>> {
 /// returns `InvalidData` when no `members` list is found.
 pub fn workspace_members(workspace_root: &Path) -> std::io::Result<Vec<std::path::PathBuf>> {
     let manifest = fs::read_to_string(workspace_root.join("Cargo.toml"))?;
-    let start = manifest.find("members").ok_or_else(|| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "no `members` list in workspace manifest",
-        )
-    })?;
-    let open = manifest[start..].find('[').map(|i| start + i).ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed `members` list")
-    })?;
-    let close = manifest[open..].find(']').map(|i| open + i).ok_or_else(|| {
-        std::io::Error::new(std::io::ErrorKind::InvalidData, "unterminated `members` list")
-    })?;
-
     let mut roots = Vec::new();
-    for entry in manifest[open + 1..close].split(',') {
+    for entry in members_list(&manifest)?.split(',') {
         let entry = entry.trim().trim_matches('"');
         if entry.is_empty() || entry.starts_with("vendor") {
             continue;
@@ -218,6 +205,33 @@ pub fn workspace_members(workspace_root: &Path) -> std::io::Result<Vec<std::path
         .collect();
     src_roots.sort();
     Ok(src_roots)
+}
+
+/// The text between the brackets of the manifest's `members = [...]`
+/// entry. Only a line whose key is exactly `members` counts, so
+/// `default-members` (or a comment mentioning members) is never taken
+/// for it.
+fn members_list(manifest: &str) -> std::io::Result<&str> {
+    let invalid = |msg| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
+    let start = manifest
+        .match_indices("members")
+        .map(|(i, key)| (i, i + key.len()))
+        .find(|&(i, end)| {
+            let line_start = manifest[..i].rfind('\n').map_or(0, |n| n + 1);
+            manifest[line_start..i].trim().is_empty()
+                && manifest[end..].trim_start_matches([' ', '\t']).starts_with('=')
+        })
+        .map(|(_, end)| end)
+        .ok_or_else(|| invalid("no `members` list in workspace manifest"))?;
+    let open = manifest[start..]
+        .find('[')
+        .map(|i| start + i)
+        .ok_or_else(|| invalid("malformed `members` list"))?;
+    let close = manifest[open..]
+        .find(']')
+        .map(|i| open + i)
+        .ok_or_else(|| invalid("unterminated `members` list"))?;
+    Ok(&manifest[open + 1..close])
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) -> std::io::Result<()> {
@@ -277,6 +291,24 @@ fn total(seen: &HashSet<u32>) -> usize {
 }
 ";
         assert!(scan_source("demo.rs", src).is_empty());
+    }
+
+    #[test]
+    fn members_key_is_matched_exactly() {
+        let manifest = "\
+[workspace]
+# every crate under crates/ is a member
+default-members = [\".\", \"crates/core\"]
+members = [
+    \"crates/*\",
+    \"vendor/*\",
+]
+";
+        let list = members_list(manifest).unwrap();
+        assert!(list.contains("\"crates/*\"") && list.contains("\"vendor/*\""), "{list}");
+        assert!(!list.contains("crates/core"), "took default-members: {list}");
+        let only_default = "[workspace]\ndefault-members = [\"crates/core\"]\n";
+        assert!(members_list(only_default).is_err());
     }
 
     #[test]

@@ -39,8 +39,12 @@ fn four_workers_render_byte_identical_comparison_tables_to_one() {
 #[test]
 fn replayed_profiles_equal_the_direct_path_for_every_workload() {
     let cfg = ProfileConfig::default();
-    let study =
-        ComparisonStudy::run(&StudySession::new(4), Scale::Tiny).expect("pipeline corpus");
+    let session = StudySession::new(4);
+    let study = ComparisonStudy::run(&session, Scale::Tiny).expect("pipeline corpus");
+    // A second run replays every capacity from the session's warm
+    // capture cache and must land on the same profiles.
+    let warm = ComparisonStudy::run(&session, Scale::Tiny).expect("warm pipeline corpus");
+    assert_eq!(warm.profiles, study.profiles, "warm-cache replay diverged");
     let workloads = combined_workloads(Scale::Tiny);
     assert_eq!(study.profiles.len(), workloads.len());
     for (lw, replayed) in workloads.iter().zip(&study.profiles) {

@@ -29,7 +29,16 @@ fn four_workers_render_byte_identical_tables_to_one() {
     assert_eq!(sequential.jobs(), 1);
     assert_eq!(parallel.jobs(), 4);
 
-    for id in [Fig1, Fig2, Fig3, Fig4, Table3, Fig5, PlackettBurman] {
+    // The PB sweep runs first so its capture count is seen alone: one
+    // capture per benchmark, never one per design point.
+    assert_eq!(
+        rendered(&sequential, PlackettBurman),
+        rendered(&parallel, PlackettBurman),
+        "PlackettBurman: parallel rendering diverged from sequential"
+    );
+    assert_eq!(parallel.cache().len(), all_benchmarks(Scale::Tiny).len());
+
+    for id in [Fig1, Fig2, Fig3, Fig4, Table3, Fig5] {
         let seq = rendered(&sequential, id);
         let par = rendered(&parallel, id);
         assert_eq!(

@@ -482,10 +482,10 @@ struct Pool<'a> {
 /// The sharded epoch-barrier replay engine (see the module docs).
 ///
 /// All shared state lives here; all SM-local state lives in the
-/// [`SmRt`]s, which `run_epoch` slices into disjoint `&mut` shards for
-/// the worker pool. The barrier (`barrier_exchange`) is the only code
-/// that touches the L2, the DRAM model, the CTA queue, the live-warp
-/// count, or the timeline sampler after construction.
+/// [`SmRt`]s, held as owned per-shard `Vec`s that `run_epoch` moves to
+/// the worker pool and back. The barrier (`barrier_exchange`) is the
+/// only code that touches the L2, the DRAM model, the CTA queue, the
+/// live-warp count, or the timeline sampler after construction.
 struct Engine<'a> {
     traces: &'a [&'a KernelTrace],
     cfg: &'a GpuConfig,
@@ -899,7 +899,14 @@ impl<'a> Engine<'a> {
             self.horizon = self.horizon.max(out.horizon);
             merged.append(&mut out.events);
         }
-        merged.sort_unstable_by_key(|e| (e.cycle, e.sm, e.seq, e.kind.rank()));
+        let key = |e: &EvRec| (e.cycle, e.sm, e.seq, e.kind.rank());
+        merged.sort_unstable_by_key(key);
+        // Shards log SM-major, so the order above comes from the sort
+        // alone; a duplicate key would let log order leak into results.
+        debug_assert!(
+            merged.windows(2).all(|p| key(&p[0]) < key(&p[1])),
+            "barrier sort keys are not unique"
+        );
         for e in &merged {
             // Timeline boundaries due at or before this event's cycle
             // record the state *before* any event at that cycle — the

@@ -7,10 +7,10 @@
 //! an SM touches while simulating an epoch lives *inside* its `SmRt`:
 //! the warp table, the CTA table, the packed scheduler words, the L1 and
 //! texture caches, and the SM's stall ledger. The engine in
-//! [`crate::gpu`] slices its `Vec<SmRt>` with `chunks_mut` and hands
-//! each contiguous shard to one worker thread — no locks, no sharing,
-//! and no `unsafe`: exclusive ownership is enforced by the borrow
-//! checker.
+//! [`crate::gpu`] keeps each contiguous shard of SMs in its own owned
+//! `Vec<SmRt>` and moves it to a pool worker over a channel for the
+//! epoch, and back for the barrier — no locks, no sharing, and no
+//! `unsafe`: exclusive ownership is enforced by the type system.
 //!
 //! Anything an SM would need from *outside* its shard (the shared DRAM
 //! channels, the chip-wide L2, the pending-CTA queue, the global
@@ -33,6 +33,8 @@
 //! ends. When no warp is pickable, `fold_summary` rebuilds the SM's
 //! digest in fixed-width chunks of branchless lane accumulators — a
 //! shape the compiler can autovectorize — instead of a dependent scan.
+//! That failed scan is the only place the epoch loop refreshes the
+//! digest: an issue merely marks it stale (see `run_epoch_shard`).
 
 use crate::caches::Cache;
 use crate::config::{GpuConfig, SchedPolicy};
@@ -267,9 +269,10 @@ pub(crate) struct ShardOut {
     /// This shard's index (stamps events so the barrier can find their
     /// segment ranges).
     pub shard: u32,
-    /// Events of the current epoch, naturally sorted by `(cycle, sm,
-    /// seq)` because the shard walks cycles outward and SMs in index
-    /// order.
+    /// Events of the current epoch, in SM-major order (each SM runs the
+    /// whole epoch before the next starts). Each event's `(cycle, sm,
+    /// seq, kind)` key is unique, and the barrier sorts by it, so the
+    /// log order never reaches a result.
     pub events: Vec<EvRec>,
     /// Segment pool the epoch's `Mem` events point into.
     pub segs: Vec<u64>,
@@ -756,12 +759,19 @@ impl<'a> SmRt<'a> {
 
 /// Simulates one shard of SMs through the epoch `[start, end)`.
 ///
-/// Each SM issues at exactly the cycles the serial engine would visit
-/// it: the packed-word gates make skipped SMs free, and the shard-local
-/// fast-forward (`min` over the shard of each SM's next possible issue)
-/// jumps idle spans just like the serial engine's global fast-forward —
-/// restricted to this shard, which is sound because cross-shard state
-/// cannot change until the barrier.
+/// Within an epoch no SM can observe another's state — everything
+/// shared waits for the barrier — so each SM runs alone from `start`
+/// to `end`, jumping from one possible issue cycle to the next. It
+/// issues at exactly the cycles a lockstep sweep over all SMs would,
+/// because such a sweep's visits between an SM's own wake-ups find no
+/// pickable warp and change nothing. The event log therefore comes out
+/// SM-major rather than cycle-major; the barrier's sort restores the
+/// canonical order.
+///
+/// The SM's digest is refreshed lazily. After an issue the next visit
+/// is simply the cycle the issue port frees (no warp can issue sooner);
+/// if no warp is pickable there, the failed `pick_warp` scan rebuilds
+/// the digest, whose `min_ready` then jumps the idle span.
 pub(crate) fn run_epoch_shard(
     sms: &mut [SmRt<'_>],
     cfg: &GpuConfig,
@@ -769,44 +779,16 @@ pub(crate) fn run_epoch_shard(
     end: u64,
     out: &mut ShardOut,
 ) {
-    let mut cycle = start;
-    loop {
-        for sm in sms.iter_mut() {
-            while sm.port_free_at <= cycle {
-                // Cheap gate when a cached digest exists: no warp on
-                // this SM can be ready before `min_ready`, so skip
-                // the scheduler scan entirely. A stale digest is NOT
-                // recomputed here — a failed `pick_warp` scan below
-                // rebuilds it as a side effect, so issuing SMs never
-                // pay a separate summary pass.
-                if let Some(s) = sm.summary {
-                    if s.min_ready > cycle {
-                        break;
-                    }
-                }
-                let Some(w) = sm.pick_warp(cycle, cfg) else {
-                    break;
-                };
+    for sm in sms.iter_mut() {
+        let mut cycle = start.max(sm.port_free_at);
+        while cycle < end {
+            if let Some(s) = sm.summary.filter(|s| s.min_ready > cycle) {
+                cycle = s.min_ready.max(sm.port_free_at);
+            } else if let Some(w) = sm.pick_warp(cycle, cfg) {
                 sm.issue(w, cycle, cfg, out);
+                cycle = cycle.max(sm.port_free_at);
             }
         }
-        // Jump straight to the next cycle on which any SM in the shard
-        // could issue: no warp is pickable before
-        // `max(min_ready, port_free_at)`, so the skipped cycles are
-        // exactly the cycles a per-cycle loop would have spent
-        // re-checking gates and finding nothing.
-        let mut next = u64::MAX;
-        for sm in sms.iter_mut() {
-            let s = sm.summary();
-            if s.min_ready != u64::MAX {
-                next = next.min(s.min_ready.max(sm.port_free_at));
-            }
-        }
-        let next = next.max(cycle + 1);
-        if next >= end {
-            break;
-        }
-        cycle = next;
     }
 }
 

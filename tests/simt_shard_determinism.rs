@@ -37,11 +37,14 @@ fn repro() -> Command {
 }
 
 /// Runs a store-backed full-suite study at a shard count and returns
-/// the bytes of its `STUDY_manifest.json`.
+/// the bytes of its `STUDY_manifest.json`. Figure 5's GTX 480
+/// configurations are the only ones with an L1/L2, where the epoch is
+/// bounded by the L2 latency rather than DRAM, so they ride along with
+/// the PB and Figure 1 replays.
 fn study_manifest_at(threads: &str) -> Vec<u8> {
     let dir = test_dir(&format!("study-{threads}"));
     let out = repro()
-        .args(["pb", "fig1", "tiny", "--sim-threads", threads, "--store"])
+        .args(["pb", "fig1", "fig5", "tiny", "--sim-threads", threads, "--store"])
         .arg(&dir)
         .output()
         .expect("spawn repro");

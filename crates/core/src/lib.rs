@@ -36,8 +36,12 @@
 //! trace exactly once and replays it under every requested machine
 //! configuration, and a [`trace_cache::CpuTraceCache`] that captures
 //! each CPU workload's memory trace exactly once and replays it at
-//! every shared-cache capacity. Results are reassembled in submission
-//! order, so tables are byte-identical for any worker count.
+//! every shared-cache capacity. On top of the captures, the session
+//! memoizes the profiled comparison corpus per scale and each
+//! artifact's finished tables per `(artifact, scale)`, so a
+//! long-running session computes every artifact once. Results are
+//! reassembled in submission order, so tables are byte-identical for
+//! any worker count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
@@ -53,6 +57,7 @@ pub mod experiments;
 pub mod features;
 pub mod footprints;
 pub mod manifest;
+mod once_map;
 pub mod report;
 pub mod request;
 pub mod sensitivity;

@@ -42,10 +42,9 @@ use store::{fnv1a64, Journal};
 use crate::analyze::{run_analyze, AnalyzeReport, DEFAULT_TOP_K};
 use crate::audit::{run_audit, AuditReport};
 use crate::check::{run_check, CheckReport};
-use crate::comparison::ComparisonStudy;
 use crate::engine::StudySession;
 use crate::error::StudyError;
-use crate::experiments::{run_comparison, run_gpu, ExperimentId};
+use crate::experiments::ExperimentId;
 use crate::manifest;
 use crate::report::Table;
 
@@ -435,13 +434,15 @@ fn write_verdict_section(
 ///
 /// For tables requests this owns the full study lifecycle: the study
 /// journal is opened against [`StudyRequest::study_key`] (restoring
-/// completed experiments when `resume` is set), the comparison corpus
-/// is profiled once if any requested artifact needs it, every freshly
-/// computed experiment is checkpointed, and — when the session has a
-/// store attached — the deterministic `STUDY_manifest.json` is written
-/// next to it. Per-request `jobs` / `sim_threads` hints resize the
-/// session's worker pool and the intra-replay shard count; results are
-/// byte-identical at any width of either.
+/// completed experiments when `resume` is set), every other experiment
+/// comes from the session's memo ([`StudySession::tables`], computed
+/// at most once per session, the comparison corpus first if any
+/// artifact needs it) and is checkpointed in this request's journal,
+/// and — when the session has a store attached — the deterministic
+/// `STUDY_manifest.json` is written next to it. Per-request `jobs` /
+/// `sim_threads` hints resize the session's worker pool and the
+/// intra-replay shard count; results are byte-identical at any width
+/// of either.
 ///
 /// # Errors
 ///
@@ -508,15 +509,15 @@ pub fn execute(
             }
         }
     });
-    let corpus = if artifacts
+    // The corpus is built (once per session) before any experiment, so
+    // it profiles with the whole worker pool.
+    if artifacts
         .iter()
         .any(|&id| id.needs_corpus() && !restored.contains_key(id.name()))
     {
-        observer.note("profiling the 24-workload comparison corpus ...");
-        Some(ComparisonStudy::run(session, req.scale)?)
-    } else {
-        None
-    };
+        observer.note("profiling the 24-workload comparison corpus (once per session) ...");
+        session.corpus(req.scale)?;
+    }
     let mut completed: Vec<(String, Vec<Table>)> = Vec::new();
     for &id in artifacts {
         let start = Instant::now();
@@ -524,11 +525,9 @@ pub fn execute(
             observer.note(&format!("{}: restored from study journal", id.name()));
             (t, true)
         } else {
-            let tables = if id.needs_corpus() {
-                run_comparison(id, corpus.as_ref().expect("corpus built"))?
-            } else {
-                run_gpu(session, id, req.scale)?
-            };
+            // Computed once per session; a memo hit is still
+            // checkpointed in this request's own journal.
+            let tables = session.tables(id, req.scale)?.to_vec();
             if let Some(j) = &journal {
                 let record = Json::obj(vec![
                     ("id", Json::from(id.name())),

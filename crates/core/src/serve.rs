@@ -12,7 +12,9 @@
 //!
 //! * `GET /healthz` — liveness: `{"ok":true}`.
 //! * `GET /stats` — session counters: requests, in-flight, coalesced,
-//!   instance capture/restore counts, global store counters.
+//!   instance capture/restore counts, instance experiment-memo counts
+//!   (`experiments_computed`, `experiments_reused`, `corpora_built`),
+//!   global store counters.
 //! * `POST /study` — a [`StudyRequest`] JSON body (grammar in
 //!   [`crate::request`]); 200 with the study document, 400 on grammar
 //!   or validation errors, 500 on driver errors.
@@ -25,8 +27,12 @@
 //! Identical in-flight requests coalesce: the [`Coalescer`] keys on
 //! [`StudyRequest::study_key`] (worker width excluded — it never
 //! changes bytes), so N concurrent identical requests execute once and
-//! share the response body, on top of the per-trace exactly-once
-//! guarantee of the session caches.
+//! share the response body. Below that, the session caches make every
+//! layer exactly-once for the daemon's lifetime: each trace is
+//! captured once, each comparison corpus is profiled once per scale,
+//! and each `(artifact, scale)` table set is computed once — so
+//! *overlapping* requests (`[fig4]`, then `[fig4, fig6]`) share the
+//! finished artifacts too, not just the traces.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -404,6 +410,9 @@ fn stats_json(state: &ServerState) -> Json {
             "restores",
             Json::u64(session.cache().restores() + session.cpu_cache().restores()),
         ),
+        ("experiments_computed", Json::u64(session.experiments_computed())),
+        ("experiments_reused", Json::u64(session.experiments_reused())),
+        ("corpora_built", Json::u64(session.corpora_built())),
         ("store_attached", Json::from(session.store().is_some())),
         ("store", store_counters_json()),
         ("draining", Json::from(state.draining.load(Ordering::SeqCst))),

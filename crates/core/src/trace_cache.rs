@@ -12,9 +12,8 @@
 //! channel sweep, and all twelve Plackett–Burman design points.
 //!
 //! [`TraceCache`] keys captures by [`TraceKey`] and guarantees
-//! exactly-once capture even under concurrent lookups: each entry is an
-//! `Arc<OnceLock<...>>`, so racing workers block on the first
-//! initializer instead of capturing twice.
+//! exactly-once capture even under concurrent lookups: racing workers
+//! block on the first initializer instead of capturing twice.
 //!
 //! [`CpuTraceCache`] is the Pin-side twin: it caches
 //! [`CpuCapture`]s — a workload's interleaved memory-reference trace
@@ -23,9 +22,8 @@
 //! capacities of the comparison study replay one capture instead of
 //! re-running the workload eight times.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 
 use datasets::Scale;
 use rodinia_gpu::suite::GpuBenchmark;
@@ -34,6 +32,7 @@ use store::TraceStore;
 use tracekit::{CpuCapture, CpuWorkload, ProfileConfig};
 
 use crate::error::StudyError;
+use crate::once_map::OnceMap;
 
 /// The subset of a [`GpuConfig`] that influences functional trace
 /// capture. Two configurations with equal fingerprints produce
@@ -162,18 +161,15 @@ impl CapturedRun {
     }
 }
 
-type CacheSlot = Arc<OnceLock<Result<Arc<CapturedRun>, StudyError>>>;
-
 /// A thread-safe, exactly-once cache of captured runs.
 ///
-/// The outer map is held only long enough to clone the entry's
-/// `Arc<OnceLock>`; the (possibly long) capture runs outside the map
-/// lock, so workers capturing *different* benchmarks never serialize on
-/// each other, while workers racing for the *same* key block on one
-/// shared `OnceLock` initializer.
+/// The (possibly long) capture runs outside the map lock, so workers
+/// capturing *different* benchmarks never serialize on each other,
+/// while workers racing for the *same* key block on one shared
+/// initializer.
 #[derive(Debug, Default)]
 pub struct TraceCache {
-    map: Mutex<HashMap<TraceKey, CacheSlot>>,
+    map: OnceMap<TraceKey, CapturedRun>,
     store: Mutex<Option<Arc<TraceStore>>>,
     captures: AtomicU64,
     restores: AtomicU64,
@@ -205,7 +201,7 @@ impl TraceCache {
 
     /// Number of cached (or in-flight) captures.
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.map.len()
     }
 
     /// Whether nothing has been captured yet.
@@ -235,11 +231,7 @@ impl TraceCache {
         key: TraceKey,
         capture: impl FnOnce() -> Result<CapturedRun, StudyError>,
     ) -> Result<Arc<CapturedRun>, StudyError> {
-        let slot = {
-            let mut map = self.map.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            map.entry(key).or_default().clone()
-        };
-        slot.get_or_init(|| capture().map(Arc::new)).clone()
+        self.map.get_or_init(key, capture)
     }
 
     /// Captures a suite benchmark under `cfg` (variant `""`), reusing a
@@ -418,15 +410,12 @@ impl CpuTraceKey {
     }
 }
 
-type CpuSlot = Arc<OnceLock<Result<Arc<CpuCapture>, StudyError>>>;
-
 /// A thread-safe, exactly-once cache of CPU memory-trace captures,
-/// mirroring [`TraceCache`]: the map lock is held only to clone the
-/// slot, and racing workers block on one shared `OnceLock` initializer
-/// instead of capturing twice.
+/// mirroring [`TraceCache`]: racing workers block on one shared
+/// initializer instead of capturing twice.
 #[derive(Debug, Default)]
 pub struct CpuTraceCache {
-    map: Mutex<HashMap<CpuTraceKey, CpuSlot>>,
+    map: OnceMap<CpuTraceKey, CpuCapture>,
     store: Mutex<Option<Arc<TraceStore>>>,
     captures: AtomicU64,
     restores: AtomicU64,
@@ -456,7 +445,7 @@ impl CpuTraceCache {
 
     /// Number of cached (or in-flight) captures.
     pub fn len(&self) -> usize {
-        self.map.lock().unwrap_or_else(std::sync::PoisonError::into_inner).len()
+        self.map.len()
     }
 
     /// Whether nothing has been captured yet.
@@ -483,11 +472,7 @@ impl CpuTraceCache {
         key: CpuTraceKey,
         capture: impl FnOnce() -> Result<CpuCapture, StudyError>,
     ) -> Result<Arc<CpuCapture>, StudyError> {
-        let slot = {
-            let mut map = self.map.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            map.entry(key).or_default().clone()
-        };
-        slot.get_or_init(|| capture().map(Arc::new)).clone()
+        self.map.get_or_init(key, capture)
     }
 
     /// Captures `workload` under `cfg` (once per `(label, scale,

@@ -121,6 +121,14 @@ fn concurrent_identical_requests_share_one_execution() {
         Some(captures_after_pair as f64)
     );
     assert_eq!(stats.get("requests").and_then(Json::as_f64), Some(3.0));
+    // fig2 is computed once; the third request (and the second, unless
+    // it coalesced) reads the session's experiment memo.
+    assert_eq!(
+        stats.get("experiments_computed").and_then(Json::as_f64),
+        Some(1.0)
+    );
+    assert!(stats.get("experiments_reused").and_then(Json::as_f64) >= Some(1.0));
+    assert_eq!(stats.get("corpora_built").and_then(Json::as_f64), Some(0.0));
     assert_eq!(stats.get("store_attached"), Some(&Json::Bool(true)));
 
     shutdown(addr, runner);

@@ -9,6 +9,8 @@ use crate::config::CacheGeom;
 #[derive(Debug, Clone)]
 pub struct Cache {
     geom: CacheGeom,
+    /// `sets - 1`: the set count is a validated power of two.
+    set_mask: u64,
     /// `sets x ways` tags; `u64::MAX` marks an invalid way.
     tags: Vec<u64>,
     /// Per-way LRU stamps (larger = more recent).
@@ -20,10 +22,19 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a geometry [`CacheGeom::new`] would reject;
+    /// [`crate::GpuConfig::validate`] rejects such configurations first.
     pub fn new(geom: CacheGeom) -> Cache {
+        if let Some(reason) = geom.problem() {
+            panic!("{reason}");
+        }
         let entries = (geom.sets() * geom.ways) as usize;
         Cache {
             geom,
+            set_mask: u64::from(geom.sets() - 1),
             tags: vec![u64::MAX; entries],
             stamps: vec![0; entries],
             clock: 0,
@@ -32,23 +43,19 @@ impl Cache {
         }
     }
 
-    fn set_of(&self, addr: u64) -> usize {
-        let line = addr / self.geom.line as u64;
-        (line % self.geom.sets() as u64) as usize
-    }
-
-    fn tag_of(&self, addr: u64) -> u64 {
-        addr / self.geom.line as u64
+    /// The first way index of `addr`'s set, and its tag (the line
+    /// number).
+    fn locate(&self, addr: u64) -> (usize, u64) {
+        let line = addr / u64::from(self.geom.line);
+        ((line & self.set_mask) as usize * self.geom.ways as usize, line)
     }
 
     /// Looks up `addr`, allocating the line on a miss. Returns `true` on a
     /// hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.clock += 1;
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
+        let (base, tag) = self.locate(addr);
         let ways = self.geom.ways as usize;
-        let base = set * ways;
         for w in 0..ways {
             if self.tags[base + w] == tag {
                 self.stamps[base + w] = self.clock;
@@ -75,10 +82,8 @@ impl Cache {
     /// LRU state.
     pub fn probe(&mut self, addr: u64) -> bool {
         self.clock += 1;
-        let set = self.set_of(addr);
-        let tag = self.tag_of(addr);
+        let (base, tag) = self.locate(addr);
         let ways = self.geom.ways as usize;
-        let base = set * ways;
         for w in 0..ways {
             if self.tags[base + w] == tag {
                 self.stamps[base + w] = self.clock;

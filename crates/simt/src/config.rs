@@ -39,24 +39,40 @@ pub struct CacheGeom {
 }
 
 impl CacheGeom {
-    /// A cache of `bytes` capacity with the given associativity and 64-byte
-    /// lines.
+    /// A cache of `bytes` capacity with the given associativity and line
+    /// size.
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not yield at least one full set.
+    /// Panics on zero ways or line size, less than one full set, or a
+    /// set count that is not a power of two.
     pub fn new(bytes: u32, ways: u32, line: u32) -> CacheGeom {
-        assert!(bytes >= ways * line, "cache smaller than one set");
-        assert!(
-            (bytes / (ways * line)).is_power_of_two(),
-            "number of sets must be a power of two"
-        );
-        CacheGeom { bytes, ways, line }
+        let geom = CacheGeom { bytes, ways, line };
+        if let Some(reason) = geom.problem() {
+            panic!("{reason}");
+        }
+        geom
     }
 
-    /// Number of sets.
+    /// Number of sets. Meaningful only for a valid geometry.
     pub fn sets(&self) -> u32 {
         self.bytes / (self.ways * self.line)
+    }
+
+    /// Why this geometry cannot back a cache, if it cannot: zero ways
+    /// or line size, less than one full set, or a set count that is not
+    /// a power of two (the cache indexes sets by masking).
+    pub(crate) fn problem(&self) -> Option<&'static str> {
+        if self.ways == 0 || self.line == 0 {
+            return Some("cache ways and line size must be positive");
+        }
+        let Some(set_bytes) = self.ways.checked_mul(self.line).filter(|&b| b <= self.bytes) else {
+            return Some("cache smaller than one set");
+        };
+        if !(self.bytes / set_bytes).is_power_of_two() {
+            return Some("number of cache sets must be a power of two");
+        }
+        None
     }
 }
 
@@ -397,6 +413,11 @@ impl GpuConfig {
         if self.max_ctas_per_sm == 0 {
             return Some("max_ctas_per_sm must be positive".into());
         }
+        for (name, geom) in [("l1", self.l1), ("l2", self.l2), ("tex_cache", self.tex_cache)] {
+            if let Some(reason) = geom.as_ref().and_then(CacheGeom::problem) {
+                return Some(format!("{name}: {reason}"));
+            }
+        }
         let clock_ok = |c: f64| c.is_finite() && c > 0.0;
         if !clock_ok(self.core_clock_ghz) || !clock_ok(self.mem_clock_ghz) {
             return Some("clocks must be finite and positive".into());
@@ -589,6 +610,31 @@ mod tests {
     fn cache_geom_sets() {
         let g = CacheGeom::new(8 * 1024, 4, 64);
         assert_eq!(g.sets(), 32);
+    }
+
+    #[test]
+    fn degenerate_cache_geometry_is_rejected_with_typed_errors() {
+        let geom = |bytes, ways, line| Some(CacheGeom { bytes, ways, line });
+        let cases = [
+            (geom(16 * 1024, 0, 64), "positive"),
+            (geom(16 * 1024, 4, 0), "positive"),
+            (geom(128, 4, 64), "smaller than one set"),
+            (geom(64, 1 << 16, 1 << 16), "smaller than one set"),
+            (geom(6144, 4, 64), "power of two"),
+        ];
+        for (bad, needle) in cases {
+            for (slot, name) in [(0, "l1"), (1, "l2"), (2, "tex_cache")] {
+                let mut c = GpuConfig::gtx480_l1_bias();
+                *[&mut c.l1, &mut c.l2, &mut c.tex_cache][slot] = bad;
+                match c.validate() {
+                    Err(crate::SimError::InvalidConfig { reason, .. }) => {
+                        assert!(reason.starts_with(name), "{reason:?} names {name}");
+                        assert!(reason.contains(needle), "{reason:?} missing {needle:?}");
+                    }
+                    other => panic!("{name} {bad:?}: expected InvalidConfig, got {other:?}"),
+                }
+            }
+        }
     }
 
     #[test]

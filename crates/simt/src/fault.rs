@@ -19,7 +19,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::config::GpuConfig;
+use crate::config::{CacheGeom, GpuConfig};
 use crate::error::SimError;
 use crate::gpu::{try_time_trace, try_time_traces_concurrent, Gpu};
 use crate::isa::TOp;
@@ -50,6 +50,9 @@ pub enum Fault {
     NonPow2SharedBanks,
     /// Non-finite core clock (every derived time would be NaN).
     NanCoreClock,
+    /// L1 cache geometry with zero ways (set indexing would divide by
+    /// zero on the first access).
+    DegenerateCacheGeometry,
     /// Kernel declaring a grid with zero blocks.
     ZeroSizedGrid,
     /// Kernel load past the end of a global buffer.
@@ -86,6 +89,7 @@ impl Fault {
             NonPow2SegmentBytes,
             NonPow2SharedBanks,
             NanCoreClock,
+            DegenerateCacheGeometry,
             ZeroSizedGrid,
             OutOfRangeLoad,
             OutOfRangeStore,
@@ -197,6 +201,13 @@ fn broken_config(fault: Fault) -> GpuConfig {
         Fault::NonPow2SegmentBytes => cfg.segment_bytes = 48,
         Fault::NonPow2SharedBanks => cfg.shared_banks = 12,
         Fault::NanCoreClock => cfg.core_clock_ghz = f64::NAN,
+        Fault::DegenerateCacheGeometry => {
+            cfg.l1 = Some(CacheGeom {
+                bytes: 16 * 1024,
+                ways: 0,
+                line: 64,
+            });
+        }
         _ => unreachable!("not a config fault: {fault:?}"),
     }
     cfg
@@ -260,7 +271,8 @@ fn inject_impl(
         | Fault::ZeroDramChannels
         | Fault::NonPow2SegmentBytes
         | Fault::NonPow2SharedBanks
-        | Fault::NanCoreClock => {
+        | Fault::NanCoreClock
+        | Fault::DegenerateCacheGeometry => {
             let mut gpu = Gpu::try_new(broken_config(fault))?;
             attach_sink(&mut gpu, tapes);
             // try_new rejects every current config fault, so this is
@@ -424,7 +436,7 @@ mod tests {
     #[test]
     fn all_lists_every_class_once() {
         let all = Fault::all();
-        assert_eq!(all.len(), 17);
+        assert_eq!(all.len(), 18);
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 assert_ne!(a, b);

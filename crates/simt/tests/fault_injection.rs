@@ -17,7 +17,8 @@ fn expected(fault: Fault, got: &SimError) -> bool {
         | Fault::ZeroDramChannels
         | Fault::NonPow2SegmentBytes
         | Fault::NonPow2SharedBanks
-        | Fault::NanCoreClock => matches!(got, SimError::InvalidConfig { .. }),
+        | Fault::NanCoreClock
+        | Fault::DegenerateCacheGeometry => matches!(got, SimError::InvalidConfig { .. }),
         Fault::ZeroSizedGrid => matches!(got, SimError::EmptyGrid { .. }),
         Fault::OutOfRangeLoad | Fault::OutOfRangeStore | Fault::SharedOutOfRange => {
             matches!(got, SimError::KernelFault { .. })

@@ -22,14 +22,13 @@
 //!   serial inside.
 //! * **`sim_threads`** ([`simt::set_sim_threads`], forwarded by
 //!   [`StudySession::set_sim_threads`]) parallelizes *inside* one
-//!   replay: the simulated SMs are sharded across workers that advance
-//!   in lockstep epochs and exchange shared-memory traffic at
-//!   deterministic barriers, replaying it in canonical serial order
-//!   (see `simt::gpu`). Byte-identity is an invariant of the engine,
-//!   not a best-effort property of this knob.
+//!   replay: the recorded run's distinct kernel launches replay on
+//!   separate workers, and their stats merge in launch order (see
+//!   `simt::gpu`). Byte-identity is an invariant of the engine, not a
+//!   best-effort property of this knob.
 //!
-//! Wide sweeps want `jobs` (more independent work than cores); a single
-//! Large-scale replay wants `sim_threads` (one long-running job). The
+//! Wide sweeps want `jobs` (more independent work than cores); a few
+//! multi-launch replays want `sim_threads` (few long-running jobs). The
 //! two compose — `jobs * sim_threads` threads can be live at once — so
 //! oversubscribing both is rarely useful.
 //!
@@ -137,8 +136,8 @@ impl StudySession {
     /// Sets the *intra-replay* worker count (`0` = auto, one per CPU)
     /// for subsequent replays, forwarding to [`simt::set_sim_threads`].
     ///
-    /// Like [`set_jobs`], a pure wall-clock knob: the sharded replay
-    /// engine is byte-identical at every width, so it is excluded from
+    /// Like [`set_jobs`], a pure wall-clock knob: the launch-parallel
+    /// replay is byte-identical at every width, so it is excluded from
     /// study keys and safe to flip between (or even during) requests.
     /// The setting is process-global — `simt` owns it — so concurrent
     /// sessions share it; replays already in flight keep the width they

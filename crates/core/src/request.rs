@@ -27,8 +27,8 @@
 //! not of one request. `jobs` and `sim_threads` are deliberately
 //! **not** part of [`StudyRequest::study_key`]: results are
 //! byte-identical at any worker width of either pool (`jobs`
-//! parallelizes across replays, `sim_threads` shards the SMs inside
-//! one — see `rodinia_study::engine`), so requests differing only in
+//! parallelizes across replays, `sim_threads` across the launches
+//! inside one — see `rodinia_study::engine`), so requests differing only in
 //! those hints are the same study and may coalesce.
 
 use std::collections::HashMap;
@@ -81,7 +81,7 @@ pub struct StudyRequest {
     pub scale: Scale,
     /// Worker-pool width hint (`None` = keep the session's width).
     pub jobs: Option<usize>,
-    /// Intra-replay shard-count hint (`None` = keep the current
+    /// Intra-replay worker-count hint (`None` = keep the current
     /// setting; `0` = auto). Like `jobs`, a pure wall-clock knob.
     pub sim_threads: Option<usize>,
     /// Persistent store directory the caller asked for, if any. Only
@@ -441,7 +441,7 @@ fn write_verdict_section(
 /// and — when the session has a store attached — the deterministic
 /// `STUDY_manifest.json` is written next to it. Per-request `jobs` /
 /// `sim_threads` hints resize the session's worker pool and the
-/// intra-replay shard count; results are byte-identical at any width
+/// intra-replay worker count; results are byte-identical at any width
 /// of either.
 ///
 /// # Errors

@@ -36,7 +36,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -56,10 +56,6 @@ const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
 
 /// Largest accepted request header block, in bytes.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
-
-/// How long the accept loop sleeps between polls, and how the drain
-/// check stays responsive without busy-waiting.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
 
 /// One in-flight study's result slot: followers block on the condvar
 /// until the leader publishes.
@@ -172,10 +168,10 @@ pub struct ServeConfig {
     /// Worker-pool width (`None` = available parallelism). Requests
     /// may override per-call via their `jobs` field.
     pub jobs: Option<usize>,
-    /// Intra-replay shard count (`None` = leave the process default of
-    /// 1; `Some(0)` = auto). Requests may override per-call via their
-    /// `sim_threads` field; like `jobs` it never changes response
-    /// bytes.
+    /// Intra-replay worker count, spent on a run's distinct launches
+    /// (`None` = leave the process default of 1; `Some(0)` = auto).
+    /// Requests may override per-call via their `sim_threads` field;
+    /// like `jobs` it never changes response bytes.
     pub sim_threads: Option<usize>,
 }
 
@@ -184,8 +180,21 @@ struct ServerState {
     session: StudySession,
     coalescer: Coalescer,
     requests: AtomicU64,
-    inflight: AtomicU64,
+    /// Connections accepted and not yet finished.
+    inflight: Mutex<u64>,
+    /// Signalled whenever `inflight` drops to zero.
+    idle: Condvar,
     draining: AtomicBool,
+    /// Where `/shutdown` connects to wake the blocked accept loop.
+    wake_addr: SocketAddr,
+}
+
+impl ServerState {
+    fn inflight(&self) -> std::sync::MutexGuard<'_, u64> {
+        self.inflight
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
 }
 
 /// The study daemon: one listener, one shared [`StudySession`],
@@ -229,14 +238,26 @@ impl Server {
                 }
             }
         }
+        let mut wake_addr = listener.local_addr().map_err(|e| StudyError::Io {
+            path: cfg.addr.clone(),
+            reason: e.to_string(),
+        })?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Ok(Server {
             listener,
             state: Arc::new(ServerState {
                 session,
                 coalescer: Coalescer::new(),
                 requests: AtomicU64::new(0),
-                inflight: AtomicU64::new(0),
+                inflight: Mutex::new(0),
+                idle: Condvar::new(),
                 draining: AtomicBool::new(false),
+                wake_addr,
             }),
             store_warning,
         })
@@ -272,37 +293,34 @@ impl Server {
     /// drain flag is set, no new connection is accepted and the loop
     /// returns once every in-flight handler finished.
     ///
+    /// The accept blocks; `/shutdown` wakes it with one loopback
+    /// connection, and the drain then waits on a condvar, so neither
+    /// a request nor the shutdown ever waits on a polling interval.
+    ///
     /// # Errors
     ///
     /// [`StudyError::Io`] on a non-transient accept failure. Per
     /// connection I/O errors only terminate that connection.
     pub fn run(&self) -> Result<(), StudyError> {
-        self.listener.set_nonblocking(true).map_err(|e| StudyError::Io {
-            path: "listener".to_string(),
-            reason: e.to_string(),
-        })?;
         loop {
-            if self.state.draining.load(Ordering::SeqCst) {
-                if self.state.inflight.load(Ordering::SeqCst) == 0 {
-                    return Ok(());
-                }
-                std::thread::sleep(ACCEPT_POLL);
-                continue;
-            }
             match self.listener.accept() {
+                // Whatever connection arrives once draining — the
+                // wake-up or a late client — is closed unanswered.
+                Ok(_) if self.state.draining.load(Ordering::SeqCst) => break,
                 Ok((stream, _)) => {
                     let state = Arc::clone(&self.state);
                     // Counted before the handler thread exists, so a
                     // drain can never observe zero while a connection
                     // is still waiting to start.
-                    state.inflight.fetch_add(1, Ordering::SeqCst);
+                    *state.inflight() += 1;
                     std::thread::spawn(move || {
                         let _ = handle_connection(&state, stream);
-                        state.inflight.fetch_sub(1, Ordering::SeqCst);
+                        let mut inflight = state.inflight();
+                        *inflight -= 1;
+                        if *inflight == 0 {
+                            state.idle.notify_all();
+                        }
                     });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(ACCEPT_POLL);
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => {
@@ -313,6 +331,15 @@ impl Server {
                 }
             }
         }
+        let mut inflight = self.state.inflight();
+        while *inflight > 0 {
+            inflight = self
+                .state
+                .idle
+                .wait(inflight)
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        }
+        Ok(())
     }
 }
 
@@ -400,7 +427,7 @@ fn stats_json(state: &ServerState) -> Json {
     let session = &state.session;
     Json::obj(vec![
         ("requests", Json::u64(state.requests.load(Ordering::Relaxed))),
-        ("in_flight", Json::u64(state.inflight.load(Ordering::SeqCst))),
+        ("in_flight", Json::u64(*state.inflight())),
         ("coalesced", Json::u64(state.coalescer.coalesced())),
         (
             "captures",
@@ -461,7 +488,11 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) -> io::Result<(
         ("POST", "/study") => handle_study(state, &mut stream, &req.body),
         ("POST", "/shutdown") => {
             state.draining.store(true, Ordering::SeqCst);
-            write_response(&mut stream, 200, b"{\"draining\":true}\n")
+            let answered = write_response(&mut stream, 200, b"{\"draining\":true}\n");
+            // Wake the accept loop, which sees the flag and drains. If
+            // the connect fails, the next connection wakes it instead.
+            let _ = TcpStream::connect(state.wake_addr);
+            answered
         }
         ("GET" | "POST", _) => write_response(&mut stream, 404, &error_body("not found")),
         _ => write_response(&mut stream, 405, &error_body("method not allowed")),

@@ -112,10 +112,56 @@ pub struct CapturedRun {
 }
 
 impl CapturedRun {
+    /// The one constructor, shared by capture and store restore.
+    ///
+    /// Launches that are byte-identical — same name, same CTA count,
+    /// then full equality — come to share one `Arc`, so every replay
+    /// ([`simt::try_time_launches`]) times each distinct launch once.
+    /// The launch list itself (and so the store payload) is unchanged.
+    /// A restore passes no `baseline`; it is then re-timed from the
+    /// interned launches under `capture_cfg`.
+    fn new(
+        traces: Vec<Arc<KernelTrace>>,
+        capture_cfg: &GpuConfig,
+        baseline: Option<KernelStats>,
+        h2d_bytes: u64,
+        d2h_bytes: u64,
+    ) -> Result<CapturedRun, simt::SimError> {
+        let mut distinct: Vec<Arc<KernelTrace>> = Vec::new();
+        let traces: Vec<Arc<KernelTrace>> = traces
+            .into_iter()
+            .map(|t| {
+                let twin = distinct
+                    .iter()
+                    .find(|d| d.name == t.name && d.ctas.len() == t.ctas.len() && **d == t);
+                match twin {
+                    Some(d) => Arc::clone(d),
+                    None => {
+                        distinct.push(Arc::clone(&t));
+                        t
+                    }
+                }
+            })
+            .collect();
+        let baseline = match baseline {
+            Some(b) => b,
+            None => simt::try_time_launches(&traces, capture_cfg)?,
+        };
+        Ok(CapturedRun {
+            traces,
+            capture_cfg: capture_cfg.clone(),
+            baseline,
+            h2d_bytes,
+            d2h_bytes,
+        })
+    }
+
     /// Re-times every recorded launch under `cfg` and merges the
     /// per-launch stats in launch order — byte-identical to running the
     /// benchmark directly under `cfg`, provided `cfg` shares this
-    /// capture's [`CaptureFingerprint`].
+    /// capture's [`CaptureFingerprint`]. Identical launches are timed
+    /// once, and distinct ones run in parallel up to
+    /// [`simt::set_sim_threads`] workers.
     ///
     /// # Errors
     ///
@@ -130,31 +176,29 @@ impl CapturedRun {
                 replay: format!("{want:?} ({})", cfg.name),
             });
         }
-        let mut acc: Option<KernelStats> = None;
-        for trace in &self.traces {
-            let s = simt::try_time_trace(trace, cfg)?;
-            acc = Some(match acc {
-                None => s,
-                Some(mut a) => {
-                    a.merge(&s);
-                    a
-                }
+        if self.traces.is_empty() {
+            return Err(StudyError::TraceReuse {
+                capture: self.capture_cfg.name.clone(),
+                replay: "no launches were recorded".to_string(),
             });
         }
-        acc.ok_or_else(|| StudyError::TraceReuse {
-            capture: self.capture_cfg.name.clone(),
-            replay: "no launches were recorded".to_string(),
-        })
+        Ok(simt::try_time_launches(&self.traces, cfg)?)
     }
 
-    /// Stats under `cfg`: the stored baseline when `cfg` is exactly the
-    /// capture configuration (no re-timing needed), a [`replay`] pass
-    /// otherwise.
+    /// Stats under `cfg`: the stored baseline when `cfg` is the capture
+    /// configuration in everything but its name (no re-timing needed;
+    /// the stats then carry `cfg`'s name), a [`replay`] pass otherwise.
     ///
     /// [`replay`]: CapturedRun::replay
     pub fn stats_for(&self, cfg: &GpuConfig) -> Result<KernelStats, StudyError> {
-        if *cfg == self.capture_cfg {
-            Ok(self.baseline.clone())
+        let renamed = GpuConfig {
+            name: self.capture_cfg.name.clone(),
+            ..cfg.clone()
+        };
+        if renamed == self.capture_cfg {
+            let mut stats = self.baseline.clone();
+            stats.config.clone_from(&cfg.name);
+            Ok(stats)
         } else {
             self.replay(cfg)
         }
@@ -278,13 +322,13 @@ impl TraceCache {
             let mut gpu = Gpu::try_new(cfg.clone())?;
             gpu.set_trace_recording(true);
             let baseline = run(&mut gpu);
-            let captured = CapturedRun {
-                traces: gpu.take_recorded_traces(),
-                capture_cfg: cfg.clone(),
-                baseline,
-                h2d_bytes: gpu.mem().h2d_bytes(),
-                d2h_bytes: gpu.mem().d2h_bytes(),
-            };
+            let captured = CapturedRun::new(
+                gpu.take_recorded_traces(),
+                cfg,
+                Some(baseline),
+                gpu.mem().h2d_bytes(),
+                gpu.mem().d2h_bytes(),
+            )?;
             if let Some(store) = &store {
                 store.save_or_warn(
                     &key.store_key(),
@@ -327,32 +371,16 @@ fn load_persisted_gpu_run(
     // so re-timing the decoded traces under the capture configuration
     // reproduces it exactly — and doubles as an end-to-end validity
     // check on the decoded ops.
-    let mut baseline: Option<KernelStats> = None;
-    for trace in &traces {
-        match simt::try_time_trace(trace, cfg) {
-            Ok(s) => {
-                baseline = Some(match baseline {
-                    None => s,
-                    Some(mut a) => {
-                        a.merge(&s);
-                        a
-                    }
-                });
-            }
-            Err(e) => {
-                store.quarantine(&skey, &format!("replay: {e}"));
-                return None;
-            }
+    match CapturedRun::new(traces, cfg, None, h2d_bytes, d2h_bytes) {
+        Ok(run) => {
+            obs::Registry::global().incr("store.gpu_restored");
+            Some(run)
+        }
+        Err(e) => {
+            store.quarantine(&skey, &format!("replay: {e}"));
+            None
         }
     }
-    obs::Registry::global().incr("store.gpu_restored");
-    Some(CapturedRun {
-        traces,
-        capture_cfg: cfg.clone(),
-        baseline: baseline.expect("non-empty trace list produced a baseline"),
-        h2d_bytes,
-        d2h_bytes,
-    })
 }
 
 /// The subset of a [`ProfileConfig`] that influences a CPU capture's
@@ -642,6 +670,90 @@ mod tests {
         // Replay on a different machine (same fingerprint) works too.
         let s8 = run1.replay(&GpuConfig::gpgpusim_8sm()).expect("8-SM replay");
         assert!(s8.cycles > 0);
+    }
+
+    /// Distinct launches of a run, by `Arc` identity.
+    fn distinct_launches(run: &CapturedRun) -> usize {
+        let mut seen: Vec<&Arc<KernelTrace>> = Vec::new();
+        for t in &run.traces {
+            if !seen.iter().any(|s| Arc::ptr_eq(s, t)) {
+                seen.push(t);
+            }
+        }
+        seen.len()
+    }
+
+    #[test]
+    fn identical_launches_are_interned_and_the_store_payload_is_unchanged() {
+        let dir = std::env::temp_dir().join(format!("rodinia-intern-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Arc::new(TraceStore::open(&dir).expect("open store"));
+        let cfg = GpuConfig::gpgpusim_default();
+        let benches = all_benchmarks(Scale::Tiny);
+        let cold = TraceCache::new();
+        cold.set_store(Arc::clone(&store));
+        let warm = TraceCache::new();
+        warm.set_store(Arc::clone(&store));
+        for (abbrev, launches, distinct) in [("CFD", 4, 2), ("KM", 2, 1), ("SRAD", 4, 2)] {
+            let b = benches
+                .iter()
+                .find(|b| b.abbrev() == abbrev)
+                .expect("suite benchmark")
+                .as_ref();
+            let captured = cold.capture_benchmark(b, Scale::Tiny, &cfg).expect("capture");
+            assert_eq!(captured.traces.len(), launches, "{abbrev}: launches");
+            assert_eq!(distinct_launches(&captured), distinct, "{abbrev}: distinct launches");
+            let key = TraceKey {
+                benchmark: abbrev.to_string(),
+                scale: Scale::Tiny,
+                variant: "",
+                fingerprint: CaptureFingerprint::of(&cfg),
+            };
+            let saved = store.load(&key.store_key()).expect("capture persisted");
+            let encode = |run: &CapturedRun| {
+                simt::encode_capture_payload(&run.traces, run.h2d_bytes, run.d2h_bytes)
+            };
+            assert_eq!(encode(&captured), saved, "{abbrev}: interning changed the payload");
+            // A restore interns the same way, re-times the same
+            // baseline, and encodes back to the saved bytes.
+            let restored = warm.capture_benchmark(b, Scale::Tiny, &cfg).expect("restore");
+            assert_eq!(distinct_launches(&restored), distinct, "{abbrev}: restored");
+            assert_eq!(encode(&restored), saved, "{abbrev}: restored payload");
+            assert_eq!(
+                format!("{:?}", restored.baseline),
+                format!("{:?}", captured.baseline),
+                "{abbrev}: restored baseline"
+            );
+        }
+        assert_eq!((cold.captures(), warm.restores(), warm.captures()), (3, 3, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_renamed_capture_config_gets_the_baseline_under_its_own_name() {
+        let cache = TraceCache::new();
+        let cfg = GpuConfig::gpgpusim_default();
+        let benches = all_benchmarks(Scale::Tiny);
+        let run = cache
+            .capture_benchmark(benches[2].as_ref(), Scale::Tiny, &cfg)
+            .expect("capture");
+        let renamed = GpuConfig {
+            name: "renamed".to_string(),
+            ..cfg.clone()
+        };
+        let got = run.stats_for(&renamed).expect("stats");
+        assert_eq!(got.config, "renamed");
+        // Exactly what re-timing under the renamed config produces.
+        assert_eq!(
+            format!("{got:?}"),
+            format!("{:?}", run.replay(&renamed).expect("replay"))
+        );
+        // Any other difference still re-times.
+        let eight = GpuConfig::gpgpusim_8sm();
+        assert_eq!(
+            format!("{:?}", run.stats_for(&eight).expect("stats")),
+            format!("{:?}", run.replay(&eight).expect("replay"))
+        );
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! identical study requests share one execution (byte-identical
 //! bodies, capture work done exactly once), a later identical request
 //! is a pure warm hit, and a fresh daemon over the same store restores
-//! instead of recapturing.
+//! instead of recapturing. A `/shutdown` with no traffic after it still
+//! ends `run()`.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -200,4 +201,36 @@ fn bad_requests_are_rejected_and_do_not_kill_the_daemon() {
     assert_eq!(status, 200);
     assert!(std::str::from_utf8(&body).expect("utf-8").contains("rodinia-repro.study/v1"));
     shutdown(addr, runner);
+}
+
+#[test]
+fn shutdown_alone_wakes_the_blocked_accept_loop() {
+    let server = Arc::new(
+        Server::bind(&ServeConfig {
+            addr: "127.0.0.1:0".to_string(),
+            store: None,
+            jobs: Some(1),
+            sim_threads: None,
+        })
+        .expect("bind"),
+    );
+    let addr = server.local_addr().expect("addr");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let runner = {
+        let server = Arc::clone(&server);
+        std::thread::spawn(move || {
+            let r = server.run();
+            let _ = done_tx.send(());
+            r
+        })
+    };
+    let (status, body) = http(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    assert_eq!(body, b"{\"draining\":true}\n");
+    // No further traffic: the accept loop, blocked in `accept`, must be
+    // woken by the shutdown itself and return once the drain finishes.
+    done_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("run() returned after /shutdown with no further connection");
+    runner.join().expect("runner").expect("clean drain");
 }

@@ -1,6 +1,6 @@
 //! Mapping between fault-injection classes and finding kinds.
 //!
-//! The 18-class [`simt::fault`] harness doubles as the sanitizer's
+//! The 19-class [`simt::fault`] harness doubles as the sanitizer's
 //! true-positive corpus: for every memory/barrier saboteur the checkers
 //! must not just *flag* the launch but classify it as the right kind of
 //! bug. [`expected_kind`] is the ground truth, [`classify_tape`] is what

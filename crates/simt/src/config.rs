@@ -14,6 +14,13 @@ pub const MAX_TIMELINE_CAPACITY: usize = 1 << 24;
 /// cycles is already orders of magnitude past the watchdog budget.
 pub const MAX_TIMELINE_PERIOD: u64 = 1 << 48;
 
+/// Largest accepted cache, in lines (sets × ways). Every replay
+/// allocates a tag and a stamp per line, so an absurd but otherwise
+/// consistent geometry (gigabytes of 1-byte lines) would abort the
+/// process on allocation; 2¹⁶ lines is over five times the largest
+/// preset cache (a 768 KB L2 of 64-byte lines holds 12,288).
+pub const MAX_CACHE_LINES: u32 = 1 << 16;
+
 /// Warp-scheduler policy (the paper's future-work item on "the impact
 /// of hardware thread scheduling mechanisms").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -44,8 +51,9 @@ impl CacheGeom {
     ///
     /// # Panics
     ///
-    /// Panics on zero ways or line size, less than one full set, or a
-    /// set count that is not a power of two.
+    /// Panics on zero ways or line size, less than one full set, a set
+    /// count that is not a power of two, or more than
+    /// [`MAX_CACHE_LINES`] lines.
     pub fn new(bytes: u32, ways: u32, line: u32) -> CacheGeom {
         let geom = CacheGeom { bytes, ways, line };
         if let Some(reason) = geom.problem() {
@@ -60,8 +68,9 @@ impl CacheGeom {
     }
 
     /// Why this geometry cannot back a cache, if it cannot: zero ways
-    /// or line size, less than one full set, or a set count that is not
-    /// a power of two (the cache indexes sets by masking).
+    /// or line size, less than one full set, a set count that is not a
+    /// power of two (the cache indexes sets by masking), or more than
+    /// [`MAX_CACHE_LINES`] lines.
     pub(crate) fn problem(&self) -> Option<&'static str> {
         if self.ways == 0 || self.line == 0 {
             return Some("cache ways and line size must be positive");
@@ -71,6 +80,9 @@ impl CacheGeom {
         };
         if !(self.bytes / set_bytes).is_power_of_two() {
             return Some("number of cache sets must be a power of two");
+        }
+        if self.bytes / self.line > MAX_CACHE_LINES {
+            return Some("cache holds more than 65536 lines");
         }
         None
     }
@@ -621,6 +633,8 @@ mod tests {
             (geom(128, 4, 64), "smaller than one set"),
             (geom(64, 1 << 16, 1 << 16), "smaller than one set"),
             (geom(6144, 4, 64), "power of two"),
+            (geom(1 << 31, 1, 1), "more than 65536 lines"),
+            (geom(1 << 23, 4, 64), "more than 65536 lines"),
         ];
         for (bad, needle) in cases {
             for (slot, name) in [(0, "l1"), (1, "l2"), (2, "tex_cache")] {

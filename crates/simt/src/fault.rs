@@ -53,6 +53,9 @@ pub enum Fault {
     /// L1 cache geometry with zero ways (set indexing would divide by
     /// zero on the first access).
     DegenerateCacheGeometry,
+    /// L2 geometry that is consistent but absurdly large (2 GiB of
+    /// 1-byte lines): allocating its tags would abort the process.
+    OversizedCacheGeometry,
     /// Kernel declaring a grid with zero blocks.
     ZeroSizedGrid,
     /// Kernel load past the end of a global buffer.
@@ -90,6 +93,7 @@ impl Fault {
             NonPow2SharedBanks,
             NanCoreClock,
             DegenerateCacheGeometry,
+            OversizedCacheGeometry,
             ZeroSizedGrid,
             OutOfRangeLoad,
             OutOfRangeStore,
@@ -208,6 +212,13 @@ fn broken_config(fault: Fault) -> GpuConfig {
                 line: 64,
             });
         }
+        Fault::OversizedCacheGeometry => {
+            cfg.l2 = Some(CacheGeom {
+                bytes: 1 << 31,
+                ways: 1,
+                line: 1,
+            });
+        }
         _ => unreachable!("not a config fault: {fault:?}"),
     }
     cfg
@@ -272,7 +283,8 @@ fn inject_impl(
         | Fault::NonPow2SegmentBytes
         | Fault::NonPow2SharedBanks
         | Fault::NanCoreClock
-        | Fault::DegenerateCacheGeometry => {
+        | Fault::DegenerateCacheGeometry
+        | Fault::OversizedCacheGeometry => {
             let mut gpu = Gpu::try_new(broken_config(fault))?;
             attach_sink(&mut gpu, tapes);
             // try_new rejects every current config fault, so this is
@@ -436,7 +448,7 @@ mod tests {
     #[test]
     fn all_lists_every_class_once() {
         let all = Fault::all();
-        assert_eq!(all.len(), 18);
+        assert_eq!(all.len(), 19);
         for (i, a) in all.iter().enumerate() {
             for b in &all[i + 1..] {
                 assert_ne!(a, b);

@@ -1,30 +1,22 @@
-//! The whole-GPU timing model: CTA scheduling and sharded trace replay.
+//! The whole-GPU timing model: CTA scheduling and trace replay.
 //!
-//! # Intra-run parallelism: the epoch-barrier engine
+//! # The epoch-barrier engine
 //!
-//! Replay partitions the SMs into contiguous shards ([`set_sim_threads`]
-//! sets the shard count), executed by a persistent worker pool spawned
-//! once per replay inside one [`std::thread::scope`]. Shards travel to
-//! pool helpers *by move* over channels and come back at each barrier,
-//! so workers never share mutable state; the physical thread count is
-//! additionally capped by [`std::thread::available_parallelism`] —
-//! extra shards would only time-slice the same cores — and any shards
-//! beyond it (or all of them, on a single-core host) run inline on the
-//! coordinating thread. Execution alternates two phases:
+//! One launch replays on one thread. Execution alternates two phases:
 //!
-//! 1. **Epoch** `[start, end)` — every shard advances its SMs through
-//!    the window touching only shard-local state (warp scheduling,
-//!    compute latencies, L1/texture caches, barriers, retirement).
-//!    Traffic for *shared* resources — the chip-wide L2, the DRAM
-//!    channels, the pending-CTA queue, the global live-warp count — is
-//!    appended to a per-shard event log instead of applied.
-//! 2. **Barrier** — the engine merges the logs, sorts them by
-//!    `(cycle, sm, seq, kind)` — exactly the order the serial engine
-//!    would have processed them — and applies them on one thread:
-//!    L2/DRAM accesses resolve waiting warps, retirements decrement the
-//!    live count, completed CTAs free resources and pull from the queue,
-//!    and the timeline sampler records every boundary that falls before
-//!    each event.
+//! 1. **Epoch** `[start, end)` — every SM advances alone through the
+//!    window touching only SM-local state (warp scheduling, compute
+//!    latencies, L1/texture caches, barriers, retirement). Traffic for
+//!    *shared* resources — the chip-wide L2, the DRAM channels, the
+//!    pending-CTA queue, the global live-warp count — is appended to the
+//!    epoch's event log instead of applied.
+//! 2. **Barrier** — the engine sorts the log by `(cycle, sm, seq, kind)`
+//!    — exactly the order a cycle-by-cycle lockstep sweep over the SMs
+//!    would have processed the events in — and applies it: L2/DRAM
+//!    accesses resolve waiting warps, retirements decrement the live
+//!    count, completed CTAs free resources and pull from the queue, and
+//!    the timeline sampler records every boundary that falls before each
+//!    event.
 //!
 //! The epoch length is chosen so that *no deferred effect can land
 //! inside the epoch that produced it*: it never exceeds the minimum
@@ -33,12 +25,26 @@
 //! launch overhead. Under that bound, deferring shared traffic to the
 //! barrier is not an approximation — every statistic, including cycle
 //! counts, [`StallBreakdown`], [`Timeline`] samples, and cache hit
-//! counters, is **byte-identical to a fully serial simulation at any
-//! shard count**. `sim_threads` is therefore a pure performance knob,
-//! like `--jobs`, and is excluded from study cache keys.
+//! counters, is byte-identical to a lockstep simulation — and it lets
+//! each SM run a whole epoch in one tight loop.
+//!
+//! # Parallelism: across launches, not SMs
+//!
+//! The launches of an application run are independent — each one times
+//! on a fresh engine — so [`try_time_launches`] spends the
+//! [`set_sim_threads`] workers on a run's *distinct* launches: each
+//! distinct launch (by `Arc` identity) is replayed once, and the
+//! per-launch stats are merged in launch order on the calling thread.
+//! The width therefore changes wall-clock time, never results;
+//! `sim_threads` is a pure performance knob, like `--jobs`, and is
+//! excluded from study cache keys. (Splitting one launch's SMs across
+//! threads was measured and retired: the per-epoch handoff and barrier
+//! are serial, and two SM shards ran 1.5–3.8× slower than one thread at
+//! every study scale.)
 //!
 //! ```
-//! use simt::{set_sim_threads, time_trace, trace_kernel, Gpu, GpuConfig};
+//! use std::sync::Arc;
+//! use simt::{set_sim_threads, trace_kernel, try_time_launches, GpuConfig};
 //! use simt::{GridShape, Kernel, PhaseControl, WarpCtx};
 //!
 //! struct Saxpy { n: usize }
@@ -53,18 +59,24 @@
 //!
 //! let cfg = GpuConfig::gpgpusim_default();
 //! let mut mem = simt::GpuMem::new();
-//! let trace = trace_kernel(&Saxpy { n: 4096 }, &mut mem, &cfg);
-//! // The shard count changes wall-clock time, never results.
+//! let big = Arc::new(trace_kernel(&Saxpy { n: 4096 }, &mut mem, &cfg));
+//! let small = Arc::new(trace_kernel(&Saxpy { n: 512 }, &mut mem, &cfg));
+//! // A run of three launches, two of them the same capture.
+//! let run = [Arc::clone(&big), small, big];
+//! // The worker count changes wall-clock time, never results.
 //! set_sim_threads(1);
-//! let serial = time_trace(&trace, &cfg);
+//! let serial = try_time_launches(&run, &cfg).unwrap();
 //! set_sim_threads(4);
-//! let sharded = time_trace(&trace, &cfg);
-//! assert_eq!(serial.to_json(), sharded.to_json());
+//! let parallel = try_time_launches(&run, &cfg).unwrap();
+//! assert_eq!(serial.to_json(), parallel.to_json());
+//! assert_eq!(serial.launches, 3);
 //! # set_sim_threads(1);
 //! ```
 
+use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::caches::Cache;
 use crate::config::GpuConfig;
@@ -74,15 +86,13 @@ use crate::kernel::Kernel;
 use crate::memory::GpuMem;
 use crate::sanitizer::LaunchTape;
 use crate::sm::{
-    ctas_per_sm, fold_summary, run_epoch_shard, CtaRt, EvKind, EvRec, ShardOut, SmRt, WarpRt,
-    SCHED_READY_MASK,
+    ctas_per_sm, run_epoch, CtaRt, EpochLog, EvKind, EvRec, SmRt, WarpRt, SCHED_READY_MASK,
 };
-use crate::stats::{
-    KernelStats, MemMix, OccupancyHistogram, StallBreakdown, Timeline, TimelineSample,
-};
+use crate::stats::{KernelStats, StallBreakdown, Timeline, TimelineSample};
 use crate::trace::{try_trace_kernel, try_trace_kernel_with, KernelTrace};
 
-/// Worker threads used *inside* one replay (0 = one per available CPU).
+/// Worker threads used *inside* one replay of a multi-launch run
+/// (0 = one per available CPU).
 ///
 /// Process-global, like a rayon pool width: the knob tunes wall-clock
 /// time only — replay results are byte-identical at every value — so it
@@ -91,12 +101,14 @@ use crate::trace::{try_trace_kernel, try_trace_kernel_with, KernelTrace};
 /// embedders that never touch it.
 static SIM_THREADS: AtomicUsize = AtomicUsize::new(1);
 
-/// Sets the intra-replay worker-thread count for subsequent replays.
+/// Sets the intra-replay worker-thread count for subsequent
+/// [`try_time_launches`] calls.
 ///
-/// `0` means "auto": one worker per available CPU. The effective shard
-/// count is additionally clamped to the number of SMs in the replayed
-/// configuration. Replays already in flight keep the width they started
-/// with; results are unaffected either way (see the module docs).
+/// `0` means "auto": one worker per available CPU. The effective width
+/// is additionally capped by the run's distinct launch count and the
+/// host's CPU count. Replays already in flight keep the width they
+/// started with; results are unaffected either way (see the module
+/// docs).
 pub fn set_sim_threads(n: usize) {
     SIM_THREADS.store(n, Ordering::Relaxed);
 }
@@ -106,26 +118,17 @@ pub fn sim_threads() -> usize {
     SIM_THREADS.load(Ordering::Relaxed)
 }
 
+/// The host's CPU count.
+fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
+}
+
 /// Resolves the configured thread count to a concrete worker count.
 fn resolve_sim_threads() -> usize {
     match sim_threads() {
-        0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
+        0 => host_cpus(),
         n => n,
     }
-}
-
-/// Test-only stand-in for [`std::thread::available_parallelism`]
-/// (`0` = use the real value). The physical pool width is capped by the
-/// host CPU count, so on a single-core CI runner the threaded handoff
-/// path would otherwise never execute; tests raise this to force it.
-static HOST_PARALLELISM_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
-
-/// Overrides the detected CPU count for the replay pool (`0` restores
-/// auto-detection). Results are identical either way — this exists so
-/// tests can exercise the threaded handoff on single-core hosts.
-#[doc(hidden)]
-pub fn set_host_parallelism_override(n: usize) {
-    HOST_PARALLELISM_OVERRIDE.store(n, Ordering::Relaxed);
 }
 
 /// An installed sanitizer sink (a boxed closure; opaque to `Debug`).
@@ -191,7 +194,7 @@ impl Gpu {
     /// records nothing, and with one the captured traces (and therefore
     /// all replayed statistics) are byte-identical anyway. Tapes are
     /// produced during functional capture, which stays single-threaded —
-    /// the intra-replay shard count (see [`set_sim_threads`]) cannot
+    /// the intra-replay worker count (see [`set_sim_threads`]) cannot
     /// affect them.
     pub fn set_sanitizer_sink(&mut self, sink: impl FnMut(LaunchTape) + Send + Sync + 'static) {
         self.sanitizer = Some(SanitizerSink(Box::new(sink)));
@@ -387,6 +390,99 @@ pub fn try_time_trace(trace: &KernelTrace, cfg: &GpuConfig) -> Result<KernelStat
     Ok(try_time_traces_concurrent(&[trace], cfg)?.combined)
 }
 
+/// Replays a recorded application run — its launches in order, each on
+/// a fresh engine, as [`try_time_trace`] would — and merges the
+/// per-launch statistics in launch order with [`KernelStats::merge`].
+///
+/// Launches that share one `Arc` are replayed once and their stats
+/// reused, since a replay depends only on the trace and `cfg`. The
+/// distinct launches are spread over `min(sim_threads, distinct
+/// launches, CPUs)` scoped workers (see [`set_sim_threads`]); the
+/// result is byte-identical at every width, and each launch's
+/// `kernel_stats` record is published in launch order from the calling
+/// thread.
+///
+/// # Errors
+///
+/// [`SimError::EmptyLaunch`] if `launches` is empty; otherwise the error
+/// of the earliest launch that fails (see [`try_time_traces_concurrent`])
+/// — the one a serial left-to-right replay would report.
+pub fn try_time_launches(
+    launches: &[Arc<KernelTrace>],
+    cfg: &GpuConfig,
+) -> Result<KernelStats, SimError> {
+    // Each launch's index into `distinct`, which lists every distinct
+    // trace once, in order of first appearance.
+    let mut distinct: Vec<&KernelTrace> = Vec::new();
+    let mut first_seen: HashMap<*const KernelTrace, usize> = HashMap::new();
+    let slot_of: Vec<usize> = launches
+        .iter()
+        .map(|l| {
+            *first_seen.entry(Arc::as_ptr(l)).or_insert_with(|| {
+                distinct.push(l);
+                distinct.len() - 1
+            })
+        })
+        .collect();
+    let results = replay_each(&distinct, cfg);
+    let mut merged: Option<KernelStats> = None;
+    for slot in slot_of {
+        // Slots are numbered in launch order, so the first failure met
+        // here is the earliest failing launch, and every slot before it
+        // was replayed.
+        let stats = results[slot]
+            .as_ref()
+            .expect("every slot before the first failure was replayed")
+            .as_ref()
+            .map_err(Clone::clone)?;
+        obs::record_with("kernel_stats", || stats.to_json());
+        match &mut merged {
+            None => merged = Some(stats.clone()),
+            Some(m) => m.merge(stats),
+        }
+    }
+    merged.ok_or(SimError::EmptyLaunch)
+}
+
+/// Replays each trace alone on `min(sim_threads, traces, CPUs)` scoped
+/// workers (the calling thread is one of them). Workers claim traces in
+/// index order and stop claiming past the lowest index that failed, so
+/// every slot up to that failure is filled; later slots may be `None`.
+fn replay_each(
+    traces: &[&KernelTrace],
+    cfg: &GpuConfig,
+) -> Vec<Option<Result<KernelStats, SimError>>> {
+    let mut width = resolve_sim_threads().min(traces.len());
+    if width > 1 {
+        width = width.min(host_cpus());
+    }
+    let next = AtomicUsize::new(0);
+    // Only a hint: a worker that misses a fresh failure replays one
+    // launch whose result is then never read. The results themselves
+    // reach this thread through the scope's join.
+    let first_err = AtomicUsize::new(usize::MAX);
+    let slots: Vec<OnceLock<Result<KernelStats, SimError>>> =
+        traces.iter().map(|_| OnceLock::new()).collect();
+    let work = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= traces.len() || i > first_err.load(Ordering::Relaxed) {
+            break;
+        }
+        let r = replay(&[traces[i]], cfg).map(|s| s.combined);
+        if r.is_err() {
+            first_err.fetch_min(i, Ordering::Relaxed);
+        }
+        let _ = slots[i].set(r);
+    };
+    std::thread::scope(|scope| {
+        for _ in 1..width {
+            scope.spawn(work);
+        }
+        work();
+    });
+    slots.into_iter().map(OnceLock::into_inner).collect()
+}
+
 /// Executes several captured kernels **concurrently** on one GPU — the
 /// paper's "simultaneous kernel execution" future-work item. CTAs from
 /// the kernels are interleaved round-robin into the pending queue and
@@ -423,6 +519,15 @@ pub fn try_time_traces_concurrent(
     traces: &[&KernelTrace],
     cfg: &GpuConfig,
 ) -> Result<ConcurrentStats, SimError> {
+    let stats = replay(traces, cfg)?;
+    obs::record_with("kernel_stats", || stats.combined.to_json());
+    Ok(stats)
+}
+
+/// [`try_time_traces_concurrent`] without publishing the
+/// `kernel_stats` record, which [`try_time_launches`] publishes itself
+/// in launch order.
+fn replay(traces: &[&KernelTrace], cfg: &GpuConfig) -> Result<ConcurrentStats, SimError> {
     if traces.is_empty() {
         return Err(SimError::EmptyLaunch);
     }
@@ -449,9 +554,7 @@ pub fn try_time_traces_concurrent(
     let _span = obs::span!("simt.replay.{}", traces[0].name);
     let mut engine = Engine::new(traces, cfg);
     engine.run()?;
-    let stats = engine.into_stats();
-    obs::record_with("kernel_stats", || stats.combined.to_json());
-    Ok(stats)
+    Ok(engine.into_stats())
 }
 
 /// Raw payload of one timeline epoch before rate derivation.
@@ -463,46 +566,24 @@ struct RawSample {
     busy_cum: u64,
 }
 
-/// One shard's epoch of work, moved to a pool helper and back: the
-/// shard index, its SMs, its output buffer, and the `[start, end)`
-/// window. Ownership travels with the message, so helpers never share
-/// state with the coordinator — no locks, no contention.
-type Job<'a> = (usize, Vec<SmRt<'a>>, ShardOut, u64, u64);
-
-/// The persistent per-replay worker pool: one job channel per helper
-/// thread plus a shared result channel. [`Engine::run`] spawns the
-/// helpers once inside a single [`std::thread::scope`] for the whole
-/// replay; dropping the pool closes the job channels, which is the
-/// helpers' shutdown signal.
-struct Pool<'a> {
-    jobs: Vec<std::sync::mpsc::Sender<Job<'a>>>,
-    results: std::sync::mpsc::Receiver<(usize, Vec<SmRt<'a>>, ShardOut)>,
-}
-
-/// The sharded epoch-barrier replay engine (see the module docs).
+/// The epoch-barrier replay engine (see the module docs).
 ///
 /// All shared state lives here; all SM-local state lives in the
-/// [`SmRt`]s, held as owned per-shard `Vec`s that `run_epoch` moves to
-/// the worker pool and back. The barrier (`barrier_exchange`) is the
-/// only code that touches the L2, the DRAM model, the CTA queue, the
-/// live-warp count, or the timeline sampler after construction.
+/// [`SmRt`]s. The barrier (`barrier_exchange`) is the only code that
+/// touches the L2, the DRAM model, the CTA queue, the live-warp count,
+/// or the timeline sampler after construction.
 struct Engine<'a> {
     traces: &'a [&'a KernelTrace],
     cfg: &'a GpuConfig,
-    /// SM state, owned per shard so a whole shard can be handed to a
-    /// pool worker by move (and back) without locks. Shard `j` holds the
-    /// SMs `[j * shard_size, (j + 1) * shard_size)`; a shard's `Vec` is
-    /// empty only while that shard is in flight inside `run_epoch`.
-    sm_shards: Vec<Vec<SmRt<'a>>>,
-    num_sms: usize,
+    /// Per-SM state, indexed by global SM id.
+    sms: Vec<SmRt<'a>>,
     dram: Dram,
     l2: Option<Cache>,
     /// Pending (kernel, cta) launches, FIFO. Popped only at barriers, in
-    /// the merged event order — the serial engine's placement order.
+    /// the sorted event order — the lockstep sweep's placement order.
     queue: std::collections::VecDeque<(usize, usize)>,
     live_warps: usize,
-    /// Highest cycle at which any SM has issued — the serial engine's
-    /// final `cycle`, maintained from per-shard `last_cycle` marks.
+    /// Highest cycle at which any SM has issued.
     cycle: u64,
     horizon: u64,
     per_kernel_done: Vec<u64>,
@@ -513,14 +594,9 @@ struct Engine<'a> {
     sampler: obs::AdaptiveSampler<RawSample>,
     /// Maximum resident warps across the GPU (occupancy denominator).
     warp_capacity: f64,
-    /// SMs per shard (`ceil(num_sms / worker_count)`).
-    shard_size: usize,
-    /// Per-shard epoch outputs (event logs + commutative accumulators),
-    /// reused across epochs. `None` only while the shard is in flight
-    /// inside `run_epoch`.
-    outs: Vec<Option<ShardOut>>,
-    /// Barrier merge buffer, reused across epochs.
-    merged: Vec<EvRec>,
+    /// The epoch's event log and the run's commutative accumulators;
+    /// the log's buffers are reused across epochs.
+    log: EpochLog,
     /// Epoch length while the CTA queue is non-empty: also bounded by
     /// the CTA launch overhead, so deferred placements cannot become
     /// issuable inside the epoch that freed their resources.
@@ -543,11 +619,8 @@ impl<'a> Engine<'a> {
             }
         }
         let num_sms = (cfg.num_sms as usize).max(1);
-        let workers = resolve_sim_threads().clamp(1, num_sms);
-        let shard_size = num_sms.div_ceil(workers);
-        let shards = num_sms.div_ceil(shard_size);
         // The shortest interval after which an effect deferred to the
-        // barrier could influence a shard: a shared-memory response (L2
+        // barrier could influence an SM: a shared-memory response (L2
         // hit, or DRAM service + latency without an L2) for resolved
         // loads, and the CTA launch overhead for queue placements. An
         // epoch never outruns either, which is what makes the barrier
@@ -558,18 +631,10 @@ impl<'a> Engine<'a> {
         };
         let epoch_free = mem_min.max(1);
         let epoch_queue = epoch_free.min((cfg.cta_launch_overhead as u64).max(1));
-        let mut sm_shards: Vec<Vec<SmRt<'a>>> = Vec::with_capacity(shards);
-        let mut first = 0;
-        while first < num_sms {
-            let n = shard_size.min(num_sms - first);
-            sm_shards.push((first..first + n).map(|i| SmRt::new(i as u32, cfg)).collect());
-            first += n;
-        }
         let mut e = Engine {
             traces,
             cfg,
-            sm_shards,
-            num_sms,
+            sms: (0..num_sms).map(|i| SmRt::new(i as u32, cfg)).collect(),
             dram: Dram::new(cfg),
             l2: cfg.l2.map(Cache::new),
             queue,
@@ -581,9 +646,7 @@ impl<'a> Engine<'a> {
             warp_capacity: (cfg.num_sms as u64
                 * (cfg.max_threads_per_sm / cfg.warp_size).max(1) as u64)
                 as f64,
-            shard_size,
-            outs: (0..shards).map(|s| Some(ShardOut::new(s as u32, cfg))).collect(),
-            merged: Vec::new(),
+            log: EpochLog::new(cfg),
             epoch_queue,
             epoch_free,
         };
@@ -592,7 +655,7 @@ impl<'a> Engine<'a> {
         // longer fits anywhere.
         loop {
             let mut placed = false;
-            for sm in 0..e.num_sms {
+            for sm in 0..num_sms {
                 if let Some(&(k, _)) = e.queue.front() {
                     if e.fits(sm, k) {
                         let (k, c) = e.queue.pop_front().unwrap();
@@ -608,15 +671,10 @@ impl<'a> Engine<'a> {
         e
     }
 
-    /// The SM with global index `i` (all shards must be in residence).
-    fn sm_mut(&mut self, i: usize) -> &mut SmRt<'a> {
-        &mut self.sm_shards[i / self.shard_size][i % self.shard_size]
-    }
-
     /// Whether a CTA of kernel `k` fits on `sm` right now.
     fn fits(&self, sm: usize, k: usize) -> bool {
         let t = self.traces[k];
-        let s = &self.sm_shards[sm / self.shard_size][sm % self.shard_size];
+        let s = &self.sms[sm];
         let threads = t.threads_per_block as u32;
         s.resident_ctas < self.cfg.max_ctas_per_sm as usize
             && s.used_threads + threads <= self.cfg.max_threads_per_sm
@@ -630,7 +688,7 @@ impl<'a> Engine<'a> {
     /// at the cycle of the retiring issue that already settled it).
     fn place_cta(&mut self, sm: usize, kernel: usize, trace_idx: usize, cycle: u64, at: u64) {
         let t = self.traces[kernel];
-        let s = self.sm_mut(sm);
+        let s = &mut self.sms[sm];
         s.attribute_span(cycle);
         s.summary = None;
         let n_warps = t.ctas[trace_idx].warps.len();
@@ -681,10 +739,10 @@ impl<'a> Engine<'a> {
     /// start), or a deadlock error if no warp can ever become ready.
     ///
     /// Also refreshes every SM's cached summary, which `run_epoch` then
-    /// reads to skip shards with no work in the window.
+    /// reads to jump each SM's idle spans.
     fn global_next_wake(&mut self) -> Result<u64, SimError> {
         let mut next = u64::MAX;
-        for sm in self.sm_shards.iter_mut().flatten() {
+        for sm in &mut self.sms {
             // min over warps of max(ready_at, port_free_at) equals
             // max(min_ready, port_free_at): port_free_at is per-SM.
             let s = sm.summary();
@@ -705,62 +763,8 @@ impl<'a> Engine<'a> {
         Ok(next)
     }
 
-    /// Physical executors worth using for `shards` shards: capped by the
-    /// host's CPU count, because shards beyond that would only
-    /// time-slice the same cores. The *shard count* (and therefore every
-    /// result byte) always follows `sim_threads`; only the OS-thread
-    /// count adapts to the hardware.
-    fn pool_width(shards: usize) -> usize {
-        let cpus = match HOST_PARALLELISM_OVERRIDE.load(Ordering::Relaxed) {
-            0 => std::thread::available_parallelism().map_or(1, NonZeroUsize::get),
-            n => n,
-        };
-        shards.min(cpus)
-    }
-
+    /// The epoch/barrier loop.
     fn run(&mut self) -> Result<(), SimError> {
-        // The coordinating thread doubles as an executor, so only
-        // `width - 1` helpers are spawned — once, for the whole replay
-        // (per-epoch spawning would cost more than a short epoch's
-        // work). With one shard, or one CPU, that is zero helpers and
-        // the replay runs inline with no synchronization at all.
-        let helpers = Self::pool_width(self.outs.len()).saturating_sub(1);
-        if helpers == 0 {
-            return self.run_loop(None);
-        }
-        let cfg = self.cfg;
-        std::thread::scope(|scope| {
-            let (res_tx, res_rx) = std::sync::mpsc::channel();
-            let mut jobs = Vec::with_capacity(helpers);
-            for _ in 0..helpers {
-                let (tx, rx) = std::sync::mpsc::channel::<Job<'a>>();
-                let res = res_tx.clone();
-                scope.spawn(move || {
-                    while let Ok((shard, mut sms, mut out, start, end)) = rx.recv() {
-                        run_epoch_shard(&mut sms, cfg, start, end, &mut out);
-                        if res.send((shard, sms, out)).is_err() {
-                            break;
-                        }
-                    }
-                });
-                jobs.push(tx);
-            }
-            // Helpers now hold the only result senders: if one dies, the
-            // receive in `run_epoch` fails loudly instead of hanging.
-            drop(res_tx);
-            let pool = Pool {
-                jobs,
-                results: res_rx,
-            };
-            // Dropping the pool on the way out closes the job channels,
-            // which is the helpers' shutdown signal; the scope then
-            // joins them.
-            self.run_loop(Some(&pool))
-        })
-    }
-
-    /// The epoch/barrier loop; the pool, if any, outlives every epoch.
-    fn run_loop(&mut self, pool: Option<&Pool<'a>>) -> Result<(), SimError> {
         let max_cycles = self.cfg.watchdog.max_cycles;
         while self.live_warps > 0 {
             let wake = self.global_next_wake()?;
@@ -778,88 +782,11 @@ impl<'a> Engine<'a> {
                 // the clamped window is never empty.
                 end = end.min(budget);
             }
-            self.run_epoch(wake, end, pool);
+            run_epoch(&mut self.sms, self.cfg, wake, end, &mut self.log);
             self.barrier_exchange();
         }
         self.horizon = self.horizon.max(self.cycle);
         Ok(())
-    }
-
-    /// Runs one epoch `[start, end)` across the shards.
-    ///
-    /// Shards with no possible issue in the window (per the summaries
-    /// `global_next_wake` just refreshed) are skipped outright; when at
-    /// most one shard has work — the common case for small or
-    /// tail-heavy replays — it runs inline on this thread, avoiding
-    /// handoff overhead entirely. Otherwise active shards are dealt
-    /// round-robin to the pool helpers by move, with this thread taking
-    /// every `helpers + 1`-th itself, and collected back before the
-    /// barrier. Every path performs the identical per-shard
-    /// computation, which is why neither the shard count nor the
-    /// executor count can affect results.
-    fn run_epoch(&mut self, start: u64, end: u64, pool: Option<&Pool<'a>>) {
-        let cfg = self.cfg;
-        let active: Vec<bool> = self
-            .sm_shards
-            .iter()
-            .map(|sms| {
-                sms.iter().any(|sm| {
-                    let s = sm.summary.unwrap_or_else(|| fold_summary(&sm.sched));
-                    s.min_ready != u64::MAX && s.min_ready.max(sm.port_free_at) < end
-                })
-            })
-            .collect();
-        let n_active = active.iter().filter(|&&a| a).count();
-        let pool = match pool {
-            Some(p) if n_active > 1 => p,
-            _ => {
-                for (j, act) in active.iter().enumerate() {
-                    if *act {
-                        let out = self.outs[j].as_mut().expect("shard output in residence");
-                        run_epoch_shard(&mut self.sm_shards[j], cfg, start, end, out);
-                    }
-                }
-                return;
-            }
-        };
-        let executors = pool.jobs.len() + 1;
-        // Pass 1: everything helper-bound leaves first, so helpers start
-        // while this thread works through its own share below.
-        let mut sent = 0;
-        let mut dealt = 0;
-        for (j, act) in active.iter().enumerate() {
-            if !*act {
-                continue;
-            }
-            let ex = dealt % executors;
-            dealt += 1;
-            if ex < pool.jobs.len() {
-                let sms = std::mem::take(&mut self.sm_shards[j]);
-                let out = self.outs[j].take().expect("shard output in residence");
-                pool.jobs[ex]
-                    .send((j, sms, out, start, end))
-                    .expect("pool worker alive");
-                sent += 1;
-            }
-        }
-        // Pass 2: this thread's own share, using the same deal order.
-        let mut dealt = 0;
-        for (j, act) in active.iter().enumerate() {
-            if !*act {
-                continue;
-            }
-            let ex = dealt % executors;
-            dealt += 1;
-            if ex == pool.jobs.len() {
-                let out = self.outs[j].as_mut().expect("shard output in residence");
-                run_epoch_shard(&mut self.sm_shards[j], cfg, start, end, out);
-            }
-        }
-        for _ in 0..sent {
-            let (j, sms, out) = pool.results.recv().expect("pool worker alive");
-            self.sm_shards[j] = sms;
-            self.outs[j] = Some(out);
-        }
     }
 
     /// Resolves one shared-memory access at the epoch barrier: L2 hit,
@@ -879,38 +806,33 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Applies the epoch's deferred events in canonical serial order.
+    /// Applies the epoch's deferred events in canonical lockstep order.
     ///
-    /// The merged sort key `(cycle, sm, seq, kind)` reproduces exactly
-    /// the order in which the serial engine reaches these effects: it
-    /// sweeps SMs in index order within a cycle, an SM's events within a
-    /// cycle follow its issue sequence, and within one issue memory
-    /// accesses precede the warp's retirement, which precedes CTA
-    /// completion. Order-sensitive shared state — the L2's LRU stacks,
-    /// DRAM channel queues, the CTA queue, the timeline sampler —
-    /// therefore evolves identically, which is the heart of the
-    /// byte-identity guarantee.
+    /// The sort key `(cycle, sm, seq, kind)` reproduces exactly the
+    /// order in which a lockstep sweep reaches these effects: it visits
+    /// SMs in index order within a cycle, an SM's events within a cycle
+    /// follow its issue sequence, and within one issue memory accesses
+    /// precede the warp's retirement, which precedes CTA completion.
+    /// Order-sensitive shared state — the L2's LRU stacks, DRAM channel
+    /// queues, the CTA queue, the timeline sampler — therefore evolves
+    /// identically, which is the heart of the byte-identity guarantee.
     fn barrier_exchange(&mut self) {
-        let mut outs = std::mem::take(&mut self.outs);
-        let mut merged = std::mem::take(&mut self.merged);
-        merged.clear();
-        for out in outs.iter_mut().flatten() {
-            self.cycle = self.cycle.max(out.last_cycle);
-            self.horizon = self.horizon.max(out.horizon);
-            merged.append(&mut out.events);
-        }
+        self.cycle = self.cycle.max(self.log.last_cycle);
+        self.horizon = self.horizon.max(self.log.horizon);
+        let mut events = std::mem::take(&mut self.log.events);
+        let mut segs = std::mem::take(&mut self.log.segs);
         let key = |e: &EvRec| (e.cycle, e.sm, e.seq, e.kind.rank());
-        merged.sort_unstable_by_key(key);
-        // Shards log SM-major, so the order above comes from the sort
+        events.sort_unstable_by_key(key);
+        // SMs log SM-major, so the order above comes from the sort
         // alone; a duplicate key would let log order leak into results.
         debug_assert!(
-            merged.windows(2).all(|p| key(&p[0]) < key(&p[1])),
+            events.windows(2).all(|p| key(&p[0]) < key(&p[1])),
             "barrier sort keys are not unique"
         );
-        for e in &merged {
+        for e in &events {
             // Timeline boundaries due at or before this event's cycle
             // record the state *before* any event at that cycle — the
-            // same rule the serial engine's pre-jump sampling applies.
+            // same rule as a lockstep sweep's pre-jump sampling.
             while self.sampler.is_due(e.cycle) {
                 let raw = RawSample {
                     live_warps: self.live_warps as u32,
@@ -919,19 +841,14 @@ impl<'a> Engine<'a> {
                 self.sampler.record_due(raw);
             }
             match e.kind {
-                EvKind::Mem { warp, add, wait, segs } => {
-                    let pool = &outs[e.shard as usize]
-                        .as_ref()
-                        .expect("shard output in residence")
-                        .segs;
+                EvKind::Mem { warp, add, wait, segs: (from, to) } => {
                     let mut done = 0u64;
-                    for &seg in &pool[segs.0 as usize..segs.1 as usize] {
+                    for &seg in &segs[from as usize..to as usize] {
                         let t = self.resolve_shared(seg, e.cycle);
                         done = done.max(t + add as u64);
                     }
                     if wait {
-                        let sm = e.sm as usize;
-                        let s = &mut self.sm_shards[sm / self.shard_size][sm % self.shard_size];
+                        let s = &mut self.sms[e.sm as usize];
                         let w = warp as usize;
                         let resolved = s.warp_tab[w].ready_at.max(done);
                         self.horizon = self.horizon.max(resolved);
@@ -952,16 +869,13 @@ impl<'a> Engine<'a> {
                 }
                 EvKind::CtaDone { cta } => {
                     let sm = e.sm as usize;
-                    let kernel =
-                        self.sm_shards[sm / self.shard_size][sm % self.shard_size].ctas[cta as usize].kernel;
+                    let s = &mut self.sms[sm];
+                    let kernel = s.ctas[cta as usize].kernel;
                     let t = self.traces[kernel];
-                    {
-                        let s = &mut self.sm_shards[sm / self.shard_size][sm % self.shard_size];
-                        s.resident_ctas -= 1;
-                        s.used_threads -= t.threads_per_block as u32;
-                        s.used_regs -= t.threads_per_block as u32 * t.regs_per_thread;
-                        s.used_shared -= t.shared_bytes_per_cta;
-                    }
+                    s.resident_ctas -= 1;
+                    s.used_threads -= t.threads_per_block as u32;
+                    s.used_regs -= t.threads_per_block as u32 * t.regs_per_thread;
+                    s.used_shared -= t.shared_bytes_per_cta;
                     self.per_kernel_done[kernel] = self.per_kernel_done[kernel].max(e.cycle);
                     while let Some(&(k, _)) = self.queue.front() {
                         if !self.fits(sm, k) {
@@ -974,18 +888,17 @@ impl<'a> Engine<'a> {
                 }
             }
         }
-        for out in outs.iter_mut().flatten() {
-            out.segs.clear();
-        }
-        self.outs = outs;
-        self.merged = merged;
+        events.clear();
+        segs.clear();
+        self.log.events = events;
+        self.log.segs = segs;
     }
 
     fn into_stats(mut self) -> ConcurrentStats {
         // Settle every SM's deferred stall attribution up to the last
         // simulated cycle before closing the books over the drain tail.
         let last = self.cycle;
-        for sm in self.sm_shards.iter_mut().flatten() {
+        for sm in &mut self.sms {
             sm.attribute_span(last);
         }
         // Outstanding stores keep DRAM channels busy past the last
@@ -998,7 +911,7 @@ impl<'a> Engine<'a> {
         // measured window, so it is refunded from the busy categories —
         // keeping the invariant that components sum to num_sms * cycles.
         let end = self.horizon;
-        for sm in self.sm_shards.iter_mut().flatten() {
+        for sm in &mut self.sms {
             let pfa = sm.port_free_at;
             let from = last;
             if end > from {
@@ -1033,7 +946,7 @@ impl<'a> Engine<'a> {
             );
         }
         let mut stall = StallBreakdown::default();
-        for sm in self.sm_shards.iter().flatten() {
+        for sm in &self.sms {
             stall.merge(&sm.stall);
         }
         debug_assert_eq!(
@@ -1041,18 +954,6 @@ impl<'a> Engine<'a> {
             self.cfg.num_sms as u64 * end,
             "stall components must sum to total SM cycles"
         );
-        // Fold the shards' commutative accumulators in shard order —
-        // every one is a plain sum, so the grouping cannot change them.
-        let mut thread_instructions = 0;
-        let mut warp_instructions = 0;
-        let mut mem_mix = MemMix::default();
-        let mut occupancy = OccupancyHistogram::new(self.cfg.warp_size as usize);
-        for out in self.outs.iter().flatten() {
-            thread_instructions += out.thread_instructions;
-            warp_instructions += out.warp_instructions;
-            mem_mix.merge(&out.mem_mix);
-            occupancy.merge(&out.occupancy);
-        }
         let warp_capacity = self.warp_capacity;
         let mem_channels = self.cfg.mem_channels as u64;
         let dropped = self.sampler.dropped();
@@ -1091,7 +992,7 @@ impl<'a> Engine<'a> {
         let mut l1_misses = 0;
         let mut tex_hits = 0;
         let mut tex_misses = 0;
-        for sm in self.sm_shards.iter().flatten() {
+        for sm in &self.sms {
             if let Some(l1) = &sm.l1 {
                 l1_hits += l1.hits();
                 l1_misses += l1.misses();
@@ -1111,14 +1012,15 @@ impl<'a> Engine<'a> {
             .map(|t| t.name.as_str())
             .collect::<Vec<_>>()
             .join("+");
+        let log = self.log;
         let combined = KernelStats {
             name,
             config: self.cfg.name.clone(),
             cycles: self.horizon,
-            thread_instructions,
-            warp_instructions,
-            mem_mix,
-            occupancy,
+            thread_instructions: log.thread_instructions,
+            warp_instructions: log.warp_instructions,
+            mem_mix: log.mem_mix,
+            occupancy: log.occupancy,
             dram_bytes: self.dram.bytes(),
             dram_busy_cycles: self.dram.busy_cycles(),
             peak_bytes_per_cycle: self.cfg.peak_bytes_per_core_cycle(),
@@ -1527,65 +1429,48 @@ mod tests {
         let _ = gpu.launch(&Huge);
     }
 
-    /// Replays a set of traces at a given shard count and returns the
-    /// full serialized statistics for byte comparison.
-    fn replay_at(traces: &[&KernelTrace], cfg: &GpuConfig, threads: usize) -> (String, Vec<u64>) {
+    /// Replays `launches` at a given worker width and returns the full
+    /// serialized statistics for byte comparison.
+    fn launches_at(launches: &[Arc<KernelTrace>], cfg: &GpuConfig, threads: usize) -> String {
         let prev = sim_threads();
         set_sim_threads(threads);
-        let stats = time_traces_concurrent(traces, cfg);
+        let stats = try_time_launches(launches, cfg).expect("replay");
         set_sim_threads(prev);
-        (stats.combined.to_json().to_string(), stats.per_kernel_cycles)
+        stats.to_json().to_string()
     }
 
     #[test]
-    fn sharded_replay_is_byte_identical_across_sim_threads() {
-        // Compute-bound, memory-bound (DRAM-contended), cached, and
-        // concurrent replays must produce byte-identical statistics —
-        // including timelines and stall breakdowns — at every shard
-        // count, because the epoch barrier replays shared traffic in
-        // canonical serial order.
+    fn launch_replay_is_byte_identical_across_sim_threads() {
+        // Compute-bound, memory-bound (DRAM-contended) and cached runs,
+        // with repeated launches, produce byte-identical statistics —
+        // including timelines and stall breakdowns — at every width,
+        // and equal the launch-by-launch merge of single replays.
         let n = 16 * 1024;
         let mut mem = GpuMem::new();
         let buf = mem.alloc_f32_zeroed("buf", n * 16);
         let cfgs = [GpuConfig::gpgpusim_default(), GpuConfig::gtx480_l1_bias()];
         for cfg in &cfgs {
-            let tc = trace_kernel(&Compute { n, iters: 32 }, &mut mem, cfg);
-            let ts = trace_kernel(&Stream { buf, n, stride: 16 }, &mut mem, cfg);
-            for traces in [vec![&tc], vec![&ts], vec![&tc, &ts]] {
-                let baseline = replay_at(&traces, cfg, 1);
-                for threads in [2, 3, 4, 7, 64] {
-                    let sharded = replay_at(&traces, cfg, threads);
-                    assert_eq!(
-                        baseline, sharded,
-                        "results diverged at sim_threads={threads} on {}",
-                        cfg.name
-                    );
-                }
+            let tc = Arc::new(trace_kernel(&Compute { n, iters: 32 }, &mut mem, cfg));
+            let ts = Arc::new(trace_kernel(&Stream { buf, n, stride: 16 }, &mut mem, cfg));
+            let run = vec![Arc::clone(&tc), Arc::clone(&ts), Arc::clone(&tc), ts];
+            let mut expect = time_trace(&run[0], cfg);
+            for t in &run[1..] {
+                expect.merge(&time_trace(t, cfg));
+            }
+            let expect = expect.to_json().to_string();
+            for threads in [1, 2, 3, 4, 7, 64] {
+                assert_eq!(
+                    launches_at(&run, cfg, threads),
+                    expect,
+                    "results diverged at sim_threads={threads} on {}",
+                    cfg.name
+                );
             }
         }
-    }
-
-    #[test]
-    fn pooled_handoff_is_byte_identical_to_inline_execution() {
-        // The physical pool is capped at the host CPU count, so on a
-        // single-core runner the channel-handoff path would never
-        // execute; force a 4-executor pool and check it changes nothing.
-        // (Concurrent tests are unaffected: the override only picks the
-        // execution strategy, never the results.)
-        let n = 16 * 1024;
-        let mut mem = GpuMem::new();
-        let buf = mem.alloc_f32_zeroed("buf", n * 16);
-        let cfg = GpuConfig::gpgpusim_default();
-        let tc = trace_kernel(&Compute { n, iters: 32 }, &mut mem, &cfg);
-        let ts = trace_kernel(&Stream { buf, n, stride: 16 }, &mut mem, &cfg);
-        let traces = [&tc, &ts];
-        let inline = replay_at(&traces, &cfg, 4);
-        set_host_parallelism_override(4);
-        let pooled = replay_at(&traces, &cfg, 4);
-        let pooled_odd = replay_at(&traces, &cfg, 7);
-        set_host_parallelism_override(0);
-        assert_eq!(inline, pooled, "pool handoff changed replay statistics");
-        assert_eq!(inline, pooled_odd, "7 shards on 4 executors diverged");
+        assert!(matches!(
+            try_time_launches(&[], &GpuConfig::gpgpusim_default()),
+            Err(SimError::EmptyLaunch)
+        ));
     }
 
     #[test]
@@ -1593,10 +1478,13 @@ mod tests {
         let prev = sim_threads();
         set_sim_threads(0); // auto: resolves to available parallelism
         assert!(resolve_sim_threads() >= 1);
-        set_sim_threads(9999); // clamped per-replay to the SM count
+        set_sim_threads(9999); // clamped to the launch and CPU counts
         let cfg = GpuConfig::gpgpusim_8sm();
-        let s = run(&Compute { n: 2 * 1024, iters: 8 }, &cfg, |_| {});
+        let mut mem = GpuMem::new();
+        let t = Arc::new(trace_kernel(&Compute { n: 2 * 1024, iters: 8 }, &mut mem, &cfg));
+        let s = try_time_launches(&[Arc::clone(&t), t], &cfg).expect("replay");
         assert!(s.cycles > 0);
+        assert_eq!(s.launches, 2);
         set_sim_threads(prev);
     }
 }

@@ -82,8 +82,8 @@ pub mod trace;
 pub use config::{CacheGeom, GpuConfig, SchedPolicy, WatchdogBudget};
 pub use error::SimError;
 pub use gpu::{
-    set_sim_threads, sim_threads, time_trace, time_traces_concurrent, try_time_trace,
-    try_time_traces_concurrent, ConcurrentStats, Gpu,
+    set_sim_threads, sim_threads, time_trace, time_traces_concurrent, try_time_launches,
+    try_time_trace, try_time_traces_concurrent, ConcurrentStats, Gpu,
 };
 pub use isa::{ActiveMask, MemSpace, TOp};
 pub use kernel::{GridShape, Kernel, PhaseControl, WarpCtx};

@@ -1,25 +1,20 @@
 //! SM-local runtime of the timing model: warps, CTAs, and the per-SM
-//! execution step the sharded replay engine parallelizes over.
+//! execution step of the epoch-barrier replay engine.
 //!
-//! # Shard ownership
+//! # What an SM owns
 //!
-//! Since the intra-run parallelism rework, every piece of mutable state
-//! an SM touches while simulating an epoch lives *inside* its `SmRt`:
-//! the warp table, the CTA table, the packed scheduler words, the L1 and
-//! texture caches, and the SM's stall ledger. The engine in
-//! [`crate::gpu`] keeps each contiguous shard of SMs in its own owned
-//! `Vec<SmRt>` and moves it to a pool worker over a channel for the
-//! epoch, and back for the barrier — no locks, no sharing, and no
-//! `unsafe`: exclusive ownership is enforced by the type system.
-//!
-//! Anything an SM would need from *outside* its shard (the shared DRAM
-//! channels, the chip-wide L2, the pending-CTA queue, the global
-//! live-warp count) is not touched during an epoch. Instead the SM
-//! appends an event to its shard's `ShardOut` log — a memory request,
-//! a warp retirement, a CTA completion — and the engine applies the
-//! merged, canonically ordered log at the next epoch barrier (see
-//! [`crate::gpu`] for why that reproduces the serial engine cycle for
-//! cycle).
+//! Every piece of mutable state an SM touches while simulating an
+//! epoch lives *inside* its `SmRt`: the warp table, the CTA table, the
+//! packed scheduler words, the L1 and texture caches, and the SM's
+//! stall ledger. Anything an SM would need from *outside* itself (the
+//! shared DRAM channels, the chip-wide L2, the pending-CTA queue, the
+//! global live-warp count) is not touched during an epoch. Instead the
+//! SM appends an event to the epoch's `EpochLog` — a memory request, a
+//! warp retirement, a CTA completion — and the engine applies the
+//! sorted, canonically ordered log at the next epoch barrier (see
+//! [`crate::gpu`] for why that reproduces a cycle-by-cycle lockstep
+//! sweep exactly). Because no SM can observe another inside an epoch,
+//! `run_epoch` advances each SM alone to the epoch end.
 //!
 //! # The packed scheduler word
 //!
@@ -34,7 +29,7 @@
 //! digest in fixed-width chunks of branchless lane accumulators — a
 //! shape the compiler can autovectorize — instead of a dependent scan.
 //! That failed scan is the only place the epoch loop refreshes the
-//! digest: an issue merely marks it stale (see `run_epoch_shard`).
+//! digest: an issue merely marks it stale (see `run_epoch`).
 
 use crate::caches::Cache;
 use crate::config::{GpuConfig, SchedPolicy};
@@ -203,15 +198,13 @@ pub(crate) fn fold_summary(sched: &[u64]) -> SmSummary {
     s
 }
 
-/// One entry in a shard's epoch event log, applied at the next barrier.
+/// One entry in the epoch event log, applied at the next barrier.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EvRec {
     /// Cycle the event occurred at.
     pub cycle: u64,
     /// Global SM index the event occurred on.
     pub sm: u32,
-    /// Shard the event (and its segment range) belongs to.
-    pub shard: u32,
     /// Issue sequence number on the SM (monotone; orders same-cycle
     /// events of one SM exactly as the serial engine processed them).
     pub seq: u32,
@@ -223,7 +216,7 @@ pub(crate) struct EvRec {
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum EvKind {
     /// A memory request that must travel through the shared L2/DRAM.
-    /// `segs` indexes the owning shard's segment pool; `add` is the
+    /// `segs` indexes the epoch log's segment pool; `add` is the
     /// latency added on top of each segment's completion (L1 or texture
     /// fill); `wait` is false for stores, which consume bandwidth but
     /// never stall the warp.
@@ -234,7 +227,7 @@ pub(crate) enum EvKind {
         add: u32,
         /// Whether the issuing warp waits for the response.
         wait: bool,
-        /// `(start, end)` range into the shard's segment pool.
+        /// `(start, end)` range into the epoch log's segment pool.
         segs: (u32, u32),
     },
     /// A warp drained its trace (global live-warp count decrement).
@@ -260,15 +253,11 @@ impl EvKind {
     }
 }
 
-/// Per-shard epoch output: the event log destined for the barrier plus
-/// the shard's private slices of every commutative accumulator. The
-/// accumulators are merged once, in shard order, when the run finishes —
-/// each is a sum (or max), so the grouping cannot change the totals.
+/// The epoch output: the event log destined for the barrier plus every
+/// commutative accumulator of the replay (instruction counts, memory
+/// mix, occupancy), which simply keep counting across epochs.
 #[derive(Debug)]
-pub(crate) struct ShardOut {
-    /// This shard's index (stamps events so the barrier can find their
-    /// segment ranges).
-    pub shard: u32,
+pub(crate) struct EpochLog {
     /// Events of the current epoch, in SM-major order (each SM runs the
     /// whole epoch before the next starts). Each event's `(cycle, sm,
     /// seq, kind)` key is unique, and the barrier sorts by it, so the
@@ -284,18 +273,16 @@ pub(crate) struct ShardOut {
     pub mem_mix: MemMix,
     /// Warp-occupancy histogram.
     pub occupancy: OccupancyHistogram,
-    /// Max completion cycle scheduled by this shard's issues (the
-    /// barrier maxes in resolved memory completions separately).
+    /// Max completion cycle scheduled by any issue (the barrier maxes
+    /// in resolved memory completions separately).
     pub horizon: u64,
-    /// Last cycle at which this shard issued anything (the global
-    /// maximum over shards is the serial engine's final `cycle`).
+    /// Last cycle at which any SM issued anything.
     pub last_cycle: u64,
 }
 
-impl ShardOut {
-    pub(crate) fn new(shard: u32, cfg: &GpuConfig) -> ShardOut {
-        ShardOut {
-            shard,
+impl EpochLog {
+    pub(crate) fn new(cfg: &GpuConfig) -> EpochLog {
+        EpochLog {
             events: Vec::new(),
             segs: Vec::new(),
             thread_instructions: 0,
@@ -308,9 +295,8 @@ impl ShardOut {
     }
 }
 
-/// Timing state of one streaming multiprocessor — self-contained, so a
-/// shard of SMs can be simulated by one worker thread with no access to
-/// anything outside its `&mut [SmRt]` slice.
+/// Timing state of one streaming multiprocessor — self-contained, so an
+/// epoch can advance it with no access to any other SM.
 #[derive(Debug)]
 pub(crate) struct SmRt<'a> {
     /// Global SM index (stamps emitted events).
@@ -513,7 +499,7 @@ impl<'a> SmRt<'a> {
     /// resolved at the epoch barrier; until then the warp parks on the
     /// unresolved sentinel, which cannot change any scheduling decision
     /// because the shortest shared response outlives the epoch.
-    pub(crate) fn issue(&mut self, w: usize, cycle: u64, cfg: &GpuConfig, out: &mut ShardOut) {
+    pub(crate) fn issue(&mut self, w: usize, cycle: u64, cfg: &GpuConfig, out: &mut EpochLog) {
         // Issuing mutates this warp's state (and possibly, via barrier
         // release or CTA retirement, its whole CTA's) — all on this SM.
         // Settle the SM's deferred stall attribution under the old state
@@ -547,7 +533,7 @@ impl<'a> SmRt<'a> {
         };
         let mut unresolved = false;
         let sm_id = self.id;
-        let push_mem = |out: &mut ShardOut, segs: &mut dyn Iterator<Item = u64>, add: u32, wait: bool| {
+        let push_mem = |out: &mut EpochLog, segs: &mut dyn Iterator<Item = u64>, add: u32, wait: bool| {
             let start = out.segs.len() as u32;
             out.segs.extend(segs);
             let end = out.segs.len() as u32;
@@ -555,7 +541,6 @@ impl<'a> SmRt<'a> {
                 out.events.push(EvRec {
                     cycle,
                     sm: sm_id,
-                    shard: out.shard,
                     seq,
                     kind: EvKind::Mem {
                         warp: w as u32,
@@ -710,13 +695,12 @@ impl<'a> SmRt<'a> {
     /// CTA completion detection) happens immediately; the global
     /// live-warp count and the shared CTA queue are notified via events
     /// the barrier applies in canonical order.
-    fn retire_warp(&mut self, w: usize, cycle: u64, seq: u32, out: &mut ShardOut) {
+    fn retire_warp(&mut self, w: usize, cycle: u64, seq: u32, out: &mut EpochLog) {
         self.warp_tab[w].done = true;
         self.sched[self.slot_of[w]] = SCHED_DONE;
         out.events.push(EvRec {
             cycle,
             sm: self.id,
-            shard: out.shard,
             seq,
             kind: EvKind::Retire,
         });
@@ -731,8 +715,7 @@ impl<'a> SmRt<'a> {
             out.events.push(EvRec {
                 cycle,
                 sm: self.id,
-                shard: out.shard,
-                seq,
+                    seq,
                 kind: EvKind::CtaDone { cta: cta_rt as u32 },
             });
             let dead = &self.ctas[cta_rt].warps;
@@ -757,7 +740,7 @@ impl<'a> SmRt<'a> {
     }
 }
 
-/// Simulates one shard of SMs through the epoch `[start, end)`.
+/// Simulates every SM through the epoch `[start, end)`.
 ///
 /// Within an epoch no SM can observe another's state — everything
 /// shared waits for the barrier — so each SM runs alone from `start`
@@ -772,12 +755,12 @@ impl<'a> SmRt<'a> {
 /// is simply the cycle the issue port frees (no warp can issue sooner);
 /// if no warp is pickable there, the failed `pick_warp` scan rebuilds
 /// the digest, whose `min_ready` then jumps the idle span.
-pub(crate) fn run_epoch_shard(
+pub(crate) fn run_epoch(
     sms: &mut [SmRt<'_>],
     cfg: &GpuConfig,
     start: u64,
     end: u64,
-    out: &mut ShardOut,
+    out: &mut EpochLog,
 ) {
     for sm in sms.iter_mut() {
         let mut cycle = start.max(sm.port_free_at);

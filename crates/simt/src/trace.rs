@@ -13,21 +13,21 @@ use crate::memory::GpuMem;
 use crate::sanitizer::{BarrierRecord, LaunchTape, TapeEvent};
 
 /// The trace of one warp: its operation stream, with barriers inline.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct WarpTrace {
     /// Captured operations in program order.
     pub ops: Vec<TOp>,
 }
 
 /// The traces of all warps of one CTA.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CtaTrace {
     /// One trace per warp, in warp order.
     pub warps: Vec<WarpTrace>,
 }
 
 /// A complete captured kernel launch.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelTrace {
     /// Kernel name.
     pub name: String,

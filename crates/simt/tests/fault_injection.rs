@@ -18,7 +18,8 @@ fn expected(fault: Fault, got: &SimError) -> bool {
         | Fault::NonPow2SegmentBytes
         | Fault::NonPow2SharedBanks
         | Fault::NanCoreClock
-        | Fault::DegenerateCacheGeometry => matches!(got, SimError::InvalidConfig { .. }),
+        | Fault::DegenerateCacheGeometry
+        | Fault::OversizedCacheGeometry => matches!(got, SimError::InvalidConfig { .. }),
         Fault::ZeroSizedGrid => matches!(got, SimError::EmptyGrid { .. }),
         Fault::OutOfRangeLoad | Fault::OutOfRangeStore | Fault::SharedOutOfRange => {
             matches!(got, SimError::KernelFault { .. })

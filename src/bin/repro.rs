@@ -23,10 +23,10 @@
 //! replay jobs fanned across `--jobs N` workers (default: available
 //! parallelism). Results are reassembled in submission order, so every
 //! table is byte-identical for any worker count. `--sim-threads N`
-//! additionally shards the simulated SMs *inside* each replay across N
-//! workers with deterministic epoch barriers (default 1; 0 = one per
-//! CPU) — also byte-identical at any N; see `ARCHITECTURE.md` for when
-//! to reach for which. The comparison-corpus figures (fig6–fig12)
+//! additionally spreads the distinct kernel launches *inside* each
+//! replay across N workers (default 1; 0 = one per CPU; capped at the
+//! launch and CPU counts) — also byte-identical at any N; see
+//! `ARCHITECTURE.md` for when to reach for which. The comparison-corpus figures (fig6–fig12)
 //! share one profiling pass per invocation.
 //!
 //! Observability:
@@ -92,10 +92,10 @@ fn usage() {
     println!("flags: --jobs N  worker threads for GPU-side replay jobs");
     println!("                 (default: available parallelism; output is");
     println!("                 byte-identical for any N)");
-    println!("       --sim-threads N  worker threads *inside* each replay: the");
-    println!("                 simulated SMs are sharded across N workers with");
-    println!("                 deterministic epoch barriers (default 1; 0 = one");
-    println!("                 per CPU; output is byte-identical for any N)");
+    println!("       --sim-threads N  worker threads *inside* each replay: its");
+    println!("                 distinct kernel launches run on up to N workers");
+    println!("                 (default 1; 0 = one per CPU; output is");
+    println!("                 byte-identical for any N)");
     println!("       --store <dir>  persistent trace store: captures persist and");
     println!("                 are verified + reused across runs; writes a");
     println!("                 deterministic STUDY_manifest.json into <dir>");

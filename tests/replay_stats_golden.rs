@@ -11,7 +11,7 @@
 //! the engine that moves any of them by a single cycle fails here.
 //!
 //! The digests are checked at one and at four sim threads, so the pin
-//! also covers the shard split and the epoch-barrier exchange.
+//! also covers the launch-parallel replay and launch interning.
 //!
 //! `tests/golden/replay_stats.txt` holds one `benchmark config digest`
 //! line per replay. On a mismatch the test prints the full table it

@@ -1,29 +1,33 @@
-//! The headline guarantee of intra-run sharding: results are
+//! The headline guarantee of intra-replay parallelism: results are
 //! `--sim-threads`-invariant, the same way `--jobs` is (see
 //! `parallel_determinism.rs`).
 //!
-//! The epoch-barrier engine defers all shared-resource traffic (L2,
-//! DRAM, the CTA queue, the live-warp count) to a barrier that replays
-//! it in canonical serial order, so the shard count may only change
-//! wall-clock time — never a single byte of any manifest. Two layers of
-//! evidence here:
+//! `--sim-threads` spends its workers on a recorded run's distinct
+//! launches (`simt::try_time_launches`): each distinct launch replays
+//! once on its own engine, and the per-launch stats merge in launch
+//! order on the calling thread, so the width may only change
+//! wall-clock time — never a single byte of any manifest. Three layers
+//! of evidence here:
 //!
 //! * **End to end:** full `repro` study and analyze runs at
 //!   `--sim-threads 1/2/4` write byte-identical `STUDY_manifest.json`
 //!   and `CRITPATH_manifest.json` files.
-//! * **Property:** random shard counts on randomized compute/memory
-//!   kernel mixes replay byte-identically to the serial engine on a
-//!   small configuration.
+//! * **Property:** random launch lists, with repeated launches, replay
+//!   byte-identically at any width — including widths above the launch
+//!   count and the host CPU count — to the serial replay.
+//! * **Errors:** when several launches fail, the earliest one's error
+//!   is returned at every width, as a serial replay would report it.
 
 use std::fs;
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rodinia_repro::obs::Json;
 use rodinia_repro::simt::{
-    set_sim_threads, time_traces_concurrent, trace_kernel, BufF32, GpuConfig, GpuMem, GridShape,
-    Kernel, PhaseControl, WarpCtx,
+    set_sim_threads, trace_kernel, try_time_launches, try_time_trace, BufF32, GpuConfig, GpuMem,
+    GridShape, Kernel, KernelTrace, PhaseControl, SimError, WarpCtx,
 };
 
 fn test_dir(name: &str) -> PathBuf {
@@ -36,11 +40,11 @@ fn repro() -> Command {
     Command::new(env!("CARGO_BIN_EXE_repro"))
 }
 
-/// Runs a store-backed full-suite study at a shard count and returns
-/// the bytes of its `STUDY_manifest.json`. Figure 5's GTX 480
-/// configurations are the only ones with an L1/L2, where the epoch is
-/// bounded by the L2 latency rather than DRAM, so they ride along with
-/// the PB and Figure 1 replays.
+/// Runs a store-backed study at a worker width and returns the bytes of
+/// its `STUDY_manifest.json`. Figure 5's GTX 480 configurations are the
+/// only ones with an L1/L2, where the epoch is bounded by the L2 latency
+/// rather than DRAM, so they ride along with the PB and Figure 1
+/// replays; the store-backed run also re-times every persisted capture.
 fn study_manifest_at(threads: &str) -> Vec<u8> {
     let dir = test_dir(&format!("study-{threads}"));
     let out = repro()
@@ -58,7 +62,7 @@ fn study_manifest_at(threads: &str) -> Vec<u8> {
     manifest
 }
 
-/// Runs `repro analyze` at a shard count and returns the bytes of its
+/// Runs `repro analyze` at a worker width and returns the bytes of its
 /// `CRITPATH_manifest.json`.
 fn critpath_manifest_at(threads: &str) -> Vec<u8> {
     let dir = test_dir(&format!("critpath-{threads}"));
@@ -155,15 +159,25 @@ impl Kernel for Stream {
     }
 }
 
+/// Replays `launches` at `threads` workers, serialized for byte
+/// comparison (errors included).
+fn launches_at(launches: &[Arc<KernelTrace>], cfg: &GpuConfig, threads: usize) -> String {
+    set_sim_threads(threads);
+    let got = try_time_launches(launches, cfg).map(|s| s.to_json().to_string());
+    set_sim_threads(1);
+    format!("{got:?}")
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any shard count — including odd ones, counts above the SM count,
-    /// and counts above the host CPU count — replays a randomized
-    /// concurrent kernel pair byte-identically to the serial engine.
+    /// Any width — including widths above the launch count and the
+    /// host CPU count — replays a random launch list, with repeated
+    /// launches, byte-identically to the serial replay.
     #[test]
-    fn random_shard_counts_match_serial(
+    fn random_launch_lists_match_width_one(
         threads in 2usize..40,
+        picks in proptest::collection::vec(0usize..3, 1..8),
         iters in 1u32..32,
         stride in 1usize..9,
         n in 512usize..4096,
@@ -171,18 +185,44 @@ proptest! {
         let cfg = GpuConfig::gpgpusim_8sm();
         let mut mem = GpuMem::new();
         let buf = mem.alloc_f32_zeroed("buf", n * 8);
-        let tc = trace_kernel(&Compute { n, iters }, &mut mem, &cfg);
-        let ts = trace_kernel(&Stream { buf, n, stride }, &mut mem, &cfg);
-        let traces = [&tc, &ts];
-        set_sim_threads(1);
-        let serial = time_traces_concurrent(&traces, &cfg);
+        let pool = [
+            Arc::new(trace_kernel(&Compute { n, iters }, &mut mem, &cfg)),
+            Arc::new(trace_kernel(&Stream { buf, n, stride }, &mut mem, &cfg)),
+            Arc::new(trace_kernel(&Compute { n: n / 2, iters: iters + 3 }, &mut mem, &cfg)),
+        ];
+        let launches: Vec<Arc<KernelTrace>> = picks.iter().map(|&i| Arc::clone(&pool[i])).collect();
+        let serial = launches_at(&launches, &cfg, 1);
+        prop_assert!(serial.starts_with("Ok("), "{}", serial);
+        prop_assert_eq!(launches_at(&launches, &cfg, threads), serial);
+    }
+}
+
+#[test]
+fn the_earliest_failing_launch_wins_at_every_width() {
+    // A cycle budget the short launches fit in and the two long ones
+    // (launches 1 and 3, with different warp counts, hence different
+    // errors) exceed.
+    let mut cfg = GpuConfig::gpgpusim_8sm();
+    cfg.watchdog.max_cycles = Some(500);
+    let mut mem = GpuMem::new();
+    let short = Arc::new(trace_kernel(&Compute { n: 256, iters: 1 }, &mut mem, &cfg));
+    let long_k = Arc::new(trace_kernel(&Compute { n: 8192, iters: 64 }, &mut mem, &cfg));
+    let long_m = Arc::new(trace_kernel(&Compute { n: 4096, iters: 128 }, &mut mem, &cfg));
+    let launches = vec![
+        Arc::clone(&short),
+        Arc::clone(&long_k),
+        Arc::clone(&short),
+        Arc::clone(&long_m),
+        short,
+    ];
+    let err_k = try_time_trace(&long_k, &cfg).expect_err("launch 1 exceeds the budget");
+    let err_m = try_time_trace(&long_m, &cfg).expect_err("launch 3 exceeds the budget");
+    assert!(matches!(err_k, SimError::Watchdog { .. }), "{err_k:?}");
+    assert_ne!(err_k, err_m, "the two failures must be told apart");
+    for threads in [1, 2, 3, 4, 5, 16] {
         set_sim_threads(threads);
-        let sharded = time_traces_concurrent(&traces, &cfg);
+        let got = try_time_launches(&launches, &cfg);
         set_sim_threads(1);
-        prop_assert_eq!(
-            serial.combined.to_json().to_string(),
-            sharded.combined.to_json().to_string()
-        );
-        prop_assert_eq!(serial.per_kernel_cycles, sharded.per_kernel_cycles);
+        assert_eq!(got.map(|s| s.cycles), Err(err_k.clone()), "width {threads}");
     }
 }

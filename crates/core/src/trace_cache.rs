@@ -15,13 +15,16 @@
 //! exactly-once capture even under concurrent lookups: racing workers
 //! block on the first initializer instead of capturing twice.
 //!
-//! [`CpuTraceCache`] is the Pin-side twin: it caches
-//! [`CpuCapture`]s — a workload's interleaved memory-reference trace
-//! plus its capacity-independent characteristics — keyed by
-//! `(workload, scale, capture fingerprint)`, so the eight shared-cache
-//! capacities of the comparison study replay one capture instead of
-//! re-running the workload eight times.
+//! [`CpuTraceCache`] is the Pin-side instance of the same generic
+//! [`CaptureCache`]: it caches [`CpuCapture`]s — a workload's
+//! interleaved memory-reference trace plus its capacity-independent
+//! characteristics — keyed by `(workload, scale, capture fingerprint)`,
+//! so the eight shared-cache capacities of the comparison study replay
+//! one capture instead of re-running the workload eight times. Both
+//! instances restore, validate, quarantine, and persist through the one
+//! store-backed path in [`CaptureCache`].
 
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -205,24 +208,53 @@ impl CapturedRun {
     }
 }
 
-/// A thread-safe, exactly-once cache of captured runs.
+/// A thread-safe, exactly-once cache of one kind of capture, optionally
+/// backed by a persistent [`TraceStore`]. [`TraceCache`] and
+/// [`CpuTraceCache`] are its two instances.
 ///
 /// The (possibly long) capture runs outside the map lock, so workers
-/// capturing *different* benchmarks never serialize on each other,
+/// capturing *different* workloads never serialize on each other,
 /// while workers racing for the *same* key block on one shared
 /// initializer.
-#[derive(Debug, Default)]
-pub struct TraceCache {
-    map: OnceMap<TraceKey, CapturedRun>,
+#[derive(Debug)]
+pub struct CaptureCache<K, V> {
+    map: OnceMap<K, V>,
     store: Mutex<Option<Arc<TraceStore>>>,
     captures: AtomicU64,
     restores: AtomicU64,
 }
 
-impl TraceCache {
+/// The GPU kernel-trace cache, keyed by [`TraceKey`].
+pub type TraceCache = CaptureCache<TraceKey, CapturedRun>;
+
+/// The CPU memory-trace cache, keyed by [`CpuTraceKey`].
+pub type CpuTraceCache = CaptureCache<CpuTraceKey, CpuCapture>;
+
+/// One kind of capture as the persistent store holds it.
+trait Persisted {
+    /// The cache key.
+    type Key;
+    /// The store key of `key`'s entry.
+    fn store_key(key: &Self::Key) -> String;
+    /// The store payload.
+    fn encode(&self) -> Vec<u8>;
+}
+
+impl<K, V> Default for CaptureCache<K, V> {
+    fn default() -> CaptureCache<K, V> {
+        CaptureCache {
+            map: OnceMap::default(),
+            store: Mutex::new(None),
+            captures: AtomicU64::new(0),
+            restores: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<K: Eq + Hash, V> CaptureCache<K, V> {
     /// Creates an empty cache.
-    pub fn new() -> TraceCache {
-        TraceCache::default()
+    pub fn new() -> CaptureCache<K, V> {
+        CaptureCache::default()
     }
 
     /// Attaches a persistent [`TraceStore`]: subsequent captures check
@@ -263,7 +295,7 @@ impl TraceCache {
     }
 
     /// How many captures this cache restored from the persistent store
-    /// instead of re-running (see [`TraceCache::captures`]).
+    /// instead of re-running (see [`CaptureCache::captures`]).
     pub fn restores(&self) -> u64 {
         self.restores.load(Ordering::Relaxed)
     }
@@ -272,12 +304,64 @@ impl TraceCache {
     /// under concurrent lookups of the same key).
     pub fn get_or_capture(
         &self,
-        key: TraceKey,
-        capture: impl FnOnce() -> Result<CapturedRun, StudyError>,
-    ) -> Result<Arc<CapturedRun>, StudyError> {
+        key: K,
+        capture: impl FnOnce() -> Result<V, StudyError>,
+    ) -> Result<Arc<V>, StudyError> {
         self.map.get_or_init(key, capture)
     }
 
+    /// The one restore-or-capture path. On a miss with a store
+    /// attached, a verified entry goes through `restore` — the
+    /// side-specific decode-and-validate step. Any `restore` failure
+    /// (codec rejection, semantic staleness) quarantines the entry
+    /// with its reason exactly like bit rot, because a stale payload
+    /// must never reach a results table. Otherwise `capture` runs and
+    /// its result is persisted for the next process.
+    fn restore_or_capture(
+        &self,
+        key: K,
+        restore: impl FnOnce(&[u8]) -> Result<V, String>,
+        capture: impl FnOnce() -> Result<V, StudyError>,
+    ) -> Result<Arc<V>, StudyError>
+    where
+        V: Persisted<Key = K>,
+    {
+        let persist = self.store().map(|store| (V::store_key(&key), store));
+        self.get_or_capture(key, || {
+            if let Some((skey, store)) = &persist {
+                if let Some(payload) = store.load(skey) {
+                    match restore(&payload) {
+                        Ok(restored) => {
+                            self.restores.fetch_add(1, Ordering::Relaxed);
+                            return Ok(restored);
+                        }
+                        Err(reason) => store.quarantine(skey, &reason),
+                    }
+                }
+            }
+            self.captures.fetch_add(1, Ordering::Relaxed);
+            let captured = capture()?;
+            if let Some((skey, store)) = &persist {
+                store.save_or_warn(skey, &captured.encode());
+            }
+            Ok(captured)
+        })
+    }
+}
+
+impl Persisted for CapturedRun {
+    type Key = TraceKey;
+
+    fn store_key(key: &TraceKey) -> String {
+        key.store_key()
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        simt::encode_capture_payload(&self.traces, self.h2d_bytes, self.d2h_bytes)
+    }
+}
+
+impl TraceCache {
     /// Captures a suite benchmark under `cfg` (variant `""`), reusing a
     /// cached capture with the same fingerprint when available.
     pub fn capture_benchmark(
@@ -309,78 +393,42 @@ impl TraceCache {
             variant,
             fingerprint: CaptureFingerprint::of(cfg),
         };
-        let store = self.store();
-        self.get_or_capture(key.clone(), || {
-            if let Some(store) = &store {
-                if let Some(restored) = load_persisted_gpu_run(store, &key, cfg) {
-                    self.restores.fetch_add(1, Ordering::Relaxed);
-                    return Ok(restored);
-                }
-            }
-            self.captures.fetch_add(1, Ordering::Relaxed);
-            let _span = obs::span!("trace_cache.capture.{name}");
-            let mut gpu = Gpu::try_new(cfg.clone())?;
-            gpu.set_trace_recording(true);
-            let baseline = run(&mut gpu);
-            let captured = CapturedRun::new(
-                gpu.take_recorded_traces(),
-                cfg,
-                Some(baseline),
-                gpu.mem().h2d_bytes(),
-                gpu.mem().d2h_bytes(),
-            )?;
-            if let Some(store) = &store {
-                store.save_or_warn(
-                    &key.store_key(),
-                    &simt::encode_capture_payload(
-                        &captured.traces,
-                        captured.h2d_bytes,
-                        captured.d2h_bytes,
-                    ),
-                );
-            }
-            Ok(captured)
-        })
+        self.restore_or_capture(
+            key,
+            |payload| restore_gpu_run(payload, cfg),
+            || {
+                let _span = obs::span!("trace_cache.capture.{name}");
+                let mut gpu = Gpu::try_new(cfg.clone())?;
+                gpu.set_trace_recording(true);
+                let baseline = run(&mut gpu);
+                Ok(CapturedRun::new(
+                    gpu.take_recorded_traces(),
+                    cfg,
+                    Some(baseline),
+                    gpu.mem().h2d_bytes(),
+                    gpu.mem().d2h_bytes(),
+                )?)
+            },
+        )
     }
 }
 
-/// Loads, decodes, and re-times a persisted GPU capture. Any failure
-/// past the store's own framing check — codec rejection, an empty
-/// launch list, a replay error — quarantines the entry exactly like
-/// bit rot and falls back to recapture: semantic staleness must never
-/// reach a results table.
-fn load_persisted_gpu_run(
-    store: &TraceStore,
-    key: &TraceKey,
-    cfg: &GpuConfig,
-) -> Option<CapturedRun> {
-    let skey = key.store_key();
-    let payload = store.load(&skey)?;
-    let (traces, h2d_bytes, d2h_bytes) = match simt::decode_capture_payload(&payload) {
-        Ok(parts) => parts,
-        Err(e) => {
-            store.quarantine(&skey, &format!("payload: {e}"));
-            return None;
-        }
-    };
+/// Decodes and re-times a persisted GPU capture; `Err` is the
+/// quarantine reason.
+fn restore_gpu_run(payload: &[u8], cfg: &GpuConfig) -> Result<CapturedRun, String> {
+    let (traces, h2d_bytes, d2h_bytes) =
+        simt::decode_capture_payload(payload).map_err(|e| format!("payload: {e}"))?;
     if traces.is_empty() {
-        store.quarantine(&skey, "payload records no launches");
-        return None;
+        return Err("payload records no launches".to_string());
     }
     // The baseline is deliberately not serialized: replay ≡ direct run,
     // so re-timing the decoded traces under the capture configuration
     // reproduces it exactly — and doubles as an end-to-end validity
     // check on the decoded ops.
-    match CapturedRun::new(traces, cfg, None, h2d_bytes, d2h_bytes) {
-        Ok(run) => {
-            obs::Registry::global().incr("store.gpu_restored");
-            Some(run)
-        }
-        Err(e) => {
-            store.quarantine(&skey, &format!("replay: {e}"));
-            None
-        }
-    }
+    let run = CapturedRun::new(traces, cfg, None, h2d_bytes, d2h_bytes)
+        .map_err(|e| format!("replay: {e}"))?;
+    obs::Registry::global().incr("store.gpu_restored");
+    Ok(run)
 }
 
 /// The subset of a [`ProfileConfig`] that influences a CPU capture's
@@ -438,71 +486,19 @@ impl CpuTraceKey {
     }
 }
 
-/// A thread-safe, exactly-once cache of CPU memory-trace captures,
-/// mirroring [`TraceCache`]: racing workers block on one shared
-/// initializer instead of capturing twice.
-#[derive(Debug, Default)]
-pub struct CpuTraceCache {
-    map: OnceMap<CpuTraceKey, CpuCapture>,
-    store: Mutex<Option<Arc<TraceStore>>>,
-    captures: AtomicU64,
-    restores: AtomicU64,
+impl Persisted for CpuCapture {
+    type Key = CpuTraceKey;
+
+    fn store_key(key: &CpuTraceKey) -> String {
+        key.store_key()
+    }
+
+    fn encode(&self) -> Vec<u8> {
+        tracekit::encode_capture(self)
+    }
 }
 
 impl CpuTraceCache {
-    /// Creates an empty cache.
-    pub fn new() -> CpuTraceCache {
-        CpuTraceCache::default()
-    }
-
-    /// Attaches a persistent [`TraceStore`] (see
-    /// [`TraceCache::set_store`]).
-    pub fn set_store(&self, store: Arc<TraceStore>) {
-        *self
-            .store
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(store);
-    }
-
-    fn store(&self) -> Option<Arc<TraceStore>> {
-        self.store
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone()
-    }
-
-    /// Number of cached (or in-flight) captures.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether nothing has been captured yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// How many times this cache actually ran a capture (see
-    /// [`TraceCache::captures`] for the contract).
-    pub fn captures(&self) -> u64 {
-        self.captures.load(Ordering::Relaxed)
-    }
-
-    /// How many captures this cache restored from the persistent store
-    /// instead of re-running (see [`TraceCache::captures`]).
-    pub fn restores(&self) -> u64 {
-        self.restores.load(Ordering::Relaxed)
-    }
-
-    /// Looks up `key`, running `capture` exactly once on a miss (even
-    /// under concurrent lookups of the same key).
-    pub fn get_or_capture(
-        &self,
-        key: CpuTraceKey,
-        capture: impl FnOnce() -> Result<CpuCapture, StudyError>,
-    ) -> Result<Arc<CpuCapture>, StudyError> {
-        self.map.get_or_init(key, capture)
-    }
-
     /// Captures `workload` under `cfg` (once per `(label, scale,
     /// fingerprint)`). With a store attached, a verified persisted
     /// capture short-circuits the run, and a fresh capture is persisted
@@ -514,52 +510,32 @@ impl CpuTraceCache {
         scale: Scale,
         cfg: &ProfileConfig,
     ) -> Result<Arc<CpuCapture>, StudyError> {
+        let fingerprint = CpuCaptureFingerprint::of(cfg);
         let key = CpuTraceKey {
             workload: label.to_string(),
             scale,
-            fingerprint: CpuCaptureFingerprint::of(cfg),
+            fingerprint,
         };
-        let store = self.store();
-        self.get_or_capture(key.clone(), || {
-            if let Some(store) = &store {
-                if let Some(restored) = load_persisted_cpu_capture(store, &key) {
-                    self.restores.fetch_add(1, Ordering::Relaxed);
-                    return Ok(restored);
-                }
-            }
-            self.captures.fetch_add(1, Ordering::Relaxed);
-            let cap = CpuCapture::capture(workload, cfg)?;
-            if let Some(store) = &store {
-                store.save_or_warn(&key.store_key(), &tracekit::encode_capture(&cap));
-            }
-            Ok(cap)
-        })
+        self.restore_or_capture(
+            key,
+            |payload| restore_cpu_capture(payload, &fingerprint),
+            || Ok(CpuCapture::capture(workload, cfg)?),
+        )
     }
 }
 
-/// Loads and decodes a persisted CPU capture. Codec rejections and
-/// replay-geometry drift quarantine the entry and fall back to
-/// recapture, mirroring [`load_persisted_gpu_run`].
-fn load_persisted_cpu_capture(store: &TraceStore, key: &CpuTraceKey) -> Option<CpuCapture> {
-    let skey = key.store_key();
-    let payload = store.load(&skey)?;
-    let cap = match tracekit::decode_capture(&payload) {
-        Ok(cap) => cap,
-        Err(e) => {
-            store.quarantine(&skey, &format!("payload: {e}"));
-            return None;
-        }
-    };
+/// Decodes a persisted CPU capture and checks its replay geometry;
+/// `Err` is the quarantine reason.
+fn restore_cpu_capture(payload: &[u8], fp: &CpuCaptureFingerprint) -> Result<CpuCapture, String> {
+    let cap = tracekit::decode_capture(payload).map_err(|e| format!("payload: {e}"))?;
     // The key already spells the fingerprint, but the decoded geometry
     // is re-checked so a semantically stale payload behind a valid
     // frame still degrades to recapture instead of a wrong replay.
-    let fp = &key.fingerprint;
     if cap.ways() != fp.ways || cap.line() != fp.line {
-        store.quarantine(&skey, "replay geometry differs from the requested fingerprint");
-        return None;
+        return Err("replay geometry differs from the requested fingerprint".to_string());
     }
     obs::Registry::global().incr("store.cpu_restored");
-    Some(cap)
+    Ok(cap)
 }
 
 #[cfg(test)]

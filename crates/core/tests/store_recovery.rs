@@ -11,12 +11,13 @@ use std::sync::Arc;
 use datasets::Scale;
 use rodinia_study::sensitivity;
 use rodinia_study::trace_cache::{
-    CaptureFingerprint, CpuCaptureFingerprint, CpuTraceCache, CpuTraceKey, TraceKey,
+    CaptureFingerprint, CapturedRun, CpuCaptureFingerprint, CpuTraceCache, CpuTraceKey,
+    TraceCache, TraceKey,
 };
 use rodinia_study::{suite, StudySession};
 use simt::GpuConfig;
 use store::{inject, StoreFault, TraceStore};
-use tracekit::ProfileConfig;
+use tracekit::{CpuCapture, ProfileConfig};
 
 fn test_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("rodinia-recovery-{}-{name}", std::process::id()));
@@ -213,6 +214,89 @@ fn cpu_capture_persists_and_recovers_from_damage() {
     );
     assert!(store.quarantined_count() >= 1);
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// A fresh store holding `payload` as a framing-valid entry for `key`:
+/// only the capture codec or the semantic checks can reject it.
+fn store_holding(case: &str, key: &str, payload: &[u8]) -> (PathBuf, Arc<TraceStore>) {
+    let dir = test_dir(&format!("semantic-{case}"));
+    let store = Arc::new(TraceStore::open(&dir).expect("open store"));
+    store.save(key, payload).expect("save");
+    assert!(store.load(key).is_some(), "{case}: the framing verifies");
+    (dir, store)
+}
+
+#[test]
+fn rejected_gpu_payloads_are_quarantined_and_recaptured() {
+    let cfg = GpuConfig::gpgpusim_default();
+    let benches = rodinia_gpu::suite::all_benchmarks(Scale::Tiny);
+    let hs = benches
+        .iter()
+        .find(|b| b.abbrev() == "HS")
+        .expect("HS in suite")
+        .as_ref();
+    let summary = |run: &CapturedRun| {
+        let payload = simt::encode_capture_payload(&run.traces, run.h2d_bytes, run.d2h_bytes);
+        (payload, format!("{:?}", run.baseline))
+    };
+    let fresh = TraceCache::new()
+        .capture_benchmark(hs, Scale::Tiny, &cfg)
+        .expect("fresh capture");
+    for (case, payload) in [
+        ("gpu-undecodable", b"not a capture payload".to_vec()),
+        ("gpu-no-launches", simt::encode_capture_payload(&[], 0, 0)),
+    ] {
+        let (dir, store) = store_holding(case, &hs_store_key(), &payload);
+        let cache = TraceCache::new();
+        cache.set_store(Arc::clone(&store));
+        let got = cache
+            .capture_benchmark(hs, Scale::Tiny, &cfg)
+            .expect("recapture");
+        assert_eq!(store.quarantined_count(), 1, "{case}: quarantined");
+        assert_eq!((cache.restores(), cache.captures()), (0, 1), "{case}: recaptured");
+        assert_eq!(summary(&got), summary(&fresh), "{case}: equals a fresh capture");
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+#[test]
+fn rejected_cpu_payloads_are_quarantined_and_recaptured() {
+    let cfg = ProfileConfig::default();
+    let ws = suite::combined_workloads(Scale::Tiny);
+    let lw = &ws[0];
+    let key = CpuTraceKey {
+        workload: lw.label.clone(),
+        scale: Scale::Tiny,
+        fingerprint: CpuCaptureFingerprint::of(&cfg),
+    }
+    .store_key();
+    let fresh = CpuTraceCache::new()
+        .capture_workload(&lw.label, lw.workload.as_ref(), Scale::Tiny, &cfg)
+        .expect("fresh capture");
+    let regeometried = |ways: usize, line: u64| {
+        let words = fresh.packed_words().to_vec();
+        tracekit::encode_capture(&CpuCapture::from_parts(fresh.base().clone(), words, ways, line))
+    };
+    for (case, payload) in [
+        ("cpu-undecodable", b"not a capture payload".to_vec()),
+        ("cpu-other-ways", regeometried(fresh.ways() * 2, fresh.line())),
+        ("cpu-other-line", regeometried(fresh.ways(), fresh.line() * 2)),
+    ] {
+        let (dir, store) = store_holding(case, &key, &payload);
+        let cache = CpuTraceCache::new();
+        cache.set_store(Arc::clone(&store));
+        let got = cache
+            .capture_workload(&lw.label, lw.workload.as_ref(), Scale::Tiny, &cfg)
+            .expect("recapture");
+        assert_eq!(store.quarantined_count(), 1, "{case}: quarantined");
+        assert_eq!((cache.restores(), cache.captures()), (0, 1), "{case}: recaptured");
+        assert_eq!(
+            tracekit::encode_capture(&got),
+            tracekit::encode_capture(&fresh),
+            "{case}: equals a fresh capture"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

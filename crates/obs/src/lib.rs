@@ -23,6 +23,9 @@
 //!   what-if speedups, suite-wide bottleneck rankings), and [`sampler`]
 //!   keeps timeline memory and overhead flat with a budget-bounded
 //!   adaptive sampler.
+//! * **Codec** — [`codec`] is the bounds-checked little-endian byte
+//!   cursor ([`codec::Reader`]) and writers that both capture payload
+//!   formats (`simt` kernel traces, `tracekit` memory traces) share.
 //!
 //! The crate deliberately has **no dependencies**, not even workspace
 //! ones, so every layer of the stack can use it without cycles.
@@ -30,6 +33,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs, missing_debug_implementations)]
 
+pub mod codec;
 pub mod critpath;
 pub mod json;
 pub mod record;

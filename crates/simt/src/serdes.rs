@@ -5,19 +5,21 @@
 //! host↔device byte counts of the functional run, which cannot be
 //! recomputed without re-executing) into a flat, versioned,
 //! little-endian byte stream. The codec is *defensive on decode*: every
-//! read is bounds-checked and every enum tag validated, so a payload
-//! that passed the store's checksum but was written by a buggy or
-//! skewed producer turns into a typed [`CodecError`] (which the study
-//! layer treats as quarantine-and-recapture), never a panic or a
-//! mis-shaped trace.
+//! read goes through the bounds-checked [`obs::codec::Reader`] and every
+//! enum tag is validated, so a payload that passed the store's checksum
+//! but was written by a buggy or skewed producer turns into a typed
+//! [`CodecError`] (which the study layer treats as
+//! quarantine-and-recapture), never a panic or a mis-shaped trace.
 //!
 //! Timing replay of a decoded trace is byte-identical to replaying the
 //! original: the codec preserves every field the timing model reads
 //! (op streams per warp per CTA in order, launch geometry, occupancy
 //! inputs, warp size).
 
-use std::fmt;
 use std::sync::Arc;
+
+pub use obs::codec::CodecError;
+use obs::codec::{put_str, put_u32, put_u64, Reader};
 
 use crate::isa::{MemSpace, TOp};
 use crate::trace::{CtaTrace, KernelTrace, WarpTrace};
@@ -27,23 +29,6 @@ use crate::trace::{CtaTrace, KernelTrace, WarpTrace};
 /// payload carries its own tag so producer/consumer skew inside one
 /// store version is also detected.
 pub const TRACE_CODEC_VERSION: u32 = 1;
-
-/// A malformed trace payload (truncated, bad tag, version skew).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CodecError {
-    /// Byte offset at which decoding failed.
-    pub offset: usize,
-    /// What was expected there.
-    pub what: &'static str,
-}
-
-impl fmt::Display for CodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "malformed trace payload at byte {}: {}", self.offset, self.what)
-    }
-}
-
-impl std::error::Error for CodecError {}
 
 /// Encodes a capture — launch-ordered traces plus the functional run's
 /// host↔device traffic — into one payload.
@@ -67,7 +52,7 @@ pub fn encode_capture_payload(traces: &[Arc<KernelTrace>], h2d_bytes: u64, d2h_b
 /// A [`CodecError`] on any structural problem; no partially decoded
 /// trace is ever returned.
 pub fn decode_capture_payload(bytes: &[u8]) -> Result<(Vec<Arc<KernelTrace>>, u64, u64), CodecError> {
-    let mut r = Reader { bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     let version = r.u32("codec version")?;
     if version != TRACE_CODEC_VERSION {
         return Err(CodecError {
@@ -82,12 +67,7 @@ pub fn decode_capture_payload(bytes: &[u8]) -> Result<(Vec<Arc<KernelTrace>>, u6
     for _ in 0..n {
         traces.push(Arc::new(decode_trace(&mut r)?));
     }
-    if r.remaining() != 0 {
-        return Err(CodecError {
-            offset: r.pos,
-            what: "trailing bytes after last trace",
-        });
-    }
+    r.finish("trailing bytes after last trace")?;
     Ok((traces, h2d, d2h))
 }
 
@@ -225,7 +205,7 @@ fn decode_op(r: &mut Reader<'_>) -> Result<TOp, CodecError> {
             let local = r.bool("gmem space flag")?;
             let store = r.bool("gmem store flag")?;
             let lanes = r.u8("gmem lanes")?;
-            let segs = r.segs("gmem segments")?;
+            let segs = segs(r, "gmem segments")?;
             TOp::Gmem {
                 space: if local { MemSpace::Local } else { MemSpace::Global },
                 store,
@@ -235,7 +215,7 @@ fn decode_op(r: &mut Reader<'_>) -> Result<TOp, CodecError> {
         }
         TAG_TEX => TOp::Tex {
             lanes: r.u8("tex lanes")?,
-            segs: r.segs("tex segments")?,
+            segs: segs(r, "tex segments")?,
         },
         TAG_CONST => TOp::Const {
             lanes: r.u8("const lanes")?,
@@ -251,90 +231,17 @@ fn decode_op(r: &mut Reader<'_>) -> Result<TOp, CodecError> {
         TAG_BAR => TOp::Bar,
         _ => {
             return Err(CodecError {
-                offset: r.pos - 1,
+                offset: r.pos() - 1,
                 what: "unknown op tag",
             })
         }
     })
 }
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-/// A bounds-checked little-endian cursor.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CodecError> {
-        if self.remaining() < n {
-            return Err(CodecError {
-                offset: self.pos,
-                what,
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
-        Ok(self.take(1, what)?[0])
-    }
-
-    fn bool(&mut self, what: &'static str) -> Result<bool, CodecError> {
-        match self.u8(what)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(CodecError {
-                offset: self.pos - 1,
-                what,
-            }),
-        }
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
-        Ok(u32::from_le_bytes(self.take(4, what)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        Ok(u64::from_le_bytes(self.take(8, what)?.try_into().expect("8 bytes")))
-    }
-
-    fn str(&mut self, what: &'static str) -> Result<String, CodecError> {
-        let len = self.u32(what)? as usize;
-        let offset = self.pos;
-        let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| CodecError {
-            offset,
-            what: "invalid UTF-8 string",
-        })
-    }
-
-    fn segs(&mut self, what: &'static str) -> Result<Box<[u64]>, CodecError> {
-        let n = self.u32(what)? as usize;
-        let mut segs = Vec::with_capacity(n.min(self.remaining()));
-        for _ in 0..n {
-            segs.push(self.u64(what)?);
-        }
-        Ok(segs.into_boxed_slice())
-    }
+/// A `u32` count followed by that many `u64` segment addresses.
+fn segs(r: &mut Reader<'_>, what: &'static str) -> Result<Box<[u64]>, CodecError> {
+    let n = r.u32(what)? as usize;
+    Ok(r.u64s(n, what)?.into_boxed_slice())
 }
 
 #[cfg(test)]

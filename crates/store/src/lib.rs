@@ -9,7 +9,11 @@
 //!
 //! The crate deliberately knows nothing about trace formats: entries
 //! are opaque byte payloads keyed by caller-chosen strings (the study
-//! layer uses `benchmark/scale/fingerprint` keys). Three layers:
+//! layer uses `benchmark/scale/fingerprint` keys). The payloads are the
+//! `simt` and `tracekit` capture codecs, which both read through the
+//! shared bounds-checked cursor `obs::codec`; the entry framing keeps
+//! its own parser, whose [`Corruption`] variants carry the need/have
+//! lengths a generic cursor error would lose. Three layers:
 //!
 //! * [`entry`] — the per-entry integrity framing: magic, format
 //!   version, key echo (stale-fingerprint detection), payload length,
@@ -21,7 +25,9 @@
 //!   partially visible entry), transient I/O errors are retried with
 //!   backoff, entries that fail verification are **quarantined**
 //!   (moved aside, never deleted silently, never deserialized), and an
-//!   optional size budget evicts least-recently-used entries.
+//!   optional size budget evicts least-recently-used entries (recency
+//!   is a `.touch` sidecar per entry, written on hits only when a
+//!   budget is set).
 //! * [`Journal`] / [`SweepJournal`] — checksummed append-only record
 //!   logs for study checkpoint/resume: each completed experiment (or
 //!   sweep response) is appended durably, and reopening after a crash

@@ -336,9 +336,12 @@ impl TraceStore {
 
     /// Refreshes `path`'s last-use marker. `std` cannot set mtimes, so
     /// recency is tracked with an empty `.touch` sidecar whose own
-    /// mtime is refreshed on every hit.
+    /// mtime is refreshed on every hit. Only LRU eviction reads the
+    /// sidecars, so an unbudgeted store writes none.
     fn touch(&self, path: &Path) {
-        let _ = fs::write(touch_path(path), b"");
+        if self.budget_bytes.is_some() {
+            let _ = fs::write(touch_path(path), b"");
+        }
     }
 
     fn entries(&self) -> Vec<EntryMeta> {
@@ -564,6 +567,21 @@ mod tests {
         assert!(store.contains("c"), "just-written entry is never evicted");
         assert!(store.contains("a"), "recently used entry survives");
         assert!(!store.contains("b"), "LRU entry was evicted");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn hits_touch_a_sidecar_only_under_a_budget() {
+        let dir = test_dir("touch");
+        let unbudgeted = TraceStore::open_with_budget(&dir, None).expect("open");
+        unbudgeted.save("k", b"payload").expect("save");
+        assert!(unbudgeted.load("k").is_some());
+        assert!(unbudgeted.load("k").is_some());
+        let sidecar = touch_path(&unbudgeted.entry_path("k"));
+        assert!(!sidecar.exists(), "an unbudgeted hit wrote {}", sidecar.display());
+        let budgeted = TraceStore::open_with_budget(&dir, Some(1 << 20)).expect("reopen");
+        assert!(budgeted.load("k").is_some());
+        assert!(sidecar.exists(), "a budgeted hit records its use");
         let _ = fs::remove_dir_all(&dir);
     }
 

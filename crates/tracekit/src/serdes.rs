@@ -20,49 +20,34 @@
 //! u64  word count + that many u64 packed words
 //! ```
 //!
-//! Decoding is fully bounds-checked and rejects version skew, invalid
-//! UTF-8, and trailing bytes; it never panics on malformed input. The
-//! codec carries *no* checksum — integrity is the store framing layer's
-//! job (`store::encode_entry`); this layer only has to fail cleanly on
-//! anything that slips through.
+//! Decoding goes through the bounds-checked [`obs::codec::Reader`] and
+//! rejects version skew, invalid UTF-8, and trailing bytes; it never
+//! panics on malformed input. The codec carries *no* checksum —
+//! integrity is the store framing layer's job (`store::encode_entry`);
+//! this layer only has to fail cleanly on anything that slips through.
 
-use std::error::Error;
-use std::fmt;
+use obs::codec::{put_str, put_u32, put_u64, Reader};
 
 use crate::mix::InstrMix;
 use crate::profile::Profile;
 use crate::trace::CpuCapture;
+
+/// A malformed CPU-capture payload: what failed, and where. The same
+/// type as `simt`'s trace-payload error.
+pub use obs::codec::CodecError as CpuCodecError;
 
 /// Current CPU-trace codec version. Bump on any layout change; stored
 /// payloads from other versions are rejected by
 /// [`decode_capture`] and the store recaptures.
 pub const CPU_CODEC_VERSION: u32 = 1;
 
-/// A malformed CPU-capture payload: what failed, and where.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CpuCodecError {
-    /// Byte offset at which decoding failed.
-    pub offset: usize,
-    /// What the decoder was reading when it failed.
-    pub what: &'static str,
-}
-
-impl fmt::Display for CpuCodecError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cpu trace payload: bad {} at byte {}", self.what, self.offset)
-    }
-}
-
-impl Error for CpuCodecError {}
-
 /// Serializes a capture into a store payload.
 pub fn encode_capture(cap: &CpuCapture) -> Vec<u8> {
     let base = cap.base();
     let words = cap.packed_words();
     let mut out = Vec::with_capacity(64 + base.name.len() + words.len() * 8);
-    out.extend_from_slice(&CPU_CODEC_VERSION.to_le_bytes());
-    out.extend_from_slice(&(base.name.len() as u32).to_le_bytes());
-    out.extend_from_slice(base.name.as_bytes());
+    put_u32(&mut out, CPU_CODEC_VERSION);
+    put_str(&mut out, &base.name);
     for n in [
         base.mix.alu,
         base.mix.branches,
@@ -75,10 +60,10 @@ pub fn encode_capture(cap: &CpuCapture) -> Vec<u8> {
         cap.line(),
         words.len() as u64,
     ] {
-        out.extend_from_slice(&n.to_le_bytes());
+        put_u64(&mut out, n);
     }
     for &w in words {
-        out.extend_from_slice(&w.to_le_bytes());
+        put_u64(&mut out, w);
     }
     out
 }
@@ -90,7 +75,7 @@ pub fn encode_capture(cap: &CpuCapture) -> Vec<u8> {
 /// A [`CpuCodecError`] on version skew, truncation, invalid UTF-8, or
 /// trailing bytes. Never panics on malformed input.
 pub fn decode_capture(bytes: &[u8]) -> Result<CpuCapture, CpuCodecError> {
-    let mut r = Reader { bytes, pos: 0 };
+    let mut r = Reader::new(bytes);
     let version = r.u32("codec version")?;
     if version != CPU_CODEC_VERSION {
         return Err(CpuCodecError {
@@ -111,19 +96,8 @@ pub fn decode_capture(bytes: &[u8]) -> Result<CpuCapture, CpuCodecError> {
     let ways = r.usize("ways")?;
     let line = r.u64("line")?;
     let count = r.usize("word count")?;
-    // Clamp pre-allocation by what the buffer can actually hold so a
-    // corrupt count cannot force a huge allocation before the bounds
-    // check trips.
-    let mut words = Vec::with_capacity(count.min(r.remaining() / 8));
-    for _ in 0..count {
-        words.push(r.u64("packed word")?);
-    }
-    if r.remaining() != 0 {
-        return Err(CpuCodecError {
-            offset: r.pos,
-            what: "trailing bytes",
-        });
-    }
+    let words = r.u64s(count, "packed word")?;
+    r.finish("trailing bytes")?;
     let base = Profile {
         name,
         mix,
@@ -133,54 +107,6 @@ pub fn decode_capture(bytes: &[u8]) -> Result<CpuCapture, CpuCodecError> {
         events,
     };
     Ok(CpuCapture::from_parts(base, words, ways, line))
-}
-
-/// Bounds-checked little-endian cursor.
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], CpuCodecError> {
-        if self.remaining() < n {
-            return Err(CpuCodecError {
-                offset: self.pos,
-                what,
-            });
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u32(&mut self, what: &'static str) -> Result<u32, CpuCodecError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, what)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, what: &'static str) -> Result<u64, CpuCodecError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, what)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn usize(&mut self, what: &'static str) -> Result<usize, CpuCodecError> {
-        let offset = self.pos;
-        usize::try_from(self.u64(what)?).map_err(|_| CpuCodecError { offset, what })
-    }
-
-    fn str(&mut self, what: &'static str) -> Result<String, CpuCodecError> {
-        let offset = self.pos;
-        let len = self.u32(what)? as usize;
-        let raw = self.take(len, what)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| CpuCodecError { offset, what })
-    }
 }
 
 #[cfg(test)]

@@ -63,7 +63,7 @@ use rodinia_repro::rodinia_study::request::{
     execute, parse_scale, RequestObserver, StudyCommand, StudyRequest, StudyResponse, EXIT_MISUSE,
 };
 use rodinia_repro::rodinia_study::serve::{ServeConfig, Server};
-use rodinia_repro::store::TraceStore;
+use rodinia_repro::store::{write_atomic, TraceStore};
 
 fn emit(tables: &[Table], csv: bool) {
     for t in tables {
@@ -148,16 +148,14 @@ fn present_check(report: &CheckReport, json_dir: Option<&PathBuf>, manifest: Opt
     let warnings = report.warning_count();
     println!("check: {errors} error(s), {warnings} warning(s)");
     if let Some(dir) = json_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("cannot create {}: {e}", dir.display());
-            return 1;
+        let json = format!("{}\n", report.to_json());
+        match write_atomic(dir, "check_report.json", json.as_bytes()) {
+            Ok(path) => eprintln!("wrote report {}", path.display()),
+            Err(e) => {
+                eprintln!("{e}");
+                return 1;
+            }
         }
-        let path = dir.join("check_report.json");
-        if let Err(e) = std::fs::write(&path, format!("{}\n", report.to_json())) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return 1;
-        }
-        eprintln!("wrote report {}", path.display());
         if let Some(mut m) = manifest {
             m.push_section("check", report.manifest_section());
             match m.write(dir) {

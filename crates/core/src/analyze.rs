@@ -33,6 +33,7 @@ use crate::engine::StudySession;
 use crate::error::StudyError;
 use crate::manifest::scale_str;
 use crate::report::Table;
+use crate::request::Verdict;
 
 pub use crate::manifest::{CRITPATH_FILE, CRITPATH_SCHEMA};
 
@@ -89,13 +90,29 @@ pub struct AnalyzeReport {
 }
 
 impl AnalyzeReport {
-    /// The summary table: one row per benchmark with its dominant
-    /// bottleneck and the what-if payoff of removing it.
-    ///
-    /// # Errors
-    ///
-    /// [`StudyError::TableRow`] only on an internal width bug.
-    pub fn summary_table(&self) -> Result<Table, StudyError> {
+    /// The `CRITPATH_manifest.json` document: schema and scale tags
+    /// followed by the [`CritPath`] payload. Deterministic — nothing
+    /// wall-clock-dependent is included.
+    pub fn to_json(&self) -> Json {
+        let mut pairs = vec![
+            ("schema".to_string(), Json::from(CRITPATH_SCHEMA)),
+            ("scale".to_string(), Json::from(scale_str(self.scale))),
+        ];
+        if let Json::Obj(inner) = self.critpath.to_json() {
+            pairs.extend(inner);
+        }
+        Json::Obj(pairs)
+    }
+}
+
+impl Verdict for AnalyzeReport {
+    fn section(&self) -> &'static str {
+        "critpath"
+    }
+
+    /// One row per benchmark with its dominant bottleneck and the
+    /// what-if payoff of removing it.
+    fn summary_table(&self) -> Result<Table, StudyError> {
         let mut t = Table::new(
             &format!("Critical-path attribution ({:?} scale)", self.scale),
             &["Benchmark", "Cycles", "Dominant", "Cut up to", "Occupancy dip"],
@@ -114,28 +131,17 @@ impl AnalyzeReport {
         Ok(t)
     }
 
-    /// The per-benchmark verdicts and suite ranking as console lines.
-    pub fn render(&self) -> Vec<String> {
+    /// The per-benchmark verdicts and suite ranking.
+    fn console_lines(&self) -> Vec<String> {
         self.critpath.render()
     }
 
-    /// The `CRITPATH_manifest.json` document: schema and scale tags
-    /// followed by the [`CritPath`] payload. Deterministic — nothing
-    /// wall-clock-dependent is included.
-    pub fn to_json(&self) -> Json {
-        let mut pairs = vec![
-            ("schema".to_string(), Json::from(CRITPATH_SCHEMA)),
-            ("scale".to_string(), Json::from(scale_str(self.scale))),
-        ];
-        if let Json::Obj(inner) = self.critpath.to_json() {
-            pairs.extend(inner);
-        }
-        Json::Obj(pairs)
+    fn body_json(&self) -> Json {
+        self.to_json()
     }
 
-    /// A compact summary for embedding in `BENCH_manifest.json`: the
-    /// suite ranking plus each benchmark's dominant component.
-    pub fn manifest_section(&self) -> Json {
+    /// The suite ranking plus each benchmark's dominant component.
+    fn manifest_section(&self) -> Json {
         Json::obj(vec![
             (
                 "dominant",
@@ -175,13 +181,8 @@ impl AnalyzeReport {
 
     /// Writes the manifest to `dir/CRITPATH_manifest.json` through the
     /// [`ManifestKind`](crate::manifest::ManifestKind) registry
-    /// (atomic, creating `dir` if needed). Returns the written path.
-    ///
-    /// # Errors
-    ///
-    /// [`StudyError::Io`] if the directory cannot be created or the
-    /// file cannot be written.
-    pub fn write(&self, dir: &Path) -> Result<PathBuf, StudyError> {
+    /// (atomic, creating `dir` if needed).
+    fn write(&self, dir: &Path) -> Result<PathBuf, StudyError> {
         crate::manifest::write_manifest(dir, crate::manifest::ManifestKind::Critpath, &self.to_json())
     }
 }
@@ -191,7 +192,9 @@ impl AnalyzeReport {
 /// Each benchmark captures at most once (shared
 /// [`TraceCache`](crate::trace_cache::TraceCache)); attribution then
 /// reads the capture-configuration baseline statistics, so `analyze`
-/// after `run`/`check` in the same session costs no extra simulation.
+/// after a tables run in the same session (or over a warm store) costs
+/// no extra simulation. `check` and `audit` run directly and leave
+/// the cache cold.
 /// Jobs fan out across the session's workers; results come back in
 /// suite order regardless of worker count.
 ///

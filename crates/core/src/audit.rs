@@ -3,8 +3,10 @@
 //!
 //! Where `repro check` reports what one launch *did* (dynamic checkers
 //! over a concrete tape), `repro audit` proves what every launch *must
-//! do*: for each benchmark it captures the corpus at **tiny** scale
-//! with the sanitizer sink installed, fits an affine access contract
+//! do*: for each benchmark it runs the corpus at **tiny** scale on a
+//! fresh device with the sanitizer sink installed (directly, like
+//! `repro check`, but recording no traces; the session's trace cache
+//! and store are never touched), fits an affine access contract
 //! `addr = c0 + c1·lane + c2·warp + c3·block + c4·phase + c5·launch`
 //! per static op site ([`sanitize::infer_contracts`], falling back to
 //! interval summaries where no affine form exists), and runs the
@@ -13,8 +15,8 @@
 //! coalescing/bank-conflict degrees symbolically — for all grid
 //! shapes, not just the one that ran.
 //!
-//! When invoked at a larger scale, the corpus is additionally captured
-//! at that scale and [`sanitize::compare_scales`] cross-validates the
+//! When invoked at a larger scale, the corpus additionally runs at
+//! that scale and [`sanitize::compare_scales`] cross-validates the
 //! tiny-grid evidence: a site whose access pattern *class* degrades
 //! (affine at tiny, non-affine at scale) is flagged as scale-variant,
 //! because tiny-grid proofs would not transfer to it.
@@ -29,15 +31,16 @@ use std::path::{Path, PathBuf};
 use datasets::Scale;
 use obs::Json;
 use sanitize::{
-    check_contracts, compare_scales, contracts_json, error_count, findings_json, infer_contracts,
-    warning_count, Finding, Form, KernelContract,
+    check_contracts, compare_scales, contracts_json, findings_json, infer_contracts, Finding,
+    Form, KernelContract,
 };
 use simt::GpuConfig;
 
-use crate::check::{sanitized_capture, suite_targets};
+use crate::check::{sanitized_capture, suite_targets, BenchFindings, FindingsReport};
 use crate::engine::StudySession;
 use crate::error::StudyError;
 use crate::report::Table;
+use crate::request::Verdict;
 
 pub use crate::manifest::{AUDIT_FILE, AUDIT_SCHEMA};
 
@@ -56,16 +59,6 @@ pub struct BenchAudit {
 }
 
 impl BenchAudit {
-    /// Error-severity findings for this benchmark.
-    pub fn errors(&self) -> usize {
-        error_count(&self.findings)
-    }
-
-    /// Warning-severity findings for this benchmark.
-    pub fn warnings(&self) -> usize {
-        warning_count(&self.findings)
-    }
-
     /// Total static op sites under contract.
     pub fn sites(&self) -> usize {
         self.contracts.iter().map(|k| k.sites.len()).sum()
@@ -81,61 +74,22 @@ impl BenchAudit {
     }
 }
 
-/// The full `repro audit` result across the suite.
-#[derive(Debug)]
-pub struct AuditReport {
-    /// Scale the audit was requested at. Contracts are always fitted
-    /// at tiny; any larger scale adds the cross-validation pass.
-    pub scale: Scale,
-    /// Per-benchmark verdicts, suite order then variants.
-    pub benches: Vec<BenchAudit>,
+impl BenchFindings for BenchAudit {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn findings(&self) -> &[Finding] {
+        &self.findings
+    }
 }
 
+/// The full `repro audit` result across the suite. Its `scale` is the
+/// scale the audit was requested at: contracts are always fitted at
+/// tiny, and any larger scale adds the cross-validation pass.
+pub type AuditReport = FindingsReport<BenchAudit>;
+
 impl AuditReport {
-    /// Total error-severity findings (drives the exit code).
-    pub fn error_count(&self) -> usize {
-        self.benches.iter().map(BenchAudit::errors).sum()
-    }
-
-    /// Total warning-severity findings.
-    pub fn warning_count(&self) -> usize {
-        self.benches.iter().map(BenchAudit::warnings).sum()
-    }
-
-    /// The summary table: one row per benchmark.
-    ///
-    /// # Errors
-    ///
-    /// [`StudyError::TableRow`] only on an internal width bug.
-    pub fn summary_table(&self) -> Result<Table, StudyError> {
-        let mut t = Table::new(
-            &format!("Access-contract audit ({:?} scale)", self.scale),
-            &["Benchmark", "Kernels", "Sites", "Affine", "Errors", "Warnings"],
-        );
-        for b in &self.benches {
-            t.push(vec![
-                b.name.clone(),
-                b.contracts.len().to_string(),
-                b.sites().to_string(),
-                b.affine_sites().to_string(),
-                b.errors().to_string(),
-                b.warnings().to_string(),
-            ])?;
-        }
-        Ok(t)
-    }
-
-    /// Every finding as a rendered text line, grouped by benchmark.
-    pub fn finding_lines(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for b in &self.benches {
-            for line in sanitize::render_findings(&b.findings) {
-                out.push(format!("{}: {line}", b.name));
-            }
-        }
-        out
-    }
-
     /// The `AUDIT_manifest.json` document: schema and scale tags,
     /// error/warning totals, and per benchmark the findings payload
     /// plus the full contract set ([`sanitize::contracts_json`]).
@@ -161,45 +115,54 @@ impl AuditReport {
             ("benchmarks", Json::Arr(benches)),
         ])
     }
+}
 
-    /// A compact verdict for embedding as a manifest section:
-    /// error/warning totals and per-benchmark site/proof counts,
-    /// without the full contract payloads.
-    pub fn manifest_section(&self) -> Json {
-        Json::obj(vec![
-            ("errors", Json::u64(self.error_count() as u64)),
-            ("warnings", Json::u64(self.warning_count() as u64)),
-            (
-                "benchmarks",
-                Json::Obj(
-                    self.benches
-                        .iter()
-                        .map(|b| {
-                            (
-                                b.name.clone(),
-                                Json::obj(vec![
-                                    ("sites", Json::u64(b.sites() as u64)),
-                                    ("affine", Json::u64(b.affine_sites() as u64)),
-                                    ("errors", Json::u64(b.errors() as u64)),
-                                    ("warnings", Json::u64(b.warnings() as u64)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+impl Verdict for AuditReport {
+    fn section(&self) -> &'static str {
+        "audit"
+    }
+
+    fn summary_table(&self) -> Result<Table, StudyError> {
+        self.summary_table_with(
+            "Access-contract audit",
+            &["Kernels", "Sites", "Affine"],
+            |b| {
+                vec![
+                    b.contracts.len().to_string(),
+                    b.sites().to_string(),
+                    b.affine_sites().to_string(),
+                ]
+            },
+        )
+    }
+
+    fn console_lines(&self) -> Vec<String> {
+        self.console_lines_with("audit")
+    }
+
+    fn error_count(&self) -> usize {
+        FindingsReport::error_count(self)
+    }
+
+    fn body_json(&self) -> Json {
+        self.to_json()
+    }
+
+    /// Per benchmark its site and affine-site counts, without the
+    /// full contract payloads.
+    fn manifest_section(&self) -> Json {
+        self.manifest_section_with(|b| {
+            vec![
+                ("sites", Json::u64(b.sites() as u64)),
+                ("affine", Json::u64(b.affine_sites() as u64)),
+            ]
+        })
     }
 
     /// Writes the manifest to `dir/AUDIT_manifest.json` through the
     /// [`ManifestKind`](crate::manifest::ManifestKind) registry
-    /// (atomic, creating `dir` if needed). Returns the written path.
-    ///
-    /// # Errors
-    ///
-    /// [`StudyError::Io`] if the directory cannot be created or the
-    /// file cannot be written.
-    pub fn write(&self, dir: &Path) -> Result<PathBuf, StudyError> {
+    /// (atomic, creating `dir` if needed).
+    fn write(&self, dir: &Path) -> Result<PathBuf, StudyError> {
         crate::manifest::write_manifest(dir, crate::manifest::ManifestKind::Audit, &self.to_json())
     }
 }
@@ -207,18 +170,18 @@ impl AuditReport {
 /// Runs the access-contract audit across the suite and the incremental
 /// variants.
 ///
-/// The corpus always captures at [`Scale::Tiny`] — the pigeonhole set
+/// The corpus always runs at [`Scale::Tiny`] — the pigeonhole set
 /// the affine fitter needs is small, and the proofs extrapolate
-/// symbolically. When `scale` is larger, the corpus also captures at
+/// symbolically. When `scale` is larger, the corpus also runs at
 /// `scale` and each benchmark's contracts are cross-validated for
-/// pattern-class stability. Both captures go through the session's
-/// shared [`TraceCache`](crate::trace_cache::TraceCache), so an audit
-/// after `run`/`check` in the same session reuses warm traces. Jobs
-/// fan out across the session's workers.
+/// pattern-class stability. Every run is direct
+/// (`sanitized_capture`, no trace recording), so the session's trace
+/// cache and store are left untouched. Jobs fan out across the
+/// session's workers.
 ///
 /// # Errors
 ///
-/// [`StudyError::Sim`] if a capture itself fails — a *failed launch*
+/// [`StudyError::Sim`] if a run itself fails — a *failed launch*
 /// is not an error here (its partial tape is still evidence), but a
 /// refused configuration is.
 pub fn run_audit(session: &StudySession, scale: Scale) -> Result<AuditReport, StudyError> {
@@ -228,11 +191,11 @@ pub fn run_audit(session: &StudySession, scale: Scale) -> Result<AuditReport, St
     let benches = session.run_indexed(tiny_targets.len(), |i| {
         let target = &tiny_targets[i];
         let _span = obs::span!("audit.{}", target.label);
-        let (tapes, _) = sanitized_capture(session, Scale::Tiny, &cfg, target)?;
+        let (tapes, _) = sanitized_capture(&cfg, target, false)?;
         let contracts = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
         let mut findings = check_contracts(&contracts);
         if let Some(targets) = &verify_targets {
-            let (tapes, _) = sanitized_capture(session, scale, &cfg, &targets[i])?;
+            let (tapes, _) = sanitized_capture(&cfg, &targets[i], false)?;
             let verify = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
             findings.extend(compare_scales(&contracts, &verify));
         }

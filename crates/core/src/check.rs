@@ -1,20 +1,27 @@
 //! The `repro check` driver: the full suite through the sanitizer.
 //!
 //! For every suite benchmark (and the Table III incremental variants),
-//! this captures the workload once through the shared
-//! [`TraceCache`](crate::trace_cache::TraceCache)
-//! with a sanitizer sink installed, runs the [`sanitize::Analyzer`]
-//! dynamic checkers over the collected launch tapes, and runs the
-//! access-shape lints over the captured kernel traces (merged per
-//! kernel across launches, so thresholds see whole-kernel statistics).
+//! this runs the workload once on a fresh [`Gpu`] with a sanitizer sink
+//! installed and trace recording on (`sanitized_capture`), runs the
+//! [`sanitize::Analyzer`] dynamic checkers over the collected launch
+//! tapes, and runs the access-shape lints over the recorded kernel
+//! traces (merged per kernel across launches, so thresholds see
+//! whole-kernel statistics). The run is direct: it neither reads nor
+//! fills the session's trace cache or store, so the report never
+//! depends on what the process ran before.
 //!
 //! Error-severity findings are contract violations — the suite must
-//! report none — so [`CheckReport::error_count`] drives the process
+//! report none — so the report's error count drives the process
 //! exit code and the CI gate. Warnings (the lints) are advisory: the
 //! paper's own Table III narrative expects the unoptimized variants to
 //! trip them.
+//!
+//! [`FindingsReport`] is the roll-up `repro check` and `repro audit`
+//! share: per-benchmark and suite error/warning counts, the rendered
+//! finding lines, and the manifest section.
 
-use std::sync::{Arc, Mutex};
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use datasets::Scale;
 use obs::Json;
@@ -28,6 +35,116 @@ use simt::{Gpu, GpuConfig, KernelStats, KernelTrace, LaunchTape};
 use crate::engine::StudySession;
 use crate::error::StudyError;
 use crate::report::Table;
+use crate::request::Verdict;
+
+/// One benchmark's entry in a findings verdict (`repro check` or
+/// `repro audit`).
+pub trait BenchFindings {
+    /// Display name (`BP`, `SRAD v1`, ...).
+    fn name(&self) -> &str;
+    /// The benchmark's findings, coalesced and ordered.
+    fn findings(&self) -> &[Finding];
+
+    /// Error-severity findings for this benchmark.
+    fn errors(&self) -> usize {
+        error_count(self.findings())
+    }
+
+    /// Warning-severity findings for this benchmark.
+    fn warnings(&self) -> usize {
+        warning_count(self.findings())
+    }
+}
+
+/// A suite-wide findings verdict: [`CheckReport`] and
+/// [`AuditReport`](crate::audit::AuditReport).
+#[derive(Debug)]
+pub struct FindingsReport<B> {
+    /// Scale the suite ran at.
+    pub scale: Scale,
+    /// Per-benchmark verdicts, suite order then variants.
+    pub benches: Vec<B>,
+}
+
+impl<B: BenchFindings> FindingsReport<B> {
+    /// Total error-severity findings (drives the exit code).
+    pub fn error_count(&self) -> usize {
+        self.benches.iter().map(B::errors).sum()
+    }
+
+    /// Total warning-severity findings.
+    pub fn warning_count(&self) -> usize {
+        self.benches.iter().map(B::warnings).sum()
+    }
+
+    /// Every finding as a rendered text line, grouped by benchmark.
+    pub fn finding_lines(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        for b in &self.benches {
+            for line in sanitize::render_findings(b.findings()) {
+                out.push(format!("{}: {line}", b.name()));
+            }
+        }
+        out
+    }
+
+    /// The finding lines followed by the `verb: N error(s), M
+    /// warning(s)` totals line.
+    pub(crate) fn console_lines_with(&self, verb: &str) -> Vec<String> {
+        let mut out = self.finding_lines();
+        out.push(format!(
+            "{verb}: {} error(s), {} warning(s)",
+            self.error_count(),
+            self.warning_count()
+        ));
+        out
+    }
+
+    /// The summary table: one row per benchmark, its name, then
+    /// `cells` under `columns`, then its error and warning counts.
+    pub(crate) fn summary_table_with(
+        &self,
+        title: &str,
+        columns: &[&str],
+        cells: impl Fn(&B) -> Vec<String>,
+    ) -> Result<Table, StudyError> {
+        let mut headers = vec!["Benchmark"];
+        headers.extend_from_slice(columns);
+        headers.extend(["Errors", "Warnings"]);
+        let mut t = Table::new(&format!("{title} ({:?} scale)", self.scale), &headers);
+        for b in &self.benches {
+            let mut row = vec![b.name().to_string()];
+            row.extend(cells(b));
+            row.extend([b.errors().to_string(), b.warnings().to_string()]);
+            t.push(row)?;
+        }
+        Ok(t)
+    }
+
+    /// A compact verdict for embedding as a manifest section:
+    /// error/warning totals and per benchmark its `counts` plus its
+    /// error/warning counts, without the full finding payloads.
+    pub(crate) fn manifest_section_with(
+        &self,
+        counts: impl Fn(&B) -> Vec<(&'static str, Json)>,
+    ) -> Json {
+        let benches = self
+            .benches
+            .iter()
+            .map(|b| {
+                let mut pairs = counts(b);
+                pairs.push(("errors", Json::u64(b.errors() as u64)));
+                pairs.push(("warnings", Json::u64(b.warnings() as u64)));
+                (b.name().to_string(), Json::obj(pairs))
+            })
+            .collect();
+        Json::obj(vec![
+            ("errors", Json::u64(self.error_count() as u64)),
+            ("warnings", Json::u64(self.warning_count() as u64)),
+            ("benchmarks", Json::Obj(benches)),
+        ])
+    }
+}
 
 /// The sanitizer verdict for one benchmark (or variant).
 #[derive(Debug)]
@@ -42,75 +159,45 @@ pub struct BenchCheck {
     pub metrics: Vec<KernelLintMetrics>,
 }
 
-impl BenchCheck {
-    /// Error-severity findings for this benchmark.
-    pub fn errors(&self) -> usize {
-        error_count(&self.findings)
+impl BenchFindings for BenchCheck {
+    fn name(&self) -> &str {
+        &self.name
     }
 
-    /// Warning-severity findings for this benchmark.
-    pub fn warnings(&self) -> usize {
-        warning_count(&self.findings)
+    fn findings(&self) -> &[Finding] {
+        &self.findings
     }
 }
 
 /// The full `repro check` result across the suite.
-#[derive(Debug)]
-pub struct CheckReport {
-    /// Scale the suite ran at.
-    pub scale: Scale,
-    /// Per-benchmark verdicts, suite order then variants.
-    pub benches: Vec<BenchCheck>,
-}
+pub type CheckReport = FindingsReport<BenchCheck>;
 
-impl CheckReport {
-    /// Total error-severity findings (drives the exit code).
-    pub fn error_count(&self) -> usize {
-        self.benches.iter().map(BenchCheck::errors).sum()
+impl Verdict for CheckReport {
+    fn section(&self) -> &'static str {
+        "check"
     }
 
-    /// Total warning-severity findings.
-    pub fn warning_count(&self) -> usize {
-        self.benches.iter().map(BenchCheck::warnings).sum()
+    fn summary_table(&self) -> Result<Table, StudyError> {
+        self.summary_table_with(
+            "Sanitizer check",
+            &["Launches", "Kernels"],
+            |b| vec![b.launches.to_string(), b.metrics.len().to_string()],
+        )
     }
 
-    /// The summary table: one row per benchmark.
-    ///
-    /// # Errors
-    ///
-    /// [`StudyError::TableRow`] only on an internal width bug.
-    pub fn summary_table(&self) -> Result<Table, StudyError> {
-        let mut t = Table::new(
-            &format!("Sanitizer check ({:?} scale)", self.scale),
-            &["Benchmark", "Launches", "Kernels", "Errors", "Warnings"],
-        );
-        for b in &self.benches {
-            t.push(vec![
-                b.name.clone(),
-                b.launches.to_string(),
-                b.metrics.len().to_string(),
-                b.errors().to_string(),
-                b.warnings().to_string(),
-            ])?;
-        }
-        Ok(t)
+    fn console_lines(&self) -> Vec<String> {
+        self.console_lines_with("check")
     }
 
-    /// Every finding as a rendered text line, grouped by benchmark.
-    pub fn finding_lines(&self) -> Vec<String> {
-        let mut out = Vec::new();
-        for b in &self.benches {
-            for line in sanitize::render_findings(&b.findings) {
-                out.push(format!("{}: {line}", b.name));
-            }
-        }
-        out
+    fn error_count(&self) -> usize {
+        FindingsReport::error_count(self)
     }
 
-    /// The machine-readable report (`repro check --json` schema):
-    /// `{"scale", "errors", "warnings", "benchmarks": [{"name",
-    /// "launches", ...findings payload..., "metrics": [...]}]}`.
-    pub fn to_json(&self) -> Json {
+    /// The `check_report.json` document: `{"scale", "errors",
+    /// "warnings", "benchmarks": [{"name", "launches", ...findings
+    /// payload..., "metrics": [...]}]}`. Deterministic — nothing
+    /// process- or wall-clock-dependent is included.
+    fn body_json(&self) -> Json {
         let benches = self
             .benches
             .iter()
@@ -134,36 +221,18 @@ impl CheckReport {
             ("errors", Json::u64(self.error_count() as u64)),
             ("warnings", Json::u64(self.warning_count() as u64)),
             ("benchmarks", Json::Arr(benches)),
-            ("store", crate::manifest::store_counters_json()),
         ])
     }
 
-    /// A compact verdict for embedding in `BENCH_manifest.json`:
-    /// error/warning totals and the per-benchmark counts, without the
-    /// full finding payloads.
-    pub fn manifest_section(&self) -> Json {
-        Json::obj(vec![
-            ("errors", Json::u64(self.error_count() as u64)),
-            ("warnings", Json::u64(self.warning_count() as u64)),
-            (
-                "benchmarks",
-                Json::Obj(
-                    self.benches
-                        .iter()
-                        .map(|b| {
-                            (
-                                b.name.clone(),
-                                Json::obj(vec![
-                                    ("launches", Json::u64(b.launches)),
-                                    ("errors", Json::u64(b.errors() as u64)),
-                                    ("warnings", Json::u64(b.warnings() as u64)),
-                                ]),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+    fn manifest_section(&self) -> Json {
+        self.manifest_section_with(|b| vec![("launches", Json::u64(b.launches))])
+    }
+
+    /// Writes [`Verdict::body_json`] to `dir/check_report.json`
+    /// (atomic, creating `dir` if needed).
+    fn write(&self, dir: &Path) -> Result<PathBuf, StudyError> {
+        let body = format!("{}\n", self.body_json());
+        Ok(store::write_atomic(dir, "check_report.json", body.as_bytes())?)
     }
 }
 
@@ -188,128 +257,80 @@ fn metrics_json(m: &KernelLintMetrics) -> Json {
 /// order, so lints see whole-kernel statistics instead of per-launch
 /// fragments (NW launches one kernel per anti-diagonal; linting a
 /// two-CTA fragment would duplicate findings and starve the minimums).
-fn merge_traces_by_kernel(traces: &[Arc<KernelTrace>]) -> Vec<KernelTrace> {
+fn merge_traces_by_kernel(traces: Vec<Arc<KernelTrace>>) -> Vec<KernelTrace> {
     let mut merged: Vec<KernelTrace> = Vec::new();
     for t in traces {
+        let t = Arc::unwrap_or_clone(t);
         match merged.iter_mut().find(|m| m.name == t.name) {
-            Some(m) => m.ctas.extend(t.ctas.iter().cloned()),
-            None => merged.push((**t).clone()),
+            Some(m) => m.ctas.extend(t.ctas),
+            None => merged.push(t),
         }
     }
     merged
 }
 
 /// One checkable workload: a suite benchmark or an incremental variant.
-/// Shared with the `repro audit` driver, which walks the same corpus
-/// through the same cache keys.
+/// Shared with the `repro audit` driver, which walks the same corpus.
 pub(crate) struct CheckTarget {
     /// Display name in the report.
     pub(crate) label: String,
-    /// Trace-cache family key.
-    pub(crate) family: &'static str,
-    /// Trace-cache variant key.
-    pub(crate) variant: &'static str,
     /// Runs the workload on a device.
     pub(crate) run: Box<dyn Fn(&mut Gpu) -> KernelStats + Send + Sync>,
 }
 
 pub(crate) fn suite_targets(scale: Scale) -> Vec<CheckTarget> {
+    let target = |label: &str, run: Box<dyn Fn(&mut Gpu) -> KernelStats + Send + Sync>| {
+        CheckTarget {
+            label: label.to_string(),
+            run,
+        }
+    };
     let mut targets: Vec<CheckTarget> = all_benchmarks(scale)
         .into_iter()
-        .map(|b| {
-            let b = Arc::new(b);
-            CheckTarget {
-                label: b.abbrev().to_string(),
-                family: b.abbrev(),
-                variant: "",
-                run: Box::new(move |gpu| b.run_on(gpu)),
-            }
-        })
+        .map(|b| target(b.abbrev(), Box::new(move |gpu| b.run_on(gpu))))
         .collect();
     // The Table III incremental versions: the lint ground truth.
-    targets.push(variant_target("SRAD v1", "SRAD", "v1", move |gpu| {
-        Srad::v1(scale).run(gpu)
-    }));
-    targets.push(variant_target("SRAD v2", "SRAD", "v2", move |gpu| {
-        Srad::v2(scale).run(gpu)
-    }));
-    targets.push(variant_target("LC v1", "LC", "v1", move |gpu| {
-        Leukocyte::v1(scale).run(gpu)
-    }));
-    targets.push(variant_target("LC v2", "LC", "v2", move |gpu| {
-        Leukocyte::v2(scale).run(gpu)
-    }));
-    targets.push(variant_target("NW naive", "NW", "naive", move |gpu| {
-        Nw::naive(scale).run(gpu)
-    }));
+    targets.push(target("SRAD v1", Box::new(move |gpu| Srad::v1(scale).run(gpu))));
+    targets.push(target("SRAD v2", Box::new(move |gpu| Srad::v2(scale).run(gpu))));
+    targets.push(target("LC v1", Box::new(move |gpu| Leukocyte::v1(scale).run(gpu))));
+    targets.push(target("LC v2", Box::new(move |gpu| Leukocyte::v2(scale).run(gpu))));
+    targets.push(target("NW naive", Box::new(move |gpu| Nw::naive(scale).run(gpu))));
     targets
 }
 
-fn variant_target(
-    label: &str,
-    family: &'static str,
-    variant: &'static str,
-    run: impl Fn(&mut Gpu) -> KernelStats + Send + Sync + 'static,
-) -> CheckTarget {
-    CheckTarget {
-        label: label.to_string(),
-        family,
-        variant,
-        run: Box::new(run),
-    }
-}
-
-/// Runs one target with a sanitizer sink installed and returns its
-/// collected tapes plus the captured traces.
+/// Runs one target on a fresh [`Gpu`] with a sanitizer sink installed
+/// and returns its launch tapes, plus its recorded traces in launch
+/// order when `record_traces` is set (empty otherwise).
 pub(crate) fn sanitized_capture(
-    session: &StudySession,
-    scale: Scale,
     cfg: &GpuConfig,
     target: &CheckTarget,
+    record_traces: bool,
 ) -> Result<(Vec<LaunchTape>, Vec<Arc<KernelTrace>>), StudyError> {
-    let tapes: Arc<Mutex<Vec<LaunchTape>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink_tapes = Arc::clone(&tapes);
-    let run = session
-        .cache()
-        .capture_fn(target.family, scale, target.variant, cfg, |gpu| {
-            gpu.set_sanitizer_sink(move |tape| {
-                sink_tapes
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .push(tape);
-            });
-            (target.run)(gpu)
-        })?;
-    let mut collected = std::mem::take(&mut *tapes.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-    if collected.is_empty() && !run.traces.is_empty() {
-        // The cache was already warm, so the capture closure (and its
-        // sink) never ran. Re-execute directly; functional execution is
-        // deterministic, so the tapes match what capture would have seen.
-        let mut gpu = Gpu::try_new(cfg.clone())?;
-        let direct = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&direct);
-        gpu.set_sanitizer_sink(move |tape| {
-            sink.lock().unwrap_or_else(std::sync::PoisonError::into_inner).push(tape);
-        });
-        (target.run)(&mut gpu);
-        collected = std::mem::take(&mut *direct.lock().unwrap_or_else(std::sync::PoisonError::into_inner));
-    }
-    Ok((collected, run.traces.clone()))
+    let tapes: Arc<Mutex<Vec<LaunchTape>>> = Arc::default();
+    let sink = Arc::clone(&tapes);
+    let mut gpu = Gpu::try_new(cfg.clone())?;
+    gpu.set_trace_recording(record_traces);
+    gpu.set_sanitizer_sink(move |tape| {
+        sink.lock().unwrap_or_else(PoisonError::into_inner).push(tape);
+    });
+    (target.run)(&mut gpu);
+    let traces = gpu.take_recorded_traces();
+    let tapes = std::mem::take(&mut *tapes.lock().unwrap_or_else(PoisonError::into_inner));
+    Ok((tapes, traces))
 }
 
 /// Runs the sanitizer across the suite and the incremental variants.
 ///
-/// Each benchmark captures at most once (shared [`TraceCache`]); the
-/// checkers and lints then run over the tapes and traces. Jobs fan out
-/// across the session's workers.
+/// Each target runs once, directly (`sanitized_capture`); the
+/// checkers and lints then run over its tapes and traces. Jobs fan out
+/// across the session's workers; the session's trace cache and store
+/// are left untouched.
 ///
 /// # Errors
 ///
-/// [`StudyError::Sim`] if a capture itself fails — a *failed launch* is
+/// [`StudyError::Sim`] if a run itself fails — a *failed launch* is
 /// not an error here (it becomes a finding), but a refused
 /// configuration is.
-///
-/// [`TraceCache`]: crate::trace_cache::TraceCache
 pub fn run_check(session: &StudySession, scale: Scale) -> Result<CheckReport, StudyError> {
     let cfg = GpuConfig::gpgpusim_default();
     let lint_cfg = LintConfig::default();
@@ -317,7 +338,7 @@ pub fn run_check(session: &StudySession, scale: Scale) -> Result<CheckReport, St
     let benches = session.run_indexed(targets.len(), |i| {
         let target = &targets[i];
         let _span = obs::span!("check.{}", target.label);
-        let (tapes, traces) = sanitized_capture(session, scale, &cfg, target)?;
+        let (tapes, traces) = sanitized_capture(&cfg, target, true)?;
         let mut analyzer = Analyzer::new();
         for tape in &tapes {
             analyzer.observe(tape);
@@ -325,7 +346,7 @@ pub fn run_check(session: &StudySession, scale: Scale) -> Result<CheckReport, St
         let launches = analyzer.launches();
         let mut findings = analyzer.finish();
         let mut metrics = Vec::new();
-        for kernel in merge_traces_by_kernel(&traces) {
+        for kernel in merge_traces_by_kernel(traces) {
             let (m, lint_findings) = lint_trace(&kernel, &lint_cfg);
             metrics.push(m);
             findings.extend(lint_findings);

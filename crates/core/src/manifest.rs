@@ -268,7 +268,7 @@ pub fn write_study_manifest(
 
 /// Snapshot of the persistent-store health counters as a JSON object
 /// (`hit`, `miss`, `write`, `corrupt`, `evict`, `retry`), embedded in
-/// every `BENCH_manifest.json` and in the `repro check` report: a run
+/// every `BENCH_manifest.json` and in the daemon's `GET /stats`: a run
 /// that silently recaptured half its store should say so in its
 /// artifacts.
 pub fn store_counters_json() -> Json {

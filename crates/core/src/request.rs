@@ -13,7 +13,7 @@
 //!
 //! ```text
 //! {
-//!   "command":     "tables" | "check" | "analyze",   // default "tables"
+//!   "command":     "tables" | "check" | "audit" | "analyze", // default "tables"
 //!   "artifacts":   "all" | ["fig1", "table3", ...],  // tables only
 //!   "scale":       "tiny" | "small" | "paper",       // default "small"
 //!   "jobs":        4,                                // optional hint
@@ -22,26 +22,29 @@
 //! }
 //! ```
 //!
-//! Unknown fields are rejected, as are `store`/`resume` — the daemon
-//! owns its store; durability is a deployment property of the session,
-//! not of one request. `jobs` and `sim_threads` are deliberately
-//! **not** part of [`StudyRequest::study_key`]: results are
-//! byte-identical at any worker width of either pool (`jobs`
-//! parallelizes across replays, `sim_threads` across the launches
-//! inside one — see `rodinia_study::engine`), so requests differing only in
-//! those hints are the same study and may coalesce.
+//! Unknown fields are rejected, as are a repeated `command`,
+//! `artifacts` next to a non-tables command, `top_k` outside analyze
+//! (the CLI lowers through the same [`StudyCommand::from_parts`]), and
+//! `store`/`resume` — the daemon owns its store; durability is a
+//! deployment property of the session, not of one request. `jobs` and
+//! `sim_threads` are deliberately **not** part of
+//! [`StudyRequest::study_key`]: results are byte-identical at any
+//! worker width of either pool (`jobs` parallelizes across replays,
+//! `sim_threads` across the launches inside one — see
+//! `rodinia_study::engine`), so requests differing only in those hints
+//! are the same study and may coalesce.
 
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use datasets::Scale;
 use obs::Json;
 use store::{fnv1a64, Journal};
 
-use crate::analyze::{run_analyze, AnalyzeReport, DEFAULT_TOP_K};
-use crate::audit::{run_audit, AuditReport};
-use crate::check::{run_check, CheckReport};
+use crate::analyze::{run_analyze, DEFAULT_TOP_K};
+use crate::audit::run_audit;
+use crate::check::run_check;
 use crate::engine::StudySession;
 use crate::error::StudyError;
 use crate::experiments::ExperimentId;
@@ -100,6 +103,9 @@ pub enum RequestError {
     ResumeWithoutStore,
     /// A tables request naming no artifacts.
     NoArtifacts,
+    /// A second command in one request (`repro check audit`, or a
+    /// repeated `"command"` field).
+    RepeatedCommand,
     /// An artifact name the registry does not know.
     UnknownArtifact(String),
     /// A scale token other than tiny/small/paper.
@@ -115,6 +121,9 @@ impl std::fmt::Display for RequestError {
         match self {
             RequestError::ResumeWithoutStore => write!(f, "--resume requires --store <dir>"),
             RequestError::NoArtifacts => write!(f, "no artifacts requested; try `repro list`"),
+            RequestError::RepeatedCommand => {
+                write!(f, "a request takes one command: tables, check, audit, or analyze")
+            }
             RequestError::UnknownArtifact(name) => {
                 write!(f, "unknown artifact {name:?}; try `repro list`")
             }
@@ -146,6 +155,54 @@ fn as_count(v: &Json, msg: &'static str) -> Result<usize, RequestError> {
         return Err(RequestError::Malformed(msg));
     }
     Ok(n as usize)
+}
+
+impl StudyCommand {
+    /// Lowers a front end's command word (`None` = tables), artifact
+    /// list and `top_k` into a command. Both the CLI and
+    /// [`StudyRequest::from_json`] go through here, so they reject the
+    /// same combinations with the same messages.
+    ///
+    /// # Errors
+    ///
+    /// [`RequestError::Malformed`] for an unknown command word, a
+    /// tables request without artifacts, artifacts next to another
+    /// command, or `top_k` outside analyze.
+    pub fn from_parts(
+        verb: Option<&str>,
+        artifacts: Option<Vec<ExperimentId>>,
+        top_k: Option<usize>,
+    ) -> Result<StudyCommand, RequestError> {
+        let command = match (verb.unwrap_or("tables"), artifacts) {
+            ("tables", Some(artifacts)) => StudyCommand::Tables { artifacts },
+            ("tables", None) => {
+                return Err(RequestError::Malformed(
+                    "tables requests need an \"artifacts\" field",
+                ))
+            }
+            (_, Some(_)) => {
+                return Err(RequestError::Malformed(
+                    "\"artifacts\" only applies to tables requests",
+                ))
+            }
+            ("check", None) => StudyCommand::Check,
+            ("audit", None) => StudyCommand::Audit,
+            ("analyze", None) => StudyCommand::Analyze {
+                top_k: top_k.unwrap_or(DEFAULT_TOP_K),
+            },
+            _ => {
+                return Err(RequestError::Malformed(
+                    "\"command\" must be \"tables\", \"check\", \"audit\", or \"analyze\"",
+                ))
+            }
+        };
+        if top_k.is_some() && !matches!(command, StudyCommand::Analyze { .. }) {
+            return Err(RequestError::Malformed(
+                "\"top_k\" only applies to analyze requests",
+            ));
+        }
+        Ok(command)
+    }
 }
 
 impl StudyRequest {
@@ -221,6 +278,9 @@ impl StudyRequest {
         for (key, value) in pairs {
             match key.as_str() {
                 "command" => {
+                    if command.is_some() {
+                        return Err(RequestError::RepeatedCommand);
+                    }
                     command = Some(value.as_str().ok_or(RequestError::Malformed(
                         "\"command\" must be a string",
                     ))?);
@@ -272,37 +332,7 @@ impl StudyRequest {
                 other => return Err(RequestError::UnknownField(other.to_string())),
             }
         }
-        let command = match command.unwrap_or("tables") {
-            "tables" => StudyCommand::Tables {
-                artifacts: artifacts.ok_or(RequestError::Malformed(
-                    "tables requests need an \"artifacts\" field",
-                ))?,
-            },
-            other => {
-                if artifacts.is_some() {
-                    return Err(RequestError::Malformed(
-                        "\"artifacts\" only applies to tables requests",
-                    ));
-                }
-                match other {
-                    "check" => StudyCommand::Check,
-                    "audit" => StudyCommand::Audit,
-                    "analyze" => StudyCommand::Analyze {
-                        top_k: top_k.take().unwrap_or(DEFAULT_TOP_K),
-                    },
-                    _ => {
-                        return Err(RequestError::Malformed(
-                            "\"command\" must be \"tables\", \"check\", \"audit\", or \"analyze\"",
-                        ))
-                    }
-                }
-            }
-        };
-        if top_k.is_some() && !matches!(command, StudyCommand::Analyze { .. }) {
-            return Err(RequestError::Malformed(
-                "\"top_k\" only applies to analyze requests",
-            ));
-        }
+        let command = StudyCommand::from_parts(command, artifacts, top_k)?;
         Ok(StudyRequest {
             command,
             scale,
@@ -314,7 +344,51 @@ impl StudyRequest {
     }
 }
 
-/// What [`execute`] produced, carrying the typed reports so front ends
+/// A suite-wide verdict — [`CheckReport`](crate::check::CheckReport),
+/// [`AuditReport`](crate::audit::AuditReport) or
+/// [`AnalyzeReport`](crate::analyze::AnalyzeReport) — as the front ends
+/// present it: the daemon answers with [`Verdict::body_json`], the CLI
+/// prints the summary table and console lines, writes the report with
+/// `--json`, and exits with the error count's verdict.
+pub trait Verdict: std::fmt::Debug + Send + Sync {
+    /// Name of the verdict's section in `BENCH_manifest.json` (and, for
+    /// check and audit, in the store's `STUDY_manifest.json`).
+    fn section(&self) -> &'static str;
+
+    /// The summary table: one row per benchmark.
+    ///
+    /// # Errors
+    ///
+    /// [`StudyError::TableRow`] only on an internal width bug.
+    fn summary_table(&self) -> Result<Table, StudyError>;
+
+    /// The console lines printed after the summary table.
+    fn console_lines(&self) -> Vec<String>;
+
+    /// Error-severity findings; nonzero fails the CLI run. A verdict
+    /// that measures rather than gates keeps the default, 0.
+    fn error_count(&self) -> usize {
+        0
+    }
+
+    /// The machine-readable report: the daemon's response body and the
+    /// bytes [`Verdict::write`] puts on disk.
+    fn body_json(&self) -> Json;
+
+    /// A compact summary for embedding as a manifest section.
+    fn manifest_section(&self) -> Json;
+
+    /// Writes the report into `dir` (atomic, creating `dir` if needed)
+    /// and returns the written path.
+    ///
+    /// # Errors
+    ///
+    /// [`StudyError::Io`] if the directory cannot be created or the
+    /// file cannot be written.
+    fn write(&self, dir: &Path) -> Result<PathBuf, StudyError>;
+}
+
+/// What [`execute`] produced, carrying the typed results so front ends
 /// can render them their own way while the machine-readable body stays
 /// shared.
 #[derive(Debug)]
@@ -327,12 +401,8 @@ pub enum StudyResponse {
         /// `(artifact name, tables)` per completed experiment.
         completed: Vec<(String, Vec<Table>)>,
     },
-    /// A sanitizer run.
-    Check(CheckReport),
-    /// An access-contract audit run.
-    Audit(AuditReport),
-    /// A critical-path attribution run.
-    Analyze(AnalyzeReport),
+    /// A `check`, `audit` or `analyze` run.
+    Verdict(Box<dyn Verdict>),
 }
 
 impl StudyResponse {
@@ -345,9 +415,7 @@ impl StudyResponse {
             StudyResponse::Tables { scale, completed } => {
                 manifest::study_manifest_json(*scale, completed)
             }
-            StudyResponse::Check(report) => report.to_json(),
-            StudyResponse::Audit(report) => report.to_json(),
-            StudyResponse::Analyze(report) => report.to_json(),
+            StudyResponse::Verdict(v) => v.body_json(),
         }
     }
 
@@ -358,13 +426,12 @@ impl StudyResponse {
         format!("{}\n", self.body_json()).into_bytes()
     }
 
-    /// The CLI exit code this result maps to: nonzero only for a check
-    /// or audit run with error-severity findings.
+    /// The CLI exit code this result maps to: nonzero only for a
+    /// verdict with error-severity findings.
     pub fn exit_code(&self) -> i32 {
         match self {
-            StudyResponse::Check(report) => i32::from(report.error_count() > 0),
-            StudyResponse::Audit(report) => i32::from(report.error_count() > 0),
-            _ => 0,
+            StudyResponse::Tables { .. } => 0,
+            StudyResponse::Verdict(v) => i32::from(v.error_count() > 0),
         }
     }
 }
@@ -401,11 +468,11 @@ impl RequestObserver for Quiet {}
 fn write_verdict_section(
     session: &StudySession,
     scale: Scale,
-    name: &str,
-    payload: Json,
+    verdict: &dyn Verdict,
     observer: &mut dyn RequestObserver,
 ) {
     let Some(s) = session.store() else { return };
+    let (name, payload) = (verdict.section(), verdict.manifest_section());
     let doc = match std::fs::read_to_string(s.dir().join(manifest::STUDY_MANIFEST_FILE))
         .ok()
         .and_then(|text| Json::parse(&text).ok())
@@ -439,7 +506,9 @@ fn write_verdict_section(
 /// at most once per session, the comparison corpus first if any
 /// artifact needs it) and is checkpointed in this request's journal,
 /// and — when the session has a store attached — the deterministic
-/// `STUDY_manifest.json` is written next to it. Per-request `jobs` /
+/// `STUDY_manifest.json` is written next to it. `check`, `audit` and
+/// `analyze` answer with a [`Verdict`]; check and audit also embed
+/// theirs as a section of the store's study manifest. Per-request `jobs` /
 /// `sim_threads` hints resize the session's worker pool and the
 /// intra-replay worker count; results are byte-identical at any width
 /// of either.
@@ -462,16 +531,17 @@ pub fn execute(
     let artifacts = match &req.command {
         StudyCommand::Check => {
             let report = run_check(session, req.scale)?;
-            write_verdict_section(session, req.scale, "check", report.manifest_section(), observer);
-            return Ok(StudyResponse::Check(report));
+            write_verdict_section(session, req.scale, &report, observer);
+            return Ok(StudyResponse::Verdict(Box::new(report)));
         }
         StudyCommand::Audit => {
             let report = run_audit(session, req.scale)?;
-            write_verdict_section(session, req.scale, "audit", report.manifest_section(), observer);
-            return Ok(StudyResponse::Audit(report));
+            write_verdict_section(session, req.scale, &report, observer);
+            return Ok(StudyResponse::Verdict(Box::new(report)));
         }
         StudyCommand::Analyze { top_k } => {
-            return run_analyze(session, req.scale, *top_k).map(StudyResponse::Analyze)
+            let report = run_analyze(session, req.scale, *top_k)?;
+            return Ok(StudyResponse::Verdict(Box::new(report)));
         }
         StudyCommand::Tables { artifacts } => artifacts,
     };
@@ -674,6 +744,10 @@ mod tests {
             parse_req(r#"{"command":"check","artifacts":["fig1"]}"#),
             Err(RequestError::Malformed(_))
         ));
+        assert_eq!(
+            parse_req(r#"{"command":"check","command":"audit"}"#),
+            Err(RequestError::RepeatedCommand)
+        );
         assert!(matches!(
             parse_req(r#"{"artifacts":["fig1"],"top_k":2}"#),
             Err(RequestError::Malformed(m)) if m.contains("top_k")

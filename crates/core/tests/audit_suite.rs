@@ -52,7 +52,7 @@ fn corpus_contracts_prove_clean_and_manifest_is_deterministic() {
         .all(|f| f.kind == FindingKind::NonAffineAccess));
 
     // Two renders of the same report are byte-identical, and a second
-    // independent run (warm trace cache) reproduces them exactly —
+    // independent run in the same session reproduces them exactly —
     // the property the CI audit gate `cmp`s.
     let once = format!("{}", report.to_json());
     assert_eq!(once, format!("{}", report.to_json()));

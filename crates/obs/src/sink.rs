@@ -20,8 +20,6 @@ pub enum EventKind {
     SpanStart,
     /// A span closed; fields include `dur_us`.
     SpanEnd,
-    /// A counter was bumped.
-    Counter,
     /// A structured record (e.g. per-launch kernel statistics).
     Record,
 }
@@ -32,7 +30,6 @@ impl EventKind {
         match self {
             EventKind::SpanStart => "span_start",
             EventKind::SpanEnd => "span_end",
-            EventKind::Counter => "counter",
             EventKind::Record => "record",
         }
     }
@@ -130,7 +127,7 @@ pub fn emit_with(build: impl FnOnce() -> Event) {
 
 /// Name of the verbosity environment variable read by
 /// [`init_from_env`]: `RODINIA_OBS=1` prints closed spans to stderr,
-/// `RODINIA_OBS=2` additionally prints counters and records.
+/// `RODINIA_OBS=2` additionally prints span starts and records.
 pub const ENV_VERBOSITY: &str = "RODINIA_OBS";
 
 /// Installs a [`TextSink`] if the [`ENV_VERBOSITY`] environment variable
@@ -256,7 +253,7 @@ mod tests {
         emit_with(|| {
             evaluated = true;
             Event {
-                kind: EventKind::Counter,
+                kind: EventKind::Record,
                 name: "x".into(),
                 fields: vec![],
             }

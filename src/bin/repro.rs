@@ -34,9 +34,10 @@
 //! * `--json <dir>` writes a run manifest (`BENCH_manifest.json`) with
 //!   every table, every kernel's stats and stall breakdown, and span
 //!   timings — see `rodinia_study::manifest`.
-//! * `--telemetry <file.jsonl>` streams every span/counter/record event
-//!   to a JSON-lines file.
-//! * `RODINIA_OBS=1|2` prints span (and at 2, all) events to stderr.
+//! * `--telemetry <file.jsonl>` streams every span and record event to
+//!   a JSON-lines file (counters land in the manifest, not the stream).
+//! * `RODINIA_OBS=1|2` prints closed spans (and at 2, span starts and
+//!   records) to stderr.
 //!
 //! Durability:
 //!
@@ -50,20 +51,18 @@
 //!   produces a byte-identical `STUDY_manifest.json`.
 
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use rodinia_repro::prelude::*;
-use rodinia_repro::rodinia_study::analyze::AnalyzeReport;
-use rodinia_repro::rodinia_study::audit::AuditReport;
-use rodinia_repro::rodinia_study::check::CheckReport;
 use rodinia_repro::rodinia_study::manifest::ManifestBuilder;
 use rodinia_repro::rodinia_study::report::Table;
 use rodinia_repro::rodinia_study::request::{
-    execute, parse_scale, RequestObserver, StudyCommand, StudyRequest, StudyResponse, EXIT_MISUSE,
+    execute, parse_scale, RequestError, RequestObserver, StudyCommand, StudyRequest,
+    StudyResponse, EXIT_MISUSE,
 };
 use rodinia_repro::rodinia_study::serve::{ServeConfig, Server};
-use rodinia_repro::store::{write_atomic, TraceStore};
+use rodinia_repro::store::TraceStore;
 
 fn emit(tables: &[Table], csv: bool) {
     for t in tables {
@@ -132,121 +131,48 @@ fn flush_or_exit(code: i32) {
     }
 }
 
-/// Prints and persists a `repro check` result; returns the exit code.
-fn present_check(report: &CheckReport, json_dir: Option<&PathBuf>, manifest: Option<ManifestBuilder>) -> i32 {
-    match report.summary_table() {
-        Ok(t) => println!("{t}"),
-        Err(e) => {
-            eprintln!("check: {e}");
-            return 1;
-        }
-    }
-    for line in report.finding_lines() {
-        println!("{line}");
-    }
-    let errors = report.error_count();
-    let warnings = report.warning_count();
-    println!("check: {errors} error(s), {warnings} warning(s)");
-    if let Some(dir) = json_dir {
-        let json = format!("{}\n", report.to_json());
-        match write_atomic(dir, "check_report.json", json.as_bytes()) {
-            Ok(path) => eprintln!("wrote report {}", path.display()),
-            Err(e) => {
-                eprintln!("{e}");
-                return 1;
-            }
-        }
-        if let Some(mut m) = manifest {
-            m.push_section("check", report.manifest_section());
-            match m.write(dir) {
-                Ok(path) => eprintln!("wrote manifest {}", path.display()),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return 1;
-                }
-            }
-        }
-    }
-    i32::from(errors > 0)
-}
-
-/// Prints and persists a `repro audit` result; returns the exit code.
-fn present_audit(
-    report: &AuditReport,
-    json_dir: Option<&PathBuf>,
-    manifest: Option<ManifestBuilder>,
+/// Prints a `check`/`audit`/`analyze` verdict (tables were printed as
+/// they completed) and, with `--json`, writes its report and the run
+/// manifest with the verdict's section; returns the exit code.
+fn present(
+    response: &StudyResponse,
+    json_dir: Option<&Path>,
+    mut manifest: Option<ManifestBuilder>,
 ) -> i32 {
-    match report.summary_table() {
-        Ok(t) => println!("{t}"),
-        Err(e) => {
-            eprintln!("audit: {e}");
-            return 1;
-        }
-    }
-    for line in report.finding_lines() {
-        println!("{line}");
-    }
-    let errors = report.error_count();
-    let warnings = report.warning_count();
-    println!("audit: {errors} error(s), {warnings} warning(s)");
-    if let Some(dir) = json_dir {
-        match report.write(dir) {
-            Ok(path) => eprintln!("wrote audit manifest {}", path.display()),
+    if let StudyResponse::Verdict(v) = response {
+        match v.summary_table() {
+            Ok(t) => println!("{t}"),
             Err(e) => {
-                eprintln!("{e}");
+                eprintln!("{}: {e}", v.section());
                 return 1;
             }
         }
-        if let Some(mut m) = manifest {
-            m.push_section("audit", report.manifest_section());
-            match m.write(dir) {
-                Ok(path) => eprintln!("wrote manifest {}", path.display()),
+        for line in v.console_lines() {
+            println!("{line}");
+        }
+        if let Some(dir) = json_dir {
+            match v.write(dir) {
+                Ok(path) => eprintln!("wrote report {}", path.display()),
                 Err(e) => {
                     eprintln!("{e}");
                     return 1;
                 }
             }
         }
-    }
-    i32::from(errors > 0)
-}
-
-/// Prints and persists a `repro analyze` result; returns the exit code.
-fn present_analyze(
-    report: &AnalyzeReport,
-    json_dir: Option<&PathBuf>,
-    manifest: Option<ManifestBuilder>,
-) -> i32 {
-    match report.summary_table() {
-        Ok(t) => println!("{t}"),
-        Err(e) => {
-            eprintln!("analyze: {e}");
-            return 1;
+        if let Some(m) = manifest.as_mut() {
+            m.push_section(v.section(), v.manifest_section());
         }
     }
-    for line in report.render() {
-        println!("{line}");
-    }
-    if let Some(dir) = json_dir {
-        match report.write(dir) {
-            Ok(path) => eprintln!("wrote critpath manifest {}", path.display()),
+    if let (Some(m), Some(dir)) = (manifest, json_dir) {
+        match m.write(dir) {
+            Ok(path) => eprintln!("wrote manifest {}", path.display()),
             Err(e) => {
                 eprintln!("{e}");
                 return 1;
             }
         }
-        if let Some(mut m) = manifest {
-            m.push_section("critpath", report.manifest_section());
-            match m.write(dir) {
-                Ok(path) => eprintln!("wrote manifest {}", path.display()),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return 1;
-                }
-            }
-        }
     }
-    0
+    response.exit_code()
 }
 
 /// The CLI's progress hooks into the shared execution pipeline:
@@ -270,6 +196,23 @@ impl RequestObserver for CliObserver<'_> {
     }
 }
 
+/// Reports request misuse and exits with [`EXIT_MISUSE`].
+fn misuse(message: impl std::fmt::Display) -> ! {
+    eprintln!("{message}");
+    std::process::exit(EXIT_MISUSE);
+}
+
+/// Steps `i` past the flag at `args[i]` and parses its value; a missing
+/// or unparsable value is misuse (`<flag> requires <what> argument`).
+fn flag_value<T: std::str::FromStr>(args: &[String], i: &mut usize, what: &str) -> T {
+    let flag = &args[*i];
+    *i += 1;
+    match args.get(*i).and_then(|v| v.parse().ok()) {
+        Some(v) => v,
+        None => misuse(format!("{flag} requires {what} argument")),
+    }
+}
+
 /// `repro serve <addr> [--store <dir>] [--jobs N] [--sim-threads N]`:
 /// run the daemon until a `POST /shutdown` drains it.
 fn serve_main(args: &[String]) -> i32 {
@@ -280,45 +223,20 @@ fn serve_main(args: &[String]) -> i32 {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--store" => {
-                i += 1;
-                let Some(value) = args.get(i) else {
-                    eprintln!("--store requires a directory argument");
-                    return EXIT_MISUSE;
-                };
-                store = Some(PathBuf::from(value));
-            }
-            "--jobs" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = parsed else {
-                    eprintln!("--jobs requires a positive integer argument");
-                    return EXIT_MISUSE;
-                };
-                jobs = Some(n);
-            }
+            "--store" => store = Some(flag_value(args, &mut i, "a directory")),
+            "--jobs" => jobs = Some(flag_value(args, &mut i, "a positive integer")),
             "--sim-threads" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = parsed else {
-                    eprintln!("--sim-threads requires a non-negative integer argument");
-                    return EXIT_MISUSE;
-                };
-                sim_threads = Some(n);
+                sim_threads = Some(flag_value(args, &mut i, "a non-negative integer"));
             }
             other if addr.is_none() && !other.starts_with('-') => {
                 addr = Some(other.to_string());
             }
-            other => {
-                eprintln!("serve: unexpected argument {other:?}");
-                return EXIT_MISUSE;
-            }
+            other => misuse(format!("serve: unexpected argument {other:?}")),
         }
         i += 1;
     }
     let Some(addr) = addr else {
-        eprintln!("usage: repro serve <addr> [--store <dir>] [--jobs N] [--sim-threads N]");
-        return EXIT_MISUSE;
+        misuse("usage: repro serve <addr> [--store <dir>] [--jobs N] [--sim-threads N]");
     };
     let server = match Server::bind(&ServeConfig { addr, store, jobs, sim_threads }) {
         Ok(s) => s,
@@ -362,10 +280,8 @@ fn main() {
     let mut scale = Scale::Small;
     let mut ids: Vec<ExperimentId> = Vec::new();
     let mut listed = false;
-    let mut check = false;
-    let mut audit = false;
-    let mut analyze = false;
-    let mut top_k = rodinia_repro::rodinia_study::analyze::DEFAULT_TOP_K;
+    let mut verb: Option<&str> = None;
+    let mut top_k: Option<usize> = None;
     let mut json_dir: Option<PathBuf> = None;
     let mut telemetry: Option<PathBuf> = None;
     let mut jobs: Option<usize> = None;
@@ -377,73 +293,32 @@ fn main() {
         match args[i].as_str() {
             "--csv" => csv = true,
             "--resume" => resume = true,
-            "--store" => {
-                i += 1;
-                let Some(value) = args.get(i) else {
-                    eprintln!("--store requires a directory argument");
-                    std::process::exit(EXIT_MISUSE);
-                };
-                store_dir = Some(PathBuf::from(value));
-            }
-            "--jobs" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = parsed else {
-                    eprintln!("--jobs requires a positive integer argument");
-                    std::process::exit(EXIT_MISUSE);
-                };
-                jobs = Some(n);
-            }
+            "--store" => store_dir = Some(flag_value(&args, &mut i, "a directory")),
+            "--jobs" => jobs = Some(flag_value(&args, &mut i, "a positive integer")),
             "--sim-threads" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = parsed else {
-                    eprintln!("--sim-threads requires a non-negative integer argument");
-                    std::process::exit(EXIT_MISUSE);
-                };
-                sim_threads = Some(n);
+                sim_threads = Some(flag_value(&args, &mut i, "a non-negative integer"));
             }
-            "--json" | "--telemetry" => {
-                let flag = args[i].clone();
-                i += 1;
-                let Some(value) = args.get(i) else {
-                    eprintln!("{flag} requires a path argument");
-                    std::process::exit(EXIT_MISUSE);
-                };
-                if flag == "--json" {
-                    json_dir = Some(PathBuf::from(value));
-                } else {
-                    telemetry = Some(PathBuf::from(value));
-                }
-            }
+            "--json" => json_dir = Some(flag_value(&args, &mut i, "a path")),
+            "--telemetry" => telemetry = Some(flag_value(&args, &mut i, "a path")),
+            "--top-k" => top_k = Some(flag_value(&args, &mut i, "a positive integer")),
             "all" => ids = ExperimentId::all(),
             "list" => listed = true,
-            "check" => check = true,
-            "audit" => audit = true,
-            "analyze" => analyze = true,
-            "--top-k" => {
-                i += 1;
-                let parsed = args.get(i).and_then(|v| v.parse::<usize>().ok());
-                let Some(n) = parsed else {
-                    eprintln!("--top-k requires a positive integer argument");
-                    std::process::exit(EXIT_MISUSE);
-                };
-                top_k = n;
+            word @ ("check" | "audit" | "analyze") => {
+                if verb.replace(word).is_some() {
+                    misuse(RequestError::RepeatedCommand);
+                }
             }
             other => match parse_scale(other) {
                 Some(s) => scale = s,
                 None => match ExperimentId::parse(other) {
                     Some(id) => ids.push(id),
-                    None => {
-                        eprintln!("unknown artifact {other:?}; try `repro list`");
-                        std::process::exit(EXIT_MISUSE);
-                    }
+                    None => misuse(format!("unknown artifact {other:?}; try `repro list`")),
                 },
             },
         }
         i += 1;
     }
-    if listed || (ids.is_empty() && !check && !audit && !analyze) {
+    if listed || (ids.is_empty() && verb.is_none()) {
         usage();
         // `repro` / `repro list` asked for the usage text; anything else
         // reaching this point produced no artifact, which is a misuse.
@@ -452,16 +327,10 @@ fn main() {
         }
         return;
     }
+    let command = StudyCommand::from_parts(verb, (!ids.is_empty()).then_some(ids), top_k)
+        .unwrap_or_else(|e| misuse(e));
     let request = StudyRequest {
-        command: if check {
-            StudyCommand::Check
-        } else if audit {
-            StudyCommand::Audit
-        } else if analyze {
-            StudyCommand::Analyze { top_k }
-        } else {
-            StudyCommand::Tables { artifacts: ids }
-        },
+        command,
         scale,
         jobs,
         sim_threads,
@@ -469,8 +338,7 @@ fn main() {
         resume,
     };
     if let Err(e) = request.validate() {
-        eprintln!("{e}");
-        std::process::exit(EXIT_MISUSE);
+        misuse(e);
     }
 
     if let Some(path) = &telemetry {
@@ -519,26 +387,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    let code = match &response {
-        StudyResponse::Check(report) => present_check(report, json_dir.as_ref(), manifest.take()),
-        StudyResponse::Audit(report) => present_audit(report, json_dir.as_ref(), manifest.take()),
-        StudyResponse::Analyze(report) => {
-            present_analyze(report, json_dir.as_ref(), manifest.take())
-        }
-        StudyResponse::Tables { .. } => {
-            if let (Some(m), Some(dir)) = (manifest.take(), json_dir.as_ref()) {
-                match m.write(dir) {
-                    Ok(path) => eprintln!("wrote manifest {}", path.display()),
-                    Err(e) => {
-                        eprintln!("{e}");
-                        let _ = obs::flush_sinks();
-                        std::process::exit(1);
-                    }
-                }
-            }
-            response.exit_code()
-        }
-    };
+    let code = present(&response, json_dir.as_deref(), manifest);
     flush_or_exit(1);
     std::process::exit(code);
 }

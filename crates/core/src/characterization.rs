@@ -274,8 +274,10 @@ impl IncrementalVersions {
     }
 }
 
-/// Runs the Table III experiment: one job per incremental version,
-/// keyed in the trace cache by `(family, scale, variant)`.
+/// Runs the Table III experiment: one job per incremental version.
+/// The v1 rows are keyed in the trace cache by `(family, scale, "v1")`;
+/// the v2 rows are the suite instances, so they share the suite
+/// capture every other GPU experiment replays.
 pub fn incremental_versions(
     session: &StudySession,
     scale: Scale,
@@ -291,14 +293,17 @@ pub fn incremental_versions(
     let rows = session.run_indexed(versions.len(), |i| {
         let (label, family, variant) = versions[i];
         let _bench = obs::span!("bench.{family}.{variant}");
-        let run = session.cache().capture_fn(family, scale, variant, &base, |gpu| {
-            match (family, variant) {
-                ("SRAD", "v1") => Srad::v1(scale).run(gpu),
-                ("SRAD", "v2") => Srad::v2(scale).run(gpu),
-                ("LC", "v1") => Leukocyte::v1(scale).run(gpu),
-                _ => Leukocyte::v2(scale).run(gpu),
-            }
-        })?;
+        let cache = session.cache();
+        let run = match (family, variant) {
+            ("SRAD", "v1") => cache.capture_fn(family, scale, variant, &base, |gpu| {
+                Srad::v1(scale).run(gpu)
+            }),
+            ("LC", "v1") => cache.capture_fn(family, scale, variant, &base, |gpu| {
+                Leukocyte::v1(scale).run(gpu)
+            }),
+            ("SRAD", _) => cache.capture_benchmark(&Srad::v2(scale), scale, &base),
+            _ => cache.capture_benchmark(&Leukocyte::v2(scale), scale, &base),
+        }?;
         let s = run.stats_for(&base)?;
         let f = mix_fractions(&s);
         Ok((

@@ -1,11 +1,11 @@
 //! The cross-suite comparison study (Section V): profiles all 24
 //! workloads once, then derives Figures 6–10 from the shared profiles.
 //!
-//! Profiling goes through the capture-once trace pipeline: each
-//! workload's memory trace is captured exactly once into the session's
-//! [`crate::trace_cache::CpuTraceCache`], then the eight cache
-//! capacities replay as independent jobs on the session's worker pool.
-//! The assembled profiles are byte-identical to the direct
+//! Profiling goes through the capture-once trace pipeline: one job per
+//! workload on the session's worker pool captures the workload's memory
+//! trace once (through [`crate::trace_cache::CpuTraceCache`] and its
+//! store), replays it at the eight cache capacities and drops it. The
+//! assembled profiles are byte-identical to the direct
 //! [`tracekit::profile()`] path at any worker count (proven in
 //! `tests/cpu_replay_determinism.rs`).
 
@@ -86,12 +86,14 @@ impl ComparisonStudy {
     /// Profiles all 24 workloads at the given scale. This is the
     /// expensive step; every figure below reuses the result.
     ///
-    /// Two fan-out stages over the session pool: (1) one capture job
-    /// per workload, deduplicated through the session's CPU trace
-    /// cache; (2) one replay job per `(workload, capacity)` pair —
-    /// 24 × 8 independent cache simulations at the default
-    /// configuration. Results are reassembled in submission order, so
-    /// the study is byte-identical for any `--jobs` value.
+    /// One fan-out over the session pool, one job per workload: the job
+    /// takes the workload's capture (a capture already resident in the
+    /// session's CPU trace cache, else a store restore, else a fresh
+    /// capture that is persisted), replays it at every capacity, keeps
+    /// the profile and drops the capture. So at most one capture per
+    /// worker is alive at a time, and none that a job restored or
+    /// captured outlives it. Results are reassembled in submission
+    /// order, so the study is byte-identical for any `--jobs` value.
     ///
     /// # Errors
     ///
@@ -103,26 +105,15 @@ impl ComparisonStudy {
         let cfg = ProfileConfig::default();
         let workloads = combined_workloads(scale);
         let labels: Vec<String> = workloads.iter().map(|w| w.label.clone()).collect();
-        let captures = session.run_indexed(workloads.len(), |i| {
-            session.cpu_cache().capture_workload(
-                &workloads[i].label,
-                workloads[i].workload.as_ref(),
-                scale,
-                &cfg,
-            )
+        let profiles = session.run_indexed(workloads.len(), |i| {
+            let w = &workloads[i];
+            let capture =
+                session
+                    .cpu_cache()
+                    .stream_workload(&w.label, w.workload.as_ref(), scale, &cfg)?;
+            let stats = capture.replay_all(&cfg.cache_sizes)?;
+            Ok(capture.profile_with(stats))
         })?;
-        let sizes = &cfg.cache_sizes;
-        let per = sizes.len();
-        let stats = session.run_indexed(captures.len() * per, |j| {
-            captures[j / per]
-                .replay(sizes[j % per])
-                .map_err(StudyError::from)
-        })?;
-        let profiles = captures
-            .iter()
-            .zip(stats.chunks(per))
-            .map(|(c, s)| c.profile_with(s.to_vec()))
-            .collect();
         Ok(ComparisonStudy { labels, profiles })
     }
 

@@ -62,12 +62,14 @@ use crate::trace_cache::{CpuTraceCache, TraceCache};
 /// computes each one at most once, at three layers:
 ///
 /// * **captures** — each `(benchmark, scale, variant)` is functionally
-///   executed at most once per capture fingerprint ([`TraceCache`],
-///   [`CpuTraceCache`]), no matter how many experiments or replay
-///   configurations consume the trace;
+///   executed at most once per capture fingerprint ([`TraceCache`]),
+///   no matter how many experiments or replay configurations consume
+///   the trace;
 /// * **the comparison corpus** — the 24-workload CPU profile behind
 ///   Figures 6–12 is built at most once per scale
-///   ([`StudySession::corpus`]);
+///   ([`StudySession::corpus`]); it streams each CPU capture through
+///   one job and drops it, so the [`CpuTraceCache`] holds only what a
+///   caller made resident with `capture_workload`;
 /// * **experiment tables** — each `(artifact, scale)` is computed at
 ///   most once ([`StudySession::tables`]); later requests naming it
 ///   share the finished tables.

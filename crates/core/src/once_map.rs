@@ -94,6 +94,20 @@ impl<K: Eq + Hash, V> OnceMap<K, V> {
         counter.fetch_add(1, Ordering::Relaxed);
         result
     }
+
+    /// The entry at `key` if one is present, waiting for it if another
+    /// caller is still computing it; `None` (and no entry created)
+    /// otherwise.
+    pub(crate) fn get(&self, key: &K) -> Option<Result<Arc<V>, StudyError>> {
+        let slot = self
+            .map
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .get(key)
+            .map(Arc::clone)?;
+        self.reused.fetch_add(1, Ordering::Relaxed);
+        Some(slot.wait().clone())
+    }
 }
 
 #[cfg(test)]
@@ -116,5 +130,8 @@ mod tests {
             "the error is retained"
         );
         assert_eq!((m.len(), m.computed(), m.reused()), (2, 2, 2));
+        assert_eq!(m.get(&1).map(|r| r.map(|v| *v)), Some(Ok(10)));
+        assert!(m.get(&3).is_none());
+        assert_eq!(m.len(), 2, "a miss creates no entry");
     }
 }

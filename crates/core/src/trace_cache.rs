@@ -20,9 +20,12 @@
 //! interleaved memory-reference trace plus its capacity-independent
 //! characteristics — keyed by `(workload, scale, capture fingerprint)`,
 //! so the eight shared-cache capacities of the comparison study replay
-//! one capture instead of re-running the workload eight times. Both
-//! instances restore, validate, quarantine, and persist through the one
-//! store-backed path in [`CaptureCache`].
+//! one capture instead of re-running the workload eight times. The
+//! comparison corpus reads it through
+//! [`CpuTraceCache::stream_workload`], which never makes a capture
+//! resident, so a session keeps CPU profiles rather than CPU traces.
+//! Both instances restore, validate, quarantine, and persist through
+//! the one store-backed path in [`CaptureCache`].
 
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -69,8 +72,9 @@ pub struct TraceKey {
     pub benchmark: String,
     /// Input scale.
     pub scale: Scale,
-    /// Code variant (`""` for the suite default, `"v1"`/`"v2"` for the
-    /// Table III incremental versions).
+    /// Code variant (`""` for the suite default, `"v1"` for the first
+    /// Table III incremental versions; the v2 versions are the suite
+    /// defaults).
     pub variant: &'static str,
     /// Capture-relevant configuration parameters.
     pub fingerprint: CaptureFingerprint,
@@ -310,13 +314,7 @@ impl<K: Eq + Hash, V> CaptureCache<K, V> {
         self.map.get_or_init(key, capture)
     }
 
-    /// The one restore-or-capture path. On a miss with a store
-    /// attached, a verified entry goes through `restore` — the
-    /// side-specific decode-and-validate step. Any `restore` failure
-    /// (codec rejection, semantic staleness) quarantines the entry
-    /// with its reason exactly like bit rot, because a stale payload
-    /// must never reach a results table. Otherwise `capture` runs and
-    /// its result is persisted for the next process.
+    /// [`CaptureCache::fetch`] at `key`, keeping the result resident.
     fn restore_or_capture(
         &self,
         key: K,
@@ -326,26 +324,44 @@ impl<K: Eq + Hash, V> CaptureCache<K, V> {
     where
         V: Persisted<Key = K>,
     {
-        let persist = self.store().map(|store| (V::store_key(&key), store));
-        self.get_or_capture(key, || {
-            if let Some((skey, store)) = &persist {
-                if let Some(payload) = store.load(skey) {
-                    match restore(&payload) {
-                        Ok(restored) => {
-                            self.restores.fetch_add(1, Ordering::Relaxed);
-                            return Ok(restored);
-                        }
-                        Err(reason) => store.quarantine(skey, &reason),
+        let skey = V::store_key(&key);
+        self.get_or_capture(key, || self.fetch(&skey, restore, capture))
+    }
+
+    /// The one restore-or-capture path: restores the store entry `skey`
+    /// or captures afresh. With a store attached, a verified entry goes
+    /// through `restore` — the side-specific decode-and-validate step. Any `restore` failure
+    /// (codec rejection, semantic staleness) quarantines the entry
+    /// with its reason exactly like bit rot, because a stale payload
+    /// must never reach a results table. Otherwise `capture` runs and
+    /// its result is persisted for the next process.
+    fn fetch(
+        &self,
+        skey: &str,
+        restore: impl FnOnce(&[u8]) -> Result<V, String>,
+        capture: impl FnOnce() -> Result<V, StudyError>,
+    ) -> Result<V, StudyError>
+    where
+        V: Persisted<Key = K>,
+    {
+        let store = self.store();
+        if let Some(store) = &store {
+            if let Some(payload) = store.load(skey) {
+                match restore(&payload) {
+                    Ok(restored) => {
+                        self.restores.fetch_add(1, Ordering::Relaxed);
+                        return Ok(restored);
                     }
+                    Err(reason) => store.quarantine(skey, &reason),
                 }
             }
-            self.captures.fetch_add(1, Ordering::Relaxed);
-            let captured = capture()?;
-            if let Some((skey, store)) = &persist {
-                store.save_or_warn(skey, &captured.encode());
-            }
-            Ok(captured)
-        })
+        }
+        self.captures.fetch_add(1, Ordering::Relaxed);
+        let captured = capture()?;
+        if let Some(store) = &store {
+            store.save_or_warn(skey, &captured.encode());
+        }
+        Ok(captured)
     }
 }
 
@@ -475,6 +491,14 @@ pub struct CpuTraceKey {
 }
 
 impl CpuTraceKey {
+    fn new(label: &str, scale: Scale, fingerprint: CpuCaptureFingerprint) -> CpuTraceKey {
+        CpuTraceKey {
+            workload: label.to_string(),
+            scale,
+            fingerprint,
+        }
+    }
+
     /// The persistent-store key of this capture (see
     /// [`TraceKey::store_key`] for the contract).
     pub fn store_key(&self) -> String {
@@ -511,16 +535,36 @@ impl CpuTraceCache {
         cfg: &ProfileConfig,
     ) -> Result<Arc<CpuCapture>, StudyError> {
         let fingerprint = CpuCaptureFingerprint::of(cfg);
-        let key = CpuTraceKey {
-            workload: label.to_string(),
-            scale,
-            fingerprint,
-        };
         self.restore_or_capture(
-            key,
+            CpuTraceKey::new(label, scale, fingerprint),
             |payload| restore_cpu_capture(payload, &fingerprint),
             || Ok(CpuCapture::capture(workload, cfg)?),
         )
+    }
+
+    /// [`CpuTraceCache::capture_workload`] without residency: a capture
+    /// already cached is shared, but a miss is restored or captured
+    /// (and persisted) for the caller alone, so the trace is freed as
+    /// soon as the caller drops it. A capture is recorded in
+    /// [`CaptureCache::captures`] either way.
+    pub fn stream_workload(
+        &self,
+        label: &str,
+        workload: &dyn CpuWorkload,
+        scale: Scale,
+        cfg: &ProfileConfig,
+    ) -> Result<Arc<CpuCapture>, StudyError> {
+        let fingerprint = CpuCaptureFingerprint::of(cfg);
+        let key = CpuTraceKey::new(label, scale, fingerprint);
+        if let Some(resident) = self.map.get(&key) {
+            return resident;
+        }
+        self.fetch(
+            &key.store_key(),
+            |payload| restore_cpu_capture(payload, &fingerprint),
+            || Ok(CpuCapture::capture(workload, cfg)?),
+        )
+        .map(Arc::new)
     }
 }
 

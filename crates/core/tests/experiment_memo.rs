@@ -95,3 +95,19 @@ fn concurrent_overlapping_requests_compute_each_experiment_once() {
         "client b's body matches a fresh session's"
     );
 }
+
+#[test]
+fn table3_shares_the_suite_captures_of_its_v2_rows() {
+    use ExperimentId::{Fig1, Table3};
+    let session = StudySession::new(2);
+    body(&session, &request(&[Fig1], 2, 1));
+    let suite = session.cache().captures();
+    let req = request(&[Table3], 2, 1);
+    let served = body(&session, &req);
+    assert_eq!(
+        session.cache().captures() - suite,
+        2,
+        "only the SRAD and Leukocyte v1 variants are new captures"
+    );
+    assert!(served == fresh_body(&req), "table3 differs from a fresh session's");
+}

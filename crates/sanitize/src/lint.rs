@@ -140,6 +140,7 @@ impl KernelLintMetrics {
                             lanes,
                             segs,
                         } => {
+                            let segs = segs.of(&warp.segs);
                             global_ops += 1;
                             actual_segments += segs.len() as u64;
                             ideal_segments +=
@@ -152,7 +153,7 @@ impl KernelLintMetrics {
                         }
                         TOp::Tex { segs, .. } => {
                             tex_ops += 1;
-                            for &s in segs {
+                            for &s in segs.of(&warp.segs) {
                                 *seg_counts.entry(s).or_insert(0) += 1;
                             }
                         }
@@ -243,16 +244,33 @@ mod tests {
     use simt::trace::{CtaTrace, WarpTrace};
 
     fn trace_with(ops: Vec<TOp>) -> KernelTrace {
+        trace_of(WarpTrace { ops, segs: vec![] })
+    }
+
+    fn trace_of(warp: WarpTrace) -> KernelTrace {
         KernelTrace {
             name: "synthetic".into(),
-            ctas: vec![CtaTrace {
-                warps: vec![WarpTrace { ops }],
-            }],
+            ctas: vec![CtaTrace { warps: vec![warp] }],
             threads_per_block: 32,
             regs_per_thread: 16,
             shared_bytes_per_cta: 0,
             warp_size: 32,
         }
+    }
+
+    /// One warp of 32-lane global loads, one per segment list.
+    fn loads(per_op: impl Iterator<Item = Vec<u64>>) -> WarpTrace {
+        let mut warp = WarpTrace::default();
+        for segs in per_op {
+            let segs = warp.push_segs(&segs).expect("fits a range");
+            warp.ops.push(TOp::Gmem {
+                space: MemSpace::Global,
+                store: false,
+                lanes: 32,
+                segs,
+            });
+        }
+        warp
     }
 
     #[test]
@@ -288,18 +306,8 @@ mod tests {
     fn strided_global_trips_coalescing_lint() {
         // Each op: 32 lanes touching 32 distinct segments (fully strided);
         // spread segments across ops so the redundancy lint stays quiet.
-        let ops = (0..32u64)
-            .map(|i| TOp::Gmem {
-                space: MemSpace::Global,
-                store: false,
-                lanes: 32,
-                segs: (0..32u64)
-                    .map(|l| (i * 32 + l) * SEG_BYTES)
-                    .collect::<Vec<_>>()
-                    .into_boxed_slice(),
-            })
-            .collect();
-        let (m, findings) = lint_trace(&trace_with(ops), &LintConfig::default());
+        let warp = loads((0..32u64).map(|i| (0..32u64).map(|l| (i * 32 + l) * SEG_BYTES).collect()));
+        let (m, findings) = lint_trace(&trace_of(warp), &LintConfig::default());
         assert!((m.coalescing_ratio - 16.0).abs() < 1e-9);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].kind, FindingKind::UncoalescedGlobal);
@@ -308,19 +316,12 @@ mod tests {
     #[test]
     fn repeated_loads_trip_redundancy_lint() {
         // 32 ops each re-reading the same dense 2-segment window.
-        let ops = (0..32)
-            .map(|_| TOp::Gmem {
-                space: MemSpace::Global,
-                store: false,
-                lanes: 32,
-                segs: vec![0, SEG_BYTES].into_boxed_slice(),
-            })
-            .collect();
+        let warp = loads((0..32).map(|_| vec![0, SEG_BYTES]));
         let cfg = LintConfig {
             min_distinct_segments: 2,
             ..LintConfig::default()
         };
-        let (m, findings) = lint_trace(&trace_with(ops), &cfg);
+        let (m, findings) = lint_trace(&trace_of(warp), &cfg);
         assert!((m.redundancy - 32.0).abs() < 1e-9);
         assert!((m.coalescing_ratio - 1.0).abs() < 1e-9);
         assert_eq!(findings.len(), 1);

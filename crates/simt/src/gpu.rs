@@ -696,9 +696,11 @@ impl<'a> Engine<'a> {
         let mut warp_ids = Vec::with_capacity(n_warps);
         for w in 0..n_warps {
             let id = s.warp_tab.len();
+            let warp = &t.ctas[trace_idx].warps[w];
             s.warp_tab.push(WarpRt {
                 cta_rt,
-                ops: &t.ctas[trace_idx].warps[w].ops,
+                ops: &warp.ops,
+                segs: &warp.segs,
                 pc: 0,
                 ready_at: at,
                 at_barrier: false,

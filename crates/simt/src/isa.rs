@@ -113,12 +113,14 @@ impl ActiveMask {
 /// One warp-level operation in a captured kernel trace.
 ///
 /// Memory operations are stored *post-coalescing*: global/local/texture
-/// accesses carry the 64-byte segment addresses they touch, shared-memory
-/// accesses carry their bank-conflict serialization degree, and constant
-/// accesses carry the number of distinct addresses (a value > 1 serializes
-/// the broadcast). This keeps traces compact while preserving everything
-/// the timing model and the caches need.
-#[derive(Debug, Clone, PartialEq)]
+/// accesses carry a [`SegRange`] naming the 64-byte segment addresses
+/// they touch in their warp's segment pool
+/// ([`crate::trace::WarpTrace::segs`]), shared-memory accesses carry
+/// their bank-conflict serialization degree, and constant accesses
+/// carry the number of distinct addresses (a value > 1 serializes the
+/// broadcast). Every op is a 12-byte `Copy` word, so a warp's trace is
+/// two flat arrays: its ops and its segment pool.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TOp {
     /// `n` back-to-back arithmetic instructions with `lanes` active threads.
     Alu {
@@ -151,15 +153,15 @@ pub enum TOp {
         store: bool,
         /// Active lanes.
         lanes: u8,
-        /// Coalesced segment base addresses.
-        segs: Box<[u64]>,
+        /// Coalesced segment base addresses, in the warp's pool.
+        segs: SegRange,
     },
     /// A texture fetch touching the given segments (read-only, cached).
     Tex {
         /// Active lanes.
         lanes: u8,
-        /// Coalesced segment base addresses.
-        segs: Box<[u64]>,
+        /// Coalesced segment base addresses, in the warp's pool.
+        segs: SegRange,
     },
     /// A constant load with `unique` distinct addresses among active lanes.
     Const {
@@ -182,6 +184,39 @@ pub enum TOp {
     },
     /// A CTA-wide barrier (`__syncthreads()`).
     Bar,
+}
+
+/// Where one memory op's coalesced segment addresses sit in its warp's
+/// segment pool: `len` addresses from index `start`. A warp instruction
+/// touches at most two segments per lane, so `len` never exceeds 128.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SegRange {
+    /// Index of the first address in the pool.
+    pub start: u32,
+    /// Number of addresses.
+    pub len: u16,
+}
+
+impl SegRange {
+    /// The range of `len` pool entries from `start`, or `None` if
+    /// either does not fit its field.
+    pub fn new(start: usize, len: usize) -> Option<SegRange> {
+        Some(SegRange {
+            start: u32::try_from(start).ok()?,
+            len: u16::try_from(len).ok()?,
+        })
+    }
+
+    /// The addresses this range names in `pool`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range lies outside `pool`. Capture and the trace
+    /// codec only build ranges inside their own warp's pool.
+    #[inline]
+    pub fn of(self, pool: &[u64]) -> &[u64] {
+        &pool[self.start as usize..][..self.len as usize]
+    }
 }
 
 impl TOp {
@@ -277,11 +312,17 @@ mod tests {
             space: MemSpace::Global,
             store: false,
             lanes: 32,
-            segs: vec![0, 64].into_boxed_slice(),
+            segs: SegRange { start: 1, len: 2 },
         };
         assert_eq!(mem.warp_instructions(), 1);
         assert_eq!(mem.mem_space(), Some(MemSpace::Global));
+        assert_eq!(SegRange { start: 1, len: 2 }.of(&[7, 0, 64, 9]), &[0, 64]);
         assert_eq!(TOp::Branch { lanes: 4 }.mem_space(), None);
+    }
+
+    #[test]
+    fn an_op_is_one_twelve_byte_word() {
+        assert_eq!(std::mem::size_of::<TOp>(), 12);
     }
 
     #[test]

@@ -21,9 +21,10 @@ use std::collections::HashMap;
 
 use crate::banks::warp_conflict_degree;
 use crate::coalesce::coalesce;
-use crate::isa::{ActiveMask, MemSpace, TOp};
+use crate::isa::{ActiveMask, MemSpace, SegRange, TOp};
 use crate::memory::{BufF32, BufU32, GpuMem};
 use crate::sanitizer::{AccessKind, LaunchTape, MemAccess, TapeBuf, TapeEvent};
+use crate::trace::WarpTrace;
 
 /// Whether a warp has more phases (barrier-separated sections) to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -128,7 +129,7 @@ pub struct WarpCtx<'a> {
     pub(crate) shared_f32: &'a mut [f32],
     pub(crate) shared_u32: &'a mut [u32],
     pub(crate) stash: &'a mut Stash,
-    pub(crate) trace: &'a mut Vec<TOp>,
+    pub(crate) trace: &'a mut WarpTrace,
     pub(crate) block: usize,
     pub(crate) warp_in_block: usize,
     pub(crate) warp_size: usize,
@@ -274,7 +275,7 @@ impl WarpCtx<'_> {
     /// lanes.
     pub fn alu(&mut self, n: u32) {
         if n > 0 && !self.mask.is_empty() {
-            self.trace.push(TOp::Alu {
+            self.trace.ops.push(TOp::Alu {
                 n,
                 lanes: self.mask.count() as u8,
             });
@@ -284,7 +285,7 @@ impl WarpCtx<'_> {
     /// Records `n` special-function (transcendental) instructions.
     pub fn sfu(&mut self, n: u32) {
         if n > 0 && !self.mask.is_empty() {
-            self.trace.push(TOp::Sfu {
+            self.trace.ops.push(TOp::Sfu {
                 n,
                 lanes: self.mask.count() as u8,
             });
@@ -294,7 +295,7 @@ impl WarpCtx<'_> {
     /// Records `n` kernel-parameter loads (always cache hits).
     pub fn param(&mut self, n: u32) {
         if n > 0 && !self.mask.is_empty() {
-            self.trace.push(TOp::Param {
+            self.trace.ops.push(TOp::Param {
                 n,
                 lanes: self.mask.count() as u8,
             });
@@ -318,7 +319,14 @@ impl WarpCtx<'_> {
         // instruction in the real ISA; without it, instruction counts
         // (and thus IPC) would be far below what GPGPU-Sim reports.
         self.alu(Self::GMEM_ADDR_ALU);
-        let segs = coalesce(addrs, 4, self.seg_bytes).into_boxed_slice();
+        let pool = &mut self.trace.segs;
+        let start = pool.len();
+        let n = coalesce(addrs, 4, self.seg_bytes, pool);
+        let Some(segs) = SegRange::new(start, n) else {
+            pool.truncate(start);
+            self.record_fault("warp segment pool exceeds 2^32 addresses".to_string());
+            return;
+        };
         let lanes = self.mask.count() as u8;
         let op = match space {
             MemSpace::Texture => TOp::Tex { lanes, segs },
@@ -329,7 +337,7 @@ impl WarpCtx<'_> {
                 segs,
             },
         };
-        self.trace.push(op);
+        self.trace.ops.push(op);
     }
 
     #[track_caller]
@@ -437,7 +445,7 @@ impl WarpCtx<'_> {
             idxs.sort_unstable();
             idxs.dedup();
             self.alu(Self::ONCHIP_ADDR_ALU);
-            self.trace.push(TOp::Const {
+            self.trace.ops.push(TOp::Const {
                 lanes: self.mask.count() as u8,
                 unique: idxs.len().min(255) as u8,
             });
@@ -658,7 +666,7 @@ impl WarpCtx<'_> {
         }
         self.alu(Self::ONCHIP_ADDR_ALU);
         let degree = warp_conflict_degree(lane_words, self.banks).min(255);
-        self.trace.push(TOp::Shared {
+        self.trace.ops.push(TOp::Shared {
             degree: degree as u8,
             lanes: self.mask.count() as u8,
             store,
@@ -825,7 +833,7 @@ impl WarpCtx<'_> {
         let cm = ActiveMask::from_preds(cond);
         let t = self.mask.and(cm);
         let e = self.mask.and_not(cm);
-        self.trace.push(TOp::Branch {
+        self.trace.ops.push(TOp::Branch {
             lanes: self.mask.count() as u8,
         });
         let saved = self.mask;
@@ -859,7 +867,7 @@ impl WarpCtx<'_> {
             }
             let c = cond(self);
             let m = self.mask.and(ActiveMask::from_preds(&c));
-            self.trace.push(TOp::Branch {
+            self.trace.ops.push(TOp::Branch {
                 lanes: self.mask.count() as u8,
             });
             if m.is_empty() {

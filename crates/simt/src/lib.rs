@@ -85,7 +85,7 @@ pub use gpu::{
     set_sim_threads, sim_threads, time_trace, time_traces_concurrent, try_time_launches,
     try_time_trace, try_time_traces_concurrent, ConcurrentStats, Gpu,
 };
-pub use isa::{ActiveMask, MemSpace, TOp};
+pub use isa::{ActiveMask, MemSpace, SegRange, TOp};
 pub use kernel::{GridShape, Kernel, PhaseControl, WarpCtx};
 pub use memory::{BufF32, BufU32, GpuMem};
 pub use sanitizer::{

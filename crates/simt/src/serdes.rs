@@ -21,7 +21,7 @@ use std::sync::Arc;
 pub use obs::codec::CodecError;
 use obs::codec::{put_str, put_u32, put_u64, Reader};
 
-use crate::isa::{MemSpace, TOp};
+use crate::isa::{MemSpace, SegRange, TOp};
 use crate::trace::{CtaTrace, KernelTrace, WarpTrace};
 
 /// Version of this codec; bump on any layout change. The store's
@@ -83,7 +83,7 @@ fn encode_trace(t: &KernelTrace, out: &mut Vec<u8>) {
         for warp in &cta.warps {
             put_u32(out, warp.ops.len() as u32);
             for op in &warp.ops {
-                encode_op(op, out);
+                encode_op(op, &warp.segs, out);
             }
         }
     }
@@ -102,11 +102,17 @@ fn decode_trace(r: &mut Reader<'_>) -> Result<KernelTrace, CodecError> {
         let mut warps = Vec::with_capacity(n_warps.min(r.remaining()));
         for _ in 0..n_warps {
             let n_ops = r.u32("op count")? as usize;
-            let mut ops = Vec::with_capacity(n_ops.min(r.remaining()));
+            let mut warp = WarpTrace {
+                ops: Vec::with_capacity(n_ops.min(r.remaining())),
+                segs: Vec::new(),
+            };
             for _ in 0..n_ops {
-                ops.push(decode_op(r)?);
+                let op = decode_op(r, &mut warp)?;
+                warp.ops.push(op);
             }
-            warps.push(WarpTrace { ops });
+            warp.ops.shrink_to_fit();
+            warp.segs.shrink_to_fit();
+            warps.push(warp);
         }
         ctas.push(CtaTrace { warps });
     }
@@ -131,7 +137,8 @@ const TAG_PARAM: u8 = 6;
 const TAG_BRANCH: u8 = 7;
 const TAG_BAR: u8 = 8;
 
-fn encode_op(op: &TOp, out: &mut Vec<u8>) {
+/// Encodes `op`, writing its segments (from its warp's `pool`) inline.
+fn encode_op(op: &TOp, pool: &[u64], out: &mut Vec<u8>) {
     match op {
         TOp::Alu { n, lanes } => {
             out.push(TAG_ALU);
@@ -154,18 +161,12 @@ fn encode_op(op: &TOp, out: &mut Vec<u8>) {
             out.push(u8::from(*space == MemSpace::Local));
             out.push(u8::from(*store));
             out.push(*lanes);
-            put_u32(out, segs.len() as u32);
-            for &s in segs {
-                put_u64(out, s);
-            }
+            put_segs(out, segs.of(pool));
         }
         TOp::Tex { lanes, segs } => {
             out.push(TAG_TEX);
             out.push(*lanes);
-            put_u32(out, segs.len() as u32);
-            for &s in segs {
-                put_u64(out, s);
-            }
+            put_segs(out, segs.of(pool));
         }
         TOp::Const { lanes, unique } => {
             out.push(TAG_CONST);
@@ -185,7 +186,8 @@ fn encode_op(op: &TOp, out: &mut Vec<u8>) {
     }
 }
 
-fn decode_op(r: &mut Reader<'_>) -> Result<TOp, CodecError> {
+/// Decodes one op of `warp`, appending its segments to the warp's pool.
+fn decode_op(r: &mut Reader<'_>, warp: &mut WarpTrace) -> Result<TOp, CodecError> {
     let tag = r.u8("op tag")?;
     Ok(match tag {
         TAG_ALU => TOp::Alu {
@@ -205,7 +207,7 @@ fn decode_op(r: &mut Reader<'_>) -> Result<TOp, CodecError> {
             let local = r.bool("gmem space flag")?;
             let store = r.bool("gmem store flag")?;
             let lanes = r.u8("gmem lanes")?;
-            let segs = segs(r, "gmem segments")?;
+            let segs = segs(r, warp, "gmem segments")?;
             TOp::Gmem {
                 space: if local { MemSpace::Local } else { MemSpace::Global },
                 store,
@@ -215,7 +217,7 @@ fn decode_op(r: &mut Reader<'_>) -> Result<TOp, CodecError> {
         }
         TAG_TEX => TOp::Tex {
             lanes: r.u8("tex lanes")?,
-            segs: segs(r, "tex segments")?,
+            segs: segs(r, warp, "tex segments")?,
         },
         TAG_CONST => TOp::Const {
             lanes: r.u8("const lanes")?,
@@ -239,9 +241,22 @@ fn decode_op(r: &mut Reader<'_>) -> Result<TOp, CodecError> {
 }
 
 /// A `u32` count followed by that many `u64` segment addresses.
-fn segs(r: &mut Reader<'_>, what: &'static str) -> Result<Box<[u64]>, CodecError> {
+fn put_segs(out: &mut Vec<u8>, segs: &[u64]) {
+    put_u32(out, segs.len() as u32);
+    for &s in segs {
+        put_u64(out, s);
+    }
+}
+
+/// Reads what [`put_segs`] wrote into `warp`'s pool, returning its
+/// range. A count that does not fit a [`SegRange`] is an error.
+fn segs(r: &mut Reader<'_>, warp: &mut WarpTrace, what: &'static str) -> Result<SegRange, CodecError> {
+    let offset = r.pos();
     let n = r.u32(what)? as usize;
-    Ok(r.u64s(n, what)?.into_boxed_slice())
+    warp.push_segs(&r.u64s(n, what)?).ok_or(CodecError {
+        offset,
+        what: "segment count does not fit a segment range",
+    })
 }
 
 #[cfg(test)]
@@ -258,25 +273,26 @@ mod tests {
                 space: MemSpace::Global,
                 store: false,
                 lanes: 32,
-                segs: vec![0, 64, 128].into_boxed_slice(),
+                segs: SegRange { start: 0, len: 3 },
             },
             TOp::Gmem {
                 space: MemSpace::Local,
                 store: true,
                 lanes: 8,
-                segs: vec![1 << 40].into_boxed_slice(),
+                segs: SegRange { start: 3, len: 1 },
             },
-            TOp::Tex { lanes: 32, segs: vec![4096].into_boxed_slice() },
+            TOp::Tex { lanes: 32, segs: SegRange { start: 4, len: 1 } },
             TOp::Const { lanes: 32, unique: 2 },
             TOp::Param { n: 2, lanes: 32 },
             TOp::Branch { lanes: 32 },
             TOp::Bar,
         ];
+        let warp = WarpTrace { ops, segs: vec![0, 64, 128, 1 << 40, 4096] };
         KernelTrace {
             name: "kitchen-sink".to_string(),
             ctas: vec![
-                CtaTrace { warps: vec![WarpTrace { ops: ops.clone() }, WarpTrace { ops: vec![] }] },
-                CtaTrace { warps: vec![WarpTrace { ops }] },
+                CtaTrace { warps: vec![warp.clone(), WarpTrace::default()] },
+                CtaTrace { warps: vec![warp] },
             ],
             threads_per_block: 96,
             regs_per_thread: 21,
@@ -297,9 +313,7 @@ mod tests {
             assert_eq!(b.ctas.len(), t.ctas.len());
             for (bc, tc) in b.ctas.iter().zip(&t.ctas) {
                 assert_eq!(bc.warps.len(), tc.warps.len());
-                for (bw, tw) in bc.warps.iter().zip(&tc.warps) {
-                    assert_eq!(bw.ops, tw.ops);
-                }
+                assert_eq!(bc.warps, tc.warps);
             }
             assert_eq!(b.threads_per_block, t.threads_per_block);
             assert_eq!(b.regs_per_thread, t.regs_per_thread);
@@ -346,7 +360,7 @@ mod tests {
     fn unknown_op_tag_is_rejected() {
         let t = Arc::new(KernelTrace {
             name: "t".to_string(),
-            ctas: vec![CtaTrace { warps: vec![WarpTrace { ops: vec![TOp::Bar] }] }],
+            ctas: vec![CtaTrace { warps: vec![WarpTrace { ops: vec![TOp::Bar], segs: vec![] }] }],
             threads_per_block: 32,
             regs_per_thread: 1,
             shared_bytes_per_cta: 0,
@@ -397,5 +411,39 @@ mod tests {
         let b = crate::gpu::try_time_trace(&back[0], &cfg).expect("time decoded");
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.thread_instructions, b.thread_instructions);
+        // Capture and decode both leave every warp's vectors exact-size.
+        for t in [&trace, &back[0]] {
+            for w in t.ctas.iter().flat_map(|c| &c.warps) {
+                assert_eq!(w.ops.capacity(), w.ops.len());
+                assert_eq!(w.segs.capacity(), w.segs.len());
+            }
+        }
+        assert!(trace.ctas[0].warps[0].segs.len() > 1, "the warp touched memory");
+    }
+
+    #[test]
+    fn a_segment_count_beyond_a_range_is_a_typed_error() {
+        let mut bytes = Vec::new();
+        put_u32(&mut bytes, TRACE_CODEC_VERSION);
+        put_u64(&mut bytes, 0);
+        put_u64(&mut bytes, 0);
+        put_u32(&mut bytes, 1); // one trace
+        put_str(&mut bytes, "t");
+        put_u64(&mut bytes, 32);
+        for field in [1, 0, 32, 1, 1, 1] {
+            // regs, shared bytes, warp size, one CTA, one warp, one op
+            put_u32(&mut bytes, field);
+        }
+        bytes.extend([TAG_TEX, 32]);
+        let n = u32::from(u16::MAX) + 1;
+        let count_at = bytes.len();
+        put_u32(&mut bytes, n);
+        bytes.resize(bytes.len() + 8 * n as usize, 0);
+        let err = decode_capture_payload(&bytes).unwrap_err();
+        assert!(err.to_string().contains("segment range"), "{err}");
+        // One segment fewer fits and decodes.
+        bytes[count_at..][..4].copy_from_slice(&(n - 1).to_le_bytes());
+        bytes.truncate(bytes.len() - 8);
+        assert!(decode_capture_payload(&bytes).is_ok());
     }
 }

@@ -63,6 +63,8 @@ pub(crate) struct WarpRt<'a> {
     /// placement so the (very hot) issue path reads `ops[pc]` directly
     /// instead of chasing trace → CTA → warp indirections every issue.
     pub ops: &'a [TOp],
+    /// The segment pool `ops`' memory operations index into.
+    pub segs: &'a [u64],
     /// Next operation to issue.
     pub pc: usize,
     /// Cycle at which the warp may issue again. While `unresolved` is
@@ -509,9 +511,9 @@ impl<'a> SmRt<'a> {
         out.last_cycle = out.last_cycle.max(cycle);
         let seq = self.seq;
         self.seq += 1;
-        let (ops, pc) = {
+        let (ops, pool, pc) = {
             let warp = &self.warp_tab[w];
-            (warp.ops, warp.pc)
+            (warp.ops, warp.segs, warp.pc)
         };
         let op = &ops[pc];
         self.warp_tab[w].pc += 1;
@@ -586,6 +588,7 @@ impl<'a> SmRt<'a> {
                 let done = cycle + ic + cfg.tex_latency as u64;
                 let tex = &mut self.tex;
                 let mut misses = segs
+                    .of(pool)
                     .iter()
                     .copied()
                     .filter(|&seg| !tex.as_mut().is_some_and(|t| t.access(seg)));
@@ -596,7 +599,7 @@ impl<'a> SmRt<'a> {
                 if *store {
                     // Stores retire through a write buffer; the warp does
                     // not wait, but bandwidth is consumed.
-                    push_mem(out, &mut segs.iter().copied(), 0, false);
+                    push_mem(out, &mut segs.of(pool).iter().copied(), 0, false);
                     (ic, cycle + ic + cfg.alu_latency as u64)
                 } else {
                     let mut done = cycle + ic;
@@ -606,7 +609,7 @@ impl<'a> SmRt<'a> {
                         None => (None, 0),
                     };
                     let mut l1 = l1;
-                    let mut misses = segs.iter().copied().filter(|&seg| {
+                    let mut misses = segs.of(pool).iter().copied().filter(|&seg| {
                         let hit = l1.as_mut().is_some_and(|l1| l1.access(seg));
                         if hit {
                             done = done.max(cycle + l1_lat);
@@ -913,6 +916,7 @@ mod tests {
         let w = WarpRt {
             cta_rt: 0,
             ops: &[],
+            segs: &[],
             pc: 0,
             ready_at: 42,
             at_barrier: false,

@@ -7,16 +7,31 @@
 
 use crate::config::GpuConfig;
 use crate::error::SimError;
-use crate::isa::{ActiveMask, TOp};
+use crate::isa::{ActiveMask, SegRange, TOp};
 use crate::kernel::{Kernel, PhaseControl, Stash, WarpCtx};
 use crate::memory::GpuMem;
 use crate::sanitizer::{BarrierRecord, LaunchTape, TapeEvent};
 
-/// The trace of one warp: its operation stream, with barriers inline.
+/// The trace of one warp: its operation stream, with barriers inline,
+/// and the one segment pool its memory ops index into. Capture and the
+/// trace codec both leave the two vectors exact-size.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WarpTrace {
     /// Captured operations in program order.
     pub ops: Vec<TOp>,
+    /// Coalesced segment addresses of the memory ops, in program order;
+    /// each op's run is at its [`SegRange`].
+    pub segs: Vec<u64>,
+}
+
+impl WarpTrace {
+    /// Appends `segs` to the pool and returns their range, or `None`
+    /// (pool unchanged) if the range does not fit a [`SegRange`].
+    pub fn push_segs(&mut self, segs: &[u64]) -> Option<SegRange> {
+        let range = SegRange::new(self.segs.len(), segs.len())?;
+        self.segs.extend_from_slice(segs);
+        Some(range)
+    }
 }
 
 /// The traces of all warps of one CTA.
@@ -169,7 +184,7 @@ pub(crate) fn try_trace_kernel_with(
                     shared_f32: &mut shared_f32,
                     shared_u32: &mut shared_u32,
                     stash: &mut stashes[warp],
-                    trace: &mut traces[warp].ops,
+                    trace: &mut traces[warp],
                     block,
                     warp_in_block: warp,
                     warp_size,
@@ -226,6 +241,10 @@ pub(crate) fn try_trace_kernel_with(
                 }
                 _ => break,
             }
+        }
+        for t in &mut traces {
+            t.ops.shrink_to_fit();
+            t.segs.shrink_to_fit();
         }
         ctas.push(CtaTrace { warps: traces });
     }

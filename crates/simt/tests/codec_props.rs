@@ -38,8 +38,10 @@ impl Kernel for Saxpy {
 
 /// One warp holding every op variant, so every tag is in the payload.
 fn kitchen_sink() -> KernelTrace {
-    let (space, segs) = (MemSpace::Local, vec![0, 1 << 40].into_boxed_slice());
-    let ops = vec![
+    let mut warp = WarpTrace::default();
+    let mut segs = || warp.push_segs(&[0, 1 << 40]).expect("fits a range");
+    let (space, gmem, tex) = (MemSpace::Local, segs(), segs());
+    warp.ops = vec![
         TOp::Alu { n: 3, lanes: 32 },
         TOp::Sfu { n: 1, lanes: 16 },
         TOp::Shared {
@@ -51,9 +53,12 @@ fn kitchen_sink() -> KernelTrace {
             space,
             store: false,
             lanes: 8,
-            segs: segs.clone(),
+            segs: gmem,
         },
-        TOp::Tex { lanes: 32, segs },
+        TOp::Tex {
+            lanes: 32,
+            segs: tex,
+        },
         TOp::Const {
             lanes: 32,
             unique: 2,
@@ -64,9 +69,7 @@ fn kitchen_sink() -> KernelTrace {
     ];
     KernelTrace {
         name: "kitchen-sink".to_string(),
-        ctas: vec![CtaTrace {
-            warps: vec![WarpTrace { ops }],
-        }],
+        ctas: vec![CtaTrace { warps: vec![warp] }],
         threads_per_block: 32,
         regs_per_thread: 21,
         shared_bytes_per_cta: 2048,

@@ -56,8 +56,7 @@ impl SharedCache {
     /// [`TraceError::LineNotPowerOfTwo`] if set count or line size defeat
     /// the mask/shift index mapping.
     pub fn new(bytes: u64, ways: usize, line: u64) -> Result<SharedCache, TraceError> {
-        validate_geometry(bytes, ways, line)?;
-        let sets = (bytes / (ways as u64 * line)) as usize;
+        let sets = validate_geometry(bytes, ways, line)? as usize;
         let entries = sets * ways;
         Ok(SharedCache {
             bytes,
@@ -84,6 +83,13 @@ impl SharedCache {
     /// Line size in bytes.
     pub fn line(&self) -> u64 {
         self.line
+    }
+
+    /// Valid lines evicted so far. Every eviction ends one residency,
+    /// and before [`finish`](SharedCache::finish) flushes the live ones
+    /// nothing else does, so this is the finished-residency count.
+    pub fn evictions(&self) -> u64 {
+        self.finished_incarnations
     }
 
     /// Simulates one access by `tid` to byte address `addr`.
@@ -153,11 +159,15 @@ impl SharedCache {
     }
 }
 
-/// Checks a cache geometry without allocating it: `bytes / (ways *
-/// line)` must yield a positive power-of-two set count and `line` must
-/// be a power of two (the hot loop maps addresses to lines with a shift
-/// and lines to sets with a mask).
-pub fn validate_geometry(bytes: u64, ways: usize, line: u64) -> Result<(), TraceError> {
+/// Checks a cache geometry without allocating it and returns its set
+/// count: `bytes / (ways * line)` must yield a positive power-of-two
+/// set count and `line` must be a power of two (the hot loop maps
+/// addresses to lines with a shift and lines to sets with a mask).
+///
+/// # Errors
+///
+/// The same typed errors as [`SharedCache::new`].
+pub fn validate_geometry(bytes: u64, ways: usize, line: u64) -> Result<u64, TraceError> {
     if !line.is_power_of_two() {
         return Err(TraceError::LineNotPowerOfTwo { line });
     }
@@ -165,11 +175,11 @@ pub fn validate_geometry(bytes: u64, ways: usize, line: u64) -> Result<(), Trace
     if denom == 0 || bytes / denom == 0 {
         return Err(TraceError::CacheTooSmall { bytes, ways, line });
     }
-    let sets = (bytes / denom) as usize;
+    let sets = bytes / denom;
     if !sets.is_power_of_two() {
-        return Err(TraceError::SetsNotPowerOfTwo { sets });
+        return Err(TraceError::SetsNotPowerOfTwo { sets: sets as usize });
     }
-    Ok(())
+    Ok(sets)
 }
 
 /// Final statistics of one cache capacity.
@@ -330,11 +340,8 @@ mod prop_tests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Miss rate never increases with capacity (LRU inclusion holds
-        /// for same-associativity... strictly it holds per set; with the
-        /// same line size and doubling sets it can be violated in
-        /// pathological cases, so we check the common monotone trend on
-        /// small strided/looping traces where inclusion does hold).
+        /// Every access is counted once, misses never exceed accesses,
+        /// and a single thread never shares a line.
         #[test]
         fn miss_counts_conserve(addrs in proptest::collection::vec(0u64..1_000_000, 1..500)) {
             let mut c = SharedCache::new(16 * 1024, 4, 64).expect("geometry");
@@ -346,6 +353,29 @@ mod prop_tests {
             prop_assert!(s.misses <= s.accesses);
             prop_assert!(s.shared_accesses == 0, "single thread never shares");
             prop_assert_eq!(s.shared_incarnations, 0);
+        }
+
+        /// With equal ways and line size, doubling the set count never
+        /// adds misses. Set `j` of the larger cache receives the lines of
+        /// set `j mod sets` of the smaller one whose next index bit
+        /// matches, so its LRU stack is the smaller set's stack with the
+        /// other lines removed: a line among the `ways` most recent of
+        /// the smaller set is among the `ways` most recent of its half.
+        #[test]
+        fn doubling_sets_never_adds_misses(
+            trace in proptest::collection::vec((0usize..8, 0u64..512), 1..400),
+            ways in proptest::sample::select(vec![1usize, 2, 4, 8]),
+            set_log in 0u32..7,
+        ) {
+            let bytes = (1u64 << set_log) * ways as u64 * 64;
+            let mut small = SharedCache::new(bytes, ways, 64).expect("geometry");
+            let mut large = SharedCache::new(2 * bytes, ways, 64).expect("geometry");
+            for &(tid, lineno) in &trace {
+                small.access_line(tid, lineno);
+                large.access_line(tid, lineno);
+            }
+            let (s, l) = (small.finish(), large.finish());
+            prop_assert!(l.misses <= s.misses, "{} sets: {:?} vs {:?}", 1u64 << set_log, s, l);
         }
 
         /// Distinct lines accessed bounds misses from below (compulsory

@@ -23,8 +23,8 @@
 //!   4 kB data blocks touched (Figures 11 and 12);
 //! * [`trace::CpuCapture`] is the capture-once path: the interleaved
 //!   reference stream is recorded once as packed line-granular words
-//!   and each capacity is then replayed independently — byte-identical
-//!   to the direct path, and parallelizable by the study engine;
+//!   and then replayed per capacity, skipping the capacities that
+//!   cannot differ — byte-identical to the direct path;
 //! * [`error::TraceError`] is the crate's typed error — no fallible
 //!   entry point panics.
 //!

@@ -116,6 +116,9 @@ pub struct Profiler {
     events: u64,
 }
 
+/// Base of the data address space: the data allocator is a bump
+/// allocator from here.
+const DATA_BASE: u64 = 0;
 /// Base of the (synthetic) code address space, disjoint from data.
 const CODE_BASE: u64 = 1 << 40;
 
@@ -164,9 +167,9 @@ impl Profiler {
             sink,
             cfg: cfg.clone(),
             mix: InstrMix::default(),
-            footprints: Footprints::new(),
+            footprints: Footprints::with_bases(DATA_BASE, CODE_BASE),
             regions: Vec::new(),
-            next_data: 0,
+            next_data: DATA_BASE,
             next_code: CODE_BASE,
             events: 0,
         }

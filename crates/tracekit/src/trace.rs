@@ -10,8 +10,9 @@
 //!    packed `(lineno << 8) | tid` words (mix, footprints and event
 //!    counts are finalized here too; they do not depend on capacity);
 //! 2. **replay** — feed the packed words to a single [`SharedCache`]
-//!    per capacity. Replays are independent, so the study engine can
-//!    fan them out over its worker pool.
+//!    per capacity. [`CpuCapture::replay_all`] simulates only the
+//!    capacities whose stats can differ: once a capacity evicts
+//!    nothing, every one with at least as many sets has the same stats.
 //!
 //! Because the packed words record exactly the `(tid, lineno)` pairs
 //! the direct sink would have fed each cache — including the second
@@ -21,7 +22,7 @@
 //! determinism is re-proven per workload in
 //! `tests/cpu_replay_determinism.rs` at the workspace root.
 
-use crate::cache::{CacheStats, SharedCache};
+use crate::cache::{validate_geometry, CacheStats, SharedCache};
 use crate::error::TraceError;
 use crate::profile::{CpuWorkload, Profile, ProfileConfig, Profiler};
 
@@ -129,22 +130,72 @@ impl CpuCapture {
     /// A [`TraceError`] if `bytes` is not a valid geometry with the
     /// captured associativity and line size.
     pub fn replay(&self, bytes: u64) -> Result<CacheStats, TraceError> {
+        Ok(self.simulate(bytes)?.finish())
+    }
+
+    /// Feeds the whole trace to a fresh cache of `bytes` capacity and
+    /// returns it unfinished, so its eviction count can still be read.
+    fn simulate(&self, bytes: u64) -> Result<SharedCache, TraceError> {
         let _span = obs::span!("tracekit.replay.{}", self.base.name);
         let mut cache = SharedCache::new(bytes, self.ways, self.line)?;
         for &w in &self.words {
             cache.access_line((w & 0xff) as usize, w >> 8);
         }
         obs::Registry::global().add("tracekit.replays", 1);
-        Ok(cache.finish())
+        Ok(cache)
     }
 
-    /// Replays every capacity in `sizes`, in order.
+    /// Replays every capacity in `sizes`, in order, simulating only
+    /// the capacities whose stats can differ; equal to
+    /// `sizes.map(replay)`.
+    ///
+    /// Once a capacity evicts nothing, every capacity with at least as
+    /// many sets reuses its stats with only `capacity` changed, and is
+    /// counted in `tracekit.replays_skipped` instead of
+    /// `tracekit.replays`. This is exact. All capacities share the
+    /// captured ways and line size, and the set index is `lineno &
+    /// (sets - 1)` with a power-of-two set count, so each set of a cache
+    /// with more sets receives a subset of the lines of one set of the
+    /// cache with fewer. A cache that evicted nothing never had more
+    /// than `ways` distinct lines in any set, so neither does the
+    /// larger one, and it evicts nothing either. Without evictions each
+    /// line has one residency, from its first touch to the end: an
+    /// access misses exactly when it is the line's first, and a line's
+    /// thread mask after each access is the set of threads that have
+    /// touched it so far. So misses, shared accesses, residencies and
+    /// shared residencies are the same in both caches. The rule keeps
+    /// the fewest-set capacity that evicted nothing seen so far, so it
+    /// holds for `sizes` in any order.
     ///
     /// # Errors
     ///
-    /// The first [`TraceError`] from a replay.
+    /// The first [`TraceError`] from a capacity's geometry.
     pub fn replay_all(&self, sizes: &[u64]) -> Result<Vec<CacheStats>, TraceError> {
-        sizes.iter().map(|&b| self.replay(b)).collect()
+        // The set count and stats of the fewest-set capacity so far
+        // that evicted nothing.
+        let mut no_evictions: Option<(u64, CacheStats)> = None;
+        let mut skipped = 0;
+        let all = sizes
+            .iter()
+            .map(|&bytes| {
+                let sets = validate_geometry(bytes, self.ways, self.line)?;
+                if let Some((fits, stats)) = no_evictions {
+                    if sets >= fits {
+                        skipped += 1;
+                        return Ok(CacheStats { capacity: bytes, ..stats });
+                    }
+                }
+                let cache = self.simulate(bytes)?;
+                let evicted = cache.evictions() > 0;
+                let stats = cache.finish();
+                if !evicted {
+                    no_evictions = Some((sets, stats));
+                }
+                Ok(stats)
+            })
+            .collect();
+        obs::Registry::global().add("tracekit.replays_skipped", skipped);
+        all
     }
 
     /// Assembles a full [`Profile`] from this capture plus
@@ -261,6 +312,34 @@ mod tests {
             cap.replay(48 * 1024),
             Err(TraceError::SetsNotPowerOfTwo { .. })
         ));
+    }
+
+    #[test]
+    fn a_trace_that_fits_skips_the_larger_replays() {
+        // Three passes over 16 lines by 4 threads. With 4 ways and
+        // 64-byte lines, 1 and 2 sets evict; 4 sets hold every line.
+        let words: Vec<u64> = (0..3u64)
+            .flat_map(|pass| (0..16u64).map(move |l| (l << 8) | ((l + pass) % 4)))
+            .collect();
+        let base = Profile {
+            name: "trace-tests.fits".to_string(),
+            mix: crate::mix::InstrMix::default(),
+            cache_stats: Vec::new(),
+            instr_blocks: 0,
+            data_blocks: 0,
+            events: 0,
+        };
+        let cap = CpuCapture::from_parts(base, words, 4, 64);
+        let sizes: Vec<u64> = (0..8).map(|i| 256u64 << i).collect();
+        let reg = obs::Registry::global();
+        let skipped_before = reg.counter("tracekit.replays_skipped");
+        let all = cap.replay_all(&sizes).expect("replay all");
+        let replays = reg.span_stat("tracekit.replay.trace-tests.fits").map(|s| s.count);
+        assert_eq!(replays, Some(3), "only 1, 2 and 4 sets are simulated");
+        assert!(reg.counter("tracekit.replays_skipped") >= skipped_before + 5);
+        let each: Vec<CacheStats> = sizes.iter().map(|&b| cap.replay(b).expect("replay")).collect();
+        assert_eq!(all, each);
+        assert_eq!(all[7].misses, 16, "only compulsory misses once it fits");
     }
 
     #[test]

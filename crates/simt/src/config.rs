@@ -3,6 +3,7 @@
 //! on-chip memory configurations).
 
 use crate::error::SimError;
+use crate::isa::MAX_WARP_SIZE;
 
 /// Largest accepted timeline sample budget (2²⁴ samples ≈ 0.5 GiB of
 /// retained telemetry — far beyond any sane configuration).
@@ -401,7 +402,7 @@ impl GpuConfig {
         if self.num_sms == 0 {
             return Some("num_sms must be positive".into());
         }
-        if self.warp_size == 0 || self.warp_size > 64 {
+        if self.warp_size == 0 || self.warp_size as usize > MAX_WARP_SIZE {
             return Some("warp_size must be in 1..=64".into());
         }
         if self.simd_width == 0 || self.simd_width > self.warp_size {

@@ -39,7 +39,11 @@ impl fmt::Display for MemSpace {
     }
 }
 
-/// A set of active lanes within a warp (up to 64 lanes supported).
+/// The widest warp the simulator supports: one bit per lane of an
+/// [`ActiveMask`]. [`crate::GpuConfig::validate`] rejects wider warps.
+pub const MAX_WARP_SIZE: usize = 64;
+
+/// A set of active lanes within a warp (up to [`MAX_WARP_SIZE`] lanes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ActiveMask(u64);
 
@@ -103,10 +107,16 @@ impl ActiveMask {
         ActiveMask(self.0 & !other.0)
     }
 
-    /// Iterator over the indices of active lanes.
+    /// Iterator over the indices of active lanes, in ascending order.
+    /// It visits only the set bits (one `trailing_zeros` each), not all
+    /// 64 lane slots.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let bits = self.0;
-        (0..64).filter(move |i| (bits >> i) & 1 == 1)
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let lane = (bits != 0).then(|| bits.trailing_zeros() as usize)?;
+            bits &= bits - 1;
+            Some(lane)
+        })
     }
 }
 

@@ -18,10 +18,11 @@
 //! another phase (all warps of a CTA must agree).
 
 use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 
-use crate::banks::warp_conflict_degree;
+use crate::banks::{distinct_words, warp_conflict_degree};
 use crate::coalesce::coalesce;
-use crate::isa::{ActiveMask, MemSpace, SegRange, TOp};
+use crate::isa::{ActiveMask, MemSpace, SegRange, TOp, MAX_WARP_SIZE};
 use crate::memory::{BufF32, BufU32, GpuMem};
 use crate::sanitizer::{AccessKind, LaunchTape, MemAccess, TapeBuf, TapeEvent};
 use crate::trace::WarpTrace;
@@ -117,13 +118,55 @@ pub struct Stash {
     u32s: HashMap<&'static str, Vec<u32>>,
 }
 
+/// The per-lane staging of one warp access — byte addresses, constant
+/// indices or shared `(lane, word)` pairs — held on the stack. Each
+/// active lane stages at most one entry and a warp has at most
+/// [`MAX_WARP_SIZE`] lanes, so staging an access never allocates.
+struct Lanes<T> {
+    items: [T; MAX_WARP_SIZE],
+    len: usize,
+}
+
+impl<T: Copy + Default> Lanes<T> {
+    fn new() -> Lanes<T> {
+        Lanes {
+            items: [T::default(); MAX_WARP_SIZE],
+            len: 0,
+        }
+    }
+
+    fn push(&mut self, item: T) {
+        self.items[self.len] = item;
+        self.len += 1;
+    }
+}
+
+impl<T> Deref for Lanes<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        &self.items[..self.len]
+    }
+}
+
+impl<T> DerefMut for Lanes<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        &mut self.items[..self.len]
+    }
+}
+
 /// Execution context of one warp during one phase.
 ///
 /// All `ld_*`/`st_*` methods take a closure mapping
 /// `(lane, global_thread_id)` to an element index (or `None` for lanes
 /// that do not participate in the access); they perform the real data
 /// movement *and* record the coalesced memory operation in the warp's
-/// trace.
+/// trace. The access path itself is allocation-free: a lane's thread id
+/// is computed, not looked up, and the lanes' addresses or words are
+/// staged in a fixed stack buffer (`Lanes`) that the coalescer and the
+/// bank-conflict counter read in place. Only the returned per-lane
+/// values and, with a sanitizer attached, the tape's word lists touch
+/// the heap.
 pub struct WarpCtx<'a> {
     pub(crate) mem: &'a mut GpuMem,
     pub(crate) shared_f32: &'a mut [f32],
@@ -251,10 +294,15 @@ impl WarpCtx<'_> {
         }
     }
 
+    /// Global thread id of lane 0; lane `l` is thread `tid0() + l`.
+    fn tid0(&self) -> usize {
+        self.block * self.threads_per_block + self.warp_in_block * self.warp_size
+    }
+
     /// Global thread id of each lane (length = warp size, including
     /// inactive lanes).
     pub fn tids(&self) -> Vec<usize> {
-        let base = self.block * self.threads_per_block + self.warp_in_block * self.warp_size;
+        let base = self.tid0();
         (0..self.warp_size).map(|l| base + l).collect()
     }
 
@@ -347,7 +395,7 @@ impl WarpCtx<'_> {
         space: MemSpace,
         mut f: impl FnMut(usize, usize) -> Option<usize>,
     ) -> Vec<f32> {
-        let tids = self.tids();
+        let tid0 = self.tid0();
         let base = self.mem.base_f32(buf);
         let data_len = self.mem.len_f32(buf);
         let mut out = vec![0.0f32; self.warp_size];
@@ -356,10 +404,10 @@ impl WarpCtx<'_> {
         }
         let taping = self.taping();
         let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut addrs = Vec::new();
+        let mut addrs = Lanes::new();
         let mask = self.mask;
         for lane in mask.iter().take(self.warp_size) {
-            if let Some(idx) = f(lane, tids[lane]) {
+            if let Some(idx) = f(lane, tid0 + lane) {
                 if taping {
                     twords.push((lane as u8, idx as u32));
                 }
@@ -411,7 +459,7 @@ impl WarpCtx<'_> {
         buf: BufF32,
         mut f: impl FnMut(usize, usize) -> Option<usize>,
     ) -> Vec<f32> {
-        let tids = self.tids();
+        let tid0 = self.tid0();
         let data_len = self.mem.len_f32(buf);
         let mut out = vec![0.0f32; self.warp_size];
         if self.faulted() {
@@ -419,10 +467,10 @@ impl WarpCtx<'_> {
         }
         let taping = self.taping();
         let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut idxs = Vec::new();
+        let mut idxs = Lanes::new();
         let mask = self.mask;
         for lane in mask.iter().take(self.warp_size) {
-            if let Some(idx) = f(lane, tids[lane]) {
+            if let Some(idx) = f(lane, tid0 + lane) {
                 if taping {
                     twords.push((lane as u8, idx as u32));
                 }
@@ -442,12 +490,11 @@ impl WarpCtx<'_> {
         let tb = TapeBuf::GlobalF32(buf.0 as u32);
         self.tape_access(AccessKind::Load, MemSpace::Constant, tb, twords, false);
         if !idxs.is_empty() {
-            idxs.sort_unstable();
-            idxs.dedup();
+            let unique = distinct_words(&mut idxs);
             self.alu(Self::ONCHIP_ADDR_ALU);
             self.trace.ops.push(TOp::Const {
                 lanes: self.mask.count() as u8,
-                unique: idxs.len().min(255) as u8,
+                unique: unique.min(255) as u8,
             });
         }
         out
@@ -459,14 +506,14 @@ impl WarpCtx<'_> {
         if self.faulted() {
             return;
         }
-        let tids = self.tids();
+        let tid0 = self.tid0();
         let base = self.mem.base_f32(buf);
         let taping = self.taping();
         let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut addrs = Vec::new();
+        let mut addrs = Lanes::new();
         let mask = self.mask;
         for lane in mask.iter().take(self.warp_size) {
-            if let Some((idx, val)) = f(lane, tids[lane]) {
+            if let Some((idx, val)) = f(lane, tid0 + lane) {
                 if taping {
                     twords.push((lane as u8, idx as u32));
                 }
@@ -497,7 +544,7 @@ impl WarpCtx<'_> {
         buf: BufU32,
         mut f: impl FnMut(usize, usize) -> Option<usize>,
     ) -> Vec<u32> {
-        let tids = self.tids();
+        let tid0 = self.tid0();
         let base = self.mem.base_u32(buf);
         let data_len = self.mem.len_u32(buf);
         let mut out = vec![0u32; self.warp_size];
@@ -506,10 +553,10 @@ impl WarpCtx<'_> {
         }
         let taping = self.taping();
         let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut addrs = Vec::new();
+        let mut addrs = Lanes::new();
         let mask = self.mask;
         for lane in mask.iter().take(self.warp_size) {
-            if let Some(idx) = f(lane, tids[lane]) {
+            if let Some(idx) = f(lane, tid0 + lane) {
                 if taping {
                     twords.push((lane as u8, idx as u32));
                 }
@@ -539,7 +586,7 @@ impl WarpCtx<'_> {
         buf: BufU32,
         mut f: impl FnMut(usize, usize) -> Option<usize>,
     ) -> Vec<u32> {
-        let tids = self.tids();
+        let tid0 = self.tid0();
         let base = self.mem.base_u32(buf);
         let data_len = self.mem.len_u32(buf);
         let mut out = vec![0u32; self.warp_size];
@@ -548,10 +595,10 @@ impl WarpCtx<'_> {
         }
         let taping = self.taping();
         let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut addrs = Vec::new();
+        let mut addrs = Lanes::new();
         let mask = self.mask;
         for lane in mask.iter().take(self.warp_size) {
-            if let Some(idx) = f(lane, tids[lane]) {
+            if let Some(idx) = f(lane, tid0 + lane) {
                 if taping {
                     twords.push((lane as u8, idx as u32));
                 }
@@ -580,14 +627,14 @@ impl WarpCtx<'_> {
         if self.faulted() {
             return;
         }
-        let tids = self.tids();
+        let tid0 = self.tid0();
         let base = self.mem.base_u32(buf);
         let taping = self.taping();
         let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut addrs = Vec::new();
+        let mut addrs = Lanes::new();
         let mask = self.mask;
         for lane in mask.iter().take(self.warp_size) {
-            if let Some((idx, val)) = f(lane, tids[lane]) {
+            if let Some((idx, val)) = f(lane, tid0 + lane) {
                 if taping {
                     twords.push((lane as u8, idx as u32));
                 }
@@ -619,7 +666,7 @@ impl WarpCtx<'_> {
         buf: BufU32,
         mut f: impl FnMut(usize, usize) -> Option<(usize, u32)>,
     ) -> Vec<u32> {
-        let tids = self.tids();
+        let tid0 = self.tid0();
         let base = self.mem.base_u32(buf);
         let mut out = vec![0u32; self.warp_size];
         if self.faulted() {
@@ -627,10 +674,10 @@ impl WarpCtx<'_> {
         }
         let taping = self.taping();
         let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut addrs = Vec::new();
+        let mut addrs = Lanes::new();
         let mask = self.mask;
         for lane in mask.iter().take(self.warp_size) {
-            if let Some((idx, val)) = f(lane, tids[lane]) {
+            if let Some((idx, val)) = f(lane, tid0 + lane) {
                 if taping {
                     twords.push((lane as u8, idx as u32));
                 }
@@ -660,7 +707,9 @@ impl WarpCtx<'_> {
 
     // ---- shared memory ---------------------------------------------------
 
-    fn emit_shared(&mut self, lane_words: &[(usize, usize)], store: bool) {
+    /// Records a shared access from its staged `(lane, word)` pairs,
+    /// which the conflict count reorders in place.
+    fn emit_shared(&mut self, lane_words: &mut [(usize, usize)], store: bool) {
         if lane_words.is_empty() {
             return;
         }
@@ -676,17 +725,17 @@ impl WarpCtx<'_> {
     /// Loads from the CTA's `f32` shared-memory scratch.
     #[track_caller]
     pub fn sh_ld_f32(&mut self, mut f: impl FnMut(usize, usize) -> Option<usize>) -> Vec<f32> {
-        let tids = self.tids();
+        let tid0 = self.tid0();
         let mut out = vec![0.0f32; self.warp_size];
         if self.faulted() {
             return out;
         }
         let taping = self.taping();
         let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut words = Vec::new();
+        let mut words = Lanes::new();
         let mask = self.mask;
         for lane in mask.iter().take(self.warp_size) {
-            if let Some(idx) = f(lane, tids[lane]) {
+            if let Some(idx) = f(lane, tid0 + lane) {
                 if taping {
                     twords.push((lane as u8, idx as u32));
                 }
@@ -703,7 +752,7 @@ impl WarpCtx<'_> {
                 words.push((lane, idx));
             }
         }
-        self.emit_shared(&words, false);
+        self.emit_shared(&mut words, false);
         let (ak, sp) = (AccessKind::Load, MemSpace::Shared);
         self.tape_access(ak, sp, TapeBuf::SharedF32, twords, false);
         out
@@ -715,13 +764,13 @@ impl WarpCtx<'_> {
         if self.faulted() {
             return;
         }
-        let tids = self.tids();
+        let tid0 = self.tid0();
         let taping = self.taping();
         let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut words = Vec::new();
+        let mut words = Lanes::new();
         let mask = self.mask;
         for lane in mask.iter().take(self.warp_size) {
-            if let Some((idx, val)) = f(lane, tids[lane]) {
+            if let Some((idx, val)) = f(lane, tid0 + lane) {
                 if taping {
                     twords.push((lane as u8, idx as u32));
                 }
@@ -738,7 +787,7 @@ impl WarpCtx<'_> {
                 words.push((lane, idx));
             }
         }
-        self.emit_shared(&words, true);
+        self.emit_shared(&mut words, true);
         let (ak, sp) = (AccessKind::Store, MemSpace::Shared);
         self.tape_access(ak, sp, TapeBuf::SharedF32, twords, false);
     }
@@ -748,7 +797,7 @@ impl WarpCtx<'_> {
     /// scratchpad.
     #[track_caller]
     pub fn sh_ld_u32(&mut self, mut f: impl FnMut(usize, usize) -> Option<usize>) -> Vec<u32> {
-        let tids = self.tids();
+        let tid0 = self.tid0();
         let off = self.shared_f32.len();
         let mut out = vec![0u32; self.warp_size];
         if self.faulted() {
@@ -756,10 +805,10 @@ impl WarpCtx<'_> {
         }
         let taping = self.taping();
         let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut words = Vec::new();
+        let mut words = Lanes::new();
         let mask = self.mask;
         for lane in mask.iter().take(self.warp_size) {
-            if let Some(idx) = f(lane, tids[lane]) {
+            if let Some(idx) = f(lane, tid0 + lane) {
                 if taping {
                     twords.push((lane as u8, idx as u32));
                 }
@@ -776,7 +825,7 @@ impl WarpCtx<'_> {
                 words.push((lane, off + idx));
             }
         }
-        self.emit_shared(&words, false);
+        self.emit_shared(&mut words, false);
         let (ak, sp) = (AccessKind::Load, MemSpace::Shared);
         self.tape_access(ak, sp, TapeBuf::SharedU32, twords, false);
         out
@@ -788,14 +837,14 @@ impl WarpCtx<'_> {
         if self.faulted() {
             return;
         }
-        let tids = self.tids();
+        let tid0 = self.tid0();
         let off = self.shared_f32.len();
         let taping = self.taping();
         let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut words = Vec::new();
+        let mut words = Lanes::new();
         let mask = self.mask;
         for lane in mask.iter().take(self.warp_size) {
-            if let Some((idx, val)) = f(lane, tids[lane]) {
+            if let Some((idx, val)) = f(lane, tid0 + lane) {
                 if taping {
                     twords.push((lane as u8, idx as u32));
                 }
@@ -812,7 +861,7 @@ impl WarpCtx<'_> {
                 words.push((lane, off + idx));
             }
         }
-        self.emit_shared(&words, true);
+        self.emit_shared(&mut words, true);
         let (ak, sp) = (AccessKind::Store, MemSpace::Shared);
         self.tape_access(ak, sp, TapeBuf::SharedU32, twords, false);
     }

@@ -249,14 +249,18 @@ pub(crate) fn try_trace_kernel_with(
         ctas.push(CtaTrace { warps: traces });
     }
 
-    Ok(KernelTrace {
+    let trace = KernelTrace {
         name: kernel.name().to_string(),
         ctas,
         threads_per_block: shape.threads_per_block,
         regs_per_thread: kernel.regs_per_thread(),
         shared_bytes_per_cta: kernel.shared_bytes(),
         warp_size,
-    })
+    };
+    // Once per launch, not per op: with the `simt.trace.*` spans this
+    // gives capture time per warp op.
+    obs::Registry::global().add("simt.trace.warp_ops", trace.total_ops() as u64);
+    Ok(trace)
 }
 
 #[cfg(test)]

@@ -43,6 +43,19 @@ pub enum TraceError {
         /// Largest supported thread count.
         max: usize,
     },
+    /// A buffer that input size drives could not grow: the allocator
+    /// refused, so the run stopped recording instead of aborting.
+    BufferGrowth {
+        /// The workload being traced; empty from [`Profiler::finish`],
+        /// which is not told it.
+        ///
+        /// [`Profiler::finish`]: crate::Profiler::finish
+        workload: &'static str,
+        /// Which buffer: a tracer event stream or the capture words.
+        buffer: &'static str,
+        /// Bytes the buffer held when it could not grow.
+        held: usize,
+    },
 }
 
 impl fmt::Display for TraceError {
@@ -61,11 +74,34 @@ impl fmt::Display for TraceError {
             TraceError::TooManyThreads { threads, max } => {
                 write!(f, "{threads} logical threads exceed the trace format's {max}")
             }
+            TraceError::BufferGrowth {
+                workload,
+                buffer,
+                held,
+            } => write!(
+                f,
+                "out of memory tracing {workload}: the {buffer} could not grow past {held} bytes"
+            ),
         }
     }
 }
 
 impl Error for TraceError {}
+
+impl TraceError {
+    /// Names the workload in a [`TraceError::BufferGrowth`]; other
+    /// errors pass through.
+    pub(crate) fn traced(self, workload: &'static str) -> TraceError {
+        match self {
+            TraceError::BufferGrowth { buffer, held, .. } => TraceError::BufferGrowth {
+                workload,
+                buffer,
+                held,
+            },
+            e => e,
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -89,5 +125,12 @@ mod tests {
         assert!(TraceError::TooManyThreads { threads: 300, max: 256 }
             .to_string()
             .contains("256"));
+        let e = TraceError::BufferGrowth {
+            workload: "",
+            buffer: "capture words",
+            held: 64,
+        };
+        let named = e.traced("dedup").to_string();
+        assert!(named.contains("out of memory tracing dedup"), "{named}");
     }
 }

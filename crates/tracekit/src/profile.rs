@@ -14,7 +14,7 @@ use crate::cache::{validate_geometry, CacheStats, SharedCache};
 use crate::error::TraceError;
 use crate::footprint::Footprints;
 use crate::mix::InstrMix;
-use crate::tracer::{Ev, ThreadTracer};
+use crate::tracer::{Ev, EventStream, ThreadTracer};
 
 /// Profiling configuration (defaults follow Bienia et al. / the paper:
 /// 8 threads, a shared 4-way 64-byte-line cache at eight capacities from
@@ -113,7 +113,13 @@ pub struct Profiler {
     regions: Vec<(u64, u64)>,
     next_data: u64,
     next_code: u64,
+    /// `log2(cfg.line)`: the line of an address is a shift.
+    line_shift: u32,
     events: u64,
+    stream_bytes: u64,
+    /// The first buffer that could not grow. Once set, regions still
+    /// run but record nothing, and `finish` returns the error.
+    failed: Option<TraceError>,
 }
 
 /// Base of the data address space: the data allocator is a bump
@@ -122,12 +128,17 @@ const DATA_BASE: u64 = 0;
 /// Base of the (synthetic) code address space, disjoint from data.
 const CODE_BASE: u64 = 1 << 40;
 
-fn check_threads(threads: usize) -> Result<(), TraceError> {
-    if threads > MAX_THREADS {
+/// Checks what every sink needs, whatever the cache capacities: a
+/// thread count the trace word can hold and a power-of-two line.
+fn check_config(cfg: &ProfileConfig) -> Result<(), TraceError> {
+    if cfg.threads > MAX_THREADS {
         return Err(TraceError::TooManyThreads {
-            threads,
+            threads: cfg.threads,
             max: MAX_THREADS,
         });
+    }
+    if !cfg.line.is_power_of_two() {
+        return Err(TraceError::LineNotPowerOfTwo { line: cfg.line });
     }
     Ok(())
 }
@@ -137,10 +148,11 @@ impl Profiler {
     ///
     /// # Errors
     ///
-    /// A [`TraceError`] if any configured cache geometry is invalid or
-    /// the thread count exceeds [`MAX_THREADS`].
+    /// A [`TraceError`] if the line size is not a power of two, any
+    /// configured cache geometry is invalid, or the thread count
+    /// exceeds [`MAX_THREADS`].
     pub fn new(cfg: &ProfileConfig) -> Result<Profiler, TraceError> {
-        check_threads(cfg.threads)?;
+        check_config(cfg)?;
         let caches = cfg
             .cache_sizes
             .iter()
@@ -155,7 +167,7 @@ impl Profiler {
     ///
     /// [`new`]: Profiler::new
     pub(crate) fn new_capturing(cfg: &ProfileConfig) -> Result<Profiler, TraceError> {
-        check_threads(cfg.threads)?;
+        check_config(cfg)?;
         for &b in &cfg.cache_sizes {
             validate_geometry(b, cfg.ways, cfg.line)?;
         }
@@ -171,7 +183,10 @@ impl Profiler {
             regions: Vec::new(),
             next_data: DATA_BASE,
             next_code: CODE_BASE,
+            line_shift: cfg.line.trailing_zeros(),
             events: 0,
+            stream_bytes: 0,
+            failed: None,
         }
     }
 
@@ -204,7 +219,7 @@ impl Profiler {
     /// the configured quantum.
     pub fn parallel(&mut self, f: impl Fn(&mut ThreadTracer)) {
         let mut tracers: Vec<ThreadTracer> =
-            (0..self.cfg.threads).map(ThreadTracer::new).collect();
+            (0..self.cfg.threads).map(|tid| self.tracer(tid)).collect();
         for t in &mut tracers {
             f(t);
         }
@@ -213,35 +228,43 @@ impl Profiler {
 
     /// Runs a serial (single-thread) region on logical thread 0.
     pub fn serial(&mut self, f: impl FnOnce(&mut ThreadTracer)) {
-        let mut t = ThreadTracer::new(0);
+        let mut t = self.tracer(0);
         f(&mut t);
         self.drain(vec![t]);
     }
 
-    fn drain(&mut self, mut tracers: Vec<ThreadTracer>) {
-        let streams: Vec<(usize, Vec<Ev>)> = tracers
-            .iter_mut()
-            .map(|t| (t.tid(), t.take_events()))
-            .collect();
-        let q = self.cfg.quantum.max(1);
-        let mut cursors = vec![0usize; streams.len()];
-        loop {
-            let mut progressed = false;
-            for (i, (tid, evs)) in streams.iter().enumerate() {
-                let start = cursors[i];
-                let end = (start + q).min(evs.len());
-                for ev in &evs[start..end] {
-                    self.apply(*tid, *ev);
-                }
-                if end > start {
-                    progressed = true;
-                    cursors[i] = end;
-                }
-            }
-            if !progressed {
-                break;
-            }
+    /// A tracer for `tid`, closed once a buffer has failed to grow:
+    /// the workload's own computation still runs, unrecorded.
+    fn tracer(&self, tid: usize) -> ThreadTracer {
+        let stream = if self.failed.is_some() {
+            EventStream::closed()
+        } else {
+            EventStream::default()
+        };
+        ThreadTracer::new(tid, stream)
+    }
+
+    fn drain(&mut self, tracers: Vec<ThreadTracer>) {
+        if self.failed.is_some() {
+            return;
         }
+        let streams: Vec<(usize, EventStream)> = tracers
+            .into_iter()
+            .map(|t| (t.tid(), t.into_stream()))
+            .collect();
+        if let Some((_, s)) = streams.iter().find(|(_, s)| s.is_full()) {
+            self.failed = Some(TraceError::BufferGrowth {
+                workload: "",
+                buffer: "tracer event stream",
+                held: s.encoded_bytes(),
+            });
+            return;
+        }
+        self.stream_bytes += streams
+            .iter()
+            .map(|(_, s)| s.encoded_bytes() as u64)
+            .sum::<u64>();
+        interleave(&streams, self.cfg.quantum, |tid, ev| self.apply(tid, ev));
     }
 
     fn apply(&mut self, tid: usize, ev: Ev) {
@@ -267,9 +290,8 @@ impl Profiler {
     }
 
     fn access(&mut self, tid: usize, addr: u64, size: u8) {
-        let line = self.cfg.line;
-        let first = addr / line;
-        let last = (addr + size.max(1) as u64 - 1) / line;
+        let first = addr >> self.line_shift;
+        let last = (addr + size.max(1) as u64 - 1) >> self.line_shift;
         match &mut self.sink {
             Sink::Direct(caches) => {
                 for c in caches.iter_mut() {
@@ -281,6 +303,9 @@ impl Profiler {
                 }
             }
             Sink::Capture(words) => {
+                if words.capacity() - words.len() < 2 && !grow_words(words, &mut self.failed) {
+                    return;
+                }
                 words.push((first << 8) | tid as u64);
                 if last != first {
                     words.push((last << 8) | tid as u64);
@@ -295,15 +320,24 @@ impl Profiler {
     /// once here (not per-event, keeping the hot path untouched). In
     /// capture mode the returned profile has no cache stats — the
     /// crate-internal `finish_capture` also returns the packed trace.
-    pub fn finish(self, name: &str) -> Profile {
-        self.finish_capture(name).0
+    ///
+    /// # Errors
+    ///
+    /// [`TraceError::BufferGrowth`] if a tracer stream or the capture
+    /// words could not grow during the run.
+    pub fn finish(self, name: &str) -> Result<Profile, TraceError> {
+        Ok(self.finish_capture(name)?.0)
     }
 
     /// Finalizes the run, also returning the packed reference trace
     /// (empty in direct mode).
-    pub(crate) fn finish_capture(self, name: &str) -> (Profile, Vec<u64>) {
+    pub(crate) fn finish_capture(self, name: &str) -> Result<(Profile, Vec<u64>), TraceError> {
+        if let Some(e) = self.failed {
+            return Err(e);
+        }
         let reg = obs::Registry::global();
         reg.add("tracekit.events", self.events);
+        reg.add("tracekit.capture.stream_bytes", self.stream_bytes);
         reg.add("tracekit.reads", self.mix.reads);
         reg.add("tracekit.writes", self.mix.writes);
         reg.add("tracekit.alu", self.mix.alu);
@@ -315,7 +349,7 @@ impl Profiler {
             ),
             Sink::Capture(words) => (Vec::new(), words),
         };
-        (
+        Ok((
             Profile {
                 name: name.to_string(),
                 mix: self.mix,
@@ -325,7 +359,43 @@ impl Profiler {
                 events: self.events,
             },
             words,
-        )
+        ))
+    }
+}
+
+/// Grows the packed words by at least two, amortized. A failure is
+/// recorded in `failed`, and once it is set nothing grows again.
+#[cold]
+fn grow_words(words: &mut Vec<u64>, failed: &mut Option<TraceError>) -> bool {
+    if failed.is_none() && words.try_reserve(2).is_err() {
+        *failed = Some(TraceError::BufferGrowth {
+            workload: "",
+            buffer: "capture words",
+            held: words.len() * 8,
+        });
+    }
+    failed.is_none()
+}
+
+/// Applies the buffered `streams` round-robin: up to `quantum` events
+/// of each `(tid, stream)` in turn, until every stream is exhausted.
+/// The quantum counts events, so each decoded event is applied alone.
+fn interleave(streams: &[(usize, EventStream)], quantum: usize, mut apply: impl FnMut(usize, Ev)) {
+    let q = quantum.max(1);
+    let mut cursors: Vec<_> = streams.iter().map(|(tid, s)| (*tid, s.events())).collect();
+    loop {
+        let mut progressed = false;
+        for (tid, events) in &mut cursors {
+            for _ in 0..q {
+                if events.step(|ev| apply(*tid, ev)).is_none() {
+                    break;
+                }
+                progressed = true;
+            }
+        }
+        if !progressed {
+            break;
+        }
     }
 }
 
@@ -334,13 +404,15 @@ impl Profiler {
 ///
 /// # Errors
 ///
-/// A [`TraceError`] if the configuration is invalid (bad cache
-/// geometry, too many threads).
+/// A [`TraceError`] if the configuration is invalid (bad line size or
+/// cache geometry, too many threads), or if a tracer buffer could not
+/// grow.
 pub fn profile(workload: &dyn CpuWorkload, cfg: &ProfileConfig) -> Result<Profile, TraceError> {
     let _span = obs::span!("tracekit.profile.{}", workload.name());
     let mut prof = Profiler::new(cfg)?;
     workload.run(&mut prof);
-    Ok(prof.finish(workload.name()))
+    prof.finish(workload.name())
+        .map_err(|e| e.traced(workload.name()))
 }
 
 #[cfg(test)]
@@ -501,6 +573,120 @@ mod tests {
             profile(&w, &cfg).unwrap_err(),
             crate::TraceError::TooManyThreads { threads: 300, max: MAX_THREADS }
         );
+    }
+
+    #[test]
+    fn bad_line_is_reported_without_cache_sizes() {
+        // With no capacities to validate, the line is still checked up
+        // front, in both the direct and the capture constructor.
+        let w = Strided {
+            lines: 8,
+            passes: 1,
+        };
+        for line in [0, 48] {
+            let cfg = ProfileConfig {
+                cache_sizes: vec![],
+                line,
+                ..small_cfg()
+            };
+            let want = crate::TraceError::LineNotPowerOfTwo { line };
+            assert_eq!(profile(&w, &cfg).unwrap_err(), want);
+            assert_eq!(crate::CpuCapture::capture(&w, &cfg).unwrap_err(), want);
+        }
+    }
+
+    #[test]
+    fn a_stream_that_cannot_grow_fails_the_profile() {
+        let mut prof = Profiler::new(&small_cfg()).expect("valid config");
+        let d = prof.alloc("d", 4096);
+        prof.serial(|t| t.read(d, 4));
+        // What a failed `try_reserve` leaves: a full stream.
+        let full = ThreadTracer::new(0, EventStream::closed());
+        prof.drain(vec![full]);
+        let ran = std::cell::Cell::new(false);
+        prof.serial(|t| {
+            ran.set(true);
+            t.write(d, 4);
+            assert!(t.is_empty(), "nothing is recorded after a failure");
+        });
+        assert!(ran.get(), "regions still run after a failure");
+        assert_eq!(
+            prof.finish("full").unwrap_err(),
+            crate::TraceError::BufferGrowth {
+                workload: "",
+                buffer: "tracer event stream",
+                held: 0
+            }
+        );
+    }
+
+    /// The round-robin drain over plain `Vec<Ev>` buffers that the
+    /// encoded streams replaced: the reference order.
+    fn reference_interleave(streams: &[(usize, Vec<Ev>)], quantum: usize) -> Vec<(usize, Ev)> {
+        let q = quantum.max(1);
+        let mut cursors = vec![0usize; streams.len()];
+        let mut out = Vec::new();
+        loop {
+            let mut progressed = false;
+            for (i, (tid, evs)) in streams.iter().enumerate() {
+                let start = cursors[i];
+                let end = (start + q).min(evs.len());
+                out.extend(evs[start..end].iter().map(|&ev| (*tid, ev)));
+                if end > start {
+                    progressed = true;
+                    cursors[i] = end;
+                }
+            }
+            if !progressed {
+                break;
+            }
+        }
+        out
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Decoding the encoded streams applies the same `(tid, Ev)`
+        /// sequence as the reference drain, for any thread count,
+        /// quantum (0 acts as 1) and uneven or empty streams.
+        #[test]
+        fn interleave_matches_the_reference_drain(
+            threads in proptest::collection::vec(
+                proptest::collection::vec((0u8..5, 0u64..1 << 20, 0u32..3), 0..60),
+                1..10,
+            ),
+            quantum in 0usize..70,
+        ) {
+            let plain: Vec<(usize, Vec<Ev>)> = threads
+                .iter()
+                .enumerate()
+                .map(|(tid, draws)| {
+                    let evs = draws
+                        .iter()
+                        .map(|&(kind, addr, n)| match kind {
+                            0 => Ev::Read { addr, size: 4 },
+                            1 => Ev::Write { addr, size: 8 },
+                            2 => Ev::Alu(n),
+                            3 => Ev::Branch(n),
+                            _ => Ev::Exec(n),
+                        })
+                        .collect();
+                    (tid, evs)
+                })
+                .collect();
+            let encoded: Vec<(usize, EventStream)> = plain
+                .iter()
+                .map(|(tid, evs)| {
+                    let mut s = EventStream::default();
+                    evs.iter().for_each(|&ev| s.push(ev));
+                    (*tid, s)
+                })
+                .collect();
+            let mut applied = Vec::new();
+            interleave(&encoded, quantum, |tid, ev| applied.push((tid, ev)));
+            proptest::prop_assert_eq!(applied, reference_interleave(&plain, quantum));
+        }
     }
 
     #[test]

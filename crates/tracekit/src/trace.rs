@@ -50,7 +50,8 @@ impl CpuCapture {
     ///
     /// A [`TraceError`] if the configuration is invalid; geometry is
     /// validated here (not at first replay) so misconfiguration
-    /// surfaces before any work is done.
+    /// surfaces before any work is done. [`TraceError::BufferGrowth`]
+    /// if a tracer stream or the packed words could not grow.
     pub fn capture(
         workload: &dyn CpuWorkload,
         cfg: &ProfileConfig,
@@ -58,7 +59,9 @@ impl CpuCapture {
         let _span = obs::span!("tracekit.capture.{}", workload.name());
         let mut prof = Profiler::new_capturing(cfg)?;
         workload.run(&mut prof);
-        let (base, words) = prof.finish_capture(workload.name());
+        let (base, words) = prof
+            .finish_capture(workload.name())
+            .map_err(|e| e.traced(workload.name()))?;
         let reg = obs::Registry::global();
         reg.add("tracekit.captures", 1);
         reg.add("tracekit.capture.words", words.len() as u64);

@@ -89,14 +89,12 @@ impl fmt::Display for AnalysisError {
                 f,
                 "ragged feature matrix: row {row} has {len} values, expected {expected}"
             ),
-            AnalysisError::NonFinite { what, row, col } => write!(
-                f,
-                "non-finite value in {what} at row {row}, column {col}"
-            ),
-            AnalysisError::TooFewObservations { what, got, need } => write!(
-                f,
-                "{what} needs at least {need} observations, got {got}"
-            ),
+            AnalysisError::NonFinite { what, row, col } => {
+                write!(f, "non-finite value in {what} at row {row}, column {col}")
+            }
+            AnalysisError::TooFewObservations { what, got, need } => {
+                write!(f, "{what} needs at least {need} observations, got {got}")
+            }
             AnalysisError::NotSquare { row, len, n } => write!(
                 f,
                 "distance matrix must be square: row {row} has {len} entries for {n} items"

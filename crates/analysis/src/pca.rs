@@ -153,7 +153,11 @@ mod tests {
 
     #[test]
     fn truncation_keeps_k_columns() {
-        let data = vec![vec![1.0, 2.0, 3.0], vec![4.0, 5.0, 6.0], vec![1.0, 0.0, 2.0]];
+        let data = vec![
+            vec![1.0, 2.0, 3.0],
+            vec![4.0, 5.0, 6.0],
+            vec![1.0, 0.0, 2.0],
+        ];
         let pca = Pca::fit(&data);
         let t = pca.truncated_scores(2);
         assert!(t.iter().all(|r| r.len() == 2));

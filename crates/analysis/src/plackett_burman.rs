@@ -96,7 +96,10 @@ impl PbResult {
             })
             .collect();
         Ok(PbResult {
-            factors: factors.iter().map(std::string::ToString::to_string).collect(),
+            factors: factors
+                .iter()
+                .map(std::string::ToString::to_string)
+                .collect(),
             effects,
         })
     }

@@ -16,7 +16,10 @@ use analysis::{euclidean_matrix, AnalysisError, Pca};
 fn scenarios() -> Vec<(&'static str, Result<String, AnalysisError>)> {
     let run = |name: &'static str, r: Result<String, AnalysisError>| (name, r);
     vec![
-        run("pca-empty-matrix", Pca::try_fit(&[]).map(|_| unreachable!())),
+        run(
+            "pca-empty-matrix",
+            Pca::try_fit(&[]).map(|_| unreachable!()),
+        ),
         run(
             "pca-single-row",
             Pca::try_fit(&[vec![1.0, 2.0, 3.0]])
@@ -37,7 +40,13 @@ fn scenarios() -> Vec<(&'static str, Result<String, AnalysisError>)> {
                     .map(|i| vec![i as f64, 2.0 * i as f64, 5.0])
                     .collect::<Vec<_>>(),
             )
-            .map(|p| format!("{} warnings, ve0 = {:.3}", p.warnings.len(), p.variance_explained()[0])),
+            .map(|p| {
+                format!(
+                    "{} warnings, ve0 = {:.3}",
+                    p.warnings.len(),
+                    p.variance_explained()[0]
+                )
+            }),
         ),
         run(
             "covariance-empty",
@@ -58,8 +67,7 @@ fn scenarios() -> Vec<(&'static str, Result<String, AnalysisError>)> {
         ),
         run(
             "cluster-non-square",
-            try_hierarchical(&[vec![0.0, 1.0], vec![1.0]], Linkage::Single)
-                .map(|_| unreachable!()),
+            try_hierarchical(&[vec![0.0, 1.0], vec![1.0]], Linkage::Single).map(|_| unreachable!()),
         ),
         run(
             "cluster-nan-distance",
@@ -108,8 +116,14 @@ fn every_degenerate_input_is_typed_or_documented() {
             }
         }
     }
-    assert!(errors >= 10, "expected >= 10 typed rejections, got {errors}");
-    assert!(degraded >= 2, "expected documented degraded results, got {degraded}");
+    assert!(
+        errors >= 10,
+        "expected >= 10 typed rejections, got {errors}"
+    );
+    assert!(
+        degraded >= 2,
+        "expected documented degraded results, got {degraded}"
+    );
 }
 
 /// The full paper pipeline (standardize → PCA → distances → clustering

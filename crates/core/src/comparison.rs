@@ -192,7 +192,10 @@ impl ComparisonStudy {
             &["Workload", "Misses per memory reference"],
         );
         for (l, p) in self.labels.iter().zip(&self.profiles) {
-            t.push(vec![l.clone(), f3(p.at_capacity(4 * 1024 * 1024).miss_rate())])?;
+            t.push(vec![
+                l.clone(),
+                f3(p.at_capacity(4 * 1024 * 1024).miss_rate()),
+            ])?;
         }
         Ok(t)
     }
@@ -230,12 +233,36 @@ impl ComparisonStudy {
             &["Pair", "Relation", "Distance"],
         );
         let pairs: [(&str, &str, &str); 6] = [
-            ("srad", "fluidanimate", "both stencil-type (similar per the paper)"),
-            ("hotspot", "heartwall", "same dwarf (Structured Grid), different clusters"),
-            ("backprop", "cfd", "same dwarf (Unstructured Grid), significant differences"),
-            ("mummergpu", "bfs", "same dwarf (Graph Traversal), very dissimilar"),
-            ("kmeans", "streamcluster", "same domain (distance-based clustering), far apart"),
-            ("fluidanimate", "facesim", "different dwarves, yet closer than fluidanimate-cfd"),
+            (
+                "srad",
+                "fluidanimate",
+                "both stencil-type (similar per the paper)",
+            ),
+            (
+                "hotspot",
+                "heartwall",
+                "same dwarf (Structured Grid), different clusters",
+            ),
+            (
+                "backprop",
+                "cfd",
+                "same dwarf (Unstructured Grid), significant differences",
+            ),
+            (
+                "mummergpu",
+                "bfs",
+                "same dwarf (Graph Traversal), very dissimilar",
+            ),
+            (
+                "kmeans",
+                "streamcluster",
+                "same domain (distance-based clustering), far apart",
+            ),
+            (
+                "fluidanimate",
+                "facesim",
+                "different dwarves, yet closer than fluidanimate-cfd",
+            ),
         ];
         for (a, b, rel) in pairs {
             t.push(vec![
@@ -308,7 +335,9 @@ mod tests {
                 .map(|(n, _)| n)
                 .collect();
             let has_r = members.iter().any(|m| m.contains("(R"));
-            let has_p = members.iter().any(|m| m.contains("(P)") || m.contains("R, P"));
+            let has_p = members
+                .iter()
+                .any(|m| m.contains("(P)") || m.contains("R, P"));
             if has_r && has_p {
                 mixed += 1;
             }
@@ -335,7 +364,11 @@ mod tests {
     #[test]
     fn scatters_have_two_components() {
         let s = study();
-        for sc in [s.instruction_mix_pca(), s.working_set_pca(), s.sharing_pca()] {
+        for sc in [
+            s.instruction_mix_pca(),
+            s.working_set_pca(),
+            s.sharing_pca(),
+        ] {
             let sc = sc.expect("pca");
             assert_eq!(sc.points.len(), 24);
             assert!(sc.variance_explained.0 > 0.0);

@@ -115,9 +115,8 @@ impl From<store::StoreError> for StudyError {
     fn from(e: store::StoreError) -> StudyError {
         match e {
             store::StoreError::Unavailable { dir, reason } => StudyError::Io { path: dir, reason },
-            store::StoreError::Io { path, reason } | store::StoreError::Journal { path, reason } => {
-                StudyError::Io { path, reason }
-            }
+            store::StoreError::Io { path, reason }
+            | store::StoreError::Journal { path, reason } => StudyError::Io { path, reason },
         }
     }
 }

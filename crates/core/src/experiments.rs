@@ -58,8 +58,24 @@ impl ExperimentId {
     pub fn all() -> Vec<ExperimentId> {
         use ExperimentId::*;
         vec![
-            Table1, Table2, Fig1, Fig2, Fig3, Fig4, Table3, Fig5, PlackettBurman, Table4,
-            Table5, Fig6, Fig7, Fig8, Fig9, Fig10, Fig11, Fig12,
+            Table1,
+            Table2,
+            Fig1,
+            Fig2,
+            Fig3,
+            Fig4,
+            Table3,
+            Fig5,
+            PlackettBurman,
+            Table4,
+            Table5,
+            Fig6,
+            Fig7,
+            Fig8,
+            Fig9,
+            Fig10,
+            Fig11,
+            Fig12,
         ]
     }
 
@@ -139,7 +155,10 @@ pub fn table2() -> Result<Table, StudyError> {
         ("No. of Threads/Core", c.max_threads_per_sm.to_string()),
         ("No. of CTAs/Core", c.max_ctas_per_sm.to_string()),
         ("Number of Registers/Core", c.regs_per_sm.to_string()),
-        ("Shared Memory/Core", format!("{} kB", c.shared_mem_per_sm / 1024)),
+        (
+            "Shared Memory/Core",
+            format!("{} kB", c.shared_mem_per_sm / 1024),
+        ),
         (
             "Shared Memory Bank Conflict",
             c.model_bank_conflicts.to_string(),
@@ -284,7 +303,11 @@ mod tests {
     #[test]
     fn cheap_gpu_experiments_run_at_tiny_scale() {
         let session = StudySession::sequential();
-        for id in [ExperimentId::Table1, ExperimentId::Table4, ExperimentId::Fig2] {
+        for id in [
+            ExperimentId::Table1,
+            ExperimentId::Table4,
+            ExperimentId::Fig2,
+        ] {
             let tables = run_gpu(&session, id, Scale::Tiny).expect("experiment runs");
             assert!(!tables.is_empty());
             assert!(!tables[0].rows.is_empty());

@@ -13,7 +13,10 @@ pub fn instruction_mix_features(p: &Profile) -> Vec<f64> {
 /// Working-set features: misses per memory reference at each simulated
 /// cache capacity (the Figure 8 space).
 pub fn working_set_features(p: &Profile) -> Vec<f64> {
-    p.cache_stats.iter().map(tracekit::CacheStats::miss_rate).collect()
+    p.cache_stats
+        .iter()
+        .map(tracekit::CacheStats::miss_rate)
+        .collect()
 }
 
 /// Sharing features: the shared-line fraction and the shared-access

@@ -123,6 +123,10 @@ mod tests {
             .expect("renders")
             .to_string()
             .contains("vips"));
-        assert!(fp.data_table().expect("renders").to_string().contains("canneal"));
+        assert!(fp
+            .data_table()
+            .expect("renders")
+            .to_string()
+            .contains("canneal"));
     }
 }

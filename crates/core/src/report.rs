@@ -19,7 +19,10 @@ impl Table {
     pub fn new(title: &str, columns: &[&str]) -> Table {
         Table {
             title: title.to_string(),
-            columns: columns.iter().map(std::string::ToString::to_string).collect(),
+            columns: columns
+                .iter()
+                .map(std::string::ToString::to_string)
+                .collect(),
             rows: Vec::new(),
         }
     }
@@ -97,7 +100,11 @@ impl fmt::Display for Table {
                 .to_string()
         };
         writeln!(f, "{}", fmt_row(&self.columns))?;
-        writeln!(f, "{}", "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1)))?;
+        writeln!(
+            f,
+            "{}",
+            "-".repeat(widths.iter().sum::<usize>() + 2 * (widths.len() - 1))
+        )?;
         for row in &self.rows {
             writeln!(f, "{}", fmt_row(row))?;
         }

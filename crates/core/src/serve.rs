@@ -151,7 +151,8 @@ impl Coalescer {
                     .wait(slot)
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
-            slot.clone().expect("loop exits only once the leader published")
+            slot.clone()
+                .expect("loop exits only once the leader published")
         }
     }
 }
@@ -233,8 +234,9 @@ impl Server {
             match TraceStore::open(dir) {
                 Ok(s) => session.attach_store(Arc::new(s)),
                 Err(e) => {
-                    store_warning =
-                        Some(format!("store: {e}; continuing with in-memory caching only"));
+                    store_warning = Some(format!(
+                        "store: {e}; continuing with in-memory caching only"
+                    ));
                 }
             }
         }
@@ -426,7 +428,10 @@ fn error_body(message: &str) -> Vec<u8> {
 fn stats_json(state: &ServerState) -> Json {
     let session = &state.session;
     Json::obj(vec![
-        ("requests", Json::u64(state.requests.load(Ordering::Relaxed))),
+        (
+            "requests",
+            Json::u64(state.requests.load(Ordering::Relaxed)),
+        ),
         ("in_flight", Json::u64(*state.inflight())),
         ("coalesced", Json::u64(state.coalescer.coalesced())),
         (
@@ -437,12 +442,21 @@ fn stats_json(state: &ServerState) -> Json {
             "restores",
             Json::u64(session.cache().restores() + session.cpu_cache().restores()),
         ),
-        ("experiments_computed", Json::u64(session.experiments_computed())),
-        ("experiments_reused", Json::u64(session.experiments_reused())),
+        (
+            "experiments_computed",
+            Json::u64(session.experiments_computed()),
+        ),
+        (
+            "experiments_reused",
+            Json::u64(session.experiments_reused()),
+        ),
         ("corpora_built", Json::u64(session.corpora_built())),
         ("store_attached", Json::from(session.store().is_some())),
         ("store", store_counters_json()),
-        ("draining", Json::from(state.draining.load(Ordering::SeqCst))),
+        (
+            "draining",
+            Json::from(state.draining.load(Ordering::SeqCst)),
+        ),
     ])
 }
 
@@ -464,9 +478,9 @@ fn handle_study(state: &ServerState, stream: &mut TcpStream, body: &[u8]) -> io:
         Err(e) => return write_response(stream, 400, &error_body(&e.to_string())),
     };
     let key = request.study_key();
-    let result = state
-        .coalescer
-        .join(&key, || execute(&state.session, &request, &mut Quiet).map(|r| r.body_bytes()));
+    let result = state.coalescer.join(&key, || {
+        execute(&state.session, &request, &mut Quiet).map(|r| r.body_bytes())
+    });
     match result {
         Ok(bytes) => write_response(stream, 200, &bytes),
         Err(e) => write_response(stream, 500, &error_body(&e.to_string())),
@@ -532,7 +546,10 @@ mod tests {
         }
         assert_eq!(c.in_flight(), 1, "one key in flight");
         release_tx.send(()).expect("leader is waiting");
-        let bodies: Vec<_> = handles.into_iter().map(|h| h.join().expect("join")).collect();
+        let bodies: Vec<_> = handles
+            .into_iter()
+            .map(|h| h.join().expect("join"))
+            .collect();
         assert_eq!(ran.load(Ordering::SeqCst), 1, "exactly one execution");
         assert_eq!(c.coalesced(), 1, "the other request joined it");
         assert_eq!(bodies[0], bodies[1], "both callers share the body");

@@ -58,5 +58,11 @@ fn corpus_contracts_prove_clean_and_manifest_is_deterministic() {
     assert_eq!(once, format!("{}", report.to_json()));
     let again = run_audit(&session, Scale::Tiny).expect("audit reruns");
     assert_eq!(once, format!("{}", again.to_json()));
-    assert!(matches!(again, AuditReport { scale: Scale::Tiny, .. }));
+    assert!(matches!(
+        again,
+        AuditReport {
+            scale: Scale::Tiny,
+            ..
+        }
+    ));
 }

@@ -109,5 +109,8 @@ fn table3_shares_the_suite_captures_of_its_v2_rows() {
         2,
         "only the SRAD and Leukocyte v1 variants are new captures"
     );
-    assert!(served == fresh_body(&req), "table3 differs from a fresh session's");
+    assert!(
+        served == fresh_body(&req),
+        "table3 differs from a fresh session's"
+    );
 }

@@ -42,7 +42,10 @@ fn suite_is_clean_and_lint_verdicts_are_pinned() {
     // SRAD: v1 re-fetches each CTA's tile from global memory, v2 stages
     // it in shared memory.
     assert!(has(bench(&report, "SRAD v1"), FindingKind::RedundantGlobal));
-    assert!(!has(bench(&report, "SRAD v2"), FindingKind::RedundantGlobal));
+    assert!(!has(
+        bench(&report, "SRAD v2"),
+        FindingKind::RedundantGlobal
+    ));
 
     // Leukocyte: v1 re-fetches the GICOV matrix through the texture
     // cache, v2 fuses and stages.
@@ -52,7 +55,10 @@ fn suite_is_clean_and_lint_verdicts_are_pinned() {
     // Needleman-Wunsch: the naive kernel reads one cell per lane from a
     // different row (uncoalesced); the tiled kernel coalesces but keeps
     // its by-design bank conflicts.
-    assert!(has(bench(&report, "NW naive"), FindingKind::UncoalescedGlobal));
+    assert!(has(
+        bench(&report, "NW naive"),
+        FindingKind::UncoalescedGlobal
+    ));
     let tiled = bench(&report, "NW");
     assert!(!has(tiled, FindingKind::UncoalescedGlobal));
     assert!(has(tiled, FindingKind::BankConflict));

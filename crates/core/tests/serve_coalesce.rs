@@ -84,16 +84,19 @@ fn concurrent_identical_requests_share_one_execution() {
     // the requests overlap) must keep that to exactly one capture pass.
     let body = r#"{"artifacts":["fig2"],"scale":"tiny"}"#;
     let workers: Vec<_> = (0..2)
-        .map(|_| {
-            std::thread::spawn(move || post_study(addr, body))
-        })
+        .map(|_| std::thread::spawn(move || post_study(addr, body)))
         .collect();
-    let results: Vec<(u16, Vec<u8>)> =
-        workers.into_iter().map(|w| w.join().expect("client thread")).collect();
+    let results: Vec<(u16, Vec<u8>)> = workers
+        .into_iter()
+        .map(|w| w.join().expect("client thread"))
+        .collect();
     for (status, _) in &results {
         assert_eq!(*status, 200);
     }
-    assert_eq!(results[0].1, results[1].1, "identical requests, identical bytes");
+    assert_eq!(
+        results[0].1, results[1].1,
+        "identical requests, identical bytes"
+    );
     let doc = Json::parse(std::str::from_utf8(&results[0].1).expect("utf-8")).expect("parses");
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
@@ -149,9 +152,19 @@ fn concurrent_identical_requests_share_one_execution() {
     let runner2 = spawn(&server2);
     let (status, body4) = post_study(addr2, body);
     assert_eq!(status, 200);
-    assert_eq!(body4, results[0].1, "store-restored run renders the same bytes");
-    assert_eq!(server2.session().cache().captures(), 0, "pure warm-store run");
-    assert!(server2.session().cache().restores() > 0, "captures came from the store");
+    assert_eq!(
+        body4, results[0].1,
+        "store-restored run renders the same bytes"
+    );
+    assert_eq!(
+        server2.session().cache().captures(),
+        0,
+        "pure warm-store run"
+    );
+    assert!(
+        server2.session().cache().restores() > 0,
+        "captures came from the store"
+    );
     shutdown(addr2, runner2);
 
     let _ = std::fs::remove_dir_all(&store_dir);
@@ -199,7 +212,9 @@ fn bad_requests_are_rejected_and_do_not_kill_the_daemon() {
     // The daemon survived all of it and still answers real requests.
     let (status, body) = post_study(addr, r#"{"artifacts":["table1","table5"],"scale":"tiny"}"#);
     assert_eq!(status, 200);
-    assert!(std::str::from_utf8(&body).expect("utf-8").contains("rodinia-repro.study/v1"));
+    assert!(std::str::from_utf8(&body)
+        .expect("utf-8")
+        .contains("rodinia-repro.study/v1"));
     shutdown(addr, runner);
 }
 

@@ -15,7 +15,10 @@ use store::TraceStore;
 #[test]
 fn verdicts_ignore_session_history_and_leave_the_cache_alone() {
     let fresh = StudySession::sequential();
-    let check_bytes = run_check(&fresh, Scale::Tiny).expect("check runs").body_json().to_string();
+    let check_bytes = run_check(&fresh, Scale::Tiny)
+        .expect("check runs")
+        .body_json()
+        .to_string();
     assert_eq!((fresh.cache().len(), fresh.cache().captures()), (0, 0));
 
     // A session whose cache and store were warmed by a tables run that
@@ -32,7 +35,11 @@ fn verdicts_ignore_session_history_and_leave_the_cache_alone() {
     assert!(before.0 > 0, "the tables run filled the cache");
 
     let check = run_check(&warm, Scale::Tiny).expect("check runs");
-    assert_eq!(check.body_json().to_string(), check_bytes, "check body depends on history");
+    assert_eq!(
+        check.body_json().to_string(),
+        check_bytes,
+        "check body depends on history"
+    );
     run_audit(&warm, Scale::Tiny).expect("audit runs");
     assert_eq!(
         (cache.len(), cache.captures(), store.entry_count()),

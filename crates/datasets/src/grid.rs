@@ -61,7 +61,10 @@ mod tests {
         assert_eq!(t.len(), 4096);
         assert_eq!(p.len(), 4096);
         assert!(t.iter().all(|&x| (323.0..328.0).contains(&x)));
-        assert!(p.iter().any(|&x| x > 0.0), "some block must dissipate power");
+        assert!(
+            p.iter().any(|&x| x > 0.0),
+            "some block must dissipate power"
+        );
     }
 
     #[test]

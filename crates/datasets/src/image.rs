@@ -178,6 +178,9 @@ mod tests {
 
     #[test]
     fn deterministic() {
-        assert_eq!(textured_image(32, 32, 9).pixels, textured_image(32, 32, 9).pixels);
+        assert_eq!(
+            textured_image(32, 32, 9).pixels,
+            textured_image(32, 32, 9).pixels
+        );
     }
 }

@@ -29,17 +29,16 @@ pub fn clustered_points(n: usize, dims: usize, clusters: usize, seed: u64) -> Ve
 /// A transaction database with a skewed (roughly Zipfian) item
 /// distribution plus a few embedded frequent patterns, as frequent-itemset
 /// miners expect. Each transaction is a sorted, deduplicated item list.
-pub fn transactions(
-    count: usize,
-    items: usize,
-    avg_len: usize,
-    seed: u64,
-) -> Vec<Vec<u32>> {
+pub fn transactions(count: usize, items: usize, avg_len: usize, seed: u64) -> Vec<Vec<u32>> {
     assert!(items >= 8 && avg_len >= 2);
     let mut rng = rng_for("transactions", seed);
     // A handful of "true" frequent patterns.
     let patterns: Vec<Vec<u32>> = (0..6)
-        .map(|p| (0..3 + p % 3).map(|k| ((p * 7 + k * 3) % items) as u32).collect())
+        .map(|p| {
+            (0..3 + p % 3)
+                .map(|k| ((p * 7 + k * 3) % items) as u32)
+                .collect()
+        })
         .collect();
     (0..count)
         .map(|_| {
@@ -111,7 +110,10 @@ mod tests {
         }
         let low: usize = freq[..20].iter().sum();
         let high: usize = freq[80..].iter().sum();
-        assert!(low > 2 * high, "low-id items should dominate: {low} vs {high}");
+        assert!(
+            low > 2 * high,
+            "low-id items should dominate: {low} vs {high}"
+        );
     }
 
     #[test]

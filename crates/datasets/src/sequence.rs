@@ -10,7 +10,9 @@ pub const ALPHABET: [u8; 4] = [b'A', b'C', b'G', b'T'];
 /// A uniformly random DNA reference of `len` bases.
 pub fn reference(len: usize, seed: u64) -> Vec<u8> {
     let mut rng = rng_for("dna-ref", seed);
-    (0..len).map(|_| ALPHABET[rng.random_range(0..4usize)]).collect()
+    (0..len)
+        .map(|_| ALPHABET[rng.random_range(0..4usize)])
+        .collect()
 }
 
 /// Short reads sampled from `reference`, each `read_len` bases, with a
@@ -227,16 +229,11 @@ impl SuffixTree {
             .flat_map(|nd| nd.children.into_iter())
             .collect();
         let starts: Vec<u32> = self.nodes.iter().map(|nd| nd.start as u32).collect();
-        let ends: Vec<u32> = self
-            .nodes
-            .iter()
-            .map(|nd| nd.end.min(n) as u32)
-            .collect();
+        let ends: Vec<u32> = self.nodes.iter().map(|nd| nd.end.min(n) as u32).collect();
         let text: Vec<u32> = self.text.iter().map(|&b| base_code(b) as u32).collect();
         (children, starts, ends, text)
     }
 }
-
 
 #[cfg(test)]
 mod tests {

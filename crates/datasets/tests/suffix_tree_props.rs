@@ -5,7 +5,10 @@ use datasets::sequence::SuffixTree;
 use proptest::prelude::*;
 
 fn dna(len: usize) -> impl Strategy<Value = Vec<u8>> {
-    proptest::collection::vec(proptest::sample::select(vec![b'A', b'C', b'G', b'T']), len..len * 2)
+    proptest::collection::vec(
+        proptest::sample::select(vec![b'A', b'C', b'G', b'T']),
+        len..len * 2,
+    )
 }
 
 fn naive_longest_prefix(text: &[u8], query: &[u8]) -> usize {

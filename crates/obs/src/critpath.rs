@@ -300,7 +300,9 @@ impl KernelCritPath {
             ),
             (
                 "dominant",
-                self.dominant.as_ref().map_or(Json::Null, ChainLink::to_json),
+                self.dominant
+                    .as_ref()
+                    .map_or(Json::Null, ChainLink::to_json),
             ),
         ];
         if let Some(h) = &self.hotspot {
@@ -457,9 +459,21 @@ mod tests {
     fn hotspot_finds_earliest_dip_and_peak() {
         let mut k = kernel("k", vec![comp("stall", 1, true)]);
         k.samples = vec![
-            SamplePoint { cycle: 10, occupancy: 0.9, dram_util: 0.2 },
-            SamplePoint { cycle: 20, occupancy: 0.1, dram_util: 0.8 },
-            SamplePoint { cycle: 30, occupancy: 0.1, dram_util: 0.8 },
+            SamplePoint {
+                cycle: 10,
+                occupancy: 0.9,
+                dram_util: 0.2,
+            },
+            SamplePoint {
+                cycle: 20,
+                occupancy: 0.1,
+                dram_util: 0.8,
+            },
+            SamplePoint {
+                cycle: 30,
+                occupancy: 0.1,
+                dram_util: 0.8,
+            },
         ];
         let r = analyze(&[k], 1);
         let h = r.kernels[0].hotspot.unwrap();
@@ -485,7 +499,11 @@ mod tests {
                 "lud",
                 vec![comp("barrier", 34, true), comp("issue", 66, false)],
             );
-            k.samples = vec![SamplePoint { cycle: 12, occupancy: 0.03, dram_util: 0.5 }];
+            k.samples = vec![SamplePoint {
+                cycle: 12,
+                occupancy: 0.03,
+                dram_util: 0.5,
+            }];
             analyze(&[k], 3)
         };
         let a = mk().to_json().to_string();
@@ -494,7 +512,9 @@ mod tests {
         let doc = Json::parse(&a).expect("parses");
         let kernels = doc.get("kernels").and_then(Json::as_arr).unwrap();
         assert_eq!(
-            kernels[0].get("attributed_sm_cycles").and_then(Json::as_f64),
+            kernels[0]
+                .get("attributed_sm_cycles")
+                .and_then(Json::as_f64),
             Some(100.0)
         );
         assert_eq!(
@@ -513,7 +533,10 @@ mod tests {
 
     #[test]
     fn render_lists_kernels_then_ranking() {
-        let k = kernel("bfs", vec![comp("mem_pending", 80, true), comp("issue", 20, false)]);
+        let k = kernel(
+            "bfs",
+            vec![comp("mem_pending", 80, true), comp("issue", 20, false)],
+        );
         let lines = analyze(&[k], 3).render();
         assert!(lines[0].contains("bfs is mem_pending-bound"));
         assert!(lines.iter().any(|l| l.contains("suite bottleneck ranking")));

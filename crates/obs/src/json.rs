@@ -265,7 +265,11 @@ impl<'a> Parser<'a> {
                     return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
                 }
                 self.depth += 1;
-                let v = if open == b'[' { self.array() } else { self.object() };
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
                 self.depth -= 1;
                 v
             }

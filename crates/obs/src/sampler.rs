@@ -56,7 +56,11 @@ impl<T> AdaptiveSampler<T> {
     /// otherwise a `budget` below 2 is raised to 2 so the first and
     /// final epochs can both be retained.
     pub fn new(base_period: u64, budget: usize) -> AdaptiveSampler<T> {
-        let budget = if base_period == 0 { budget } else { budget.max(2) };
+        let budget = if base_period == 0 {
+            budget
+        } else {
+            budget.max(2)
+        };
         AdaptiveSampler {
             base_period,
             budget,

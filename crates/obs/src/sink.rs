@@ -66,7 +66,9 @@ static SINK_COUNT: AtomicUsize = AtomicUsize::new(0);
 static SINKS: Mutex<Vec<Box<dyn Sink>>> = Mutex::new(Vec::new());
 
 fn sinks() -> std::sync::MutexGuard<'static, Vec<Box<dyn Sink>>> {
-    SINKS.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    SINKS
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Whether at least one sink is installed (the fast path for
@@ -208,7 +210,10 @@ impl JsonlSink {
 impl Sink for JsonlSink {
     fn emit(&mut self, event: &Event) {
         let mut pairs = vec![
-            ("ts_us".to_string(), Json::u64(self.epoch.elapsed().as_micros() as u64)),
+            (
+                "ts_us".to_string(),
+                Json::u64(self.epoch.elapsed().as_micros() as u64),
+            ),
             ("kind".to_string(), Json::from(event.kind.tag())),
             ("name".to_string(), Json::from(event.name.as_str())),
         ];

@@ -136,7 +136,8 @@ mod tests {
 
     #[test]
     fn tiny_working_set_and_no_sharing() {
-        let p = profile(&Blackscholes::new(Scale::Tiny), &ProfileConfig::default()).expect("profile");
+        let p =
+            profile(&Blackscholes::new(Scale::Tiny), &ProfileConfig::default()).expect("profile");
         // The portfolio fits even the smallest cache: capacity-insensitive
         // (compulsory-only) miss behavior.
         let small = p.at_capacity(128 * 1024).miss_rate();

@@ -95,8 +95,7 @@ impl Canneal {
                     for (e, other) in [(a, b), (b, a)] {
                         t.read(a_off + e as u64 * 4, 4);
                         t.read(a_off + (e + 1) as u64 * 4, 4);
-                        let (lo, hi) =
-                            (nlr.offsets[e] as usize, nlr.offsets[e + 1] as usize);
+                        let (lo, hi) = (nlr.offsets[e] as usize, nlr.offsets[e + 1] as usize);
                         let outs = &nlr.nets[lo..hi];
                         let ins = &revr[e];
                         for (which, group) in [(a_nets, outs), (a_rev, ins)] {
@@ -117,8 +116,8 @@ impl Canneal {
                     // Metropolis acceptance.
                     t.alu(6);
                     t.branch(1);
-                    let accept = delta < 0.0
-                        || rng.random::<f32>() < (-delta / temp.max(1e-3)).exp();
+                    let accept =
+                        delta < 0.0 || rng.random::<f32>() < (-delta / temp.max(1e-3)).exp();
                     if accept {
                         loc.swap(a, b);
                         t.write(a_loc + a as u64 * 8, 8);

@@ -43,19 +43,84 @@ pub struct ParsecApp {
 /// plus raytrace, which appears in the Figure 6 dendrogram.
 pub fn catalog() -> Vec<ParsecApp> {
     vec![
-        ParsecApp { name: "blackscholes", domain: "Financial Analysis, Algebra", sim_large: "65,536 options", description: "Portfolio price calculation using Black-Scholes PDE" },
-        ParsecApp { name: "bodytrack", domain: "Computer Vision", sim_large: "4 frames, 4,000 particles", description: "Computer vision, tracks 3D pose of human body" },
-        ParsecApp { name: "canneal", domain: "Engineering", sim_large: "400,000 elements", description: "Synthetic chip design, routing" },
-        ParsecApp { name: "dedup", domain: "Enterprise Storage", sim_large: "184 MB", description: "Pipelined compression kernel" },
-        ParsecApp { name: "facesim", domain: "Animation", sim_large: "1 frame, 372,126 tetrahedrons", description: "Physics simulation, models a human face" },
-        ParsecApp { name: "ferret", domain: "Similarity Search", sim_large: "256 queries, 34,973 images", description: "Pipelined audio, image and video searches" },
-        ParsecApp { name: "fluidanimate", domain: "Animation", sim_large: "5 frames, 300,000 particles", description: "Physics simulation, animation of fluids" },
-        ParsecApp { name: "freqmine", domain: "Data Mining", sim_large: "990,000 transactions", description: "Data mining application" },
-        ParsecApp { name: "raytrace", domain: "Rendering", sim_large: "1 frame, 1,920,000 pixels", description: "Real-time ray tracing of a 3D scene" },
-        ParsecApp { name: "streamcluster", domain: "Data Mining", sim_large: "16,384 points per block, 1 block", description: "Kernel to solve the online clustering problem" },
-        ParsecApp { name: "swaptions", domain: "Financial Analysis", sim_large: "64 swaptions, 20,000 simulations", description: "Computes portfolio prices using Monte-Carlo simulation" },
-        ParsecApp { name: "vips", domain: "Media Processing", sim_large: "1 image, 26,625,500 pixels", description: "Image processing, image transformations" },
-        ParsecApp { name: "x264", domain: "Media Processing", sim_large: "128 frames, 640x360 pixels", description: "H.264 video encoder" },
+        ParsecApp {
+            name: "blackscholes",
+            domain: "Financial Analysis, Algebra",
+            sim_large: "65,536 options",
+            description: "Portfolio price calculation using Black-Scholes PDE",
+        },
+        ParsecApp {
+            name: "bodytrack",
+            domain: "Computer Vision",
+            sim_large: "4 frames, 4,000 particles",
+            description: "Computer vision, tracks 3D pose of human body",
+        },
+        ParsecApp {
+            name: "canneal",
+            domain: "Engineering",
+            sim_large: "400,000 elements",
+            description: "Synthetic chip design, routing",
+        },
+        ParsecApp {
+            name: "dedup",
+            domain: "Enterprise Storage",
+            sim_large: "184 MB",
+            description: "Pipelined compression kernel",
+        },
+        ParsecApp {
+            name: "facesim",
+            domain: "Animation",
+            sim_large: "1 frame, 372,126 tetrahedrons",
+            description: "Physics simulation, models a human face",
+        },
+        ParsecApp {
+            name: "ferret",
+            domain: "Similarity Search",
+            sim_large: "256 queries, 34,973 images",
+            description: "Pipelined audio, image and video searches",
+        },
+        ParsecApp {
+            name: "fluidanimate",
+            domain: "Animation",
+            sim_large: "5 frames, 300,000 particles",
+            description: "Physics simulation, animation of fluids",
+        },
+        ParsecApp {
+            name: "freqmine",
+            domain: "Data Mining",
+            sim_large: "990,000 transactions",
+            description: "Data mining application",
+        },
+        ParsecApp {
+            name: "raytrace",
+            domain: "Rendering",
+            sim_large: "1 frame, 1,920,000 pixels",
+            description: "Real-time ray tracing of a 3D scene",
+        },
+        ParsecApp {
+            name: "streamcluster",
+            domain: "Data Mining",
+            sim_large: "16,384 points per block, 1 block",
+            description: "Kernel to solve the online clustering problem",
+        },
+        ParsecApp {
+            name: "swaptions",
+            domain: "Financial Analysis",
+            sim_large: "64 swaptions, 20,000 simulations",
+            description: "Computes portfolio prices using Monte-Carlo simulation",
+        },
+        ParsecApp {
+            name: "vips",
+            domain: "Media Processing",
+            sim_large: "1 image, 26,625,500 pixels",
+            description: "Image processing, image transformations",
+        },
+        ParsecApp {
+            name: "x264",
+            domain: "Media Processing",
+            sim_large: "128 frames, 640x360 pixels",
+            description: "H.264 video encoder",
+        },
     ]
 }
 

@@ -86,8 +86,7 @@ impl Ferret {
                 for d in 0..DIMS {
                     t.read(a_db + (src * DIMS + d) as u64 * 4, 4);
                     t.alu(5);
-                    q[qi * DIMS + d] =
-                        dbr[src * DIMS + d] + 0.05 * (rng.random::<f32>() - 0.5);
+                    q[qi * DIMS + d] = dbr[src * DIMS + d] + 0.05 * (rng.random::<f32>() - 0.5);
                     t.write(a_query + (qi * DIMS + d) as u64 * 4, 4);
                 }
             }

@@ -96,19 +96,19 @@ impl Fluidanimate {
                                 for dx in -1i64..=1 {
                                     for dy in -1i64..=1 {
                                         for dz in -1i64..=1 {
-                                            let (nx, ny, nz) = (
-                                                cx as i64 + dx,
-                                                cy as i64 + dy,
-                                                cz as i64 + dz,
-                                            );
-                                            if nx < 0 || ny < 0 || nz < 0
-                                                || nx >= g as i64 || ny >= g as i64
+                                            let (nx, ny, nz) =
+                                                (cx as i64 + dx, cy as i64 + dy, cz as i64 + dz);
+                                            if nx < 0
+                                                || ny < 0
+                                                || nz < 0
+                                                || nx >= g as i64
+                                                || ny >= g as i64
                                                 || nz >= g as i64
                                             {
                                                 continue;
                                             }
-                                            let nc = ((nx as usize * g + ny as usize) * g)
-                                                + nz as usize;
+                                            let nc =
+                                                ((nx as usize * g + ny as usize) * g) + nz as usize;
                                             t.read(a_cells + nc as u64 * 8, 8);
                                             for &j in &cl[nc] {
                                                 let j = j as usize;
@@ -156,9 +156,8 @@ impl Fluidanimate {
                                 st.1[i][1] -= 0.01; // gravity
                                 st.1[i][0] += push;
                                 for k in 0..3 {
-                                    st.0[i][k] =
-                                        (st.0[i][k] + 0.05 * st.1[i][k])
-                                            .clamp(0.0, g as f32 * H - 1e-3);
+                                    st.0[i][k] = (st.0[i][k] + 0.05 * st.1[i][k])
+                                        .clamp(0.0, g as f32 * H - 1e-3);
                                 }
                             }
                         }
@@ -206,7 +205,8 @@ mod tests {
 
     #[test]
     fn neighborhood_gathers_dominate_reads() {
-        let p = profile(&Fluidanimate::new(Scale::Tiny), &ProfileConfig::default()).expect("profile");
+        let p =
+            profile(&Fluidanimate::new(Scale::Tiny), &ProfileConfig::default()).expect("profile");
         assert!(p.mix.reads > 2 * p.mix.writes, "{:?}", p.mix);
     }
 }

@@ -88,8 +88,7 @@ impl Freqmine {
         // support-descending order.
         let mut order: Vec<u32> = frequent.clone();
         order.sort_by_key(|&i| std::cmp::Reverse(support[i as usize]));
-        let rank: HashMap<u32, usize> =
-            order.iter().enumerate().map(|(r, &i)| (i, r)).collect();
+        let rank: HashMap<u32, usize> = order.iter().enumerate().map(|(r, &i)| (i, r)).collect();
         let mut nodes = vec![FpNode {
             item: u32::MAX,
             count: 0,

@@ -65,8 +65,7 @@ impl Swaptions {
                     for step in 0..STEPS {
                         let z: f32 = {
                             // Box-Muller-lite: sum of uniforms.
-                            let u: f32 =
-                                (0..4).map(|_| rng.random::<f32>() - 0.5).sum::<f32>();
+                            let u: f32 = (0..4).map(|_| rng.random::<f32>() - 0.5).sum::<f32>();
                             u * (3.0f32).sqrt()
                         };
                         t.update(a_path + (tid * 4096 + step * 4) as u64, 4, 6);
@@ -79,8 +78,7 @@ impl Swaptions {
                     // part of (rate - strike).
                     let annuity = sw.tenor / (1.0 + rate * sw.tenor);
                     let payoff = (rate - sw.strike).max(0.0) * annuity;
-                    payoff_sum +=
-                        (payoff * (-sw.forward * sw.maturity).exp()) as f64;
+                    payoff_sum += (payoff * (-sw.forward * sw.maturity).exp()) as f64;
                 }
                 out[s] = (payoff_sum / self.trials as f64) as f32;
                 t.write(a_out + s as u64 * 4, 4);
@@ -109,7 +107,10 @@ mod tests {
         let sw = Swaptions::new(Scale::Tiny);
         let mut prof = Profiler::new(&ProfileConfig::default()).expect("profile");
         let prices = sw.run_traced(&mut prof);
-        assert!(prices.iter().all(|&p| (0.0..1.0).contains(&p)), "{prices:?}");
+        assert!(
+            prices.iter().all(|&p| (0.0..1.0).contains(&p)),
+            "{prices:?}"
+        );
         // Some swaption should be in the money on average.
         assert!(prices.iter().any(|&p| p > 0.0));
     }

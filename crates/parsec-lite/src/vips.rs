@@ -84,10 +84,7 @@ impl Vips {
             for r in chunk(sh, threads, t.tid()) {
                 for c in 0..sw {
                     for (dr, dc) in [(0, 0), (0, 1), (1, 0), (1, 1)] {
-                        t.read(
-                            a_blur + (((2 * r + dr) * w) + 2 * c + dc) as u64 * 4,
-                            4,
-                        );
+                        t.read(a_blur + (((2 * r + dr) * w) + 2 * c + dc) as u64 * 4, 4);
                     }
                     t.alu(7);
                     let v = (br.at(2 * r, 2 * c)

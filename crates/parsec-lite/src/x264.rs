@@ -141,10 +141,14 @@ impl X264 {
                                 }
                                 for col in 0..4 {
                                     let idx = [col, col + 4, col + 8, col + 12];
-                                    let (s0, s1) =
-                                        (block[idx[0]] + block[idx[3]], block[idx[1]] + block[idx[2]]);
-                                    let (d0, d1) =
-                                        (block[idx[0]] - block[idx[3]], block[idx[1]] - block[idx[2]]);
+                                    let (s0, s1) = (
+                                        block[idx[0]] + block[idx[3]],
+                                        block[idx[1]] + block[idx[2]],
+                                    );
+                                    let (d0, d1) = (
+                                        block[idx[0]] - block[idx[3]],
+                                        block[idx[1]] - block[idx[2]],
+                                    );
                                     block[idx[0]] = s0 + s1;
                                     block[idx[1]] = d0 + d1;
                                     block[idx[2]] = s0 - s1;

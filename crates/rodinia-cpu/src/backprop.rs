@@ -140,7 +140,8 @@ mod tests {
     fn weight_updates_make_writes_prominent() {
         // The adjust-weights pass writes every weight: BP has one of the
         // highest write fractions in the suite (a Figure 7 outlier).
-        let p = profile(&BackpropOmp::new(Scale::Tiny), &ProfileConfig::default()).expect("profile");
+        let p =
+            profile(&BackpropOmp::new(Scale::Tiny), &ProfileConfig::default()).expect("profile");
         let f = p.mix.fractions();
         assert!(f[3] > 0.1, "write fraction {f:?}");
     }

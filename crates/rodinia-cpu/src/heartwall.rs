@@ -152,10 +152,8 @@ impl HeartwallOmp {
                             let mut s = 0.0f32;
                             for dy in 0..TPL as isize {
                                 for dx in 0..TPL as isize {
-                                    let rr =
-                                        (pr as isize + or + dy - TPL as isize / 2) as usize;
-                                    let ccx =
-                                        (pc as isize + oc + dx - TPL as isize / 2) as usize;
+                                    let rr = (pr as isize + or + dy - TPL as isize / 2) as usize;
+                                    let ccx = (pc as isize + oc + dx - TPL as isize / 2) as usize;
                                     // Matching runs against the shared
                                     // preprocessed frame.
                                     t.read(a_smooth + (rr * w + ccx) as u64 * 4, 4);
@@ -174,8 +172,7 @@ impl HeartwallOmp {
                     }
                     // Task-specific post-processing (uniform per task).
                     t.alu(if p < inner { 8 } else { 14 });
-                    let np =
-                        self.clamp_point(pr as isize + best.0, pc as isize + best.1);
+                    let np = self.clamp_point(pr as isize + best.0, pc as isize + best.1);
                     next.borrow_mut()[p] = np;
                     t.write(a_pts + p as u64 * 8, 8);
                 }
@@ -225,7 +222,8 @@ mod tests {
     #[test]
     fn heartwall_shares_the_frame_heavily() {
         // The sharing outlier: overlapping windows on different threads.
-        let p = profile(&HeartwallOmp::new(Scale::Tiny), &ProfileConfig::default()).expect("profile");
+        let p =
+            profile(&HeartwallOmp::new(Scale::Tiny), &ProfileConfig::default()).expect("profile");
         let s = p.at_capacity(16 * 1024 * 1024);
         assert!(
             s.shared_access_rate() > 0.5,

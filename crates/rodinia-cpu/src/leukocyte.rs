@@ -183,7 +183,8 @@ mod tests {
     fn small_working_set() {
         // A frame plus its gradient fit comfortably in mid-size caches:
         // Leukocyte has one of the lowest 4 MB miss rates (Figure 10).
-        let p = profile(&LeukocyteOmp::new(Scale::Tiny), &ProfileConfig::default()).expect("profile");
+        let p =
+            profile(&LeukocyteOmp::new(Scale::Tiny), &ProfileConfig::default()).expect("profile");
         assert!(p.at_capacity(4 * 1024 * 1024).miss_rate() < 0.01);
     }
 }

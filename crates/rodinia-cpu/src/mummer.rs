@@ -163,8 +163,13 @@ mod tests {
         let mut prof = Profiler::new(&ProfileConfig::default()).expect("profile");
         let got = mum.run_traced(&mut prof);
         let reference = sequence::reference(mum.ref_len, mum.seed);
-        let reads =
-            sequence::reads(&reference, mum.queries, mum.read_len, mum.error_rate, mum.seed + 1);
+        let reads = sequence::reads(
+            &reference,
+            mum.queries,
+            mum.read_len,
+            mum.error_rate,
+            mum.seed + 1,
+        );
         let tree = SuffixTree::build(&reference);
         let want: Vec<u32> = reads.iter().map(|r| tree.match_prefix(r) as u32).collect();
         assert_eq!(want, got);

@@ -103,7 +103,9 @@ impl SradOmp {
                         t.branch(2);
                         out[i] += 0.25
                             * LAMBDA
-                            * (c[i] * d[i][0] + c[south] * d[i][1] + c[i] * d[i][2]
+                            * (c[i] * d[i][0]
+                                + c[south] * d[i][1]
+                                + c[i] * d[i][2]
                                 + c[east] * d[i][3]);
                         t.write(a_j + i as u64 * 4, 4);
                     }

@@ -126,7 +126,11 @@ mod tests {
     #[test]
     fn candidate_rows_are_shared() {
         // Every thread streams the candidate point's coordinates.
-        let p = profile(&StreamClusterOmp::new(Scale::Tiny), &ProfileConfig::default()).expect("profile");
+        let p = profile(
+            &StreamClusterOmp::new(Scale::Tiny),
+            &ProfileConfig::default(),
+        )
+        .expect("profile");
         let s = p.at_capacity(16 * 1024 * 1024);
         assert!(s.shared_access_rate() > 0.1, "{s:?}");
     }

@@ -65,7 +65,10 @@ mod tests {
                     win[0].miss_rate() >= win[1].miss_rate() - 0.01,
                     "{}: miss rate grew with capacity: {:?}",
                     w.name(),
-                    p.cache_stats.iter().map(tracekit::CacheStats::miss_rate).collect::<Vec<_>>()
+                    p.cache_stats
+                        .iter()
+                        .map(tracekit::CacheStats::miss_rate)
+                        .collect::<Vec<_>>()
                 );
             }
         }

@@ -31,18 +31,33 @@
 // so indexed loops are clearer than iterator chains here.
 #![allow(clippy::needless_range_loop)]
 
+// rustfmt skips the kernel modules: `repro audit` names every memory
+// op site by its `file:line:column` (`#[track_caller]`), so moving a
+// kernel's source lines changes the audit manifest and its digests.
+#[rustfmt::skip]
 pub mod backprop;
+#[rustfmt::skip]
 pub mod bfs;
+#[rustfmt::skip]
 pub mod cfd;
+#[rustfmt::skip]
 pub mod heartwall;
+#[rustfmt::skip]
 pub mod hotspot;
+#[rustfmt::skip]
 pub mod kmeans;
+#[rustfmt::skip]
 pub mod leukocyte;
+#[rustfmt::skip]
 pub mod lud;
+#[rustfmt::skip]
 pub mod mummer;
+#[rustfmt::skip]
 pub mod nw;
 pub mod refimpl;
+#[rustfmt::skip]
 pub mod srad;
+#[rustfmt::skip]
 pub mod streamcluster;
 pub mod suite;
 

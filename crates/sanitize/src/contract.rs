@@ -593,13 +593,7 @@ fn find_collision(a: &SiteContract, b: &SiteContract) -> Option<Witness> {
 /// pair itself bounds the answer, so a claim always exists; the forms
 /// only ever *tighten* it (e.g. a warp-invariant store collides already
 /// at 2 warps even if the witness saw warps 0 and 5).
-fn min_warps(
-    a: &SiteContract,
-    fa: &Affine,
-    b: &SiteContract,
-    fb: &Affine,
-    wit: &Witness,
-) -> i64 {
+fn min_warps(a: &SiteContract, fa: &Affine, b: &SiteContract, fb: &Affine, wit: &Witness) -> i64 {
     let off = |f: &Affine| f.c0 + f.c[2] * wit.block + f.c[3] * wit.phase + f.c[4] * wit.launch;
     let d = off(fb) - off(fa);
     // Two smallest distinct warps of `a` per base value cl*l + cw*w
@@ -657,9 +651,7 @@ pub fn check_contracts(contracts: &[KernelContract]) -> Vec<Finding> {
                                 FindingKind::ContractOutOfBounds,
                                 &kc.kernel,
                                 &format!("{} @ {}", s.buf, s.site),
-                                format!(
-                                    "observed words [{min}, {max}] exceed extent {extent}"
-                                ),
+                                format!("observed words [{min}, {max}] exceed extent {extent}"),
                             );
                         }
                     }
@@ -811,9 +803,7 @@ fn site_json(s: &SiteContract) -> Json {
                 "form",
                 Json::obj(
                     std::iter::once(("c0", Json::Num(f.c0 as f64)))
-                        .chain(
-                            (0..NDIMS).map(|d| (DIM_NAMES[d], Json::Num(f.c[d] as f64))),
-                        )
+                        .chain((0..NDIMS).map(|d| (DIM_NAMES[d], Json::Num(f.c[d] as f64))))
                         .collect(),
                 ),
             ));
@@ -982,11 +972,9 @@ mod tests {
         extent: Option<i64>,
     ) -> SiteContract {
         let samples = affine_samples(&f, ranges);
-        let (word_min, word_max) = samples
-            .iter()
-            .fold((i64::MAX, i64::MIN), |(lo, hi), s| {
-                (lo.min(s.addr), hi.max(s.addr))
-            });
+        let (word_min, word_max) = samples.iter().fold((i64::MAX, i64::MIN), |(lo, hi), s| {
+            (lo.min(s.addr), hi.max(s.addr))
+        });
         SiteContract {
             site: site.to_string(),
             buf: buf.to_string(),
@@ -1145,9 +1133,7 @@ mod tests {
         );
         // The guard: in phase p the tid-indexed store skips the pivot
         // word 17*p - 17.
-        guarded
-            .samples
-            .retain(|s| s.addr != 17 * s.dims[3] - 17);
+        guarded.samples.retain(|s| s.addr != 17 * s.dims[3] - 17);
         let findings = check_contracts(&[kernel_of("lud", vec![pivot, guarded])]);
         assert!(
             findings.is_empty(),
@@ -1293,11 +1279,15 @@ mod tests {
         let s0 = &k0.get("sites").and_then(Json::as_arr).expect("sites")[0];
         assert_eq!(s0.get("class").and_then(Json::as_str), Some("affine"));
         assert_eq!(
-            s0.get("form").and_then(|f| f.get("warp")).and_then(Json::as_f64),
+            s0.get("form")
+                .and_then(|f| f.get("warp"))
+                .and_then(Json::as_f64),
             Some(32.0)
         );
         assert_eq!(
-            s0.get("words").and_then(|w| w.get("max")).and_then(Json::as_f64),
+            s0.get("words")
+                .and_then(|w| w.get("max"))
+                .and_then(Json::as_f64),
             Some(36.0)
         );
     }

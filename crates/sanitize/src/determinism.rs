@@ -28,18 +28,8 @@ const DECL_MARKERS: [&str; 4] = ["HashMap", "HashSet", "FxHashMap", "FxHashSet"]
 /// Chain steps that impose an order (or make it irrelevant) on an
 /// unordered iterator.
 const ORDERING_MARKERS: [&str; 12] = [
-    ".sort",
-    "sorted",
-    "BTreeMap",
-    "BTreeSet",
-    ".sum()",
-    ".count()",
-    ".len()",
-    ".max(",
-    ".min(",
-    ".fold(",
-    ".all(",
-    ".any(",
+    ".sort", "sorted", "BTreeMap", "BTreeSet", ".sum()", ".count()", ".len()", ".max(", ".min(",
+    ".fold(", ".all(", ".any(",
 ];
 
 /// How many lines after an iteration site an ordering step still
@@ -91,7 +81,8 @@ fn iterates_over(line: &str, var: &str) -> bool {
             return true;
         }
     }
-    line.trim_end().ends_with(&format!("in {var}")) || line.trim_end().ends_with(&format!("in &{var}"))
+    line.trim_end().ends_with(&format!("in {var}"))
+        || line.trim_end().ends_with(&format!("in &{var}"))
 }
 
 fn window_has_ordering(lines: &[&str], at: usize) -> bool {
@@ -219,7 +210,9 @@ fn members_list(manifest: &str) -> std::io::Result<&str> {
         .find(|&(i, end)| {
             let line_start = manifest[..i].rfind('\n').map_or(0, |n| n + 1);
             manifest[line_start..i].trim().is_empty()
-                && manifest[end..].trim_start_matches([' ', '\t']).starts_with('=')
+                && manifest[end..]
+                    .trim_start_matches([' ', '\t'])
+                    .starts_with('=')
         })
         .map(|(_, end)| end)
         .ok_or_else(|| invalid("no `members` list in workspace manifest"))?;
@@ -305,8 +298,14 @@ members = [
 ]
 ";
         let list = members_list(manifest).unwrap();
-        assert!(list.contains("\"crates/*\"") && list.contains("\"vendor/*\""), "{list}");
-        assert!(!list.contains("crates/core"), "took default-members: {list}");
+        assert!(
+            list.contains("\"crates/*\"") && list.contains("\"vendor/*\""),
+            "{list}"
+        );
+        assert!(
+            !list.contains("crates/core"),
+            "took default-members: {list}"
+        );
         let only_default = "[workspace]\ndefault-members = [\"crates/core\"]\n";
         assert!(members_list(only_default).is_err());
     }

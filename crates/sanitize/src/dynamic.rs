@@ -361,9 +361,7 @@ impl Analyzer {
             if word >= extent {
                 let kind = match a.kind {
                     AccessKind::Load => FindingKind::GlobalOutOfBoundsLoad,
-                    AccessKind::Store | AccessKind::Atomic => {
-                        FindingKind::GlobalOutOfBoundsStore
-                    }
+                    AccessKind::Store | AccessKind::Atomic => FindingKind::GlobalOutOfBoundsStore,
                 };
                 self.findings.record(
                     kind,

@@ -219,7 +219,10 @@ mod tests {
     fn severity_split_matches_taxonomy() {
         assert_eq!(FindingKind::SharedRace.severity(), Severity::Error);
         assert_eq!(FindingKind::BankConflict.severity(), Severity::Warning);
-        assert_eq!(FindingKind::UnorderedIteration.severity(), Severity::Warning);
+        assert_eq!(
+            FindingKind::UnorderedIteration.severity(),
+            Severity::Warning
+        );
         assert_eq!(FindingKind::ContractRace.severity(), Severity::Error);
         assert_eq!(FindingKind::ContractOutOfBounds.severity(), Severity::Error);
         assert_eq!(

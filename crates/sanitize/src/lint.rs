@@ -143,8 +143,7 @@ impl KernelLintMetrics {
                             let segs = segs.of(&warp.segs);
                             global_ops += 1;
                             actual_segments += segs.len() as u64;
-                            ideal_segments +=
-                                (u64::from(*lanes) * WORD_BYTES).div_ceil(SEG_BYTES);
+                            ideal_segments += (u64::from(*lanes) * WORD_BYTES).div_ceil(SEG_BYTES);
                             if !store {
                                 for &s in segs {
                                     *seg_counts.entry(s).or_insert(0) += 1;
@@ -168,7 +167,13 @@ impl KernelLintMetrics {
             }
         }
 
-        let ratio = |num: u64, den: u64| if den == 0 { 1.0 } else { num as f64 / den as f64 };
+        let ratio = |num: u64, den: u64| {
+            if den == 0 {
+                1.0
+            } else {
+                num as f64 / den as f64
+            }
+        };
         KernelLintMetrics {
             kernel: trace.name.clone(),
             shared_ops,
@@ -306,7 +311,8 @@ mod tests {
     fn strided_global_trips_coalescing_lint() {
         // Each op: 32 lanes touching 32 distinct segments (fully strided);
         // spread segments across ops so the redundancy lint stays quiet.
-        let warp = loads((0..32u64).map(|i| (0..32u64).map(|l| (i * 32 + l) * SEG_BYTES).collect()));
+        let warp =
+            loads((0..32u64).map(|i| (0..32u64).map(|l| (i * 32 + l) * SEG_BYTES).collect()));
         let (m, findings) = lint_trace(&trace_of(warp), &LintConfig::default());
         assert!((m.coalescing_ratio - 16.0).abs() < 1e-9);
         assert_eq!(findings.len(), 1);

@@ -42,7 +42,10 @@ pub fn render_findings(findings: &[Finding]) -> Vec<String> {
             .then_with(|| a.kernel.cmp(&b.kernel))
             .then_with(|| a.subject.cmp(&b.subject))
     });
-    sorted.iter().map(std::string::ToString::to_string).collect()
+    sorted
+        .iter()
+        .map(std::string::ToString::to_string)
+        .collect()
 }
 
 #[cfg(test)]
@@ -62,7 +65,10 @@ mod tests {
 
     #[test]
     fn json_roundtrips_through_parser() {
-        let fs = vec![finding(FindingKind::SharedRace), finding(FindingKind::BankConflict)];
+        let fs = vec![
+            finding(FindingKind::SharedRace),
+            finding(FindingKind::BankConflict),
+        ];
         let j = findings_json(&fs);
         let text = format!("{j}");
         let parsed = Json::parse(&text).expect("valid json");
@@ -78,7 +84,10 @@ mod tests {
 
     #[test]
     fn render_orders_errors_first() {
-        let fs = vec![finding(FindingKind::BankConflict), finding(FindingKind::SharedRace)];
+        let fs = vec![
+            finding(FindingKind::BankConflict),
+            finding(FindingKind::SharedRace),
+        ];
         let lines = render_findings(&fs);
         assert!(lines[0].starts_with("error:"));
         assert!(lines[1].starts_with("warning:"));

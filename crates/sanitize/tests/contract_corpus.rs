@@ -14,9 +14,7 @@
 
 use sanitize::{check_contracts, infer_contracts, FindingKind, Severity};
 use simt::fault::{inject_with, Fault};
-use simt::{
-    BufF32, GridShape, Gpu, GpuConfig, Kernel, LaunchTape, PhaseControl, WarpCtx,
-};
+use simt::{BufF32, Gpu, GpuConfig, GridShape, Kernel, LaunchTape, PhaseControl, WarpCtx};
 
 /// Fault classes whose scenario drives a word past an allocation's
 /// extent, leaving the violation on the tape.
@@ -130,9 +128,7 @@ fn capture_staging(warps: usize, racy: bool) -> (Vec<LaunchTape>, GpuConfig) {
             v.push(t);
         }
     });
-    let out = gpu
-        .mem_mut()
-        .alloc_f32("out", &vec![0.0f32; warps * WS]);
+    let out = gpu.mem_mut().alloc_f32("out", &vec![0.0f32; warps * WS]);
     gpu.launch(&SradStaging { out, warps, racy });
     let collected = tapes.lock().expect("sink mutex").clone();
     (collected, cfg)

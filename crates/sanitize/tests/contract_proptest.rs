@@ -14,9 +14,7 @@
 
 use proptest::prelude::*;
 use sanitize::{check_contracts, infer_contracts, FindingKind, Form, Severity};
-use simt::{
-    BufF32, GridShape, Gpu, GpuConfig, Kernel, LaunchTape, PhaseControl, WarpCtx,
-};
+use simt::{BufF32, Gpu, GpuConfig, GridShape, Kernel, LaunchTape, PhaseControl, WarpCtx};
 
 const WS: usize = 32;
 
@@ -105,9 +103,7 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
     // Guard against the (astronomically rare) affine permutation: the
     // property is that *non-affine* indices degrade gracefully.
     let affine = n >= 2
-        && (0..n).all(|i| {
-            p[i] == p[0].wrapping_add(i.wrapping_mul(p[1].wrapping_sub(p[0])))
-        });
+        && (0..n).all(|i| p[i] == p[0].wrapping_add(i.wrapping_mul(p[1].wrapping_sub(p[0]))));
     if affine {
         p.swap(0, 1);
     }

@@ -36,7 +36,9 @@ fn workspace_crates_have_no_unordered_iteration() {
         );
     }
     assert!(
-        !roots.iter().any(|r| r.starts_with(repo_root.join("vendor"))),
+        !roots
+            .iter()
+            .any(|r| r.starts_with(repo_root.join("vendor"))),
         "vendored third-party crates must not be linted: {roots:?}"
     );
 

@@ -52,9 +52,7 @@ fn config_and_replay_faults_are_never_misclassified() {
         for tape in &tapes {
             let misclassified: Vec<_> = analyze_tape(tape)
                 .into_iter()
-                .filter(|f| {
-                    f.severity() == Severity::Error && f.kind != FindingKind::LaunchFailure
-                })
+                .filter(|f| f.severity() == Severity::Error && f.kind != FindingKind::LaunchFailure)
                 .collect();
             assert!(
                 misclassified.is_empty(),

@@ -15,7 +15,7 @@
 
 use proptest::prelude::*;
 use sanitize::{analyze_tape, FindingKind, Severity};
-use simt::{GridShape, Gpu, GpuConfig, Kernel, LaunchTape, PhaseControl, WarpCtx};
+use simt::{Gpu, GpuConfig, GridShape, Kernel, LaunchTape, PhaseControl, WarpCtx};
 
 /// Lanes (and shared words) each warp owns.
 const SLOT: usize = 32;

@@ -214,7 +214,11 @@ mod prop_tests {
 
         fn generate(&self, rng: &mut TestRng) -> Self::Value {
             let warp = 1 + rng.below(64) as usize;
-            let mask = if rng.below(2) == 0 { u64::MAX } else { rng.next_u64() };
+            let mask = if rng.below(2) == 0 {
+                u64::MAX
+            } else {
+                rng.next_u64()
+            };
             let span = [8, 300, 1 << 20][rng.below(3) as usize];
             let banks = 1u32 << rng.below(8);
             let mut pairs: Vec<(usize, usize)> = (0..warp)

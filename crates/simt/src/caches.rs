@@ -47,7 +47,10 @@ impl Cache {
     /// number).
     fn locate(&self, addr: u64) -> (usize, u64) {
         let line = addr / u64::from(self.geom.line);
-        ((line & self.set_mask) as usize * self.geom.ways as usize, line)
+        (
+            (line & self.set_mask) as usize * self.geom.ways as usize,
+            line,
+        )
     }
 
     /// Looks up `addr`, allocating the line on a miss. Returns `true` on a

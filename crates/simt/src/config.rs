@@ -76,7 +76,11 @@ impl CacheGeom {
         if self.ways == 0 || self.line == 0 {
             return Some("cache ways and line size must be positive");
         }
-        let Some(set_bytes) = self.ways.checked_mul(self.line).filter(|&b| b <= self.bytes) else {
+        let Some(set_bytes) = self
+            .ways
+            .checked_mul(self.line)
+            .filter(|&b| b <= self.bytes)
+        else {
             return Some("cache smaller than one set");
         };
         if !(self.bytes / set_bytes).is_power_of_two() {
@@ -389,13 +393,12 @@ impl GpuConfig {
     /// warp size, a non-power-of-two shared-memory bank count).
     #[must_use = "the validation verdict must be checked"]
     pub fn validate(&self) -> Result<(), SimError> {
-        self.first_problem()
-            .map_or(Ok(()), |reason| {
-                Err(SimError::InvalidConfig {
-                    config: self.name.clone(),
-                    reason,
-                })
+        self.first_problem().map_or(Ok(()), |reason| {
+            Err(SimError::InvalidConfig {
+                config: self.name.clone(),
+                reason,
             })
+        })
     }
 
     fn first_problem(&self) -> Option<String> {
@@ -426,7 +429,11 @@ impl GpuConfig {
         if self.max_ctas_per_sm == 0 {
             return Some("max_ctas_per_sm must be positive".into());
         }
-        for (name, geom) in [("l1", self.l1), ("l2", self.l2), ("tex_cache", self.tex_cache)] {
+        for (name, geom) in [
+            ("l1", self.l1),
+            ("l2", self.l2),
+            ("tex_cache", self.tex_cache),
+        ] {
             if let Some(reason) = geom.as_ref().and_then(CacheGeom::problem) {
                 return Some(format!("{name}: {reason}"));
             }
@@ -520,10 +527,7 @@ mod tests {
     fn issue_cycles_from_simd_width() {
         let c = GpuConfig::gpgpusim_default();
         assert_eq!(c.issue_cycles(), 1);
-        let narrow = GpuConfig {
-            simd_width: 8,
-            ..c
-        };
+        let narrow = GpuConfig { simd_width: 8, ..c };
         assert_eq!(narrow.issue_cycles(), 4);
     }
 
@@ -589,7 +593,10 @@ mod tests {
         };
         // A budget of 1 cannot pin both the first and final epoch.
         check(|c| c.timeline_capacity = 1, "timeline_capacity");
-        check(|c| c.timeline_capacity = MAX_TIMELINE_CAPACITY + 1, "memory bound");
+        check(
+            |c| c.timeline_capacity = MAX_TIMELINE_CAPACITY + 1,
+            "memory bound",
+        );
         check(
             |c| c.timeline_sample_period = MAX_TIMELINE_PERIOD + 1,
             "overflow-prone",

@@ -32,7 +32,11 @@ pub const TRACE_CODEC_VERSION: u32 = 1;
 
 /// Encodes a capture — launch-ordered traces plus the functional run's
 /// host↔device traffic — into one payload.
-pub fn encode_capture_payload(traces: &[Arc<KernelTrace>], h2d_bytes: u64, d2h_bytes: u64) -> Vec<u8> {
+pub fn encode_capture_payload(
+    traces: &[Arc<KernelTrace>],
+    h2d_bytes: u64,
+    d2h_bytes: u64,
+) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, TRACE_CODEC_VERSION);
     put_u64(&mut out, h2d_bytes);
@@ -51,7 +55,9 @@ pub fn encode_capture_payload(traces: &[Arc<KernelTrace>], h2d_bytes: u64, d2h_b
 ///
 /// A [`CodecError`] on any structural problem; no partially decoded
 /// trace is ever returned.
-pub fn decode_capture_payload(bytes: &[u8]) -> Result<(Vec<Arc<KernelTrace>>, u64, u64), CodecError> {
+pub fn decode_capture_payload(
+    bytes: &[u8],
+) -> Result<(Vec<Arc<KernelTrace>>, u64, u64), CodecError> {
     let mut r = Reader::new(bytes);
     let version = r.u32("codec version")?;
     if version != TRACE_CODEC_VERSION {
@@ -150,13 +156,22 @@ fn encode_op(op: &TOp, pool: &[u64], out: &mut Vec<u8>) {
             put_u32(out, *n);
             out.push(*lanes);
         }
-        TOp::Shared { degree, lanes, store } => {
+        TOp::Shared {
+            degree,
+            lanes,
+            store,
+        } => {
             out.push(TAG_SHARED);
             out.push(*degree);
             out.push(*lanes);
             out.push(u8::from(*store));
         }
-        TOp::Gmem { space, store, lanes, segs } => {
+        TOp::Gmem {
+            space,
+            store,
+            lanes,
+            segs,
+        } => {
             out.push(TAG_GMEM);
             out.push(u8::from(*space == MemSpace::Local));
             out.push(u8::from(*store));
@@ -209,7 +224,11 @@ fn decode_op(r: &mut Reader<'_>, warp: &mut WarpTrace) -> Result<TOp, CodecError
             let lanes = r.u8("gmem lanes")?;
             let segs = segs(r, warp, "gmem segments")?;
             TOp::Gmem {
-                space: if local { MemSpace::Local } else { MemSpace::Global },
+                space: if local {
+                    MemSpace::Local
+                } else {
+                    MemSpace::Global
+                },
                 store,
                 lanes,
                 segs,
@@ -250,7 +269,11 @@ fn put_segs(out: &mut Vec<u8>, segs: &[u64]) {
 
 /// Reads what [`put_segs`] wrote into `warp`'s pool, returning its
 /// range. A count that does not fit a [`SegRange`] is an error.
-fn segs(r: &mut Reader<'_>, warp: &mut WarpTrace, what: &'static str) -> Result<SegRange, CodecError> {
+fn segs(
+    r: &mut Reader<'_>,
+    warp: &mut WarpTrace,
+    what: &'static str,
+) -> Result<SegRange, CodecError> {
     let offset = r.pos();
     let n = r.u32(what)? as usize;
     warp.push_segs(&r.u64s(n, what)?).ok_or(CodecError {
@@ -268,7 +291,11 @@ mod tests {
         let ops = vec![
             TOp::Alu { n: 3, lanes: 32 },
             TOp::Sfu { n: 1, lanes: 16 },
-            TOp::Shared { degree: 4, lanes: 32, store: true },
+            TOp::Shared {
+                degree: 4,
+                lanes: 32,
+                store: true,
+            },
             TOp::Gmem {
                 space: MemSpace::Global,
                 store: false,
@@ -281,17 +308,28 @@ mod tests {
                 lanes: 8,
                 segs: SegRange { start: 3, len: 1 },
             },
-            TOp::Tex { lanes: 32, segs: SegRange { start: 4, len: 1 } },
-            TOp::Const { lanes: 32, unique: 2 },
+            TOp::Tex {
+                lanes: 32,
+                segs: SegRange { start: 4, len: 1 },
+            },
+            TOp::Const {
+                lanes: 32,
+                unique: 2,
+            },
             TOp::Param { n: 2, lanes: 32 },
             TOp::Branch { lanes: 32 },
             TOp::Bar,
         ];
-        let warp = WarpTrace { ops, segs: vec![0, 64, 128, 1 << 40, 4096] };
+        let warp = WarpTrace {
+            ops,
+            segs: vec![0, 64, 128, 1 << 40, 4096],
+        };
         KernelTrace {
             name: "kitchen-sink".to_string(),
             ctas: vec![
-                CtaTrace { warps: vec![warp.clone(), WarpTrace::default()] },
+                CtaTrace {
+                    warps: vec![warp.clone(), WarpTrace::default()],
+                },
                 CtaTrace { warps: vec![warp] },
             ],
             threads_per_block: 96,
@@ -360,7 +398,12 @@ mod tests {
     fn unknown_op_tag_is_rejected() {
         let t = Arc::new(KernelTrace {
             name: "t".to_string(),
-            ctas: vec![CtaTrace { warps: vec![WarpTrace { ops: vec![TOp::Bar], segs: vec![] }] }],
+            ctas: vec![CtaTrace {
+                warps: vec![WarpTrace {
+                    ops: vec![TOp::Bar],
+                    segs: vec![],
+                }],
+            }],
             threads_per_block: 32,
             regs_per_thread: 1,
             shared_bytes_per_cta: 0,
@@ -396,7 +439,9 @@ mod tests {
                 let (buf, n) = (self.buf, self.n);
                 let x = w.ld_f32(buf, |_, tid| (tid < n).then_some(tid));
                 w.alu(2);
-                w.st_f32(buf, |lane, tid| (tid < n).then_some((tid, x[lane] * 2.0 + 1.0)));
+                w.st_f32(buf, |lane, tid| {
+                    (tid < n).then_some((tid, x[lane] * 2.0 + 1.0))
+                });
                 PhaseControl::Done
             }
         }
@@ -404,7 +449,11 @@ mod tests {
         let cfg = GpuConfig::gpgpusim_default();
         let mut mem = GpuMem::new();
         let buf = mem.alloc_f32_zeroed("buf", 256);
-        let trace = Arc::new(crate::trace::trace_kernel(&Saxpy { buf, n: 256 }, &mut mem, &cfg));
+        let trace = Arc::new(crate::trace::trace_kernel(
+            &Saxpy { buf, n: 256 },
+            &mut mem,
+            &cfg,
+        ));
         let bytes = encode_capture_payload(std::slice::from_ref(&trace), 1024, 1024);
         let (back, _, _) = decode_capture_payload(&bytes).expect("decode");
         let a = crate::gpu::try_time_trace(&trace, &cfg).expect("time original");
@@ -418,7 +467,10 @@ mod tests {
                 assert_eq!(w.segs.capacity(), w.segs.len());
             }
         }
-        assert!(trace.ctas[0].warps[0].segs.len() > 1, "the warp touched memory");
+        assert!(
+            trace.ctas[0].warps[0].segs.len() > 1,
+            "the warp touched memory"
+        );
     }
 
     #[test]

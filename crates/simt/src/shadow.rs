@@ -102,7 +102,9 @@ mod tests {
         assert_eq!(t.intern(a), ia, "re-interning returns the same id");
         assert_eq!(t.len(), 2);
         assert!(t.name(ia).contains("shadow.rs"));
-        assert!(t.name(ia).ends_with(&format!("{}:{}", a.line(), a.column())));
+        assert!(t
+            .name(ia)
+            .ends_with(&format!("{}:{}", a.line(), a.column())));
     }
 
     #[test]
@@ -111,7 +113,10 @@ mod tests {
         let id = t.intern(here());
         let label = t.name(id);
         // At most two path components survive: `src/shadow.rs:L:C`.
-        assert!(label.matches('/').count() <= 1, "label {label:?} is trimmed");
+        assert!(
+            label.matches('/').count() <= 1,
+            "label {label:?} is trimmed"
+        );
         assert_eq!(t.name(99), "<unknown site>");
         assert!(!t.is_empty());
     }

@@ -177,7 +177,11 @@ pub(crate) fn fold_summary(sched: &[u64]) -> SmSummary {
             live[i] |= is_live;
             active_any[i] |= active;
             mem[i] |= active && v & SCHED_MEM != 0;
-            let r = if active { v & SCHED_READY_MASK } else { u64::MAX };
+            let r = if active {
+                v & SCHED_READY_MASK
+            } else {
+                u64::MAX
+            };
             min_r[i] = min_r[i].min(r);
         }
     }
@@ -187,7 +191,11 @@ pub(crate) fn fold_summary(sched: &[u64]) -> SmSummary {
         live[i] |= is_live;
         active_any[i] |= active;
         mem[i] |= active && v & SCHED_MEM != 0;
-        let r = if active { v & SCHED_READY_MASK } else { u64::MAX };
+        let r = if active {
+            v & SCHED_READY_MASK
+        } else {
+            u64::MAX
+        };
         min_r[i] = min_r[i].min(r);
     }
     let mut s = SmSummary::empty();
@@ -477,9 +485,9 @@ impl<'a> SmRt<'a> {
                     let v = self.sched[slot];
                     if v & SCHED_PICK_MASK <= cycle {
                         let w = self.list[slot];
-                        if best
-                            .is_none_or(|b| self.warp_tab[w].last_issue < self.warp_tab[b].last_issue)
-                        {
+                        if best.is_none_or(|b| {
+                            self.warp_tab[w].last_issue < self.warp_tab[b].last_issue
+                        }) {
                             best = Some(w);
                         }
                     }
@@ -535,27 +543,28 @@ impl<'a> SmRt<'a> {
         };
         let mut unresolved = false;
         let sm_id = self.id;
-        let push_mem = |out: &mut EpochLog, segs: &mut dyn Iterator<Item = u64>, add: u32, wait: bool| {
-            let start = out.segs.len() as u32;
-            out.segs.extend(segs);
-            let end = out.segs.len() as u32;
-            if end > start {
-                out.events.push(EvRec {
-                    cycle,
-                    sm: sm_id,
-                    seq,
-                    kind: EvKind::Mem {
-                        warp: w as u32,
-                        add,
-                        wait,
-                        segs: (start, end),
-                    },
-                });
-                wait
-            } else {
-                false
-            }
-        };
+        let push_mem =
+            |out: &mut EpochLog, segs: &mut dyn Iterator<Item = u64>, add: u32, wait: bool| {
+                let start = out.segs.len() as u32;
+                out.segs.extend(segs);
+                let end = out.segs.len() as u32;
+                if end > start {
+                    out.events.push(EvRec {
+                        cycle,
+                        sm: sm_id,
+                        seq,
+                        kind: EvKind::Mem {
+                            warp: w as u32,
+                            add,
+                            wait,
+                            segs: (start, end),
+                        },
+                    });
+                    wait
+                } else {
+                    false
+                }
+            };
         let (port_busy, ready_at) = match op {
             TOp::Alu { n, .. } => {
                 let busy = ic * *n as u64;
@@ -718,7 +727,7 @@ impl<'a> SmRt<'a> {
             out.events.push(EvRec {
                 cycle,
                 sm: self.id,
-                    seq,
+                seq,
                 kind: EvKind::CtaDone { cta: cta_rt as u32 },
             });
             let dead = &self.ctas[cta_rt].warps;

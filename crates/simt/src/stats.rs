@@ -371,7 +371,9 @@ impl KernelStats {
     /// DRAM bandwidth utilization in `[0, 1]` (Table III's "BW
     /// Utilization").
     pub fn bw_utilization(&self) -> f64 {
-        if self.cycles == 0 || self.peak_bytes_per_cycle.is_nan() || self.peak_bytes_per_cycle <= 0.0
+        if self.cycles == 0
+            || self.peak_bytes_per_cycle.is_nan()
+            || self.peak_bytes_per_cycle <= 0.0
         {
             0.0
         } else {
@@ -463,7 +465,13 @@ impl KernelStats {
             ),
             (
                 "occupancy_counts",
-                Json::Arr(self.occupancy.counts.iter().map(|&c| Json::u64(c)).collect()),
+                Json::Arr(
+                    self.occupancy
+                        .counts
+                        .iter()
+                        .map(|&c| Json::u64(c))
+                        .collect(),
+                ),
             ),
             ("dram_bytes", Json::u64(self.dram_bytes)),
             ("dram_busy_cycles", Json::u64(self.dram_busy_cycles)),
@@ -697,7 +705,9 @@ mod tests {
         let v = obs::Json::parse(&text).unwrap();
         assert_eq!(v.get("cycles").and_then(obs::Json::as_f64), Some(1000.0));
         assert_eq!(
-            v.get("stall").and_then(|st| st.get("total")).and_then(obs::Json::as_f64),
+            v.get("stall")
+                .and_then(|st| st.get("total"))
+                .and_then(obs::Json::as_f64),
             Some(1000.0)
         );
         assert!(v.get("timeline").and_then(|t| t.get("samples")).is_some());

@@ -57,7 +57,13 @@ impl Kernel for Synth {
     }
 }
 
-fn build_trace(alu: u32, stride: usize, shared: bool, divergent: bool, cfg: &GpuConfig) -> KernelTrace {
+fn build_trace(
+    alu: u32,
+    stride: usize,
+    shared: bool,
+    divergent: bool,
+    cfg: &GpuConfig,
+) -> KernelTrace {
     let n = 4096;
     let mut mem = GpuMem::new();
     let buf = mem.alloc_f32_zeroed("buf", n * stride.max(1));

@@ -148,9 +148,16 @@ fn engine_timeline_decimates_instead_of_wrapping() {
     let trace = trace_kernel(&Streamer { buf, n }, &mut mem, &cfg);
     let stats = time_trace(&trace, &cfg);
     let tl = &stats.timeline;
-    assert!(tl.samples.len() <= 8, "budget exceeded: {}", tl.samples.len());
+    assert!(
+        tl.samples.len() <= 8,
+        "budget exceeded: {}",
+        tl.samples.len()
+    );
     assert!(tl.decimations > 0, "a long run must back off");
-    assert!(tl.dropped > 0, "decimation must account for dropped samples");
+    assert!(
+        tl.dropped > 0,
+        "decimation must account for dropped samples"
+    );
     // Head retained: the very first epoch (one base period in) survives
     // every halving, so the ramp-up stays visible.
     let first = tl.samples.first().expect("non-empty").cycle;

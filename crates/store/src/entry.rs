@@ -160,7 +160,9 @@ pub fn decode_entry<'a>(key: &str, bytes: &'a [u8]) -> Result<&'a [u8], Corrupti
     if version != FORMAT_VERSION {
         return Err(Corruption::VersionMismatch { found: version });
     }
-    let klen = usize::from(u16::from_le_bytes(bytes[8..10].try_into().expect("2 bytes")));
+    let klen = usize::from(u16::from_le_bytes(
+        bytes[8..10].try_into().expect("2 bytes"),
+    ));
     let header_len = PRE_KEY + klen + POST_KEY;
     if bytes.len() < header_len {
         return Err(Corruption::Truncated {

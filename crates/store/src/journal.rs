@@ -87,8 +87,10 @@ impl Journal {
             .write(true)
             .open(path)
             .map_err(|e| StoreError::io(path, &e))?;
-        file.set_len(valid_len).map_err(|e| StoreError::io(path, &e))?;
-        file.seek(SeekFrom::End(0)).map_err(|e| StoreError::io(path, &e))?;
+        file.set_len(valid_len)
+            .map_err(|e| StoreError::io(path, &e))?;
+        file.seek(SeekFrom::End(0))
+            .map_err(|e| StoreError::io(path, &e))?;
         let journal = Journal {
             path: path.to_path_buf(),
             file: Mutex::new(file),
@@ -118,7 +120,10 @@ impl Journal {
     pub fn append(&self, record: &Json) -> Result<(), StoreError> {
         let text = record.to_string();
         let line = format!("{:016x}\t{text}\n", fnv1a64(text.as_bytes()));
-        let mut f = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let mut f = self
+            .file
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         f.write_all(line.as_bytes())
             .and_then(|()| f.sync_data())
             .map_err(|e| StoreError::io(&self.path, &e))
@@ -176,13 +181,22 @@ impl SweepJournal {
     /// # Errors
     ///
     /// As [`Journal::open`].
-    pub fn open(path: &Path, study_key: &str) -> Result<(SweepJournal, BTreeMap<usize, f64>), StoreError> {
+    pub fn open(
+        path: &Path,
+        study_key: &str,
+    ) -> Result<(SweepJournal, BTreeMap<usize, f64>), StoreError> {
         let (inner, records) = Journal::open(path, study_key, true)?;
         let mut done = BTreeMap::new();
         for r in records {
-            let Some(i) = r.get("i").and_then(Json::as_f64) else { continue };
-            let Some(bits_hex) = r.get("bits").and_then(Json::as_str) else { continue };
-            let Ok(bits) = u64::from_str_radix(bits_hex, 16) else { continue };
+            let Some(i) = r.get("i").and_then(Json::as_f64) else {
+                continue;
+            };
+            let Some(bits_hex) = r.get("bits").and_then(Json::as_str) else {
+                continue;
+            };
+            let Ok(bits) = u64::from_str_radix(bits_hex, 16) else {
+                continue;
+            };
             done.insert(i as usize, f64::from_bits(bits));
         }
         Ok((SweepJournal { inner }, done))

@@ -79,7 +79,10 @@ impl TraceStore {
     /// # Errors
     ///
     /// As [`TraceStore::open`].
-    pub fn open_with_budget(dir: &Path, budget_bytes: Option<u64>) -> Result<TraceStore, StoreError> {
+    pub fn open_with_budget(
+        dir: &Path,
+        budget_bytes: Option<u64>,
+    ) -> Result<TraceStore, StoreError> {
         let unavailable = |e: &io::Error| StoreError::Unavailable {
             dir: dir.display().to_string(),
             reason: e.to_string(),
@@ -132,8 +135,10 @@ impl TraceStore {
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
             .take(48)
             .collect();
-        self.root
-            .join(format!("{slug}-{:016x}.{ENTRY_EXT}", fnv1a64(key.as_bytes())))
+        self.root.join(format!(
+            "{slug}-{:016x}.{ENTRY_EXT}",
+            fnv1a64(key.as_bytes())
+        ))
     }
 
     /// Path of the checkpoint journal named `name` (inside the store's
@@ -373,7 +378,9 @@ impl TraceStore {
     /// Evicts least-recently-used entries until the store fits its
     /// budget, never evicting `just_written`.
     fn evict_to_budget(&self, just_written: &Path) {
-        let Some(budget) = self.budget_bytes else { return };
+        let Some(budget) = self.budget_bytes else {
+            return;
+        };
         let mut entries = self.entries();
         let mut total: u64 = entries.iter().map(|e| e.len).sum();
         if total <= budget {
@@ -401,7 +408,9 @@ impl TraceStore {
     /// hardest possible interruption, with no destructors and no
     /// flushing, exactly what the resume path must survive.
     fn crash_hook_after_save(&self) {
-        let Some(n) = self.crash_after_saves else { return };
+        let Some(n) = self.crash_after_saves else {
+            return;
+        };
         if self.saves.fetch_add(1, Ordering::SeqCst) + 1 != n {
             return;
         }
@@ -440,7 +449,11 @@ pub fn write_atomic(dir: &Path, file_name: &str, bytes: &[u8]) -> Result<PathBuf
     let path = dir.join(file_name);
     let tmp = dir.join(format!(".tmp-{file_name}-{}", std::process::id()));
     let write = || -> io::Result<()> {
-        let mut f = OpenOptions::new().write(true).create(true).truncate(true).open(&tmp)?;
+        let mut f = OpenOptions::new()
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()
     };
@@ -541,7 +554,11 @@ mod tests {
         store.save("k", b"payload").expect("save");
         store.inject_transient_failures(2);
         let retries_before = obs::Registry::global().counter("store.retry");
-        assert_eq!(store.load("k"), Some(b"payload".to_vec()), "retries absorb EINTR");
+        assert_eq!(
+            store.load("k"),
+            Some(b"payload".to_vec()),
+            "retries absorb EINTR"
+        );
         assert!(obs::Registry::global().counter("store.retry") >= retries_before + 2);
         // More failures than the retry budget: degrade to a miss.
         store.inject_transient_failures(RETRY_ATTEMPTS + 2);
@@ -578,7 +595,11 @@ mod tests {
         assert!(unbudgeted.load("k").is_some());
         assert!(unbudgeted.load("k").is_some());
         let sidecar = touch_path(&unbudgeted.entry_path("k"));
-        assert!(!sidecar.exists(), "an unbudgeted hit wrote {}", sidecar.display());
+        assert!(
+            !sidecar.exists(),
+            "an unbudgeted hit wrote {}",
+            sidecar.display()
+        );
         let budgeted = TraceStore::open_with_budget(&dir, Some(1 << 20)).expect("reopen");
         assert!(budgeted.load("k").is_some());
         assert!(sidecar.exists(), "a budgeted hit records its use");
@@ -603,7 +624,12 @@ mod tests {
         let b = store.entry_path("gpu/v1/NW/Small/-/w32b16s64");
         assert_ne!(a, b);
         assert_eq!(a, store.entry_path("gpu/v1/BFS/Small/-/w32b16s64"));
-        assert!(a.file_name().unwrap().to_str().unwrap().contains("gpu-v1-BFS"));
+        assert!(a
+            .file_name()
+            .unwrap()
+            .to_str()
+            .unwrap()
+            .contains("gpu-v1-BFS"));
         let _ = fs::remove_dir_all(&dir);
     }
 }

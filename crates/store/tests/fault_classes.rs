@@ -72,7 +72,11 @@ fn damage_to_one_entry_never_touches_its_neighbors() {
     store.save("b", b"beta").expect("save b");
     inject(&store, "a", StoreFault::BitFlip).expect("inject");
     assert_eq!(store.load("a"), None);
-    assert_eq!(store.load("b"), Some(b"beta".to_vec()), "neighbor unaffected");
+    assert_eq!(
+        store.load("b"),
+        Some(b"beta".to_vec()),
+        "neighbor unaffected"
+    );
     let _ = fs::remove_dir_all(&dir);
 }
 

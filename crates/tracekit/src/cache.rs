@@ -177,7 +177,9 @@ pub fn validate_geometry(bytes: u64, ways: usize, line: u64) -> Result<u64, Trac
     }
     let sets = bytes / denom;
     if !sets.is_power_of_two() {
-        return Err(TraceError::SetsNotPowerOfTwo { sets: sets as usize });
+        return Err(TraceError::SetsNotPowerOfTwo {
+            sets: sets as usize,
+        });
     }
     Ok(sets)
 }
@@ -273,7 +275,10 @@ mod tests {
         }
         c.access(1, 0); // refill by thread 1 alone
         let s = c.finish();
-        assert_eq!(s.shared_incarnations, 1, "only the first residency was shared");
+        assert_eq!(
+            s.shared_incarnations, 1,
+            "only the first residency was shared"
+        );
     }
 
     #[test]
@@ -315,7 +320,11 @@ mod tests {
         // Smaller than one set.
         assert_eq!(
             SharedCache::new(64, 4, 64).unwrap_err(),
-            TraceError::CacheTooSmall { bytes: 64, ways: 4, line: 64 }
+            TraceError::CacheTooSmall {
+                bytes: 64,
+                ways: 4,
+                line: 64
+            }
         );
         // Degenerate ways/line hit the same arm instead of dividing by zero.
         assert!(matches!(

@@ -72,7 +72,10 @@ impl fmt::Display for TraceError {
                 write!(f, "line size must be a power of two, got {line}")
             }
             TraceError::TooManyThreads { threads, max } => {
-                write!(f, "{threads} logical threads exceed the trace format's {max}")
+                write!(
+                    f,
+                    "{threads} logical threads exceed the trace format's {max}"
+                )
             }
             TraceError::BufferGrowth {
                 workload,
@@ -122,9 +125,12 @@ mod tests {
         assert!(TraceError::LineNotPowerOfTwo { line: 48 }
             .to_string()
             .contains("power of two"));
-        assert!(TraceError::TooManyThreads { threads: 300, max: 256 }
-            .to_string()
-            .contains("256"));
+        assert!(TraceError::TooManyThreads {
+            threads: 300,
+            max: 256
+        }
+        .to_string()
+        .contains("256"));
         let e = TraceError::BufferGrowth {
             workload: "",
             buffer: "capture words",

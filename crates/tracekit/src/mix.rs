@@ -90,7 +90,12 @@ mod tests {
     fn empty_mix_is_safe() {
         assert_eq!(InstrMix::default().fractions(), [0.0; 4]);
         // Per-category queries share the same zero-total guard.
-        for class in [MixClass::Alu, MixClass::Branch, MixClass::Read, MixClass::Write] {
+        for class in [
+            MixClass::Alu,
+            MixClass::Branch,
+            MixClass::Read,
+            MixClass::Write,
+        ] {
             let f = InstrMix::default().fraction(class);
             assert_eq!(f, 0.0, "{class:?} must guard the zero total");
         }

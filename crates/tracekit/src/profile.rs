@@ -480,12 +480,19 @@ mod tests {
             },
             &small_cfg(),
         );
-        let rates: Vec<f64> = p.cache_stats.iter().map(super::super::cache::CacheStats::miss_rate).collect();
+        let rates: Vec<f64> = p
+            .cache_stats
+            .iter()
+            .map(super::super::cache::CacheStats::miss_rate)
+            .collect();
         assert!(rates[0] > rates[1], "4k vs 64k: {rates:?}");
         assert!(rates[1] >= rates[2], "64k vs 1M: {rates:?}");
         // At 1 MB only the compulsory misses remain: 512 distinct lines
         // over 4 threads x 4 passes x 512 accesses = 1/16.
-        assert!(rates[2] <= 0.0625 + 1e-9, "only compulsory misses: {rates:?}");
+        assert!(
+            rates[2] <= 0.0625 + 1e-9,
+            "only compulsory misses: {rates:?}"
+        );
     }
 
     #[test]
@@ -555,7 +562,10 @@ mod tests {
             cache_sizes: vec![48 * 1024],
             ..small_cfg()
         };
-        let w = Strided { lines: 8, passes: 1 };
+        let w = Strided {
+            lines: 8,
+            passes: 1,
+        };
         assert_eq!(
             profile(&w, &cfg).unwrap_err(),
             crate::TraceError::SetsNotPowerOfTwo { sets: 192 }
@@ -568,10 +578,16 @@ mod tests {
             threads: 300,
             ..small_cfg()
         };
-        let w = Strided { lines: 8, passes: 1 };
+        let w = Strided {
+            lines: 8,
+            passes: 1,
+        };
         assert_eq!(
             profile(&w, &cfg).unwrap_err(),
-            crate::TraceError::TooManyThreads { threads: 300, max: MAX_THREADS }
+            crate::TraceError::TooManyThreads {
+                threads: 300,
+                max: MAX_THREADS
+            }
         );
     }
 

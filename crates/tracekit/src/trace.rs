@@ -185,7 +185,10 @@ impl CpuCapture {
                 if let Some((fits, stats)) = no_evictions {
                     if sets >= fits {
                         skipped += 1;
-                        return Ok(CacheStats { capacity: bytes, ..stats });
+                        return Ok(CacheStats {
+                            capacity: bytes,
+                            ..stats
+                        });
                     }
                 }
                 let cache = self.simulate(bytes)?;
@@ -337,10 +340,15 @@ mod tests {
         let reg = obs::Registry::global();
         let skipped_before = reg.counter("tracekit.replays_skipped");
         let all = cap.replay_all(&sizes).expect("replay all");
-        let replays = reg.span_stat("tracekit.replay.trace-tests.fits").map(|s| s.count);
+        let replays = reg
+            .span_stat("tracekit.replay.trace-tests.fits")
+            .map(|s| s.count);
         assert_eq!(replays, Some(3), "only 1, 2 and 4 sets are simulated");
         assert!(reg.counter("tracekit.replays_skipped") >= skipped_before + 5);
-        let each: Vec<CacheStats> = sizes.iter().map(|&b| cap.replay(b).expect("replay")).collect();
+        let each: Vec<CacheStats> = sizes
+            .iter()
+            .map(|&b| cap.replay(b).expect("replay"))
+            .collect();
         assert_eq!(all, each);
         assert_eq!(all[7].misses, 16, "only compulsory misses once it fits");
     }

@@ -340,9 +340,15 @@ mod tests {
         assert_eq!(
             ev,
             vec![
-                Ev::Read { addr: 0x100, size: 4 },
+                Ev::Read {
+                    addr: 0x100,
+                    size: 4
+                },
                 Ev::Alu(2),
-                Ev::Write { addr: 0x104, size: 8 },
+                Ev::Write {
+                    addr: 0x104,
+                    size: 8
+                },
                 Ev::Branch(1),
                 Ev::Exec(7),
             ]

@@ -66,7 +66,13 @@ fn incremental_optimizations(scale: Scale) {
         cfd.variant = CfdVariant::PrecomputedFlux;
         let a = run_on(&cfg, |g| cfd.run(g));
         let b = run_on(&cfg, |g| Cfd::new(scale).run(g));
-        print_pair("CFD precomputed vs redundant flux", "precomp", &a, "redundant", &b);
+        print_pair(
+            "CFD precomputed vs redundant flux",
+            "precomp",
+            &a,
+            "redundant",
+            &b,
+        );
     }
     {
         let a = run_on(&cfg, |g| Cfd::new(scale).run(g));
@@ -113,7 +119,13 @@ fn machine_knobs(scale: Scale) -> Result<(), StudyError> {
         compact.lane_compaction = true;
         compact.name = "simd16-compact".into();
         let comp = run_on(&compact, run);
-        print_pair(&format!("{name} lane compaction"), "off", &base, "on", &comp);
+        print_pair(
+            &format!("{name} lane compaction"),
+            "off",
+            &base,
+            "on",
+            &comp,
+        );
     }
 
     println!("== Ablation: concurrent kernel execution ==");

@@ -28,11 +28,29 @@ fn main() -> Result<(), StudyError> {
     let scale = scale_from_args();
     let session = StudySession::default();
     println!("{}", experiments::table2()?);
-    println!("{}", characterization::ipc_scaling(&session, scale)?.to_table()?);
-    println!("{}", characterization::memory_mix(&session, scale)?.to_table()?);
-    println!("{}", characterization::warp_occupancy(&session, scale)?.to_table()?);
-    println!("{}", characterization::channel_sweep(&session, scale)?.to_table()?);
-    println!("{}", characterization::incremental_versions(&session, scale)?.to_table()?);
-    println!("{}", characterization::fermi_study(&session, scale)?.to_table()?);
+    println!(
+        "{}",
+        characterization::ipc_scaling(&session, scale)?.to_table()?
+    );
+    println!(
+        "{}",
+        characterization::memory_mix(&session, scale)?.to_table()?
+    );
+    println!(
+        "{}",
+        characterization::warp_occupancy(&session, scale)?.to_table()?
+    );
+    println!(
+        "{}",
+        characterization::channel_sweep(&session, scale)?.to_table()?
+    );
+    println!(
+        "{}",
+        characterization::incremental_versions(&session, scale)?.to_table()?
+    );
+    println!(
+        "{}",
+        characterization::fermi_study(&session, scale)?.to_table()?
+    );
     Ok(())
 }

@@ -15,9 +15,18 @@ use rodinia_repro::rodinia_study::sensitivity;
 fn main() -> Result<(), StudyError> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let (scale, names): (Scale, Vec<&str>) = match args.split_first() {
-        Some((first, rest)) if first == "tiny" => (Scale::Tiny, rest.iter().map(std::string::String::as_str).collect()),
-        Some((first, rest)) if first == "small" => (Scale::Small, rest.iter().map(std::string::String::as_str).collect()),
-        Some(_) => (Scale::Small, args.iter().map(std::string::String::as_str).collect()),
+        Some((first, rest)) if first == "tiny" => (
+            Scale::Tiny,
+            rest.iter().map(std::string::String::as_str).collect(),
+        ),
+        Some((first, rest)) if first == "small" => (
+            Scale::Small,
+            rest.iter().map(std::string::String::as_str).collect(),
+        ),
+        Some(_) => (
+            Scale::Small,
+            args.iter().map(std::string::String::as_str).collect(),
+        ),
         None => (Scale::Small, Vec::new()),
     };
     let subset = if names.is_empty() {

@@ -17,9 +17,24 @@ fn misuse(args: &[&str], message: &str) {
 #[test]
 fn conflicting_verbs_and_flags_are_misuse() {
     misuse(&["check", "audit", "tiny"], "a request takes one command");
-    misuse(&["analyze", "tiny", "analyze"], "a request takes one command");
-    misuse(&["check", "fig1", "tiny"], "\"artifacts\" only applies to tables requests");
-    misuse(&["all", "audit", "tiny"], "\"artifacts\" only applies to tables requests");
-    misuse(&["fig1", "tiny", "--top-k", "2"], "\"top_k\" only applies to analyze requests");
-    misuse(&["check", "tiny", "--top-k", "2"], "\"top_k\" only applies to analyze requests");
+    misuse(
+        &["analyze", "tiny", "analyze"],
+        "a request takes one command",
+    );
+    misuse(
+        &["check", "fig1", "tiny"],
+        "\"artifacts\" only applies to tables requests",
+    );
+    misuse(
+        &["all", "audit", "tiny"],
+        "\"artifacts\" only applies to tables requests",
+    );
+    misuse(
+        &["fig1", "tiny", "--top-k", "2"],
+        "\"top_k\" only applies to analyze requests",
+    );
+    misuse(
+        &["check", "tiny", "--top-k", "2"],
+        "\"top_k\" only applies to analyze requests",
+    );
 }

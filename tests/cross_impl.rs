@@ -8,8 +8,8 @@
 //! orders match, within tolerance where blocking reorders reductions.
 
 use rodinia_repro::prelude::*;
-use rodinia_repro::rodinia_gpu as gpu_impl;
 use rodinia_repro::rodinia_cpu as cpu_impl;
+use rodinia_repro::rodinia_gpu as gpu_impl;
 use tracekit::Profiler;
 
 fn gpu() -> Gpu {

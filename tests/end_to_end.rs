@@ -8,7 +8,9 @@ use rodinia_repro::rodinia_study::experiments::{run_comparison, run_gpu};
 fn every_gpu_side_artifact_renders() {
     use ExperimentId::*;
     let session = StudySession::default();
-    for id in [Table1, Table2, Fig1, Fig2, Fig3, Fig4, Table3, Fig5, Table4, Table5] {
+    for id in [
+        Table1, Table2, Fig1, Fig2, Fig3, Fig4, Table3, Fig5, Table4, Table5,
+    ] {
         for table in run_gpu(&session, id, Scale::Tiny).expect("experiment runs") {
             assert!(!table.rows.is_empty(), "{id:?} produced an empty table");
             let text = table.to_string();
@@ -28,14 +30,15 @@ fn plackett_burman_artifact_renders() {
     // Narrow subset: the full-suite PB study is exercised by the bench
     // harness.
     let session = StudySession::default();
-    let study = rodinia_repro::rodinia_study::sensitivity::run(
-        &session,
-        Scale::Tiny,
-        Some(&["HS", "NW"]),
-    )
-    .expect("pb study runs");
+    let study =
+        rodinia_repro::rodinia_study::sensitivity::run(&session, Scale::Tiny, Some(&["HS", "NW"]))
+            .expect("pb study runs");
     assert_eq!(study.per_benchmark.len(), 2);
-    assert!(study.to_table().expect("pb table").to_string().contains("HS"));
+    assert!(study
+        .to_table()
+        .expect("pb table")
+        .to_string()
+        .contains("HS"));
     assert_eq!(study.aggregate().len(), 9);
 }
 
@@ -64,5 +67,8 @@ fn full_feature_pca_explains_variance_in_few_components() {
     let pca = rodinia_repro::analysis::Pca::fit(&data);
     let k = pca.components_for(0.9);
     assert!(k >= 2, "at least two meaningful dimensions, got {k}");
-    assert!(k <= 12, "90% variance should need far fewer than 28 dims, got {k}");
+    assert!(
+        k <= 12,
+        "90% variance should need far fewer than 28 dims, got {k}"
+    );
 }

@@ -107,7 +107,10 @@ fn recorded(cfg: &GpuConfig, taped: bool) -> Vec<(String, Vec<Arc<KernelTrace>>,
 
 #[test]
 fn sanitizer_taping_leaves_every_capture_unchanged() {
-    for cfg in [GpuConfig::gpgpusim_default(), GpuConfig::gtx480_shared_bias()] {
+    for cfg in [
+        GpuConfig::gpgpusim_default(),
+        GpuConfig::gtx480_shared_bias(),
+    ] {
         let plain = recorded(&cfg, false);
         let taped = recorded(&cfg, true);
         for ((name, want, _), (_, got, tapes)) in plain.iter().zip(&taped) {

@@ -69,7 +69,11 @@ fn figure2_memory_mix_shapes() {
     }
     // "Heartwall uses constant memory to store large numbers of
     // parameters."
-    assert!(d.fractions("HW")[2] > 0.2, "HW const {:?}", d.fractions("HW"));
+    assert!(
+        d.fractions("HW")[2] > 0.2,
+        "HW const {:?}",
+        d.fractions("HW")
+    );
     // BFS is purely global.
     assert!(d.fractions("BFS")[4] > 0.9);
 }
@@ -81,7 +85,11 @@ fn figure3_divergence_shapes() {
     // hence the high number of low occupancy warps."
     assert!(d.quartiles("BFS")[0] > 0.3, "BFS {:?}", d.quartiles("BFS"));
     // "SRAD does not have much control flow": almost all warps full.
-    assert!(d.quartiles("SRAD")[3] > 0.8, "SRAD {:?}", d.quartiles("SRAD"));
+    assert!(
+        d.quartiles("SRAD")[3] > 0.8,
+        "SRAD {:?}",
+        d.quartiles("SRAD")
+    );
     // MUMmer bleeds lanes as queries mismatch.
     assert!(d.quartiles("MUM")[0] > 0.2, "MUM {:?}", d.quartiles("MUM"));
     // NW's 16-thread blocks never exceed 16 lanes.

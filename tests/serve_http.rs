@@ -126,8 +126,16 @@ fn served_response_matches_the_cli_study_manifest_byte_for_byte() {
     // Misuse maps to 400 and leaves the daemon alive.
     let (status, _) = http(&addr, "POST", "/study", r#"{"artifacts":["fig99"]}"#);
     assert_eq!(status, 400);
-    let (status, _) = http(&addr, "POST", "/study", r#"{"artifacts":["fig1"],"resume":true}"#);
-    assert_eq!(status, 400, "the daemon owns durability; resume is not a request field");
+    let (status, _) = http(
+        &addr,
+        "POST",
+        "/study",
+        r#"{"artifacts":["fig1"],"resume":true}"#,
+    );
+    assert_eq!(
+        status, 400,
+        "the daemon owns durability; resume is not a request field"
+    );
 
     // Graceful drain: /shutdown, then a clean exit 0.
     let (status, _) = http(&addr, "POST", "/shutdown", "");
@@ -167,7 +175,9 @@ fn serve_downgrades_an_unusable_store_like_the_cli() {
         .expect("spawn repro serve");
     let stdout = child.stdout.take().expect("piped stdout");
     let mut line = String::new();
-    BufReader::new(stdout).read_line(&mut line).expect("announcement");
+    BufReader::new(stdout)
+        .read_line(&mut line)
+        .expect("announcement");
     let addr = line
         .trim()
         .strip_prefix("repro serve: listening on ")

@@ -55,7 +55,9 @@ fn figure6_clusters_mix_suites() {
         }
         nonempty += 1;
         let has_r = members.iter().any(|m| m.contains("(R"));
-        let has_p = members.iter().any(|m| m.contains("(P)") || m.contains("R, P"));
+        let has_p = members
+            .iter()
+            .any(|m| m.contains("(P)") || m.contains("R, P"));
         if members.len() > 1 && has_r && has_p {
             mixed += 1;
         }
@@ -169,10 +171,7 @@ fn section_vb_dwarf_taxonomy_is_insufficient() {
     // "applications such as HotSpot ... and Heartwall are located in
     // different clusters."
     let hs_hw = s.pc_distance("hotspot", "heartwall").expect("distance");
-    assert!(
-        hs_hw > median,
-        "HS-HW {hs_hw:.3} vs median {median:.3}"
-    );
+    assert!(hs_hw > median, "HS-HW {hs_hw:.3} vs median {median:.3}");
     // The table renders.
     assert!(s
         .taxonomy_table()

@@ -209,14 +209,6 @@ impl LaunchTape {
             TapeBuf::SharedU32 => "shared u32",
         }
     }
-
-    /// Number of recorded memory accesses.
-    pub fn access_count(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, TapeEvent::Access(_)))
-            .count()
-    }
 }
 
 #[cfg(test)]

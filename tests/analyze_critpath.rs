@@ -27,7 +27,9 @@ fn critpath_attribution_conserves_engine_stall_totals() {
             .cache()
             .capture_benchmark(b.as_ref(), scale, &cfg)
             .expect("capture");
-        let stats = run.stats_for(&cfg).expect("stats");
+        let stats = run
+            .stats_for(&cfg, &session.replay_options())
+            .expect("stats");
         assert_eq!(
             k.attributed,
             stats.stall.total(),

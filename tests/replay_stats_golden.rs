@@ -23,7 +23,7 @@ use rodinia_repro::datasets::Scale;
 use rodinia_repro::rodinia_gpu::suite::all_benchmarks;
 use rodinia_repro::rodinia_study::sensitivity::config_for;
 use rodinia_repro::rodinia_study::trace_cache::TraceCache;
-use rodinia_repro::simt::{set_sim_threads, GpuConfig};
+use rodinia_repro::simt::{GpuConfig, ReplayOptions};
 use rodinia_repro::store::fnv1a64;
 
 const GOLDEN: &str = include_str!("golden/replay_stats.txt");
@@ -56,7 +56,7 @@ fn fermi_configs() -> Vec<(String, GpuConfig)> {
 /// Replays every capture under every configuration at `sim_threads`
 /// and renders the `benchmark config digest` table.
 fn digest_table(cache: &TraceCache, sim_threads: usize) -> String {
-    set_sim_threads(sim_threads);
+    let opts = ReplayOptions::width(sim_threads);
     let mut table = String::new();
     for b in all_benchmarks(Scale::Tiny) {
         for (capture_cfg, cfgs) in [
@@ -67,13 +67,12 @@ fn digest_table(cache: &TraceCache, sim_threads: usize) -> String {
                 .capture_benchmark(b.as_ref(), Scale::Tiny, &capture_cfg)
                 .expect("capture");
             for (label, cfg) in &cfgs {
-                let stats = run.replay(cfg).expect("replay");
+                let stats = run.replay_with(cfg, &opts).expect("replay");
                 let digest = fnv1a64(format!("{stats:?}").as_bytes());
                 table.push_str(&format!("{} {label} {digest:016x}\n", b.abbrev()));
             }
         }
     }
-    set_sim_threads(1);
     table
 }
 

@@ -135,11 +135,11 @@ pub struct Sample {
 pub struct SiteContract {
     /// Op-site label (`file:line:column` of the kernel-source call).
     pub site: String,
-    /// Target buffer name (allocation name or `shared f32`/`shared u32`).
+    /// Target buffer name (allocation name or `shared f32`).
     pub buf: String,
     /// Memory space of the instruction.
     pub space: MemSpace,
-    /// Load, store, or atomic.
+    /// Load or store.
     pub kind: AccessKind,
     /// Total lane-word observations.
     pub count: u64,
@@ -177,7 +177,7 @@ impl SiteContract {
     }
 
     fn writes(&self) -> bool {
-        matches!(self.kind, AccessKind::Store | AccessKind::Atomic)
+        self.kind == AccessKind::Store
     }
 }
 
@@ -683,8 +683,7 @@ pub fn check_contracts(contracts: &[KernelContract]) -> Vec<Finding> {
             }
         }
 
-        // Race proofs: shared-space affine site pairs with >= 1 writer
-        // (atomic-atomic pairs are ordered by the hardware and skipped).
+        // Race proofs: shared-space affine site pairs with >= 1 writer.
         let shared: Vec<&SiteContract> = kc.sites.iter().filter(|s| s.is_shared()).collect();
         for (i, a) in shared.iter().enumerate() {
             for b in &shared[i..] {
@@ -694,9 +693,6 @@ pub fn check_contracts(contracts: &[KernelContract]) -> Vec<Finding> {
                 let a_writes = a.writes();
                 let b_writes = b.writes();
                 if !(a_writes || b_writes) {
-                    continue;
-                }
-                if a.kind == AccessKind::Atomic && b.kind == AccessKind::Atomic {
                     continue;
                 }
                 let (Form::Affine(fa), Form::Affine(fb)) = (&a.form, &b.form) else {
@@ -777,7 +773,6 @@ fn access_str(kind: AccessKind) -> &'static str {
     match kind {
         AccessKind::Load => "load",
         AccessKind::Store => "store",
-        AccessKind::Atomic => "atomic",
     }
 }
 

@@ -91,12 +91,10 @@ struct BlockState {
     block: u32,
     epoch: u32,
     phase: u32,
-    f32_words: Vec<WordState>,
-    u32_words: Vec<WordState>,
+    words: Vec<WordState>,
     /// Words written by any thread of the block so far (any interval);
     /// shared read-before-write keys off this.
-    f32_written: Vec<bool>,
-    u32_written: Vec<bool>,
+    written: Vec<bool>,
 }
 
 fn warp_bit(warp: u32) -> u64 {
@@ -141,22 +139,15 @@ impl Analyzer {
         for ev in &tape.events {
             match ev {
                 TapeEvent::Access(a) => match a.buf {
-                    TapeBuf::SharedF32 | TapeBuf::SharedU32 => {
+                    TapeBuf::SharedF32 => {
                         if !blk_live || blk.block != a.block {
+                            let words = tape.shared_f32_words as usize;
                             blk = BlockState {
                                 block: a.block,
                                 epoch: 1,
                                 phase: a.phase,
-                                f32_words: vec![
-                                    WordState::default();
-                                    tape.shared_f32_words as usize
-                                ],
-                                u32_words: vec![
-                                    WordState::default();
-                                    tape.shared_u32_words as usize
-                                ],
-                                f32_written: vec![false; tape.shared_f32_words as usize],
-                                u32_written: vec![false; tape.shared_u32_words as usize],
+                                words: vec![WordState::default(); words],
+                                written: vec![false; words],
                             };
                             blk_live = true;
                         }
@@ -239,12 +230,7 @@ impl Analyzer {
         blk: &mut BlockState,
         a: &simt::MemAccess,
     ) {
-        let is_u32 = a.buf == TapeBuf::SharedU32;
-        let extent = if is_u32 {
-            tape.shared_u32_words
-        } else {
-            tape.shared_f32_words
-        };
+        let extent = tape.shared_f32_words;
         let subject = tape.buf_name(a.buf).to_string();
         let bit = warp_bit(a.warp);
         for &(lane, word) in &a.lane_words {
@@ -267,14 +253,9 @@ impl Analyzer {
                 continue;
             }
             let w = word as usize;
-            let (words, written) = if is_u32 {
-                (&mut blk.u32_words, &mut blk.u32_written)
-            } else {
-                (&mut blk.f32_words, &mut blk.f32_written)
-            };
-            let mut st = words[w].fresh(blk.epoch);
+            let mut st = blk.words[w].fresh(blk.epoch);
             match a.kind {
-                AccessKind::Store | AccessKind::Atomic => {
+                AccessKind::Store => {
                     let others = (st.writer_mask | st.reader_mask) & !bit;
                     if others != 0 {
                         self.findings.record(
@@ -295,10 +276,10 @@ impl Analyzer {
                         );
                     }
                     st.writer_mask |= bit;
-                    written[w] = true;
+                    blk.written[w] = true;
                 }
                 AccessKind::Load => {
-                    if !written[w] {
+                    if !blk.written[w] {
                         self.findings.record(
                             FindingKind::SharedReadBeforeWrite,
                             kernel,
@@ -332,7 +313,7 @@ impl Analyzer {
                     st.reader_mask |= bit;
                 }
             }
-            words[w] = st;
+            blk.words[w] = st;
         }
     }
 
@@ -361,7 +342,7 @@ impl Analyzer {
             if word >= extent {
                 let kind = match a.kind {
                     AccessKind::Load => FindingKind::GlobalOutOfBoundsLoad,
-                    AccessKind::Store | AccessKind::Atomic => FindingKind::GlobalOutOfBoundsStore,
+                    AccessKind::Store => FindingKind::GlobalOutOfBoundsStore,
                 };
                 self.findings.record(
                     kind,
@@ -386,7 +367,7 @@ impl Analyzer {
             }
             let Some(shadow) = &shadow else { continue };
             let w = word as usize;
-            if matches!(a.kind, AccessKind::Load | AccessKind::Atomic) && !shadow[w] {
+            if a.kind == AccessKind::Load && !shadow[w] {
                 self.findings.record(
                     FindingKind::GlobalReadBeforeWrite,
                     kernel,
@@ -408,7 +389,7 @@ impl Analyzer {
                 _ => None,
             };
             if let Some(Some(shadow)) = shadow {
-                if matches!(a.kind, AccessKind::Store | AccessKind::Atomic) {
+                if a.kind == AccessKind::Store {
                     for &(_, word) in &a.lane_words {
                         if (word as usize) < shadow.len() {
                             shadow[word as usize] = true;
@@ -424,7 +405,6 @@ fn kind_verb(kind: AccessKind) -> &'static str {
     match kind {
         AccessKind::Load => "read",
         AccessKind::Store => "write",
-        AccessKind::Atomic => "atomic",
     }
 }
 

@@ -40,7 +40,7 @@ pub enum FindingKind {
     BarrierDivergence,
     /// Global/texture/constant load past an allocation's extent.
     GlobalOutOfBoundsLoad,
-    /// Global store (or atomic) past an allocation's extent.
+    /// Global store past an allocation's extent.
     GlobalOutOfBoundsStore,
     /// Shared-memory access past the CTA's declared scratch.
     SharedOutOfBounds,

@@ -92,7 +92,7 @@ pub struct KernelLintMetrics {
     pub bank_degree_avg: f64,
     /// Worst single-op conflict degree.
     pub bank_degree_max: u8,
-    /// Global-space warp memory ops (loads + stores + atomics).
+    /// Global-space warp memory ops (loads + stores).
     pub global_ops: u64,
     /// Texture fetches (always loads; counted in the redundancy
     /// multiset, not in the coalescing ratio).

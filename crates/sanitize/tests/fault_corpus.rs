@@ -72,3 +72,47 @@ fn sanitizer_off_by_default_collects_nothing() {
         assert!(tapes.is_empty(), "{fault:?}: tape without a sink");
     }
 }
+
+/// A faulting index past `u32::MAX` must tape as out of range rather
+/// than wrap into the buffer: `MemAccess::faulted` promises that the
+/// last taped word is the out-of-range one.
+#[test]
+fn an_index_past_u32_max_is_taped_out_of_range() {
+    use std::sync::{Arc, Mutex};
+
+    use simt::{BufF32, Gpu, GpuConfig, GridShape, Kernel, PhaseControl, SimError, WarpCtx};
+
+    struct Wide(BufF32);
+    impl Kernel for Wide {
+        fn name(&self) -> &str {
+            "wide"
+        }
+        fn shape(&self) -> GridShape {
+            GridShape::new(1, 32)
+        }
+        fn run_warp(&self, w: &mut WarpCtx<'_>) -> PhaseControl {
+            w.ld_f32(self.0, |lane, _| (lane == 0).then_some((1usize << 32) + 1));
+            PhaseControl::Done
+        }
+    }
+
+    let mut gpu = Gpu::new(GpuConfig::gpgpusim_default());
+    let victim = gpu.mem_mut().alloc_f32("victim", &[0.0; 128]);
+    let tapes = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&tapes);
+    gpu.set_sanitizer_sink(move |t| sink.lock().unwrap().push(t));
+    match gpu.try_launch(&Wide(victim)) {
+        Err(SimError::KernelFault { reason, .. }) => {
+            assert_eq!(reason, "read out of bounds: victim[4294967297] (len 128)");
+        }
+        other => panic!("expected a kernel fault, got {other:?}"),
+    }
+    let tapes = tapes.lock().unwrap();
+    let [tape] = tapes.as_slice() else {
+        panic!("{} tapes for one launch", tapes.len());
+    };
+    assert_eq!(
+        classify_tape(tape),
+        Some(FindingKind::GlobalOutOfBoundsLoad)
+    );
+}

@@ -54,7 +54,7 @@ pub enum SimError {
         kernel: String,
     },
     /// The kernel misbehaved during functional execution — an
-    /// out-of-bounds global, shared, constant, or atomic access. The
+    /// out-of-bounds global, texture, constant, or shared access. The
     /// faulting warp's remaining lanes are suppressed and the launch is
     /// abandoned.
     KernelFault {

@@ -18,11 +18,12 @@
 //! another phase (all warps of a CTA must agree).
 
 use std::ops::{Deref, DerefMut};
+use std::panic::Location;
 
 use crate::banks::{distinct_words, warp_conflict_degree};
 use crate::coalesce::coalesce;
 use crate::isa::{ActiveMask, MemSpace, SegRange, TOp, MAX_WARP_SIZE};
-use crate::memory::{BufF32, BufU32, GpuMem};
+use crate::memory::{BufF32, BufU32, GpuMem, Handle, View};
 use crate::sanitizer::{AccessKind, LaunchTape, MemAccess, TapeBuf, TapeEvent};
 use crate::trace::WarpTrace;
 
@@ -88,14 +89,9 @@ pub trait Kernel {
         0
     }
 
-    /// Per-CTA shared-memory words of `u32` scratch.
-    fn shared_u32_words(&self) -> usize {
-        0
-    }
-
     /// Per-CTA shared memory in bytes (occupancy limit input).
     fn shared_bytes(&self) -> u32 {
-        ((self.shared_f32_words() + self.shared_u32_words()) * 4) as u32
+        (self.shared_f32_words() * 4) as u32
     }
 
     /// Executes the current phase of one warp. Use [`WarpCtx::phase`] to
@@ -104,10 +100,11 @@ pub trait Kernel {
     fn run_warp(&self, w: &mut WarpCtx<'_>) -> PhaseControl;
 }
 
-/// The per-lane staging of one warp access — byte addresses, constant
-/// indices or shared `(lane, word)` pairs — held on the stack. Each
-/// active lane stages at most one entry and a warp has at most
-/// [`MAX_WARP_SIZE`] lanes, so staging an access never allocates.
+/// The per-lane staging of one warp access — `(lane, word)` pairs, or
+/// the byte addresses or constant indices mapped from them — held on
+/// the stack. Each active lane stages at most one entry and a warp has
+/// at most [`MAX_WARP_SIZE`] lanes, so staging an access never
+/// allocates.
 struct Lanes<T> {
     items: [T; MAX_WARP_SIZE],
     len: usize,
@@ -124,6 +121,14 @@ impl<T: Copy + Default> Lanes<T> {
     fn push(&mut self, item: T) {
         self.items[self.len] = item;
         self.len += 1;
+    }
+
+    fn map<U: Copy + Default>(&self, f: impl Fn(T) -> U) -> Lanes<U> {
+        let mut out = Lanes::new();
+        for &item in self.iter() {
+            out.push(f(item));
+        }
+        out
     }
 }
 
@@ -147,16 +152,19 @@ impl<T> DerefMut for Lanes<T> {
 /// `(lane, global_thread_id)` to an element index (or `None` for lanes
 /// that do not participate in the access); they perform the real data
 /// movement *and* record the coalesced memory operation in the warp's
-/// trace. The access path itself is allocation-free: a lane's thread id
-/// is computed, not looked up, and the lanes' addresses or words are
-/// staged in a fixed stack buffer (`Lanes`) that the coalescer and the
-/// bank-conflict counter read in place. Only the returned per-lane
+/// trace. Every one of them is a thin wrapper over a single private
+/// lane loop, generic over the element type and the load or store, that
+/// reaches a device buffer or the CTA's shared scratch through one view
+/// and emits the op its memory space calls for. The access path is
+/// allocation-free: a lane's thread id is computed, not looked up, and
+/// the lanes' `(lane, word)` pairs are staged in fixed stack buffers
+/// (`Lanes`) that the coalescer, the constant broadcast and the
+/// bank-conflict counter read. Only the returned per-lane
 /// values and, with a sanitizer attached, the tape's word lists touch
 /// the heap.
 pub struct WarpCtx<'a> {
     pub(crate) mem: &'a mut GpuMem,
     pub(crate) shared_f32: &'a mut [f32],
-    pub(crate) shared_u32: &'a mut [u32],
     pub(crate) trace: &'a mut WarpTrace,
     pub(crate) block: usize,
     pub(crate) warp_in_block: usize,
@@ -239,15 +247,11 @@ impl WarpCtx<'_> {
 
     /// Records one warp-level access on the sanitizer tape (no-op when
     /// no tape is attached; `words` is empty in that case too, because
-    /// the access methods only collect words while taping).
-    ///
-    /// `#[track_caller]` — and the same attribute on every access method
-    /// between here and the kernel — makes [`std::panic::Location`]
-    /// resolve to the *kernel-source* call site, which is interned as the
-    /// access's static op-site id.
-    #[track_caller]
+    /// the access loop only collects words while taping). `site` is
+    /// interned as the access's static op-site id.
     fn tape_access(
         &mut self,
+        site: &'static Location<'static>,
         kind: AccessKind,
         space: MemSpace,
         buf: TapeBuf,
@@ -257,9 +261,8 @@ impl WarpCtx<'_> {
         if words.is_empty() {
             return;
         }
-        let loc = std::panic::Location::caller();
         if let Some(tape) = self.tape.as_deref_mut() {
-            let site = tape.sites.intern(loc);
+            let site = tape.sites.intern(site);
             tape.events.push(TapeEvent::Access(MemAccess {
                 block: self.block as u32,
                 warp: self.warp_in_block as u32,
@@ -330,7 +333,7 @@ impl WarpCtx<'_> {
         }
     }
 
-    // ---- global memory -------------------------------------------------
+    // ---- memory --------------------------------------------------------
 
     /// Instructions a real kernel spends computing each global/texture
     /// address (index arithmetic, base+offset, bounds tests).
@@ -368,324 +371,19 @@ impl WarpCtx<'_> {
         self.trace.ops.push(op);
     }
 
-    #[track_caller]
-    fn gather_f32(
-        &mut self,
-        buf: BufF32,
-        space: MemSpace,
-        mut f: impl FnMut(usize, usize) -> Option<usize>,
-    ) -> Vec<f32> {
-        let tid0 = self.tid0();
-        let base = self.mem.base_f32(buf);
-        let data_len = self.mem.len_f32(buf);
-        let mut out = vec![0.0f32; self.warp_size];
-        if self.faulted() {
-            return out;
-        }
-        let taping = self.taping();
-        let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut addrs = Lanes::new();
-        let mask = self.mask;
-        for lane in mask.iter().take(self.warp_size) {
-            if let Some(idx) = f(lane, tid0 + lane) {
-                if taping {
-                    twords.push((lane as u8, idx as u32));
-                }
-                if idx >= data_len {
-                    self.record_fault(format!(
-                        "read out of bounds: {}[{idx}] (len {data_len})",
-                        self.mem.name_f32(buf)
-                    ));
-                    let tb = TapeBuf::GlobalF32(buf.0 as u32);
-                    self.tape_access(AccessKind::Load, space, tb, twords, true);
-                    return out;
-                }
-                out[lane] = self.mem.f32_slice(buf)[idx];
-                addrs.push(base + idx as u64 * 4);
-            }
-        }
-        self.emit_gmem(space, false, &addrs);
-        let tb = TapeBuf::GlobalF32(buf.0 as u32);
-        self.tape_access(AccessKind::Load, space, tb, twords, false);
-        out
-    }
-
-    /// Loads `f32` values from global memory (coalesced, uncached unless
-    /// the configuration has an L1/L2).
-    #[track_caller]
-    pub fn ld_f32(
-        &mut self,
-        buf: BufF32,
-        f: impl FnMut(usize, usize) -> Option<usize>,
-    ) -> Vec<f32> {
-        self.gather_f32(buf, MemSpace::Global, f)
-    }
-
-    /// Loads `f32` values through the texture cache.
-    #[track_caller]
-    pub fn ld_tex_f32(
-        &mut self,
-        buf: BufF32,
-        f: impl FnMut(usize, usize) -> Option<usize>,
-    ) -> Vec<f32> {
-        self.gather_f32(buf, MemSpace::Texture, f)
-    }
-
-    /// Loads `f32` values from constant memory. Distinct addresses among
-    /// active lanes serialize the broadcast.
-    #[track_caller]
-    pub fn ld_const_f32(
-        &mut self,
-        buf: BufF32,
-        mut f: impl FnMut(usize, usize) -> Option<usize>,
-    ) -> Vec<f32> {
-        let tid0 = self.tid0();
-        let data_len = self.mem.len_f32(buf);
-        let mut out = vec![0.0f32; self.warp_size];
-        if self.faulted() {
-            return out;
-        }
-        let taping = self.taping();
-        let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut idxs = Lanes::new();
-        let mask = self.mask;
-        for lane in mask.iter().take(self.warp_size) {
-            if let Some(idx) = f(lane, tid0 + lane) {
-                if taping {
-                    twords.push((lane as u8, idx as u32));
-                }
-                if idx >= data_len {
-                    self.record_fault(format!(
-                        "constant read out of bounds: {}[{idx}] (len {data_len})",
-                        self.mem.name_f32(buf)
-                    ));
-                    let tb = TapeBuf::GlobalF32(buf.0 as u32);
-                    self.tape_access(AccessKind::Load, MemSpace::Constant, tb, twords, true);
-                    return out;
-                }
-                out[lane] = self.mem.f32_slice(buf)[idx];
-                idxs.push(idx);
-            }
-        }
-        let tb = TapeBuf::GlobalF32(buf.0 as u32);
-        self.tape_access(AccessKind::Load, MemSpace::Constant, tb, twords, false);
-        if !idxs.is_empty() {
-            let unique = distinct_words(&mut idxs);
-            self.alu(Self::ONCHIP_ADDR_ALU);
-            self.trace.ops.push(TOp::Const {
-                lanes: self.mask.count() as u8,
-                unique: unique.min(255) as u8,
-            });
-        }
-        out
-    }
-
-    /// Stores `f32` values to global memory.
-    #[track_caller]
-    pub fn st_f32(&mut self, buf: BufF32, mut f: impl FnMut(usize, usize) -> Option<(usize, f32)>) {
-        if self.faulted() {
+    /// Records a constant load from its staged word indices: distinct
+    /// indices among the active lanes serialize the broadcast.
+    fn emit_const(&mut self, idxs: &mut [usize]) {
+        if idxs.is_empty() {
             return;
         }
-        let tid0 = self.tid0();
-        let base = self.mem.base_f32(buf);
-        let taping = self.taping();
-        let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut addrs = Lanes::new();
-        let mask = self.mask;
-        for lane in mask.iter().take(self.warp_size) {
-            if let Some((idx, val)) = f(lane, tid0 + lane) {
-                if taping {
-                    twords.push((lane as u8, idx as u32));
-                }
-                let data = self.mem.f32_slice_mut(buf);
-                if idx >= data.len() {
-                    let len = data.len();
-                    self.record_fault(format!(
-                        "write out of bounds: {}[{idx}] (len {len})",
-                        self.mem.name_f32(buf)
-                    ));
-                    let tb = TapeBuf::GlobalF32(buf.0 as u32);
-                    self.tape_access(AccessKind::Store, MemSpace::Global, tb, twords, true);
-                    return;
-                }
-                data[idx] = val;
-                addrs.push(base + idx as u64 * 4);
-            }
-        }
-        self.emit_gmem(MemSpace::Global, true, &addrs);
-        let tb = TapeBuf::GlobalF32(buf.0 as u32);
-        self.tape_access(AccessKind::Store, MemSpace::Global, tb, twords, false);
+        let unique = distinct_words(idxs);
+        self.alu(Self::ONCHIP_ADDR_ALU);
+        self.trace.ops.push(TOp::Const {
+            lanes: self.mask.count() as u8,
+            unique: unique.min(255) as u8,
+        });
     }
-
-    /// Loads `u32` values from global memory.
-    #[track_caller]
-    pub fn ld_u32(
-        &mut self,
-        buf: BufU32,
-        mut f: impl FnMut(usize, usize) -> Option<usize>,
-    ) -> Vec<u32> {
-        let tid0 = self.tid0();
-        let base = self.mem.base_u32(buf);
-        let data_len = self.mem.len_u32(buf);
-        let mut out = vec![0u32; self.warp_size];
-        if self.faulted() {
-            return out;
-        }
-        let taping = self.taping();
-        let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut addrs = Lanes::new();
-        let mask = self.mask;
-        for lane in mask.iter().take(self.warp_size) {
-            if let Some(idx) = f(lane, tid0 + lane) {
-                if taping {
-                    twords.push((lane as u8, idx as u32));
-                }
-                if idx >= data_len {
-                    self.record_fault(format!(
-                        "read out of bounds: {}[{idx}] (len {data_len})",
-                        self.mem.name_u32(buf)
-                    ));
-                    let tb = TapeBuf::GlobalU32(buf.0 as u32);
-                    self.tape_access(AccessKind::Load, MemSpace::Global, tb, twords, true);
-                    return out;
-                }
-                out[lane] = self.mem.u32_slice(buf)[idx];
-                addrs.push(base + idx as u64 * 4);
-            }
-        }
-        self.emit_gmem(MemSpace::Global, false, &addrs);
-        let tb = TapeBuf::GlobalU32(buf.0 as u32);
-        self.tape_access(AccessKind::Load, MemSpace::Global, tb, twords, false);
-        out
-    }
-
-    /// Loads `u32` values through the texture cache.
-    #[track_caller]
-    pub fn ld_tex_u32(
-        &mut self,
-        buf: BufU32,
-        mut f: impl FnMut(usize, usize) -> Option<usize>,
-    ) -> Vec<u32> {
-        let tid0 = self.tid0();
-        let base = self.mem.base_u32(buf);
-        let data_len = self.mem.len_u32(buf);
-        let mut out = vec![0u32; self.warp_size];
-        if self.faulted() {
-            return out;
-        }
-        let taping = self.taping();
-        let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut addrs = Lanes::new();
-        let mask = self.mask;
-        for lane in mask.iter().take(self.warp_size) {
-            if let Some(idx) = f(lane, tid0 + lane) {
-                if taping {
-                    twords.push((lane as u8, idx as u32));
-                }
-                if idx >= data_len {
-                    self.record_fault(format!(
-                        "texture read out of bounds: {}[{idx}] (len {data_len})",
-                        self.mem.name_u32(buf)
-                    ));
-                    let tb = TapeBuf::GlobalU32(buf.0 as u32);
-                    self.tape_access(AccessKind::Load, MemSpace::Texture, tb, twords, true);
-                    return out;
-                }
-                out[lane] = self.mem.u32_slice(buf)[idx];
-                addrs.push(base + idx as u64 * 4);
-            }
-        }
-        self.emit_gmem(MemSpace::Texture, false, &addrs);
-        let tb = TapeBuf::GlobalU32(buf.0 as u32);
-        self.tape_access(AccessKind::Load, MemSpace::Texture, tb, twords, false);
-        out
-    }
-
-    /// Stores `u32` values to global memory.
-    #[track_caller]
-    pub fn st_u32(&mut self, buf: BufU32, mut f: impl FnMut(usize, usize) -> Option<(usize, u32)>) {
-        if self.faulted() {
-            return;
-        }
-        let tid0 = self.tid0();
-        let base = self.mem.base_u32(buf);
-        let taping = self.taping();
-        let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut addrs = Lanes::new();
-        let mask = self.mask;
-        for lane in mask.iter().take(self.warp_size) {
-            if let Some((idx, val)) = f(lane, tid0 + lane) {
-                if taping {
-                    twords.push((lane as u8, idx as u32));
-                }
-                let data = self.mem.u32_slice_mut(buf);
-                if idx >= data.len() {
-                    let len = data.len();
-                    self.record_fault(format!(
-                        "write out of bounds: {}[{idx}] (len {len})",
-                        self.mem.name_u32(buf)
-                    ));
-                    let tb = TapeBuf::GlobalU32(buf.0 as u32);
-                    self.tape_access(AccessKind::Store, MemSpace::Global, tb, twords, true);
-                    return;
-                }
-                data[idx] = val;
-                addrs.push(base + idx as u64 * 4);
-            }
-        }
-        self.emit_gmem(MemSpace::Global, true, &addrs);
-        let tb = TapeBuf::GlobalU32(buf.0 as u32);
-        self.tape_access(AccessKind::Store, MemSpace::Global, tb, twords, false);
-    }
-
-    /// Atomically adds to `u32` global memory, returning each lane's old
-    /// value. Lanes are serialized in lane order (deterministic).
-    #[track_caller]
-    pub fn atom_add_u32(
-        &mut self,
-        buf: BufU32,
-        mut f: impl FnMut(usize, usize) -> Option<(usize, u32)>,
-    ) -> Vec<u32> {
-        let tid0 = self.tid0();
-        let base = self.mem.base_u32(buf);
-        let mut out = vec![0u32; self.warp_size];
-        if self.faulted() {
-            return out;
-        }
-        let taping = self.taping();
-        let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut addrs = Lanes::new();
-        let mask = self.mask;
-        for lane in mask.iter().take(self.warp_size) {
-            if let Some((idx, val)) = f(lane, tid0 + lane) {
-                if taping {
-                    twords.push((lane as u8, idx as u32));
-                }
-                let data = self.mem.u32_slice_mut(buf);
-                if idx >= data.len() {
-                    let len = data.len();
-                    self.record_fault(format!(
-                        "atomic out of bounds: {}[{idx}] (len {len})",
-                        self.mem.name_u32(buf)
-                    ));
-                    let tb = TapeBuf::GlobalU32(buf.0 as u32);
-                    self.tape_access(AccessKind::Atomic, MemSpace::Global, tb, twords, true);
-                    return out;
-                }
-                out[lane] = data[idx];
-                data[idx] = data[idx].wrapping_add(val);
-                addrs.push(base + idx as u64 * 4);
-            }
-        }
-        // An atomic is a read-modify-write: count both directions.
-        self.emit_gmem(MemSpace::Global, false, &addrs);
-        self.emit_gmem(MemSpace::Global, true, &addrs);
-        let tb = TapeBuf::GlobalU32(buf.0 as u32);
-        self.tape_access(AccessKind::Atomic, MemSpace::Global, tb, twords, false);
-        out
-    }
-
-    // ---- shared memory ---------------------------------------------------
 
     /// Records a shared access from its staged `(lane, word)` pairs,
     /// which the conflict count reorders in place.
@@ -702,144 +400,163 @@ impl WarpCtx<'_> {
         });
     }
 
+    /// The one lane loop behind every `ld_*`/`st_*` method.
+    ///
+    /// Each active lane maps to `Some((index, value))` through `lane`
+    /// (or sits out with `None`); an in-bounds index moves data through
+    /// `apply(lane, slot, value)` and stages `(lane, index)`. The first
+    /// out-of-bounds lane faults the warp: the access emits no op, and
+    /// its tape entry ends at the faulting word. Otherwise the op for
+    /// `space` is emitted once, after the loop. `target` resolves the
+    /// storage from the device memory or the CTA's shared scratch;
+    /// `site` is the kernel-source call, captured by the public method.
+    fn access<T, V>(
+        &mut self,
+        site: &'static Location<'static>,
+        kind: AccessKind,
+        space: MemSpace,
+        target: impl for<'m> FnOnce(&'m mut GpuMem, &'m mut [f32]) -> View<'m, T>,
+        mut lane: impl FnMut(usize, usize) -> Option<(usize, V)>,
+        mut apply: impl FnMut(usize, &mut T, V),
+    ) {
+        if self.faulted() {
+            return;
+        }
+        let (tid0, mask, taping) = (self.tid0(), self.mask, self.taping());
+        let mut words: Vec<(u8, u32)> = Vec::new();
+        let mut staged: Lanes<(usize, usize)> = Lanes::new();
+        let mut fault = None;
+        let view = target(&mut *self.mem, &mut *self.shared_f32);
+        let (base, len, buf) = (view.base, view.data.len(), view.tape);
+        for l in mask.iter().take(self.warp_size) {
+            let Some((idx, value)) = lane(l, tid0 + l) else {
+                continue;
+            };
+            if taping {
+                // Saturated: an index past `u32::MAX` still tapes out
+                // of range.
+                words.push((l as u8, u32::try_from(idx).unwrap_or(u32::MAX)));
+            }
+            let Some(slot) = view.data.get_mut(idx) else {
+                fault = Some(oob_reason(kind, space, view.name, idx, len));
+                break;
+            };
+            apply(l, slot, value);
+            staged.push((l, idx));
+        }
+        let faulted = fault.is_some();
+        let store = kind == AccessKind::Store;
+        match fault {
+            Some(reason) => self.record_fault(reason),
+            None if space == MemSpace::Shared => self.emit_shared(&mut staged, store),
+            None if space == MemSpace::Constant => self.emit_const(&mut staged.map(|(_, i)| i)),
+            None => self.emit_gmem(space, store, &staged.map(|(_, i)| base + i as u64 * 4)),
+        }
+        self.tape_access(site, kind, space, buf, words, faulted);
+    }
+
+    /// [`WarpCtx::access`] for a load: returns each lane's value (zero
+    /// for lanes that sit out).
+    fn load<T: Copy + Default>(
+        &mut self,
+        site: &'static Location<'static>,
+        space: MemSpace,
+        target: impl for<'m> FnOnce(&'m mut GpuMem, &'m mut [f32]) -> View<'m, T>,
+        mut f: impl FnMut(usize, usize) -> Option<usize>,
+    ) -> Vec<T> {
+        let mut out = vec![T::default(); self.warp_size];
+        let lane = |l, tid| f(l, tid).map(|idx| (idx, ()));
+        let apply = |l, x: &mut T, ()| out[l] = *x;
+        self.access(site, AccessKind::Load, space, target, lane, apply);
+        out
+    }
+
+    /// [`WarpCtx::access`] for a store of each lane's `(index, value)`.
+    fn store<T>(
+        &mut self,
+        site: &'static Location<'static>,
+        space: MemSpace,
+        target: impl for<'m> FnOnce(&'m mut GpuMem, &'m mut [f32]) -> View<'m, T>,
+        f: impl FnMut(usize, usize) -> Option<(usize, T)>,
+    ) {
+        self.access(site, AccessKind::Store, space, target, f, |_, x, v| *x = v);
+    }
+
+    /// Loads `f32` values from global memory (coalesced, uncached unless
+    /// the configuration has an L1/L2).
+    #[track_caller]
+    pub fn ld_f32(
+        &mut self,
+        buf: BufF32,
+        f: impl FnMut(usize, usize) -> Option<usize>,
+    ) -> Vec<f32> {
+        self.load(Location::caller(), MemSpace::Global, |m, _| buf.view(m), f)
+    }
+
+    /// Loads `f32` values through the texture cache.
+    #[track_caller]
+    pub fn ld_tex_f32(
+        &mut self,
+        buf: BufF32,
+        f: impl FnMut(usize, usize) -> Option<usize>,
+    ) -> Vec<f32> {
+        self.load(Location::caller(), MemSpace::Texture, |m, _| buf.view(m), f)
+    }
+
+    /// Loads `f32` values from constant memory. Distinct addresses among
+    /// active lanes serialize the broadcast.
+    #[track_caller]
+    pub fn ld_const_f32(
+        &mut self,
+        buf: BufF32,
+        f: impl FnMut(usize, usize) -> Option<usize>,
+    ) -> Vec<f32> {
+        let site = Location::caller();
+        self.load(site, MemSpace::Constant, |m, _| buf.view(m), f)
+    }
+
+    /// Stores `f32` values to global memory.
+    #[track_caller]
+    pub fn st_f32(&mut self, buf: BufF32, f: impl FnMut(usize, usize) -> Option<(usize, f32)>) {
+        self.store(Location::caller(), MemSpace::Global, |m, _| buf.view(m), f)
+    }
+
+    /// Loads `u32` values from global memory.
+    #[track_caller]
+    pub fn ld_u32(
+        &mut self,
+        buf: BufU32,
+        f: impl FnMut(usize, usize) -> Option<usize>,
+    ) -> Vec<u32> {
+        self.load(Location::caller(), MemSpace::Global, |m, _| buf.view(m), f)
+    }
+
+    /// Loads `u32` values through the texture cache.
+    #[track_caller]
+    pub fn ld_tex_u32(
+        &mut self,
+        buf: BufU32,
+        f: impl FnMut(usize, usize) -> Option<usize>,
+    ) -> Vec<u32> {
+        self.load(Location::caller(), MemSpace::Texture, |m, _| buf.view(m), f)
+    }
+
+    /// Stores `u32` values to global memory.
+    #[track_caller]
+    pub fn st_u32(&mut self, buf: BufU32, f: impl FnMut(usize, usize) -> Option<(usize, u32)>) {
+        self.store(Location::caller(), MemSpace::Global, |m, _| buf.view(m), f)
+    }
+
     /// Loads from the CTA's `f32` shared-memory scratch.
     #[track_caller]
-    pub fn sh_ld_f32(&mut self, mut f: impl FnMut(usize, usize) -> Option<usize>) -> Vec<f32> {
-        let tid0 = self.tid0();
-        let mut out = vec![0.0f32; self.warp_size];
-        if self.faulted() {
-            return out;
-        }
-        let taping = self.taping();
-        let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut words = Lanes::new();
-        let mask = self.mask;
-        for lane in mask.iter().take(self.warp_size) {
-            if let Some(idx) = f(lane, tid0 + lane) {
-                if taping {
-                    twords.push((lane as u8, idx as u32));
-                }
-                if idx >= self.shared_f32.len() {
-                    let len = self.shared_f32.len();
-                    self.record_fault(format!("shared read out of bounds: f32[{idx}] (len {len})"));
-                    let (ak, sp) = (AccessKind::Load, MemSpace::Shared);
-                    self.tape_access(ak, sp, TapeBuf::SharedF32, twords, true);
-                    return out;
-                }
-                out[lane] = self.shared_f32[idx];
-                words.push((lane, idx));
-            }
-        }
-        self.emit_shared(&mut words, false);
-        let (ak, sp) = (AccessKind::Load, MemSpace::Shared);
-        self.tape_access(ak, sp, TapeBuf::SharedF32, twords, false);
-        out
+    pub fn sh_ld_f32(&mut self, f: impl FnMut(usize, usize) -> Option<usize>) -> Vec<f32> {
+        self.load(Location::caller(), MemSpace::Shared, |_, s| scratch(s), f)
     }
 
     /// Stores to the CTA's `f32` shared-memory scratch.
     #[track_caller]
-    pub fn sh_st_f32(&mut self, mut f: impl FnMut(usize, usize) -> Option<(usize, f32)>) {
-        if self.faulted() {
-            return;
-        }
-        let tid0 = self.tid0();
-        let taping = self.taping();
-        let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut words = Lanes::new();
-        let mask = self.mask;
-        for lane in mask.iter().take(self.warp_size) {
-            if let Some((idx, val)) = f(lane, tid0 + lane) {
-                if taping {
-                    twords.push((lane as u8, idx as u32));
-                }
-                if idx >= self.shared_f32.len() {
-                    let len = self.shared_f32.len();
-                    self.record_fault(format!(
-                        "shared write out of bounds: f32[{idx}] (len {len})"
-                    ));
-                    let (ak, sp) = (AccessKind::Store, MemSpace::Shared);
-                    self.tape_access(ak, sp, TapeBuf::SharedF32, twords, true);
-                    return;
-                }
-                self.shared_f32[idx] = val;
-                words.push((lane, idx));
-            }
-        }
-        self.emit_shared(&mut words, true);
-        let (ak, sp) = (AccessKind::Store, MemSpace::Shared);
-        self.tape_access(ak, sp, TapeBuf::SharedF32, twords, false);
-    }
-
-    /// Loads from the CTA's `u32` shared-memory scratch. Bank indices are
-    /// offset past the `f32` scratch, mirroring a single physical
-    /// scratchpad.
-    #[track_caller]
-    pub fn sh_ld_u32(&mut self, mut f: impl FnMut(usize, usize) -> Option<usize>) -> Vec<u32> {
-        let tid0 = self.tid0();
-        let off = self.shared_f32.len();
-        let mut out = vec![0u32; self.warp_size];
-        if self.faulted() {
-            return out;
-        }
-        let taping = self.taping();
-        let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut words = Lanes::new();
-        let mask = self.mask;
-        for lane in mask.iter().take(self.warp_size) {
-            if let Some(idx) = f(lane, tid0 + lane) {
-                if taping {
-                    twords.push((lane as u8, idx as u32));
-                }
-                if idx >= self.shared_u32.len() {
-                    let len = self.shared_u32.len();
-                    self.record_fault(format!("shared read out of bounds: u32[{idx}] (len {len})"));
-                    let (ak, sp) = (AccessKind::Load, MemSpace::Shared);
-                    self.tape_access(ak, sp, TapeBuf::SharedU32, twords, true);
-                    return out;
-                }
-                out[lane] = self.shared_u32[idx];
-                words.push((lane, off + idx));
-            }
-        }
-        self.emit_shared(&mut words, false);
-        let (ak, sp) = (AccessKind::Load, MemSpace::Shared);
-        self.tape_access(ak, sp, TapeBuf::SharedU32, twords, false);
-        out
-    }
-
-    /// Stores to the CTA's `u32` shared-memory scratch.
-    #[track_caller]
-    pub fn sh_st_u32(&mut self, mut f: impl FnMut(usize, usize) -> Option<(usize, u32)>) {
-        if self.faulted() {
-            return;
-        }
-        let tid0 = self.tid0();
-        let off = self.shared_f32.len();
-        let taping = self.taping();
-        let mut twords: Vec<(u8, u32)> = Vec::new();
-        let mut words = Lanes::new();
-        let mask = self.mask;
-        for lane in mask.iter().take(self.warp_size) {
-            if let Some((idx, val)) = f(lane, tid0 + lane) {
-                if taping {
-                    twords.push((lane as u8, idx as u32));
-                }
-                if idx >= self.shared_u32.len() {
-                    let len = self.shared_u32.len();
-                    self.record_fault(format!(
-                        "shared write out of bounds: u32[{idx}] (len {len})"
-                    ));
-                    let (ak, sp) = (AccessKind::Store, MemSpace::Shared);
-                    self.tape_access(ak, sp, TapeBuf::SharedU32, twords, true);
-                    return;
-                }
-                self.shared_u32[idx] = val;
-                words.push((lane, off + idx));
-            }
-        }
-        self.emit_shared(&mut words, true);
-        let (ak, sp) = (AccessKind::Store, MemSpace::Shared);
-        self.tape_access(ak, sp, TapeBuf::SharedU32, twords, false);
+    pub fn sh_st_f32(&mut self, f: impl FnMut(usize, usize) -> Option<(usize, f32)>) {
+        self.store(Location::caller(), MemSpace::Shared, |_, s| scratch(s), f)
     }
 
     // ---- divergence -----------------------------------------------------
@@ -903,4 +620,30 @@ impl WarpCtx<'_> {
         }
         self.mask = saved;
     }
+}
+
+/// The CTA's `f32` shared scratch as an access target.
+fn scratch(data: &mut [f32]) -> View<'_, f32> {
+    View {
+        name: "f32",
+        base: 0,
+        data,
+        tape: TapeBuf::SharedF32,
+    }
+}
+
+/// The fault message of an out-of-bounds access, e.g. `texture read out
+/// of bounds: nodes[96] (len 96)`.
+fn oob_reason(kind: AccessKind, space: MemSpace, name: &str, idx: usize, len: usize) -> String {
+    let space = match space {
+        MemSpace::Texture => "texture ",
+        MemSpace::Constant => "constant ",
+        MemSpace::Shared => "shared ",
+        _ => "",
+    };
+    let verb = match kind {
+        AccessKind::Load => "read",
+        AccessKind::Store => "write",
+    };
+    format!("{space}{verb} out of bounds: {name}[{idx}] (len {len})")
 }

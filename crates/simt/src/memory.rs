@@ -6,6 +6,8 @@
 //! that coalescing and cache behavior are realistic, and host↔device
 //! copies are counted (the offloading model's transfer traffic).
 
+use crate::sanitizer::{AllocInfo, TapeBuf};
+
 /// Handle to a device buffer of `f32` elements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufF32(pub(crate) usize);
@@ -14,8 +16,9 @@ pub struct BufF32(pub(crate) usize);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct BufU32(pub(crate) usize);
 
+/// One device buffer: its contents and where it sits.
 #[derive(Debug, Clone)]
-struct Region {
+struct Buffer<T> {
     name: String,
     base: u64,
     /// Whether the buffer's contents were defined by the host (initial
@@ -24,16 +27,79 @@ struct Region {
     /// kernel writes them — the sanitizer's read-before-write checker
     /// keys off this flag.
     host_init: bool,
+    data: Vec<T>,
+}
+
+impl<T: Copy> Buffer<T> {
+    fn view(&mut self, tape: TapeBuf) -> View<'_, T> {
+        View {
+            name: &self.name,
+            base: self.base,
+            data: &mut self.data,
+            tape,
+        }
+    }
+
+    /// Overwrites the contents from the host, returning the bytes moved.
+    fn write(&mut self, data: &[T]) -> u64 {
+        assert_eq!(
+            data.len(),
+            self.data.len(),
+            "write must match buffer length"
+        );
+        self.data.copy_from_slice(data);
+        self.host_init = true;
+        data.len() as u64 * 4
+    }
+
+    fn info(&self) -> AllocInfo {
+        AllocInfo {
+            name: self.name.clone(),
+            words: self.data.len() as u32,
+            initialized: self.host_init,
+        }
+    }
+}
+
+/// The storage one warp access reads and writes: a device buffer, or
+/// the CTA's shared scratch (`base` 0). Every `ld_*`/`st_*` method of
+/// [`crate::WarpCtx`] reaches memory through this one view.
+pub(crate) struct View<'a, T> {
+    /// Name for fault messages.
+    pub(crate) name: &'a str,
+    /// Device byte address of word 0.
+    pub(crate) base: u64,
+    pub(crate) data: &'a mut [T],
+    /// The allocation as the sanitizer tape names it.
+    pub(crate) tape: TapeBuf,
+}
+
+/// A typed buffer handle, resolved to its [`View`].
+pub(crate) trait Handle: Copy {
+    type Elem;
+    fn view(self, mem: &mut GpuMem) -> View<'_, Self::Elem>;
+}
+
+impl Handle for BufF32 {
+    type Elem = f32;
+    fn view(self, mem: &mut GpuMem) -> View<'_, f32> {
+        mem.f32s[self.0].view(TapeBuf::GlobalF32(self.0 as u32))
+    }
+}
+
+impl Handle for BufU32 {
+    type Elem = u32;
+    fn view(self, mem: &mut GpuMem) -> View<'_, u32> {
+        mem.u32s[self.0].view(TapeBuf::GlobalU32(self.0 as u32))
+    }
 }
 
 /// The GPU's global memory: a set of typed buffers with stable base
 /// addresses.
 #[derive(Debug, Clone, Default)]
 pub struct GpuMem {
-    f32_data: Vec<Vec<f32>>,
-    f32_regions: Vec<Region>,
-    u32_data: Vec<Vec<u32>>,
-    u32_regions: Vec<Region>,
+    f32s: Vec<Buffer<f32>>,
+    u32s: Vec<Buffer<u32>>,
     next_base: u64,
     h2d_bytes: u64,
     d2h_bytes: u64,
@@ -47,62 +113,48 @@ impl GpuMem {
         GpuMem::default()
     }
 
-    fn reserve(&mut self, bytes: u64) -> u64 {
+    /// Places `data` at the next aligned base address.
+    fn place<T>(&mut self, name: &str, data: Vec<T>, host_init: bool) -> Buffer<T> {
         let base = self.next_base;
-        let bytes = bytes.max(1);
+        let bytes = (data.len() as u64 * 4).max(1);
         self.next_base += bytes.div_ceil(BASE_ALIGN) * BASE_ALIGN;
-        base
+        Buffer {
+            name: name.to_string(),
+            base,
+            host_init,
+            data,
+        }
     }
 
     /// Allocates a named `f32` buffer and copies `init` into it
     /// (a `cudaMalloc` + `cudaMemcpy` host-to-device pair).
     pub fn alloc_f32(&mut self, name: &str, init: &[f32]) -> BufF32 {
-        let base = self.reserve(init.len() as u64 * 4);
-        self.f32_data.push(init.to_vec());
-        self.f32_regions.push(Region {
-            name: name.to_string(),
-            base,
-            host_init: true,
-        });
         self.h2d_bytes += init.len() as u64 * 4;
-        BufF32(self.f32_data.len() - 1)
+        let buf = self.place(name, init.to_vec(), true);
+        self.f32s.push(buf);
+        BufF32(self.f32s.len() - 1)
     }
 
     /// Allocates a named zero-filled `f32` buffer of `len` elements.
     pub fn alloc_f32_zeroed(&mut self, name: &str, len: usize) -> BufF32 {
-        let base = self.reserve(len as u64 * 4);
-        self.f32_data.push(vec![0.0; len]);
-        self.f32_regions.push(Region {
-            name: name.to_string(),
-            base,
-            host_init: true,
-        });
-        BufF32(self.f32_data.len() - 1)
+        let buf = self.place(name, vec![0.0; len], true);
+        self.f32s.push(buf);
+        BufF32(self.f32s.len() - 1)
     }
 
     /// Allocates a named `u32` buffer and copies `init` into it.
     pub fn alloc_u32(&mut self, name: &str, init: &[u32]) -> BufU32 {
-        let base = self.reserve(init.len() as u64 * 4);
-        self.u32_data.push(init.to_vec());
-        self.u32_regions.push(Region {
-            name: name.to_string(),
-            base,
-            host_init: true,
-        });
         self.h2d_bytes += init.len() as u64 * 4;
-        BufU32(self.u32_data.len() - 1)
+        let buf = self.place(name, init.to_vec(), true);
+        self.u32s.push(buf);
+        BufU32(self.u32s.len() - 1)
     }
 
     /// Allocates a named zero-filled `u32` buffer of `len` elements.
     pub fn alloc_u32_zeroed(&mut self, name: &str, len: usize) -> BufU32 {
-        let base = self.reserve(len as u64 * 4);
-        self.u32_data.push(vec![0; len]);
-        self.u32_regions.push(Region {
-            name: name.to_string(),
-            base,
-            host_init: true,
-        });
-        BufU32(self.u32_data.len() - 1)
+        let buf = self.place(name, vec![0; len], true);
+        self.u32s.push(buf);
+        BufU32(self.u32s.len() - 1)
     }
 
     /// Allocates a named `f32` buffer **without initializing it** — a
@@ -112,37 +164,27 @@ impl GpuMem {
     /// them, and the sanitizer's read-before-write checker reports any
     /// read that precedes the first kernel write.
     pub fn alloc_f32_uninit(&mut self, name: &str, len: usize) -> BufF32 {
-        let base = self.reserve(len as u64 * 4);
-        self.f32_data.push(vec![0.0; len]);
-        self.f32_regions.push(Region {
-            name: name.to_string(),
-            base,
-            host_init: false,
-        });
-        BufF32(self.f32_data.len() - 1)
+        let buf = self.place(name, vec![0.0; len], false);
+        self.f32s.push(buf);
+        BufF32(self.f32s.len() - 1)
     }
 
     /// Allocates a named uninitialized `u32` buffer of `len` elements
     /// (see [`GpuMem::alloc_f32_uninit`]).
     pub fn alloc_u32_uninit(&mut self, name: &str, len: usize) -> BufU32 {
-        let base = self.reserve(len as u64 * 4);
-        self.u32_data.push(vec![0; len]);
-        self.u32_regions.push(Region {
-            name: name.to_string(),
-            base,
-            host_init: false,
-        });
-        BufU32(self.u32_data.len() - 1)
+        let buf = self.place(name, vec![0; len], false);
+        self.u32s.push(buf);
+        BufU32(self.u32s.len() - 1)
     }
 
     /// Copies a buffer back to the host (`cudaMemcpy` device-to-host).
     pub fn read_f32(&self, buf: BufF32) -> Vec<f32> {
-        self.f32_data[buf.0].clone()
+        self.f32s[buf.0].data.clone()
     }
 
     /// Copies a `u32` buffer back to the host.
     pub fn read_u32(&self, buf: BufU32) -> Vec<u32> {
-        self.u32_data[buf.0].clone()
+        self.u32s[buf.0].data.clone()
     }
 
     /// Overwrites device data from the host (another H2D transfer).
@@ -151,14 +193,7 @@ impl GpuMem {
     ///
     /// Panics if `data` has a different length than the buffer.
     pub fn write_f32(&mut self, buf: BufF32, data: &[f32]) {
-        assert_eq!(
-            data.len(),
-            self.f32_data[buf.0].len(),
-            "write must match buffer length"
-        );
-        self.f32_data[buf.0].copy_from_slice(data);
-        self.f32_regions[buf.0].host_init = true;
-        self.h2d_bytes += data.len() as u64 * 4;
+        self.h2d_bytes += self.f32s[buf.0].write(data);
     }
 
     /// Overwrites a `u32` device buffer from the host.
@@ -167,44 +202,7 @@ impl GpuMem {
     ///
     /// Panics if `data` has a different length than the buffer.
     pub fn write_u32(&mut self, buf: BufU32, data: &[u32]) {
-        assert_eq!(
-            data.len(),
-            self.u32_data[buf.0].len(),
-            "write must match buffer length"
-        );
-        self.u32_data[buf.0].copy_from_slice(data);
-        self.u32_regions[buf.0].host_init = true;
-        self.h2d_bytes += data.len() as u64 * 4;
-    }
-
-    /// Number of elements in an `f32` buffer.
-    pub fn len_f32(&self, buf: BufF32) -> usize {
-        self.f32_data[buf.0].len()
-    }
-
-    /// Number of elements in a `u32` buffer.
-    pub fn len_u32(&self, buf: BufU32) -> usize {
-        self.u32_data[buf.0].len()
-    }
-
-    /// Base device address of an `f32` buffer.
-    pub fn base_f32(&self, buf: BufF32) -> u64 {
-        self.f32_regions[buf.0].base
-    }
-
-    /// Base device address of a `u32` buffer.
-    pub fn base_u32(&self, buf: BufU32) -> u64 {
-        self.u32_regions[buf.0].base
-    }
-
-    /// Name given to an `f32` buffer at allocation time.
-    pub fn name_f32(&self, buf: BufF32) -> &str {
-        &self.f32_regions[buf.0].name
-    }
-
-    /// Name given to a `u32` buffer at allocation time.
-    pub fn name_u32(&self, buf: BufU32) -> &str {
-        &self.u32_regions[buf.0].name
+        self.h2d_bytes += self.u32s[buf.0].write(data);
     }
 
     /// Total host-to-device bytes copied so far.
@@ -219,50 +217,18 @@ impl GpuMem {
 
     /// Records a device-to-host copy of `buf` and returns its contents.
     pub fn copy_out_f32(&mut self, buf: BufF32) -> Vec<f32> {
-        self.d2h_bytes += self.f32_data[buf.0].len() as u64 * 4;
-        self.f32_data[buf.0].clone()
+        self.d2h_bytes += self.f32s[buf.0].data.len() as u64 * 4;
+        self.f32s[buf.0].data.clone()
     }
 
     /// Snapshot of the `f32` allocation table for a sanitizer tape.
-    pub(crate) fn snapshot_f32(&self) -> Vec<crate::sanitizer::AllocInfo> {
-        self.f32_data
-            .iter()
-            .zip(&self.f32_regions)
-            .map(|(d, r)| crate::sanitizer::AllocInfo {
-                name: r.name.clone(),
-                words: d.len() as u32,
-                initialized: r.host_init,
-            })
-            .collect()
+    pub(crate) fn snapshot_f32(&self) -> Vec<AllocInfo> {
+        self.f32s.iter().map(Buffer::info).collect()
     }
 
     /// Snapshot of the `u32` allocation table for a sanitizer tape.
-    pub(crate) fn snapshot_u32(&self) -> Vec<crate::sanitizer::AllocInfo> {
-        self.u32_data
-            .iter()
-            .zip(&self.u32_regions)
-            .map(|(d, r)| crate::sanitizer::AllocInfo {
-                name: r.name.clone(),
-                words: d.len() as u32,
-                initialized: r.host_init,
-            })
-            .collect()
-    }
-
-    pub(crate) fn f32_slice(&self, buf: BufF32) -> &[f32] {
-        &self.f32_data[buf.0]
-    }
-
-    pub(crate) fn f32_slice_mut(&mut self, buf: BufF32) -> &mut Vec<f32> {
-        &mut self.f32_data[buf.0]
-    }
-
-    pub(crate) fn u32_slice(&self, buf: BufU32) -> &[u32] {
-        &self.u32_data[buf.0]
-    }
-
-    pub(crate) fn u32_slice_mut(&mut self, buf: BufU32) -> &mut Vec<u32> {
-        &mut self.u32_data[buf.0]
+    pub(crate) fn snapshot_u32(&self) -> Vec<AllocInfo> {
+        self.u32s.iter().map(Buffer::info).collect()
     }
 }
 
@@ -276,7 +242,11 @@ mod tests {
         let a = m.alloc_f32("a", &[0.0; 100]);
         let b = m.alloc_u32("b", &[0; 7]);
         let c = m.alloc_f32_zeroed("c", 3);
-        let (ba, bb, bc) = (m.base_f32(a), m.base_u32(b), m.base_f32(c));
+        let (ba, bb, bc) = (
+            a.view(&mut m).base,
+            b.view(&mut m).base,
+            c.view(&mut m).base,
+        );
         assert_eq!(ba % 256, 0);
         assert_eq!(bb % 256, 0);
         assert!(bb >= ba + 400);
@@ -289,8 +259,8 @@ mod tests {
         let a = m.alloc_f32_zeroed("a", 4);
         m.write_f32(a, &[1.0, 2.0, 3.0, 4.0]);
         assert_eq!(m.read_f32(a), vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m.len_f32(a), 4);
-        assert_eq!(m.name_f32(a), "a");
+        let view = a.view(&mut m);
+        assert_eq!((view.name, view.data.len()), ("a", 4));
     }
 
     #[test]

@@ -43,16 +43,13 @@ pub enum AccessKind {
     Load,
     /// A write (global or shared store).
     Store,
-    /// An atomic read-modify-write.
-    Atomic,
 }
 
 /// The allocation an access resolved into.
 ///
 /// Global indices refer to [`LaunchTape::allocs_f32`] /
-/// [`LaunchTape::allocs_u32`]; shared accesses target the CTA scratch
-/// declared by the kernel ([`LaunchTape::shared_f32_words`] /
-/// [`LaunchTape::shared_u32_words`]).
+/// [`LaunchTape::allocs_u32`]; shared accesses target the CTA's `f32`
+/// scratch declared by the kernel ([`LaunchTape::shared_f32_words`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TapeBuf {
     /// A global `f32` buffer (index into the allocation table).
@@ -61,8 +58,6 @@ pub enum TapeBuf {
     GlobalU32(u32),
     /// The CTA's `f32` shared-memory scratch.
     SharedF32,
-    /// The CTA's `u32` shared-memory scratch.
-    SharedU32,
 }
 
 /// One warp-level memory instruction with per-lane resolved word indices.
@@ -74,7 +69,7 @@ pub struct MemAccess {
     pub warp: u32,
     /// Barrier phase in which the access executed.
     pub phase: u32,
-    /// Load, store, or atomic.
+    /// Load or store.
     pub kind: AccessKind,
     /// Memory space of the instruction (global/texture/constant/shared).
     pub space: MemSpace,
@@ -148,8 +143,6 @@ pub struct LaunchTape {
     pub warp_size: u32,
     /// Words of per-CTA `f32` shared scratch.
     pub shared_f32_words: u32,
-    /// Words of per-CTA `u32` shared scratch.
-    pub shared_u32_words: u32,
     /// Global `f32` allocations at launch time, in allocation order.
     pub allocs_f32: Vec<AllocInfo>,
     /// Global `u32` allocations at launch time, in allocation order.
@@ -173,7 +166,6 @@ impl LaunchTape {
             threads_per_block: shape.threads_per_block as u32,
             warp_size: cfg.warp_size,
             shared_f32_words: kernel.shared_f32_words() as u32,
-            shared_u32_words: kernel.shared_u32_words() as u32,
             allocs_f32: mem.snapshot_f32(),
             allocs_u32: mem.snapshot_u32(),
             events: Vec::new(),
@@ -190,7 +182,6 @@ impl LaunchTape {
             TapeBuf::GlobalF32(i) => self.allocs_f32.get(i as usize).map(|a| a.words),
             TapeBuf::GlobalU32(i) => self.allocs_u32.get(i as usize).map(|a| a.words),
             TapeBuf::SharedF32 => Some(self.shared_f32_words),
-            TapeBuf::SharedU32 => Some(self.shared_u32_words),
         }
     }
 
@@ -206,7 +197,6 @@ impl LaunchTape {
                 .get(i as usize)
                 .map_or("<unknown u32>", |a| a.name.as_str()),
             TapeBuf::SharedF32 => "shared f32",
-            TapeBuf::SharedU32 => "shared u32",
         }
     }
 }
@@ -252,7 +242,7 @@ mod tests {
         assert_eq!(tape.extent(TapeBuf::GlobalU32(0)), Some(7));
         assert_eq!(tape.extent(TapeBuf::SharedF32), Some(32));
         assert_eq!(tape.buf_name(TapeBuf::GlobalF32(1)), "c");
-        assert_eq!(tape.buf_name(TapeBuf::SharedU32), "shared u32");
+        assert_eq!(tape.buf_name(TapeBuf::SharedF32), "shared f32");
         let _ = (a, b, c);
     }
 }

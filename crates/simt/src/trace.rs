@@ -114,7 +114,7 @@ pub fn trace_kernel(kernel: &dyn Kernel, mem: &mut GpuMem, cfg: &GpuConfig) -> K
 /// * [`SimError::EmptyGrid`] — the kernel declared zero blocks or zero
 ///   threads per block.
 /// * [`SimError::KernelFault`] — the kernel accessed global, shared,
-///   constant, or atomic memory out of bounds; the launch is abandoned
+///   texture, or constant memory out of bounds; the launch is abandoned
 ///   at the end of the faulting warp's phase. Device memory may have
 ///   been partially written.
 /// * [`SimError::BarrierDivergence`] — warps of one CTA disagreed on
@@ -161,7 +161,6 @@ pub(crate) fn try_trace_kernel_with(
 
     for block in 0..shape.blocks {
         let mut shared_f32 = vec![0.0f32; kernel.shared_f32_words()];
-        let mut shared_u32 = vec![0u32; kernel.shared_u32_words()];
         let mut traces: Vec<WarpTrace> = vec![WarpTrace::default(); warps_per_block];
 
         let mut phase = 0usize;
@@ -180,7 +179,6 @@ pub(crate) fn try_trace_kernel_with(
                 let mut ctx = WarpCtx {
                     mem,
                     shared_f32: &mut shared_f32,
-                    shared_u32: &mut shared_u32,
                     trace,
                     block,
                     warp_in_block: warp,

@@ -191,13 +191,18 @@ pub fn run_audit(session: &StudySession, scale: Scale) -> Result<AuditReport, St
     let benches = session.run_indexed(tiny_targets.len(), |i| {
         let target = &tiny_targets[i];
         let _span = obs::span!("audit.{}", target.label);
-        let (tapes, _) = sanitized_capture(&cfg, target, false, session.records())?;
-        let contracts = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
+        // Each scale's tapes live only until its contracts are fitted,
+        // and the samples only until the proofs have read them, so at
+        // most one scale's evidence is resident at a time.
+        let infer = |target| -> Result<Vec<KernelContract>, StudyError> {
+            let (tapes, _) = sanitized_capture(&cfg, target, false, session.records())?;
+            Ok(infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes))
+        };
+        let mut contracts = infer(target)?;
         let mut findings = check_contracts(&contracts);
+        contracts.iter_mut().for_each(KernelContract::drop_samples);
         if let Some(targets) = &verify_targets {
-            let (tapes, _) = sanitized_capture(&cfg, &targets[i], false, session.records())?;
-            let verify = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
-            findings.extend(compare_scales(&contracts, &verify));
+            findings.extend(compare_scales(&contracts, &infer(&targets[i])?));
         }
         Ok(BenchAudit {
             name: target.label.clone(),

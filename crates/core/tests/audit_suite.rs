@@ -66,3 +66,32 @@ fn corpus_contracts_prove_clean_and_manifest_is_deterministic() {
         }
     ));
 }
+
+#[test]
+fn audit_reports_retain_no_samples_at_any_jobs() {
+    // The retained fit samples are the race-witness evidence and are
+    // freed once the proofs have run: a report kept for rendering holds
+    // only the fitted summaries. Freeing them must not change a finding,
+    // whichever worker count ran the audit.
+    let serial = run_audit(&StudySession::sequential(), Scale::Tiny).expect("audit runs");
+    let parallel = run_audit(&StudySession::new(2), Scale::Tiny).expect("audit runs");
+    for report in [&serial, &parallel] {
+        for b in &report.benches {
+            for site in b.contracts.iter().flat_map(|k| &k.sites) {
+                assert!(
+                    site.samples.is_empty(),
+                    "{}: {} @ {} keeps {} samples",
+                    b.name,
+                    site.buf,
+                    site.site,
+                    site.samples.len()
+                );
+            }
+        }
+    }
+    assert_eq!(serial.benches.len(), parallel.benches.len());
+    for (s, p) in serial.benches.iter().zip(&parallel.benches) {
+        assert_eq!(s.name, p.name);
+        assert_eq!(s.findings, p.findings, "{}", s.name);
+    }
+}

@@ -154,7 +154,8 @@ pub struct SiteContract {
     /// the race-witness search runs on. A fit may be capped, so a
     /// missing witness beyond the cap can only lose a finding, never
     /// invent one (the dynamic checkers still cover the executed
-    /// launch in full).
+    /// launch in full). Nothing after [`check_contracts`] reads them:
+    /// [`KernelContract::drop_samples`] frees them once it has run.
     pub samples: Vec<Sample>,
     /// Smallest word index observed across *all* accesses (uncapped).
     pub word_min: i64,
@@ -193,6 +194,18 @@ pub struct KernelContract {
     pub barrier_uniform: bool,
     /// Per-site contracts, sorted by site label then buffer.
     pub sites: Vec<SiteContract>,
+}
+
+impl KernelContract {
+    /// Frees every site's retained samples. Only the race-witness
+    /// search of [`check_contracts`] reads them; the fitted summaries,
+    /// [`compare_scales`] and [`contracts_json`] do not, so contracts
+    /// kept for reporting after the check hold no samples.
+    pub fn drop_samples(&mut self) {
+        for s in &mut self.sites {
+            s.samples = Vec::new();
+        }
+    }
 }
 
 // ---- fitting ----------------------------------------------------------
@@ -338,39 +351,58 @@ struct SiteAccum {
     kind: Option<AccessKind>,
 }
 
+/// Inserts `v` into the sorted set `set` unless present or the set is
+/// already at [`DIM_SET_CAP`].
+fn observe(set: &mut Vec<i64>, v: i64) {
+    if let Err(pos) = set.binary_search(&v) {
+        if set.len() < DIM_SET_CAP {
+            set.insert(pos, v);
+        }
+    }
+}
+
 impl SiteAccum {
-    fn push(&mut self, sample: Sample, extent: Option<i64>) {
-        if self.count == 0 {
-            self.addr_min = sample.addr;
-            self.addr_max = sample.addr;
-            self.addr_first = sample.addr;
-        } else {
-            self.addr_min = self.addr_min.min(sample.addr);
-            self.addr_max = self.addr_max.max(sample.addr);
-            self.stride = gcd(self.stride, sample.addr - self.addr_first);
+    /// Folds in one warp access: `ctx` is its (warp, block, phase,
+    /// launch), the same for every lane, so those four dimension sets
+    /// and the extent are updated once per access; each lane-word adds
+    /// a sample, a lane value and an address.
+    fn push(&mut self, lane_words: &[(u8, u32)], ctx: [i64; NDIMS - 1], extent: Option<i64>) {
+        if lane_words.is_empty() {
+            return;
         }
-        self.count += 1;
-        if self.samples.len() < FIT_SAMPLE_CAP {
-            self.samples.push(sample);
-        }
-        for d in 0..NDIMS {
-            let set = &mut self.observed[d];
-            if let Err(pos) = set.binary_search(&sample.dims[d]) {
-                if set.len() < DIM_SET_CAP {
-                    set.insert(pos, sample.dims[d]);
-                }
-            }
+        for (set, v) in self.observed[LANE + 1..].iter_mut().zip(ctx) {
+            observe(set, v);
         }
         if let Some(e) = extent {
             if !self.extents.contains(&e) {
                 self.extents.push(e);
             }
         }
+        for &(lane, word) in lane_words {
+            let (lane, addr) = (i64::from(lane), i64::from(word));
+            if self.count == 0 {
+                self.addr_min = addr;
+                self.addr_max = addr;
+                self.addr_first = addr;
+            } else {
+                self.addr_min = self.addr_min.min(addr);
+                self.addr_max = self.addr_max.max(addr);
+                // A stride of 1 divides every delta: gcd cannot change it.
+                if self.stride != 1 {
+                    self.stride = gcd(self.stride, addr - self.addr_first);
+                }
+            }
+            self.count += 1;
+            if self.samples.len() < FIT_SAMPLE_CAP {
+                let [warp, block, phase, launch] = ctx;
+                self.samples.push(Sample {
+                    dims: [lane, warp, block, phase, launch],
+                    addr,
+                });
+            }
+            observe(&mut self.observed[LANE], lane);
+        }
     }
-}
-
-fn buf_key(tape: &LaunchTape, buf: TapeBuf) -> String {
-    tape.buf_name(buf).to_string()
 }
 
 /// Infers per-kernel, per-site access contracts from a pigeonhole set of
@@ -378,9 +410,10 @@ fn buf_key(tape: &LaunchTape, buf: TapeBuf) -> String {
 /// bank-conflict and coalescing metrics (take them from the
 /// [`simt::GpuConfig`] the tapes were captured under).
 pub fn infer_contracts(tapes: &[LaunchTape], banks: u32, seg_bytes: u32) -> Vec<KernelContract> {
-    // (kernel, site label, buf name) -> accumulator; launch ordinal is
-    // per kernel, in tape order.
-    let mut accums: HashMap<(String, String, String), SiteAccum> = HashMap::new();
+    // (kernel, site label, buf name) -> accumulator slot; launch ordinal
+    // is per kernel, in tape order.
+    let mut slots: HashMap<(String, String, String), usize> = HashMap::new();
+    let mut accums: Vec<SiteAccum> = Vec::new();
     let mut launch_ord: HashMap<String, i64> = HashMap::new();
     let mut uniform: HashMap<String, bool> = HashMap::new();
 
@@ -391,6 +424,9 @@ pub fn infer_contracts(tapes: &[LaunchTape], banks: u32, seg_bytes: u32) -> Vec<
             *n += 1;
             g
         };
+        // (site id, buf) -> slot, resolved once per tape: the labels are
+        // built and hashed per distinct site, not per access.
+        let mut tape_slots: HashMap<(u32, TapeBuf), usize> = HashMap::new();
         let mut barrier_counts = vec![0u64; tape.blocks as usize];
         for ev in &tape.events {
             match ev {
@@ -400,30 +436,25 @@ pub fn infer_contracts(tapes: &[LaunchTape], banks: u32, seg_bytes: u32) -> Vec<
                     }
                 }
                 TapeEvent::Access(a) => {
-                    let key = (
-                        tape.kernel.clone(),
-                        tape.sites.name(a.site).to_string(),
-                        buf_key(tape, a.buf),
-                    );
-                    let acc = accums.entry(key).or_default();
+                    let slot = *tape_slots.entry((a.site, a.buf)).or_insert_with(|| {
+                        let key = (
+                            tape.kernel.clone(),
+                            tape.sites.name(a.site).to_string(),
+                            tape.buf_name(a.buf).to_string(),
+                        );
+                        *slots.entry(key).or_insert_with(|| {
+                            accums.push(SiteAccum::default());
+                            accums.len() - 1
+                        })
+                    });
+                    let acc = &mut accums[slot];
                     acc.space = Some(a.space);
                     acc.kind = Some(a.kind);
-                    let extent = tape.extent(a.buf).map(i64::from);
-                    for &(lane, word) in &a.lane_words {
-                        acc.push(
-                            Sample {
-                                dims: [
-                                    i64::from(lane),
-                                    i64::from(a.warp),
-                                    i64::from(a.block),
-                                    i64::from(a.phase),
-                                    g,
-                                ],
-                                addr: i64::from(word),
-                            },
-                            extent,
-                        );
-                    }
+                    acc.push(
+                        &a.lane_words,
+                        [i64::from(a.warp), i64::from(a.block), i64::from(a.phase), g],
+                        tape.extent(a.buf).map(i64::from),
+                    );
                 }
             }
         }
@@ -435,11 +466,10 @@ pub fn infer_contracts(tapes: &[LaunchTape], banks: u32, seg_bytes: u32) -> Vec<
     }
 
     let mut by_kernel: HashMap<String, Vec<SiteContract>> = HashMap::new();
-    let mut keys: Vec<(String, String, String)> = accums.keys().cloned().collect();
+    let mut keys: Vec<((String, String, String), usize)> = slots.into_iter().collect();
     keys.sort();
-    for key in keys {
-        let acc = accums.remove(&key).expect("key from accums");
-        let (kernel, site, buf) = key;
+    for ((kernel, site, buf), slot) in keys {
+        let acc = std::mem::take(&mut accums[slot]);
         let form = match fit_affine(&acc.samples) {
             Some(f) => Form::Affine(f),
             None => Form::Interval {

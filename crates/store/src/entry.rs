@@ -30,6 +30,7 @@
 //! exhaustively over random entries.
 
 use std::fmt;
+use std::io::{self, Read};
 
 /// Magic bytes opening every entry ("Rodinia Trace Store Entry").
 pub const MAGIC: [u8; 4] = *b"RTSE";
@@ -118,24 +119,108 @@ impl fmt::Display for Corruption {
     }
 }
 
-/// Frames `payload` as a store entry for `key`.
+/// The frame header of `payload` under `key`: every byte of the entry
+/// before the payload. [`encode_entry`] is this followed by `payload`;
+/// the store writes the two parts in turn, so it never builds a second
+/// payload-sized buffer.
 ///
 /// # Panics
 ///
 /// Panics if `key` is longer than `u16::MAX` bytes; store keys are
 /// short fingerprint strings, so this is a caller bug.
-pub fn encode_entry(key: &str, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn entry_header(key: &str, payload: &[u8]) -> Vec<u8> {
     let kb = key.as_bytes();
     assert!(kb.len() <= usize::from(u16::MAX), "store key too long");
-    let mut out = Vec::with_capacity(PRE_KEY + kb.len() + POST_KEY + payload.len());
+    let mut out = Vec::with_capacity(PRE_KEY + kb.len() + POST_KEY);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(kb.len() as u16).to_le_bytes());
     out.extend_from_slice(kb);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out
+}
+
+/// Frames `payload` as a store entry for `key`.
+///
+/// # Panics
+///
+/// As [`entry_header`].
+pub fn encode_entry(key: &str, payload: &[u8]) -> Vec<u8> {
+    let mut out = entry_header(key, payload);
     out.extend_from_slice(payload);
     out
+}
+
+/// The verified header fields of one entry.
+struct Header {
+    /// Header bytes before the payload.
+    len: usize,
+    /// Declared payload length.
+    declared: u64,
+    /// Stored payload checksum.
+    checksum: u64,
+}
+
+/// Verifies the header of an entry of `have` bytes whose leading bytes
+/// are `head` (all of it, or at least its whole header) against `key`.
+fn check_header(key: &str, head: &[u8], have: u64) -> Result<Header, Corruption> {
+    if head.len() < PRE_KEY {
+        return Err(Corruption::Truncated {
+            need: PRE_KEY as u64,
+            have,
+        });
+    }
+    if head[0..4] != MAGIC {
+        return Err(Corruption::BadMagic);
+    }
+    let version = u32::from_le_bytes(head[4..8].try_into().expect("4 bytes"));
+    if version != FORMAT_VERSION {
+        return Err(Corruption::VersionMismatch { found: version });
+    }
+    let len = PRE_KEY + key_len(head) + POST_KEY;
+    if head.len() < len {
+        return Err(Corruption::Truncated {
+            need: len as u64,
+            have,
+        });
+    }
+    let found_key = &head[PRE_KEY..len - POST_KEY];
+    if found_key != key.as_bytes() {
+        return Err(Corruption::KeyMismatch {
+            found: String::from_utf8_lossy(found_key).into_owned(),
+        });
+    }
+    let at = len - POST_KEY;
+    Ok(Header {
+        len,
+        declared: u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes")),
+        checksum: u64::from_le_bytes(head[at + 8..len].try_into().expect("8 bytes")),
+    })
+}
+
+/// The key-echo length field of a header of at least [`PRE_KEY`] bytes.
+fn key_len(head: &[u8]) -> usize {
+    usize::from(u16::from_le_bytes(head[8..10].try_into().expect("2 bytes")))
+}
+
+/// Verifies `payload` against its header's declared length and
+/// checksum.
+fn check_payload(header: &Header, payload: &[u8]) -> Result<(), Corruption> {
+    if payload.len() as u64 != header.declared {
+        return Err(Corruption::LengthMismatch {
+            declared: header.declared,
+            actual: payload.len() as u64,
+        });
+    }
+    let computed = fnv1a64(payload);
+    if computed != header.checksum {
+        return Err(Corruption::ChecksumMismatch {
+            stored: header.checksum,
+            computed,
+        });
+    }
+    Ok(())
 }
 
 /// Verifies the framing of `bytes` against `key` and returns the
@@ -146,51 +231,41 @@ pub fn encode_entry(key: &str, payload: &[u8]) -> Vec<u8> {
 /// A [`Corruption`] naming the first check that failed. No payload
 /// byte is ever returned from an entry that fails any check.
 pub fn decode_entry<'a>(key: &str, bytes: &'a [u8]) -> Result<&'a [u8], Corruption> {
-    let have = bytes.len() as u64;
-    if bytes.len() < PRE_KEY {
-        return Err(Corruption::Truncated {
-            need: PRE_KEY as u64,
-            have,
-        });
-    }
-    if bytes[0..4] != MAGIC {
-        return Err(Corruption::BadMagic);
-    }
-    let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"));
-    if version != FORMAT_VERSION {
-        return Err(Corruption::VersionMismatch { found: version });
-    }
-    let klen = usize::from(u16::from_le_bytes(
-        bytes[8..10].try_into().expect("2 bytes"),
-    ));
-    let header_len = PRE_KEY + klen + POST_KEY;
-    if bytes.len() < header_len {
-        return Err(Corruption::Truncated {
-            need: header_len as u64,
-            have,
-        });
-    }
-    let found_key = &bytes[PRE_KEY..PRE_KEY + klen];
-    if found_key != key.as_bytes() {
-        return Err(Corruption::KeyMismatch {
-            found: String::from_utf8_lossy(found_key).into_owned(),
-        });
-    }
-    let at = PRE_KEY + klen;
-    let declared = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
-    let stored = u64::from_le_bytes(bytes[at + 8..at + 16].try_into().expect("8 bytes"));
-    let payload = &bytes[header_len..];
-    if payload.len() as u64 != declared {
-        return Err(Corruption::LengthMismatch {
-            declared,
-            actual: payload.len() as u64,
-        });
-    }
-    let computed = fnv1a64(payload);
-    if computed != stored {
-        return Err(Corruption::ChecksumMismatch { stored, computed });
-    }
+    let header = check_header(key, bytes, bytes.len() as u64)?;
+    let payload = &bytes[header.len..];
+    check_payload(&header, payload)?;
     Ok(payload)
+}
+
+/// Reads one entry from `r` and verifies it against `key` exactly as
+/// [`decode_entry`] would over the same bytes, but reads the header and
+/// the payload into separate buffers, so the payload arrives in its own
+/// allocation with no copy out of a whole-file buffer. `size_hint` is
+/// the expected entry size (the file length); it only sizes the payload
+/// buffer.
+///
+/// # Errors
+///
+/// The outer error is a read failure; the inner one the [`Corruption`]
+/// [`decode_entry`] reports for the same bytes.
+pub(crate) fn read_entry(
+    key: &str,
+    mut r: impl Read,
+    size_hint: u64,
+) -> io::Result<Result<Vec<u8>, Corruption>> {
+    let mut head = Vec::with_capacity(PRE_KEY + key.len() + POST_KEY);
+    r.by_ref().take(PRE_KEY as u64).read_to_end(&mut head)?;
+    if head.len() == PRE_KEY {
+        let rest = key_len(&head) + POST_KEY;
+        r.by_ref().take(rest as u64).read_to_end(&mut head)?;
+    }
+    let hint = usize::try_from(size_hint).unwrap_or(0);
+    let mut payload = Vec::with_capacity(hint.saturating_sub(head.len()));
+    r.read_to_end(&mut payload)?;
+    let have = (head.len() + payload.len()) as u64;
+    Ok(check_header(key, &head, have)
+        .and_then(|header| check_payload(&header, &payload))
+        .map(|()| payload))
 }
 
 #[cfg(test)]
@@ -262,6 +337,24 @@ mod tests {
             decode_entry("key", &bytes),
             Err(Corruption::ChecksumMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn read_entry_agrees_with_decode_entry() {
+        // Every truncation and every single-byte change of one entry:
+        // reading it from a stream gives decode_entry's verdict.
+        let bytes = encode_entry("key", b"payload");
+        let verdict = |b: &[u8]| read_entry("key", b, b.len() as u64).expect("in-memory read");
+        let decoded = |b: &[u8]| decode_entry("key", b).map(<[u8]>::to_vec);
+        for cut in 0..=bytes.len() {
+            assert_eq!(verdict(&bytes[..cut]), decoded(&bytes[..cut]), "cut {cut}");
+        }
+        for at in 0..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x5a;
+            assert_eq!(verdict(&bad), decoded(&bad), "byte {at}");
+        }
+        assert_eq!(verdict(&bytes), Ok(b"payload".to_vec()));
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
-use crate::entry::{decode_entry, encode_entry, fnv1a64};
+use crate::entry::{entry_header, fnv1a64, read_entry};
 use crate::error::StoreError;
 
 /// Environment variable: crash the process (deterministically) right
@@ -147,7 +147,10 @@ impl TraceStore {
         self.root.join(JOURNAL_DIR).join(name)
     }
 
-    /// Loads and verifies `key`'s entry, returning its payload.
+    /// Loads and verifies `key`'s entry, returning its payload. The
+    /// header and the payload are read into separate buffers
+    /// ([`read_entry`]), so the payload is returned in the buffer it
+    /// was read into, not copied out of the whole file.
     ///
     /// `None` means "capture instead": the entry is absent, unreadable
     /// after retries, or failed verification (in which case it has been
@@ -157,8 +160,13 @@ impl TraceStore {
         let _span = obs::span!("store.load");
         let reg = obs::Registry::global();
         let path = self.entry_path(key);
-        let bytes = match self.with_retry(|| fs::read(&path)) {
-            Ok(b) => b,
+        let read = || {
+            let f = File::open(&path)?;
+            let size = f.metadata()?.len();
+            read_entry(key, f, size)
+        };
+        let verdict = match self.with_retry(read) {
+            Ok(v) => v,
             Err(e) if e.kind() == io::ErrorKind::NotFound => {
                 reg.incr("store.miss");
                 return None;
@@ -170,11 +178,11 @@ impl TraceStore {
                 return None;
             }
         };
-        match decode_entry(key, &bytes) {
+        match verdict {
             Ok(payload) => {
                 reg.incr("store.hit");
                 self.touch(&path);
-                Some(payload.to_vec())
+                Some(payload)
             }
             Err(c) => {
                 self.quarantine(key, &c.to_string());
@@ -184,9 +192,10 @@ impl TraceStore {
     }
 
     /// Atomically writes `payload` as `key`'s entry: temp file in the
-    /// store directory, `fsync`, rename. A crash at any point leaves
-    /// either the old entry or the new one — never a torn hybrid —
-    /// which is what makes a kill-mid-sweep run resumable.
+    /// store directory (the frame header, then `payload` itself, so no
+    /// framed copy of it is built), `fsync`, rename. A crash at any
+    /// point leaves either the old entry or the new one — never a torn
+    /// hybrid — which is what makes a kill-mid-sweep run resumable.
     ///
     /// Runs the LRU eviction pass afterwards when a budget is set.
     ///
@@ -199,7 +208,7 @@ impl TraceStore {
     pub fn save(&self, key: &str, payload: &[u8]) -> Result<(), StoreError> {
         let _span = obs::span!("store.save");
         let reg = obs::Registry::global();
-        let bytes = encode_entry(key, payload);
+        let header = entry_header(key, payload);
         let path = self.entry_path(key);
         let tmp = self.root.join(format!(
             ".tmp-{:016x}-{}",
@@ -208,7 +217,8 @@ impl TraceStore {
         ));
         let write_tmp = || -> io::Result<()> {
             let mut f = File::create(&tmp)?;
-            f.write_all(&bytes)?;
+            f.write_all(&header)?;
+            f.write_all(payload)?;
             f.sync_all()
         };
         if let Err(e) = self.with_retry(write_tmp) {
@@ -488,6 +498,23 @@ mod tests {
         assert_eq!(store.load("k"), Some(b"payload".to_vec()));
         assert_eq!(store.entry_count(), 1);
         assert!(store.total_bytes() > 8);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn saved_file_is_the_framed_entry_and_loads_its_payload() {
+        // Save writes the header and the payload as two writes, and load
+        // reads them into two buffers; the bytes on disk must still be
+        // exactly `encode_entry`'s, so the format lives in one place.
+        let dir = test_dir("framing");
+        let store = TraceStore::open(&dir).expect("open");
+        let big: Vec<u8> = (0..3u32 << 20).map(|i| (i ^ (i >> 11)) as u8).collect();
+        for (key, payload) in [("gpu/v1/empty", &[][..]), ("gpu/v1/big", &big[..])] {
+            store.save(key, payload).expect("save");
+            let on_disk = fs::read(store.entry_path(key)).expect("read entry");
+            assert!(on_disk == crate::entry::encode_entry(key, payload), "{key}");
+            assert!(store.load(key).as_deref() == Some(payload), "{key}");
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -192,6 +192,11 @@ pub fn run(
         }
         Ok(response)
     })?;
+    if let Some((j_out, _)) = &journal {
+        if j_out.finish(&responses).is_err() {
+            obs::Registry::global().incr("store.journal_error");
+        }
+    }
     let mut per_benchmark = Vec::new();
     for (bi, b) in benches.iter().enumerate() {
         per_benchmark.push((

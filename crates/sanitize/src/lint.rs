@@ -253,14 +253,14 @@ mod tests {
     }
 
     fn trace_of(warp: WarpTrace) -> KernelTrace {
-        KernelTrace {
-            name: "synthetic".into(),
-            ctas: vec![CtaTrace { warps: vec![warp] }],
-            threads_per_block: 32,
-            regs_per_thread: 16,
-            shared_bytes_per_cta: 0,
-            warp_size: 32,
-        }
+        KernelTrace::new(
+            "synthetic".into(),
+            vec![CtaTrace { warps: vec![warp] }],
+            32,
+            16,
+            0,
+            32,
+        )
     }
 
     /// One warp of 32-lane global loads, one per segment list.

@@ -89,10 +89,11 @@ use crate::kernel::Kernel;
 use crate::memory::GpuMem;
 use crate::sanitizer::LaunchTape;
 use crate::sm::{
-    ctas_per_sm, run_epoch, CtaRt, EpochLog, EvKind, EvRec, SmRt, WarpRt, SCHED_READY_MASK,
+    ctas_per_sm, fold_summary, run_epoch, CtaRt, EpochLog, EvKind, EvRec, IssueCosts, SmRt, WarpRt,
+    SCHED_READY_MASK,
 };
 use crate::stats::{KernelStats, StallBreakdown, Timeline, TimelineSample};
-use crate::trace::{try_trace_kernel, try_trace_kernel_with, KernelTrace};
+use crate::trace::{try_trace_kernel, try_trace_kernel_with, KernelTrace, TraceTotals};
 
 /// How one replay of a recorded run is carried out: its worker width
 /// and where its `kernel_stats` records go. Neither changes a result,
@@ -554,6 +555,14 @@ pub fn try_time_traces_concurrent(
     let _span = obs::span!("simt.replay.{}", traces[0].name);
     let mut engine = Engine::new(traces, cfg);
     engine.run()?;
+    // Once per launch, not per issue: with the `simt.replay.*` spans
+    // these give replay time per issue, per scan and per epoch.
+    let registry = obs::Registry::global();
+    let issues = engine.sms.iter().map(|sm| u64::from(sm.seq)).sum();
+    let scans = engine.sms.iter().map(|sm| sm.scans).sum();
+    registry.add("simt.replay.issues", issues);
+    registry.add("simt.replay.sched_scans", scans);
+    registry.add("simt.replay.epochs", engine.epochs);
     Ok(engine.into_stats())
 }
 
@@ -594,9 +603,12 @@ struct Engine<'a> {
     sampler: obs::AdaptiveSampler<RawSample>,
     /// Maximum resident warps across the GPU (occupancy denominator).
     warp_capacity: f64,
-    /// The epoch's event log and the run's commutative accumulators;
-    /// the log's buffers are reused across epochs.
+    /// The epoch's event log; its buffers are reused across epochs.
     log: EpochLog,
+    /// Issue costs by lane count under `cfg`.
+    costs: IssueCosts,
+    /// Epochs run so far.
+    epochs: u64,
     /// Epoch length while the CTA queue is non-empty: also bounded by
     /// the CTA launch overhead, so deferred placements cannot become
     /// issuable inside the epoch that freed their resources.
@@ -646,7 +658,9 @@ impl<'a> Engine<'a> {
             warp_capacity: (cfg.num_sms as u64
                 * (cfg.max_threads_per_sm / cfg.warp_size).max(1) as u64)
                 as f64,
-            log: EpochLog::new(cfg),
+            log: EpochLog::default(),
+            costs: IssueCosts::new(cfg),
+            epochs: 0,
             epoch_queue,
             epoch_free,
         };
@@ -698,7 +712,7 @@ impl<'a> Engine<'a> {
             let id = s.warp_tab.len();
             let warp = &t.ctas[trace_idx].warps[w];
             s.warp_tab.push(WarpRt {
-                cta_rt,
+                cta_rt: cta_rt as u32,
                 ops: &warp.ops,
                 segs: &warp.segs,
                 pc: 0,
@@ -748,6 +762,11 @@ impl<'a> Engine<'a> {
             // min over warps of max(ready_at, port_free_at) equals
             // max(min_ready, port_free_at): port_free_at is per-SM.
             let s = sm.summary();
+            debug_assert!(
+                s.same_state(&fold_summary(&sm.sched)),
+                "SM {}: cached digest {s:?} is stale",
+                sm.id
+            );
             if s.min_ready != u64::MAX {
                 debug_assert!(
                     s.min_ready < SCHED_READY_MASK,
@@ -784,7 +803,15 @@ impl<'a> Engine<'a> {
                 // the clamped window is never empty.
                 end = end.min(budget);
             }
-            run_epoch(&mut self.sms, self.cfg, wake, end, &mut self.log);
+            run_epoch(
+                &mut self.sms,
+                self.cfg,
+                &self.costs,
+                wake,
+                end,
+                &mut self.log,
+            );
+            self.epochs += 1;
             self.barrier_exchange();
         }
         self.horizon = self.horizon.max(self.cycle);
@@ -864,10 +891,7 @@ impl<'a> Engine<'a> {
                         // matters (and its old slot may have been
                         // compacted away).
                         if !s.warp_tab[w].done {
-                            s.warp_tab[w].ready_at = resolved;
-                            s.warp_tab[w].unresolved = false;
-                            s.sched[s.slot_of[w]] = s.warp_tab[w].sched_word();
-                            s.summary = None;
+                            s.resolve(w, resolved);
                         }
                     }
                 }
@@ -1016,15 +1040,20 @@ impl<'a> Engine<'a> {
             .map(|t| t.name.as_str())
             .collect::<Vec<_>>()
             .join("+");
-        let log = self.log;
+        // Every op issued exactly once, so the instruction counts are the
+        // traces' own totals.
+        let mut totals = TraceTotals::empty(self.cfg.warp_size as usize);
+        for t in self.traces {
+            totals.merge(t.totals());
+        }
         let combined = KernelStats {
             name,
             config: self.cfg.name.clone(),
             cycles: self.horizon,
-            thread_instructions: log.thread_instructions,
-            warp_instructions: log.warp_instructions,
-            mem_mix: log.mem_mix,
-            occupancy: log.occupancy,
+            thread_instructions: totals.thread_instructions,
+            warp_instructions: totals.warp_instructions,
+            mem_mix: totals.mem_mix,
+            occupancy: totals.occupancy,
             dram_bytes: self.dram.bytes(),
             dram_busy_cycles: self.dram.busy_cycles(),
             peak_bytes_per_cycle: self.cfg.peak_bytes_per_core_cycle(),

@@ -518,7 +518,7 @@ impl WarpCtx<'_> {
     /// Stores `f32` values to global memory.
     #[track_caller]
     pub fn st_f32(&mut self, buf: BufF32, f: impl FnMut(usize, usize) -> Option<(usize, f32)>) {
-        self.store(Location::caller(), MemSpace::Global, |m, _| buf.view(m), f)
+        self.store(Location::caller(), MemSpace::Global, |m, _| buf.view(m), f);
     }
 
     /// Loads `u32` values from global memory.
@@ -544,7 +544,7 @@ impl WarpCtx<'_> {
     /// Stores `u32` values to global memory.
     #[track_caller]
     pub fn st_u32(&mut self, buf: BufU32, f: impl FnMut(usize, usize) -> Option<(usize, u32)>) {
-        self.store(Location::caller(), MemSpace::Global, |m, _| buf.view(m), f)
+        self.store(Location::caller(), MemSpace::Global, |m, _| buf.view(m), f);
     }
 
     /// Loads from the CTA's `f32` shared-memory scratch.
@@ -556,7 +556,7 @@ impl WarpCtx<'_> {
     /// Stores to the CTA's `f32` shared-memory scratch.
     #[track_caller]
     pub fn sh_st_f32(&mut self, f: impl FnMut(usize, usize) -> Option<(usize, f32)>) {
-        self.store(Location::caller(), MemSpace::Shared, |_, s| scratch(s), f)
+        self.store(Location::caller(), MemSpace::Shared, |_, s| scratch(s), f);
     }
 
     // ---- divergence -----------------------------------------------------

@@ -96,4 +96,4 @@ pub use shadow::SiteTable;
 pub use stats::{
     KernelStats, MemMix, OccupancyHistogram, StallBreakdown, Timeline, TimelineSample,
 };
-pub use trace::{trace_kernel, try_trace_kernel, KernelTrace};
+pub use trace::{trace_kernel, try_trace_kernel, KernelTrace, TraceTotals};

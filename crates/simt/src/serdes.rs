@@ -122,14 +122,14 @@ fn decode_trace(r: &mut Reader<'_>) -> Result<KernelTrace, CodecError> {
         }
         ctas.push(CtaTrace { warps });
     }
-    Ok(KernelTrace {
+    Ok(KernelTrace::new(
         name,
         ctas,
         threads_per_block,
         regs_per_thread,
         shared_bytes_per_cta,
         warp_size,
-    })
+    ))
 }
 
 // Op tags. Every TOp variant has exactly one.
@@ -324,19 +324,19 @@ mod tests {
             ops,
             segs: vec![0, 64, 128, 1 << 40, 4096],
         };
-        KernelTrace {
-            name: "kitchen-sink".to_string(),
-            ctas: vec![
+        KernelTrace::new(
+            "kitchen-sink".to_string(),
+            vec![
                 CtaTrace {
                     warps: vec![warp.clone(), WarpTrace::default()],
                 },
                 CtaTrace { warps: vec![warp] },
             ],
-            threads_per_block: 96,
-            regs_per_thread: 21,
-            shared_bytes_per_cta: 2048,
-            warp_size: 32,
-        }
+            96,
+            21,
+            2048,
+            32,
+        )
     }
 
     #[test]
@@ -396,19 +396,19 @@ mod tests {
 
     #[test]
     fn unknown_op_tag_is_rejected() {
-        let t = Arc::new(KernelTrace {
-            name: "t".to_string(),
-            ctas: vec![CtaTrace {
+        let t = Arc::new(KernelTrace::new(
+            "t".to_string(),
+            vec![CtaTrace {
                 warps: vec![WarpTrace {
                     ops: vec![TOp::Bar],
                     segs: vec![],
                 }],
             }],
-            threads_per_block: 32,
-            regs_per_thread: 1,
-            shared_bytes_per_cta: 0,
-            warp_size: 32,
-        });
+            32,
+            1,
+            0,
+            32,
+        ));
         let mut bytes = encode_capture_payload(&[t], 0, 0);
         let last = bytes.len() - 1;
         bytes[last] = 0xEE; // the Bar tag is the final byte

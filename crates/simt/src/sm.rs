@@ -25,16 +25,45 @@
 //! warp waiting on an *unresolved* shared-memory request (one whose
 //! completion cycle the barrier has not yet computed) parks on a
 //! sentinel `ready_at` that cannot pass the compare before the epoch
-//! ends. When no warp is pickable, `fold_summary` rebuilds the SM's
-//! digest in fixed-width chunks of branchless lane accumulators — a
-//! shape the compiler can autovectorize — instead of a dependent scan.
-//! That failed scan is the only place the epoch loop refreshes the
-//! digest: an issue merely marks it stale (see `run_epoch`).
+//! ends.
+//!
+//! # Failed scans
+//!
+//! The round-robin scheduler walks the words once, from the issue
+//! pointer around to just before it (`scan_round_robin`). The walk
+//! returns the first pickable slot, or, when there is none, the SM's
+//! digest (`SmSummary`): earliest ready cycle, liveness, memory and
+//! barrier flags, and the first slot in round-robin order that holds
+//! that earliest cycle. The walk is branch-free but for its exit: which
+//! slot lowers the running minimum is data. A failed scan at cycle `c`
+//! means every waiting warp is ready only after `c`, and the issue port
+//! is free by `c`, so the SM's next visit is exactly `min_ready`. The
+//! digest is exact for as long as it is cached: an issue or a CTA
+//! placement clears it, and the barrier's memory resolutions only lower
+//! an unresolved warp's word, which `SmRt::resolve` folds into the
+//! cached minimum. So at `min_ready` the warp in the recorded slot is
+//! the pick, and no second scan is made, even across a barrier. The
+//! failed scan is the only place the epoch loop refreshes the digest.
+//! Elsewhere (the next-wake computation, stall attribution) a cleared
+//! digest is rebuilt by `fold_summary`, which folds the words in
+//! fixed-width chunks of branchless lane accumulators, a shape the
+//! compiler can autovectorize.
+//!
+//! # What an issue does not count
+//!
+//! Every op of a trace issues exactly once, whatever the configuration,
+//! so instruction counts, the memory mix and the occupancy histogram are
+//! not counted here: they are the trace's own [`TraceTotals`], counted
+//! once per trace and added up when the engine closes its books. An
+//! issue does only what the configuration can change, and looks its
+//! lane-dependent costs up in the engine's `IssueCosts` tables.
+//!
+//! [`TraceTotals`]: crate::trace::TraceTotals
 
 use crate::caches::Cache;
 use crate::config::{GpuConfig, SchedPolicy};
 use crate::isa::TOp;
-use crate::stats::{MemMix, OccupancyHistogram, StallBreakdown};
+use crate::stats::StallBreakdown;
 
 /// Scheduler-word flag: the warp has drained its trace.
 pub(crate) const SCHED_DONE: u64 = 1 << 63;
@@ -53,12 +82,12 @@ pub(crate) const SCHED_PICK_MASK: u64 = !SCHED_MEM;
 /// [`fold_summary`]; sized to a 512-bit vector of `u64`s.
 const FOLD_LANES: usize = 8;
 
+/// `SmSummary::min_slot` when no scan recorded a slot.
+const NO_SLOT: usize = usize::MAX;
+
 /// Timing state of one resident warp.
 #[derive(Debug, Clone)]
 pub(crate) struct WarpRt<'a> {
-    /// Index of the owning CTA in the SM-local CTA table (which also
-    /// records the kernel the warp belongs to).
-    pub cta_rt: usize,
     /// The warp's recorded operation stream, resolved once at CTA
     /// placement so the (very hot) issue path reads `ops[pc]` directly
     /// instead of chasing trace → CTA → warp indirections every issue.
@@ -72,6 +101,11 @@ pub(crate) struct WarpRt<'a> {
     /// components); the epoch barrier maxes in the shared-memory
     /// completions.
     pub ready_at: u64,
+    /// Cycle of this warp's most recent issue (greedy-then-oldest input).
+    pub last_issue: u64,
+    /// Index of the owning CTA in the SM-local CTA table (which also
+    /// records the kernel the warp belongs to).
+    pub cta_rt: u32,
     /// Whether the warp is parked at a barrier.
     pub at_barrier: bool,
     /// Whether the warp's most recent issue is waiting on a memory
@@ -86,8 +120,6 @@ pub(crate) struct WarpRt<'a> {
     pub unresolved: bool,
     /// Whether the warp has drained its trace.
     pub done: bool,
-    /// Cycle of this warp's most recent issue (greedy-then-oldest input).
-    pub last_issue: u64,
 }
 
 impl WarpRt<'_> {
@@ -137,6 +169,10 @@ pub(crate) struct SmSummary {
     /// the SM has none; the unresolved sentinel reads as "after the
     /// epoch", which the barrier replaces before anyone fast-forwards).
     pub min_ready: u64,
+    /// The first slot, in round-robin order from the issue pointer,
+    /// whose warp is ready at `min_ready`: the pick at that cycle.
+    /// `NO_SLOT` unless a failed round-robin scan built the digest.
+    pub min_slot: usize,
     /// Any resident warp not yet retired.
     pub any_live: bool,
     /// Any live, non-barrier warp waiting on a memory response.
@@ -149,14 +185,25 @@ impl SmSummary {
     fn empty() -> SmSummary {
         SmSummary {
             min_ready: u64::MAX,
+            min_slot: NO_SLOT,
             any_live: false,
             any_mem: false,
             all_barrier: true,
         }
     }
+
+    /// Whether two digests describe the same warp states (`min_slot`
+    /// aside, which only a scan records).
+    pub(crate) fn same_state(&self, other: &SmSummary) -> bool {
+        self.min_ready == other.min_ready
+            && self.any_live == other.any_live
+            && self.any_mem == other.any_mem
+            && self.all_barrier == other.all_barrier
+    }
 }
 
-/// Folds a packed scheduler-word slice into its [`SmSummary`].
+/// Folds a packed scheduler-word slice into its [`SmSummary`] (with no
+/// `min_slot`).
 ///
 /// The fold runs [`FOLD_LANES`] independent branchless accumulators over
 /// fixed-width chunks — min/mask reductions with no cross-lane
@@ -206,6 +253,86 @@ pub(crate) fn fold_summary(sched: &[u64]) -> SmSummary {
         s.min_ready = s.min_ready.min(min_r[i]);
     }
     s
+}
+
+/// One round-robin pass over `sched`, visiting slots `start..` and then
+/// `..start`: the first slot whose warp is pickable at `cycle`, or, if
+/// none is, the SM's digest with `min_slot` set to the first visited
+/// slot that holds `min_ready`.
+pub(crate) fn scan_round_robin(
+    sched: &[u64],
+    start: usize,
+    cycle: u64,
+) -> Result<usize, SmSummary> {
+    // A word below `SCHED_BARRIER` carries neither flag: its warp is
+    // live and not at a barrier, and its pickability view is its ready
+    // cycle. Flagged words have larger views, so the smallest view is
+    // `min_ready` whenever any warp is active.
+    let mut min = u64::MAX;
+    let mut min_slot = NO_SLOT;
+    let (mut live, mut active, mut mem) = (false, false, false);
+    let (wrapped, first) = sched.split_at(start);
+    for (base, part) in [(start, first), (0, wrapped)] {
+        for (i, &v) in part.iter().enumerate() {
+            let view = v & SCHED_PICK_MASK;
+            if view <= cycle {
+                return Ok(base + i);
+            }
+            let is_active = v < SCHED_BARRIER;
+            live |= v < SCHED_DONE;
+            active |= is_active;
+            mem |= is_active & (v & SCHED_MEM != 0);
+            // Branch-free: which visit lowers the minimum is data.
+            let lower = view < min;
+            min = std::hint::select_unpredictable(lower, view, min);
+            min_slot = std::hint::select_unpredictable(lower, base + i, min_slot);
+        }
+    }
+    let mut s = SmSummary::empty();
+    s.any_live = live;
+    s.any_mem = mem;
+    s.all_barrier = !active;
+    if active {
+        s.min_ready = min;
+        s.min_slot = min_slot;
+    }
+    Err(s)
+}
+
+/// Issue costs by active-lane count, built once per engine so an issue
+/// reads a table instead of dividing by the SIMD width. Indexed by any
+/// `u8` lane count a trace op can carry.
+#[derive(Debug)]
+pub(crate) struct IssueCosts {
+    /// Issue-port cycles of one issue slot
+    /// ([`GpuConfig::issue_cycles_for`]).
+    slot: [u64; 256],
+    /// Cycles of each slot lost to lanes masked off by divergence: the
+    /// slot's cycles less `ceil(lanes / simd_width)`, at least zero.
+    waste: [u64; 256],
+}
+
+impl IssueCosts {
+    pub(crate) fn new(cfg: &GpuConfig) -> IssueCosts {
+        let simd = cfg.simd_width as u64;
+        let full = cfg.issue_cycles();
+        let mut costs = IssueCosts {
+            slot: [0; 256],
+            waste: [0; 256],
+        };
+        // `compact` is `ceil(max(lanes, 1) / simd)`, stepped up as the
+        // lane count passes each multiple of the SIMD width.
+        let mut compact = 1u64;
+        for lanes in 0..256u64 {
+            if lanes > compact * simd {
+                compact += 1;
+            }
+            let slot = if cfg.lane_compaction { compact } else { full };
+            costs.slot[lanes as usize] = slot;
+            costs.waste[lanes as usize] = slot.saturating_sub(compact);
+        }
+        costs
+    }
 }
 
 /// One entry in the epoch event log, applied at the next barrier.
@@ -263,10 +390,10 @@ impl EvKind {
     }
 }
 
-/// The epoch output: the event log destined for the barrier plus every
-/// commutative accumulator of the replay (instruction counts, memory
-/// mix, occupancy), which simply keep counting across epochs.
-#[derive(Debug)]
+/// The epoch output: the event log destined for the barrier, plus the
+/// issue horizon and last issue cycle, which keep their maxima across
+/// epochs.
+#[derive(Debug, Default)]
 pub(crate) struct EpochLog {
     /// Events of the current epoch, in SM-major order (each SM runs the
     /// whole epoch before the next starts). Each event's `(cycle, sm,
@@ -275,34 +402,11 @@ pub(crate) struct EpochLog {
     pub events: Vec<EvRec>,
     /// Segment pool the epoch's `Mem` events point into.
     pub segs: Vec<u64>,
-    /// Per-thread instruction count.
-    pub thread_instructions: u64,
-    /// Per-warp instruction count.
-    pub warp_instructions: u64,
-    /// Memory-space instruction mix.
-    pub mem_mix: MemMix,
-    /// Warp-occupancy histogram.
-    pub occupancy: OccupancyHistogram,
     /// Max completion cycle scheduled by any issue (the barrier maxes
     /// in resolved memory completions separately).
     pub horizon: u64,
     /// Last cycle at which any SM issued anything.
     pub last_cycle: u64,
-}
-
-impl EpochLog {
-    pub(crate) fn new(cfg: &GpuConfig) -> EpochLog {
-        EpochLog {
-            events: Vec::new(),
-            segs: Vec::new(),
-            thread_instructions: 0,
-            warp_instructions: 0,
-            mem_mix: MemMix::default(),
-            occupancy: OccupancyHistogram::new(cfg.warp_size as usize),
-            horizon: 0,
-            last_cycle: 0,
-        }
-    }
 }
 
 /// Timing state of one streaming multiprocessor — self-contained, so an
@@ -326,7 +430,7 @@ pub(crate) struct SmRt<'a> {
     /// Each warp's current slot in `list`/`sched`, indexed by warp-table
     /// id (rebuilt when a CTA's dead warps are compacted away).
     pub slot_of: Vec<usize>,
-    /// Round-robin issue pointer into `list`.
+    /// Round-robin issue pointer into `list`, taken modulo its length.
     pub rr: usize,
     /// Cycle at which the issue port frees.
     pub port_free_at: u64,
@@ -354,8 +458,12 @@ pub(crate) struct SmRt<'a> {
     /// at each such event — equivalent, cycle for cycle, to per-interval
     /// accounting, without walking every SM on every simulated cycle.
     pub attributed: u64,
-    /// Monotone issue counter (events of one issue share a `seq`).
+    /// Monotone issue counter (events of one issue share a `seq`); at
+    /// the end of a replay, the SM's issue count.
     pub seq: u32,
+    /// Scheduler passes over the warp words. A pick that a failed
+    /// scan predicted makes none.
+    pub scans: u64,
 }
 
 impl<'a> SmRt<'a> {
@@ -380,6 +488,7 @@ impl<'a> SmRt<'a> {
             stall: StallBreakdown::default(),
             attributed: 0,
             seq: 0,
+            scans: 0,
         }
     }
 
@@ -393,6 +502,35 @@ impl<'a> SmRt<'a> {
         let s = fold_summary(&self.sched);
         self.summary = Some(s);
         s
+    }
+
+    /// Resolves warp `w`'s memory wait at the epoch barrier: it becomes
+    /// ready at `ready_at`.
+    ///
+    /// The warp's word falls from the unresolved sentinel to `ready_at`
+    /// and stays live, active and waiting on memory, so a cached digest
+    /// stays exact with one min-update: the warp becomes the earliest
+    /// if it is strictly earlier, or if it ties and comes first in
+    /// round-robin order. A digest that survives the barrier spares
+    /// the next-wake computation its fold and the SM its next scan.
+    pub(crate) fn resolve(&mut self, w: usize, ready_at: u64) {
+        let warp = &mut self.warp_tab[w];
+        warp.ready_at = ready_at;
+        warp.unresolved = false;
+        let slot = self.slot_of[w];
+        self.sched[slot] = warp.sched_word();
+        let n = self.list.len();
+        let Some(s) = &mut self.summary else {
+            return;
+        };
+        // Position of a slot in round-robin order from the issue pointer.
+        let order = |slot: usize| (slot + n - self.rr % n) % n;
+        if ready_at < s.min_ready
+            || (ready_at == s.min_ready && s.min_slot < n && order(slot) < order(s.min_slot))
+        {
+            s.min_ready = ready_at;
+            s.min_slot = slot;
+        }
     }
 
     /// Attributes this SM's cycles in `[attributed, to)` to stall
@@ -433,11 +571,12 @@ impl<'a> SmRt<'a> {
     /// Selects an issuable warp according to the configured scheduler
     /// policy.
     ///
-    /// A *failed* selection has necessarily scanned every resident warp,
-    /// so it rebuilds and caches the SM's [`SmSummary`] in the same pass
-    /// — the run-loop gate and the stall attribution then reuse it
-    /// without a second scan. (A successful pick leaves a stale digest;
-    /// [`SmRt::issue`] invalidates it anyway.)
+    /// A *failed* selection has necessarily visited every resident warp,
+    /// so it caches the SM's [`SmSummary`] from the same pass — the
+    /// run-loop jump and the stall attribution then reuse it without a
+    /// second scan, and under round robin the next pick, at `min_ready`,
+    /// is the digest's `min_slot` (see the module docs). A successful
+    /// pick leaves a stale digest; [`SmRt::issue`] invalidates it anyway.
     pub(crate) fn pick_warp(&mut self, cycle: u64, cfg: &GpuConfig) -> Option<usize> {
         let n = self.list.len();
         if n == 0 {
@@ -446,31 +585,22 @@ impl<'a> SmRt<'a> {
         }
         match cfg.sched_policy {
             SchedPolicy::RoundRobin => {
-                let sched = &self.sched[..n];
-                let start = self.rr % n;
-                // Hot pass: pickability only, in round-robin order as
-                // two linear ranges. The summary of a scan that finds
-                // a ready warp is never consulted, so the chunk fold is
-                // deferred to the no-pick case below.
-                let mut hit = sched[start..]
-                    .iter()
-                    .position(|&v| v & SCHED_PICK_MASK <= cycle)
-                    .map(|i| start + i);
-                if hit.is_none() {
-                    hit = sched[..start]
-                        .iter()
-                        .position(|&v| v & SCHED_PICK_MASK <= cycle);
-                }
-                match hit {
-                    Some(slot) => {
-                        self.rr = slot + 1;
-                        Some(self.list[slot])
+                let slot = match self.summary {
+                    Some(s) if s.min_ready == cycle && s.min_slot < n => s.min_slot,
+                    _ => {
+                        self.scans += 1;
+                        let start = if self.rr < n { self.rr } else { self.rr % n };
+                        match scan_round_robin(&self.sched[..n], start, cycle) {
+                            Ok(slot) => slot,
+                            Err(s) => {
+                                self.summary = Some(s);
+                                return None;
+                            }
+                        }
                     }
-                    None => {
-                        self.summary = Some(fold_summary(sched));
-                        None
-                    }
-                }
+                };
+                self.rr = slot + 1;
+                Some(self.list[slot])
             }
             SchedPolicy::GreedyThenOldest => {
                 // Greedy: stick with the last warp while it stays ready.
@@ -480,6 +610,7 @@ impl<'a> SmRt<'a> {
                     }
                 }
                 // Oldest: least-recently-issued ready warp.
+                self.scans += 1;
                 let mut best: Option<usize> = None;
                 for slot in 0..n {
                     let v = self.sched[slot];
@@ -509,7 +640,14 @@ impl<'a> SmRt<'a> {
     /// resolved at the epoch barrier; until then the warp parks on the
     /// unresolved sentinel, which cannot change any scheduling decision
     /// because the shortest shared response outlives the epoch.
-    pub(crate) fn issue(&mut self, w: usize, cycle: u64, cfg: &GpuConfig, out: &mut EpochLog) {
+    pub(crate) fn issue(
+        &mut self,
+        w: usize,
+        cycle: u64,
+        cfg: &GpuConfig,
+        costs: &IssueCosts,
+        out: &mut EpochLog,
+    ) {
         // Issuing mutates this warp's state (and possibly, via barrier
         // release or CTA retirement, its whole CTA's) — all on this SM.
         // Settle the SM's deferred stall attribution under the old state
@@ -526,45 +664,33 @@ impl<'a> SmRt<'a> {
         let op = &ops[pc];
         self.warp_tab[w].pc += 1;
 
-        // Account instructions and occupancy.
-        let wi = op.warp_instructions();
-        out.warp_instructions += wi;
-        out.thread_instructions += op.thread_instructions();
-        if op.lanes() > 0 {
-            out.occupancy.record(op.lanes(), wi);
-        }
-        if let Some(space) = op.mem_space() {
-            out.mem_mix.add(space, wi);
-        }
-
+        let lanes = op.lanes() as usize;
         let ic = match op {
             TOp::Bar => 1,
-            _ => cfg.issue_cycles_for(op.lanes()),
+            _ => costs.slot[lanes],
         };
         let mut unresolved = false;
         let sm_id = self.id;
-        let push_mem =
-            |out: &mut EpochLog, segs: &mut dyn Iterator<Item = u64>, add: u32, wait: bool| {
-                let start = out.segs.len() as u32;
-                out.segs.extend(segs);
-                let end = out.segs.len() as u32;
-                if end > start {
-                    out.events.push(EvRec {
-                        cycle,
-                        sm: sm_id,
-                        seq,
-                        kind: EvKind::Mem {
-                            warp: w as u32,
-                            add,
-                            wait,
-                            segs: (start, end),
-                        },
-                    });
-                    wait
-                } else {
-                    false
-                }
-            };
+        // Logs the segments appended to `out.segs` since `start` as one
+        // request, if there are any; returns whether the warp waits.
+        let log_mem = |out: &mut EpochLog, start: usize, add: u32, wait: bool| {
+            let end = out.segs.len();
+            if end == start {
+                return false;
+            }
+            out.events.push(EvRec {
+                cycle,
+                sm: sm_id,
+                seq,
+                kind: EvKind::Mem {
+                    warp: w as u32,
+                    add,
+                    wait,
+                    segs: (start as u32, end as u32),
+                },
+            });
+            wait
+        };
         let (port_busy, ready_at) = match op {
             TOp::Alu { n, .. } => {
                 let busy = ic * *n as u64;
@@ -596,36 +722,40 @@ impl<'a> SmRt<'a> {
             TOp::Tex { segs, .. } => {
                 let done = cycle + ic + cfg.tex_latency as u64;
                 let tex = &mut self.tex;
-                let mut misses = segs
-                    .of(pool)
-                    .iter()
-                    .copied()
-                    .filter(|&seg| !tex.as_mut().is_some_and(|t| t.access(seg)));
-                unresolved = push_mem(out, &mut misses, cfg.tex_latency, true);
+                let start = out.segs.len();
+                out.segs.extend(
+                    segs.of(pool)
+                        .iter()
+                        .copied()
+                        .filter(|&seg| !tex.as_mut().is_some_and(|t| t.access(seg))),
+                );
+                unresolved = log_mem(out, start, cfg.tex_latency, true);
                 (ic, done)
             }
             TOp::Gmem { store, segs, .. } => {
+                let start = out.segs.len();
                 if *store {
                     // Stores retire through a write buffer; the warp does
                     // not wait, but bandwidth is consumed.
-                    push_mem(out, &mut segs.of(pool).iter().copied(), 0, false);
+                    out.segs.extend_from_slice(segs.of(pool));
+                    log_mem(out, start, 0, false);
                     (ic, cycle + ic + cfg.alu_latency as u64)
                 } else {
                     let mut done = cycle + ic;
                     let l1_lat = cfg.l1_latency as u64;
-                    let (l1, add) = match &mut self.l1 {
+                    let (mut l1, add) = match &mut self.l1 {
                         Some(l1) => (Some(l1), cfg.l1_latency),
                         None => (None, 0),
                     };
-                    let mut l1 = l1;
-                    let mut misses = segs.of(pool).iter().copied().filter(|&seg| {
-                        let hit = l1.as_mut().is_some_and(|l1| l1.access(seg));
-                        if hit {
-                            done = done.max(cycle + l1_lat);
-                        }
-                        !hit
-                    });
-                    unresolved = push_mem(out, &mut misses, add, true);
+                    out.segs
+                        .extend(segs.of(pool).iter().copied().filter(|&seg| {
+                            let hit = l1.as_mut().is_some_and(|l1| l1.access(seg));
+                            if hit {
+                                done = done.max(cycle + l1_lat);
+                            }
+                            !hit
+                        }));
+                    unresolved = log_mem(out, start, add, true);
                     (ic, done)
                 }
             }
@@ -656,24 +786,24 @@ impl<'a> SmRt<'a> {
             TOp::Branch { .. } | TOp::Tex { .. } | TOp::Gmem { .. } => (1, 0),
             TOp::Bar => (0, 0),
         };
-        let compact = (op.lanes().max(1) as u64).div_ceil(cfg.simd_width as u64);
-        let divergence = ic.saturating_sub(compact) * slots;
+        let divergence = costs.waste[lanes] * slots;
         self.stall.bank_conflict += bank_extra;
         self.stall.divergence += divergence;
         self.stall.issue += port_busy - bank_extra - divergence;
-        self.warp_tab[w].waiting_mem = match op {
+        let warp = &mut self.warp_tab[w];
+        warp.waiting_mem = match op {
             TOp::Gmem { store, .. } => !*store,
             _ => op.mem_space().is_some(),
         };
-        self.warp_tab[w].unresolved = unresolved;
-
+        warp.unresolved = unresolved;
+        warp.last_issue = cycle;
+        if !warp.at_barrier {
+            warp.ready_at = ready_at;
+        }
+        let word = warp.sched_word();
+        self.sched[self.slot_of[w]] = word;
         self.port_free_at = cycle.max(self.port_free_at) + port_busy;
         self.last_warp = Some(w);
-        self.warp_tab[w].last_issue = cycle;
-        if !self.warp_tab[w].at_barrier {
-            self.warp_tab[w].ready_at = ready_at;
-        }
-        self.sched[self.slot_of[w]] = self.warp_tab[w].sched_word();
         out.horizon = out.horizon.max(ready_at);
 
         // Trace drained?
@@ -683,7 +813,7 @@ impl<'a> SmRt<'a> {
     }
 
     fn arrive_barrier(&mut self, w: usize, cycle: u64) {
-        let cta_rt = self.warp_tab[w].cta_rt;
+        let cta_rt = self.warp_tab[w].cta_rt as usize;
         self.warp_tab[w].at_barrier = true;
         self.sched[self.slot_of[w]] = self.warp_tab[w].sched_word();
         self.ctas[cta_rt].arrived += 1;
@@ -716,7 +846,7 @@ impl<'a> SmRt<'a> {
             seq,
             kind: EvKind::Retire,
         });
-        let cta_rt = self.warp_tab[w].cta_rt;
+        let cta_rt = self.warp_tab[w].cta_rt as usize;
         self.ctas[cta_rt].done_warps += 1;
         if self.ctas[cta_rt].done_warps == self.ctas[cta_rt].warps.len() {
             // CTA complete. Resource release and queue pulls go through
@@ -763,13 +893,15 @@ impl<'a> SmRt<'a> {
 /// SM-major rather than cycle-major; the barrier's sort restores the
 /// canonical order.
 ///
-/// The SM's digest is refreshed lazily. After an issue the next visit
-/// is simply the cycle the issue port frees (no warp can issue sooner);
-/// if no warp is pickable there, the failed `pick_warp` scan rebuilds
-/// the digest, whose `min_ready` then jumps the idle span.
+/// After an issue the next visit is the cycle the issue port frees (no
+/// warp can issue sooner). A failed pick there leaves a fresh digest,
+/// and since the port is already free, the SM jumps straight to the
+/// digest's `min_ready`, where the failed scan has already found the
+/// pick. A digest left by the barrier jumps the same way.
 pub(crate) fn run_epoch(
     sms: &mut [SmRt<'_>],
     cfg: &GpuConfig,
+    costs: &IssueCosts,
     start: u64,
     end: u64,
     out: &mut EpochLog,
@@ -779,9 +911,17 @@ pub(crate) fn run_epoch(
         while cycle < end {
             if let Some(s) = sm.summary.filter(|s| s.min_ready > cycle) {
                 cycle = s.min_ready.max(sm.port_free_at);
-            } else if let Some(w) = sm.pick_warp(cycle, cfg) {
-                sm.issue(w, cycle, cfg, out);
-                cycle = cycle.max(sm.port_free_at);
+                continue;
+            }
+            match sm.pick_warp(cycle, cfg) {
+                Some(w) => {
+                    sm.issue(w, cycle, cfg, costs, out);
+                    cycle = cycle.max(sm.port_free_at);
+                }
+                None => {
+                    debug_assert!(sm.port_free_at <= cycle);
+                    cycle = sm.summary.map_or(u64::MAX, |s| s.min_ready);
+                }
             }
         }
     }
@@ -921,6 +1061,37 @@ mod tests {
     }
 
     #[test]
+    fn issue_cost_tables_match_the_division() {
+        let mut cfgs = vec![GpuConfig::gpgpusim_default(), GpuConfig::gtx280()];
+        for simd in [1, 3, 8, 16, 32] {
+            for compaction in [false, true] {
+                let mut cfg = GpuConfig::gpgpusim_default();
+                cfg.simd_width = simd;
+                cfg.lane_compaction = compaction;
+                cfgs.push(cfg);
+            }
+        }
+        for cfg in &cfgs {
+            let costs = IssueCosts::new(cfg);
+            for lanes in 0..256u32 {
+                let slot = cfg.issue_cycles_for(lanes);
+                let compact = (lanes.max(1) as u64).div_ceil(cfg.simd_width as u64);
+                assert_eq!(costs.slot[lanes as usize], slot, "{lanes} lanes");
+                assert_eq!(
+                    costs.waste[lanes as usize],
+                    slot.saturating_sub(compact),
+                    "{lanes} lanes"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_warp_fits_one_cache_line() {
+        assert_eq!(std::mem::size_of::<WarpRt<'_>>(), 64);
+    }
+
+    #[test]
     fn unresolved_warp_parks_on_the_sentinel() {
         let w = WarpRt {
             cta_rt: 0,
@@ -996,6 +1167,63 @@ mod prop_tests {
             prop_assert_eq!(folded.any_live, r.any_live);
             prop_assert_eq!(folded.any_mem, r.any_mem);
             prop_assert_eq!(folded.all_barrier, r.all_barrier);
+        }
+
+        /// The one-pass round-robin pick, and the pick a failed scan
+        /// predicts for `min_ready`, equal a plain linear round-robin
+        /// search. Ready cycles are drawn from a narrow range so that
+        /// several warps often tie on the earliest one.
+        #[test]
+        fn round_robin_pick_matches_a_linear_search(
+            raw in proptest::collection::vec((0u8..5, 0u64..24), 1..40),
+            rr in 0usize..90,
+            cycle in 0u64..24,
+        ) {
+            let words: Vec<u64> = raw
+                .iter()
+                .map(|&(kind, r)| match kind {
+                    0 => SCHED_DONE,
+                    1 => SCHED_BARRIER,
+                    2 => r | SCHED_MEM,
+                    3 => SCHED_READY_MASK | SCHED_MEM, // unresolved sentinel
+                    _ => r,
+                })
+                .collect();
+            let n = words.len();
+            // Warp ids differ from slots, as after a compaction.
+            let cfg = GpuConfig::gpgpusim_default();
+            let mut sm = SmRt::new(0, &cfg);
+            sm.list = (0..n).map(|slot| 100 + slot).collect();
+            sm.sched = words.clone();
+            sm.rr = rr;
+            let linear = |at: u64| {
+                (0..n)
+                    .map(|i| (rr + i) % n)
+                    .find(|&slot| words[slot] & SCHED_PICK_MASK <= at)
+            };
+            let picked = sm.pick_warp(cycle, &cfg);
+            prop_assert_eq!(picked, linear(cycle).map(|slot| 100 + slot));
+            prop_assert_eq!(sm.scans, 1);
+            if let Some(w) = picked {
+                prop_assert_eq!(sm.rr, w - 100 + 1);
+                return Ok(());
+            }
+            // A failed scan leaves the fold's digest...
+            let s = sm.summary.expect("a failed scan caches the digest");
+            let folded = fold_summary(&words);
+            prop_assert_eq!(s.min_ready, folded.min_ready);
+            prop_assert_eq!(s.any_live, folded.any_live);
+            prop_assert_eq!(s.any_mem, folded.any_mem);
+            prop_assert_eq!(s.all_barrier, folded.all_barrier);
+            prop_assert!(s.min_ready > cycle);
+            if s.min_ready == u64::MAX {
+                prop_assert_eq!(s.min_slot, NO_SLOT);
+                return Ok(());
+            }
+            // ... and the pick at `min_ready` needs no second scan.
+            let predicted = sm.pick_warp(s.min_ready, &cfg);
+            prop_assert_eq!(predicted, linear(s.min_ready).map(|slot| 100 + slot));
+            prop_assert_eq!(sm.scans, 1);
         }
     }
 }

@@ -5,12 +5,15 @@
 //! [`KernelTrace`] — the per-warp operation streams that the timing model
 //! in [`crate::gpu`] replays.
 
+use std::sync::OnceLock;
+
 use crate::config::GpuConfig;
 use crate::error::SimError;
 use crate::isa::{ActiveMask, SegRange, TOp};
 use crate::kernel::{Kernel, PhaseControl, WarpCtx};
 use crate::memory::GpuMem;
 use crate::sanitizer::{BarrierRecord, LaunchTape, TapeEvent};
+use crate::stats::{MemMix, OccupancyHistogram};
 
 /// The trace of one warp: its operation stream, with barriers inline,
 /// and the one segment pool its memory ops index into. Capture and the
@@ -42,6 +45,10 @@ pub struct CtaTrace {
 }
 
 /// A complete captured kernel launch.
+///
+/// Equality compares the captured fields only: the cached
+/// [`KernelTrace::totals`] never takes part, so launch interning and
+/// the capture goldens see the same traces as before they were counted.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelTrace {
     /// Kernel name.
@@ -56,27 +63,128 @@ pub struct KernelTrace {
     pub shared_bytes_per_cta: u32,
     /// Warp size the trace was captured with.
     pub warp_size: usize,
+    /// The trace's [`TraceTotals`], counted on first use.
+    totals: TotalsCache,
 }
 
-impl KernelTrace {
-    /// Total scalar (thread-level) instructions in the trace.
-    pub fn thread_instructions(&self) -> u64 {
-        self.ctas
+/// Everything a replay reports that no configuration can change: every
+/// op of a trace issues exactly once, whatever the machine, so these
+/// sums are counted once per trace instead of on every issue.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TraceTotals {
+    /// Scalar (thread-level) instructions.
+    pub thread_instructions: u64,
+    /// Warp-level instructions.
+    pub warp_instructions: u64,
+    /// Memory instructions by space, weighted by warp instructions.
+    pub mem_mix: MemMix,
+    /// Warp instructions by active-lane count.
+    pub occupancy: OccupancyHistogram,
+}
+
+impl TraceTotals {
+    /// Zero totals for warps of `warp_size` lanes.
+    pub(crate) fn empty(warp_size: usize) -> TraceTotals {
+        TraceTotals {
+            thread_instructions: 0,
+            warp_instructions: 0,
+            mem_mix: MemMix::default(),
+            occupancy: OccupancyHistogram::new(warp_size),
+        }
+    }
+
+    /// Counts `trace` op by op.
+    fn count(trace: &KernelTrace) -> TraceTotals {
+        let mut t = TraceTotals::empty(trace.warp_size);
+        for op in trace
+            .ctas
             .iter()
             .flat_map(|c| &c.warps)
             .flat_map(|w| &w.ops)
-            .map(TOp::thread_instructions)
-            .sum()
+        {
+            let wi = op.warp_instructions();
+            t.warp_instructions += wi;
+            t.thread_instructions += op.thread_instructions();
+            if op.lanes() > 0 {
+                t.occupancy.record(op.lanes(), wi);
+            }
+            if let Some(space) = op.mem_space() {
+                t.mem_mix.add(space, wi);
+            }
+        }
+        t
+    }
+
+    /// Adds another trace's totals into these.
+    pub(crate) fn merge(&mut self, other: &TraceTotals) {
+        self.thread_instructions += other.thread_instructions;
+        self.warp_instructions += other.warp_instructions;
+        self.mem_mix.merge(&other.mem_mix);
+        self.occupancy.merge(&other.occupancy);
+    }
+}
+
+/// The lazily filled [`TraceTotals`] of one trace. It is not part of
+/// what a trace *is*: every cache compares equal, and a clone starts
+/// empty, so a copy that is edited before its first replay (as the
+/// fault harness edits one) is counted afresh.
+#[derive(Debug, Default)]
+struct TotalsCache(OnceLock<TraceTotals>);
+
+impl Clone for TotalsCache {
+    fn clone(&self) -> Self {
+        TotalsCache::default()
+    }
+}
+
+impl PartialEq for TotalsCache {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+impl KernelTrace {
+    /// A trace of `ctas` with the given launch geometry and resources.
+    pub fn new(
+        name: String,
+        ctas: Vec<CtaTrace>,
+        threads_per_block: usize,
+        regs_per_thread: u32,
+        shared_bytes_per_cta: u32,
+        warp_size: usize,
+    ) -> KernelTrace {
+        KernelTrace {
+            name,
+            ctas,
+            threads_per_block,
+            regs_per_thread,
+            shared_bytes_per_cta,
+            warp_size,
+            totals: TotalsCache::default(),
+        }
+    }
+
+    /// The trace's instruction totals, counted on the first call and
+    /// reused by every later replay. The trace must not be edited in
+    /// place after that first call; debug builds recount and assert.
+    pub fn totals(&self) -> &TraceTotals {
+        let totals = self.totals.0.get_or_init(|| TraceTotals::count(self));
+        debug_assert!(
+            *totals == TraceTotals::count(self),
+            "{}: cached totals are stale",
+            self.name
+        );
+        totals
+    }
+
+    /// Total scalar (thread-level) instructions in the trace.
+    pub fn thread_instructions(&self) -> u64 {
+        self.totals().thread_instructions
     }
 
     /// Total warp-level instructions in the trace.
     pub fn warp_instructions(&self) -> u64 {
-        self.ctas
-            .iter()
-            .flat_map(|c| &c.warps)
-            .flat_map(|w| &w.ops)
-            .map(TOp::warp_instructions)
-            .sum()
+        self.totals().warp_instructions
     }
 
     /// Total warp-level operations (including barriers).
@@ -241,14 +349,14 @@ pub(crate) fn try_trace_kernel_with(
         ctas.push(CtaTrace { warps: traces });
     }
 
-    let trace = KernelTrace {
-        name: kernel.name().to_string(),
+    let trace = KernelTrace::new(
+        kernel.name().to_string(),
         ctas,
-        threads_per_block: shape.threads_per_block,
-        regs_per_thread: kernel.regs_per_thread(),
-        shared_bytes_per_cta: kernel.shared_bytes(),
+        shape.threads_per_block,
+        kernel.regs_per_thread(),
+        kernel.shared_bytes(),
         warp_size,
-    };
+    );
     // Once per launch, not per op: with the `simt.trace.*` spans this
     // gives capture time per warp op.
     obs::Registry::global().add("simt.trace.warp_ops", trace.total_ops() as u64);

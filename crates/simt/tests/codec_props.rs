@@ -67,14 +67,14 @@ fn kitchen_sink() -> KernelTrace {
         TOp::Branch { lanes: 32 },
         TOp::Bar,
     ];
-    KernelTrace {
-        name: "kitchen-sink".to_string(),
-        ctas: vec![CtaTrace { warps: vec![warp] }],
-        threads_per_block: 32,
-        regs_per_thread: 21,
-        shared_bytes_per_cta: 2048,
-        warp_size: 32,
-    }
+    KernelTrace::new(
+        "kitchen-sink".to_string(),
+        vec![CtaTrace { warps: vec![warp] }],
+        32,
+        21,
+        2048,
+        32,
+    )
 }
 
 /// A real capture payload: a functional-run trace plus the kitchen sink.

@@ -145,7 +145,7 @@ pub(crate) fn entry_header(key: &str, payload: &[u8]) -> Vec<u8> {
 ///
 /// # Panics
 ///
-/// As [`entry_header`].
+/// As `entry_header`.
 pub fn encode_entry(key: &str, payload: &[u8]) -> Vec<u8> {
     let mut out = entry_header(key, payload);
     out.extend_from_slice(payload);

@@ -17,7 +17,10 @@
 //!
 //! Appends are `fsync`ed: once [`Journal::append`] returns, that
 //! record survives SIGKILL and power loss, which is the property the
-//! `repro --resume` kill-mid-run test leans on.
+//! `repro --resume` kill-mid-run test leans on. A finished study may
+//! [`Journal::rewrite`] its records in a canonical order (a temp file,
+//! `fsync`ed and renamed over the journal), so that two stores written
+//! by the same study hold the same bytes.
 
 use std::collections::BTreeMap;
 use std::fs::{self, OpenOptions};
@@ -29,6 +32,7 @@ use obs::Json;
 
 use crate::entry::fnv1a64;
 use crate::error::StoreError;
+use crate::store::write_atomic;
 
 /// Schema tag written into every journal header.
 pub const JOURNAL_SCHEMA: &str = "rodinia-repro.journal/v1";
@@ -37,6 +41,8 @@ pub const JOURNAL_SCHEMA: &str = "rodinia-repro.journal/v1";
 #[derive(Debug)]
 pub struct Journal {
     path: PathBuf,
+    /// Line 0: the schema and study key.
+    header: Json,
     file: Mutex<fs::File>,
 }
 
@@ -93,13 +99,14 @@ impl Journal {
             .map_err(|e| StoreError::io(path, &e))?;
         let journal = Journal {
             path: path.to_path_buf(),
+            header: Json::obj(vec![
+                ("schema", Json::from(JOURNAL_SCHEMA)),
+                ("study", Json::from(study_key)),
+            ]),
             file: Mutex::new(file),
         };
         if valid_len == 0 {
-            journal.append(&Json::obj(vec![
-                ("schema", Json::from(JOURNAL_SCHEMA)),
-                ("study", Json::from(study_key)),
-            ]))?;
+            journal.append(&journal.header)?;
         }
         Ok((journal, records))
     }
@@ -118,16 +125,48 @@ impl Journal {
     /// decides whether that degrades the study (it should not — a
     /// journal that stops accepting records only costs resumability).
     pub fn append(&self, record: &Json) -> Result<(), StoreError> {
-        let text = record.to_string();
-        let line = format!("{:016x}\t{text}\n", fnv1a64(text.as_bytes()));
         let mut f = self
             .file
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        f.write_all(line.as_bytes())
+        f.write_all(line(record).as_bytes())
             .and_then(|()| f.sync_data())
             .map_err(|e| StoreError::io(&self.path, &e))
     }
+
+    /// Replaces the journal's records with `records`, in that order,
+    /// under the same header. The new journal is written to a temp
+    /// file, `fsync`ed and renamed over the old one, so a crash leaves
+    /// one or the other, never a mix; later appends go to the new file.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] if the temp file cannot be written or
+    /// renamed, or the new journal cannot be reopened for appends.
+    pub fn rewrite(&self, records: &[Json]) -> Result<(), StoreError> {
+        let text: String = std::iter::once(&self.header)
+            .chain(records)
+            .map(line)
+            .collect();
+        let dir = self.path.parent().unwrap_or(Path::new(""));
+        let name = self.path.file_name().unwrap_or_default().to_string_lossy();
+        let mut f = self
+            .file
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        write_atomic(dir, &name, text.as_bytes())?;
+        *f = OpenOptions::new()
+            .append(true)
+            .open(&self.path)
+            .map_err(|e| StoreError::io(&self.path, &e))?;
+        Ok(())
+    }
+}
+
+/// One journal line: the record's checksum, a tab, the record.
+fn line(record: &Json) -> String {
+    let text = record.to_string();
+    format!("{:016x}\t{text}\n", fnv1a64(text.as_bytes()))
 }
 
 /// Parses the longest valid line prefix of `text`, returning the
@@ -208,11 +247,33 @@ impl SweepJournal {
     ///
     /// As [`Journal::append`].
     pub fn record(&self, i: usize, response: f64) -> Result<(), StoreError> {
-        self.inner.append(&Json::obj(vec![
-            ("i", Json::u64(i as u64)),
-            ("bits", Json::from(format!("{:016x}", response.to_bits()))),
-        ]))
+        self.inner.append(&sweep_record(i, response))
     }
+
+    /// Rewrites the journal of a finished sweep in index order, where
+    /// `responses[i]` is job `i`'s. Parallel jobs append in completion
+    /// order, which differs run to run; the rewrite leaves the same
+    /// bytes whatever that order was.
+    ///
+    /// # Errors
+    ///
+    /// As [`Journal::rewrite`].
+    pub fn finish(&self, responses: &[f64]) -> Result<(), StoreError> {
+        let records: Vec<Json> = responses
+            .iter()
+            .enumerate()
+            .map(|(i, &r)| sweep_record(i, r))
+            .collect();
+        self.inner.rewrite(&records)
+    }
+}
+
+/// The journal record of job `i`'s response.
+fn sweep_record(i: usize, response: f64) -> Json {
+    Json::obj(vec![
+        ("i", Json::u64(i as u64)),
+        ("bits", Json::from(format!("{:016x}", response.to_bits()))),
+    ])
 }
 
 #[cfg(test)]
@@ -348,5 +409,43 @@ mod tests {
         assert_eq!(done[&0].to_bits(), awkward.to_bits(), "bit-exact resume");
         assert_eq!(done[&7], 1.0e18);
         let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn finished_sweep_journal_is_in_index_order() {
+        let responses = [3.5, 0.1f64 + 0.2, 1.0e18, -2.0];
+        // Completion order, as parallel jobs append, against index order.
+        let shuffled = test_path("shuffled.sweep");
+        let ordered = test_path("ordered.sweep");
+        {
+            let (j, _) = SweepJournal::open(&shuffled, "pb/v1").expect("open");
+            for i in [2, 0, 3, 1] {
+                j.record(i, responses[i]).expect("record");
+            }
+            j.finish(&responses).expect("finish");
+            // Appends after the rewrite land in the new file.
+            j.record(4, 9.0).expect("record after finish");
+            let (o, _) = SweepJournal::open(&ordered, "pb/v1").expect("open");
+            for (i, &r) in responses.iter().enumerate() {
+                o.record(i, r).expect("record");
+            }
+            o.record(4, 9.0).expect("record");
+        }
+        let text = fs::read_to_string(&shuffled).expect("read");
+        assert_eq!(text, fs::read_to_string(&ordered).expect("read"));
+        let (_, done) = SweepJournal::open(&shuffled, "pb/v1").expect("reopen");
+        assert_eq!(done.len(), 5, "every record verifies after the rewrite");
+        assert_eq!(done[&1].to_bits(), responses[1].to_bits());
+        let dir = shuffled.parent().expect("dir");
+        assert!(
+            fs::read_dir(dir).expect("list").all(|e| !e
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .starts_with(".tmp-")),
+            "no temp file is left behind"
+        );
+        let _ = fs::remove_file(&shuffled);
+        let _ = fs::remove_file(&ordered);
     }
 }

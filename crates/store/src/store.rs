@@ -149,7 +149,7 @@ impl TraceStore {
 
     /// Loads and verifies `key`'s entry, returning its payload. The
     /// header and the payload are read into separate buffers
-    /// ([`read_entry`]), so the payload is returned in the buffer it
+    /// (`read_entry`), so the payload is returned in the buffer it
     /// was read into, not copied out of the whole file.
     ///
     /// `None` means "capture instead": the entry is absent, unreadable

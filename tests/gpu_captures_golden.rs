@@ -15,8 +15,9 @@
 //! computed; an intended capture change re-blesses by replacing the
 //! file with that table.
 //!
-//! A second test checks the sanitizer's promise that taping a launch
-//! never changes what it records.
+//! Two more tests check the sanitizer's promise that taping a launch
+//! never changes what it records, and that every capture's cached
+//! instruction totals equal its per-op sums.
 
 use std::sync::{Arc, Mutex};
 
@@ -24,8 +25,11 @@ use rodinia_repro::datasets::Scale;
 use rodinia_repro::rodinia_gpu::leukocyte::Leukocyte;
 use rodinia_repro::rodinia_gpu::srad::Srad;
 use rodinia_repro::rodinia_gpu::suite::all_benchmarks;
+use rodinia_repro::rodinia_study::trace_cache::CapturedRun;
 use rodinia_repro::rodinia_study::trace_cache::{CaptureFingerprint, TraceCache};
-use rodinia_repro::simt::{encode_capture_payload, Gpu, GpuConfig, KernelTrace};
+use rodinia_repro::simt::{
+    encode_capture_payload, Gpu, GpuConfig, KernelTrace, MemMix, OccupancyHistogram,
+};
 use rodinia_repro::store::fnv1a64;
 
 const GOLDEN: &str = include_str!("golden/gpu_captures.txt");
@@ -36,9 +40,9 @@ fn fingerprint(cfg: &GpuConfig) -> String {
     format!("w{}b{}s{}", fp.warp_size, fp.shared_banks, fp.segment_bytes)
 }
 
-/// Captures every Tiny workload and renders the `label fingerprint
-/// digest` table.
-fn digest_table() -> String {
+/// Captures every Tiny workload: its label, capture configuration and
+/// captured run.
+fn tiny_captures() -> Vec<(String, GpuConfig, Arc<CapturedRun>)> {
     let cache = TraceCache::new();
     let base = GpuConfig::gpgpusim_default();
     let mut runs = Vec::new();
@@ -56,9 +60,13 @@ fn digest_table() -> String {
         Leukocyte::v1(Scale::Tiny).run(gpu)
     });
     runs.push(("LC-v1".to_string(), base.clone(), lc.expect("capture")));
+    runs
+}
 
+/// Renders the `label fingerprint digest` table of every Tiny capture.
+fn digest_table() -> String {
     let mut table = String::new();
-    for (label, cfg, run) in runs {
+    for (label, cfg, run) in tiny_captures() {
         let payload = encode_capture_payload(&run.traces, run.h2d_bytes, run.d2h_bytes);
         let digest = fnv1a64(&payload);
         table.push_str(&format!("{label} {} {digest:016x}\n", fingerprint(&cfg)));
@@ -120,6 +128,41 @@ fn sanitizer_taping_leaves_every_capture_unchanged() {
                 "{name} on {}: taped traces differ from untaped ones",
                 cfg.name
             );
+        }
+    }
+}
+
+#[test]
+fn cached_totals_equal_the_per_op_sums_of_every_tiny_capture() {
+    let captures = tiny_captures();
+    assert_eq!(captures.len(), 26);
+    for (label, cfg, run) in &captures {
+        for trace in &run.traces {
+            let (mut threads, mut warps) = (0, 0);
+            let mut mix = MemMix::default();
+            let mut occupancy = OccupancyHistogram::new(trace.warp_size);
+            for op in trace
+                .ctas
+                .iter()
+                .flat_map(|c| &c.warps)
+                .flat_map(|w| &w.ops)
+            {
+                let wi = op.warp_instructions();
+                warps += wi;
+                threads += op.thread_instructions();
+                if op.lanes() > 0 {
+                    occupancy.record(op.lanes(), wi);
+                }
+                if let Some(space) = op.mem_space() {
+                    mix.add(space, wi);
+                }
+            }
+            let totals = trace.totals();
+            let at = format!("{label} on {}: {}", cfg.name, trace.name);
+            assert_eq!(totals.thread_instructions, threads, "{at}");
+            assert_eq!(totals.warp_instructions, warps, "{at}");
+            assert_eq!(totals.mem_mix, mix, "{at}");
+            assert_eq!(totals.occupancy, occupancy, "{at}");
         }
     }
 }

@@ -4,12 +4,14 @@
 //! Where `repro check` reports what one launch *did* (dynamic checkers
 //! over a concrete tape), `repro audit` proves what every launch *must
 //! do*: for each benchmark it runs the corpus at **tiny** scale on a
-//! fresh device with the sanitizer sink installed (directly, like
-//! `repro check`, but recording no traces; the session's trace cache
-//! and store are never touched), fits an affine access contract
+//! fresh device with a [`sanitize::ContractFitter`] as its sanitizer
+//! sink (directly, like `repro check`, but recording no traces; the
+//! session's trace cache and store are never touched), which folds each
+//! access into its op site's evidence as it executes and then fits an
+//! affine access contract
 //! `addr = c0 + c1·lane + c2·warp + c3·block + c4·phase + c5·launch`
-//! per static op site ([`sanitize::infer_contracts`], falling back to
-//! interval summaries where no affine form exists), and runs the
+//! per static op site (falling back to interval summaries where no
+//! affine form exists), and runs the
 //! integer-constraint checker ([`sanitize::check_contracts`]) proving
 //! race-freedom between barrier intervals, in-bounds access, and
 //! coalescing/bank-conflict degrees symbolically — for all grid
@@ -31,12 +33,12 @@ use std::path::{Path, PathBuf};
 use datasets::Scale;
 use obs::Json;
 use sanitize::{
-    check_contracts, compare_scales, contracts_json, findings_json, infer_contracts, Finding, Form,
+    check_contracts, compare_scales, contracts_json, findings_json, ContractFitter, Finding, Form,
     KernelContract,
 };
 use simt::GpuConfig;
 
-use crate::check::{sanitized_capture, suite_targets, BenchFindings, FindingsReport};
+use crate::check::{sanitized_run, suite_targets, BenchFindings, FindingsReport};
 use crate::engine::StudySession;
 use crate::error::StudyError;
 use crate::report::Table;
@@ -175,7 +177,7 @@ impl Verdict for AuditReport {
 /// symbolically. When `scale` is larger, the corpus also runs at
 /// `scale` and each benchmark's contracts are cross-validated for
 /// pattern-class stability. Every run is direct
-/// (`sanitized_capture`, no trace recording), so the session's trace
+/// (`sanitized_run`, no trace recording), so the session's trace
 /// cache and store are left untouched. Jobs fan out across the
 /// session's workers.
 ///
@@ -191,12 +193,13 @@ pub fn run_audit(session: &StudySession, scale: Scale) -> Result<AuditReport, St
     let benches = session.run_indexed(tiny_targets.len(), |i| {
         let target = &tiny_targets[i];
         let _span = obs::span!("audit.{}", target.label);
-        // Each scale's tapes live only until its contracts are fitted,
-        // and the samples only until the proofs have read them, so at
-        // most one scale's evidence is resident at a time.
+        // Accesses are folded as they execute, and the samples live
+        // only until the proofs have read them, so at most one scale's
+        // bounded evidence is resident at a time.
         let infer = |target| -> Result<Vec<KernelContract>, StudyError> {
-            let (tapes, _) = sanitized_capture(&cfg, target, false, session.records())?;
-            Ok(infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes))
+            let fitter = ContractFitter::new(cfg.shared_banks, cfg.segment_bytes);
+            let (fitter, _) = sanitized_run(&cfg, target, fitter, false, session.records())?;
+            Ok(fitter.finish())
         };
         let mut contracts = infer(target)?;
         let mut findings = check_contracts(&contracts);

@@ -1,10 +1,11 @@
 //! The `repro check` driver: the full suite through the sanitizer.
 //!
 //! For every suite benchmark (and the Table III incremental variants),
-//! this runs the workload once on a fresh [`Gpu`] with a sanitizer sink
-//! installed and trace recording on (`sanitized_capture`), runs the
-//! [`sanitize::Analyzer`] dynamic checkers over the collected launch
-//! tapes, and runs the access-shape lints over the recorded kernel
+//! this runs the workload once on a fresh [`Gpu`] with the
+//! [`sanitize::Analyzer`] installed as its sanitizer sink and trace
+//! recording on (`sanitized_run`), so the dynamic checkers fold each
+//! access as it executes and no launch's events are held, and runs the
+//! access-shape lints over the recorded kernel
 //! traces (merged per kernel across launches, so thresholds see
 //! whole-kernel statistics). The run is direct: it neither reads nor
 //! fills the session's trace cache or store, so the report never
@@ -21,7 +22,7 @@
 //! finding lines, and the manifest section.
 
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 use datasets::Scale;
 use obs::Json;
@@ -30,7 +31,7 @@ use sanitize::{
     error_count, findings_json, lint_trace, warning_count, Analyzer, Finding, KernelLintMetrics,
     LintConfig,
 };
-use simt::{Gpu, GpuConfig, KernelStats, KernelTrace, LaunchTape};
+use simt::{Gpu, GpuConfig, KernelStats, KernelTrace, TapeSink};
 
 use crate::engine::StudySession;
 use crate::error::StudyError;
@@ -314,36 +315,34 @@ pub(crate) fn suite_targets(scale: Scale) -> Vec<CheckTarget> {
     targets
 }
 
-/// Runs one target on a fresh [`Gpu`] with a sanitizer sink installed
-/// and returns its launch tapes, plus its recorded traces in launch
-/// order when `record_traces` is set (empty otherwise), publishing
-/// into `records`.
-pub(crate) fn sanitized_capture(
+/// Runs one target on a fresh [`Gpu`] with `sink` installed as its
+/// sanitizer sink and returns the sink, plus the recorded traces in
+/// launch order when `record_traces` is set (empty otherwise),
+/// publishing into `records`.
+pub(crate) fn sanitized_run<S: TapeSink>(
     cfg: &GpuConfig,
     target: &CheckTarget,
+    sink: S,
     record_traces: bool,
     records: &Arc<obs::Records>,
-) -> Result<(Vec<LaunchTape>, Vec<Arc<KernelTrace>>), StudyError> {
-    let tapes: Arc<Mutex<Vec<LaunchTape>>> = Arc::default();
-    let sink = Arc::clone(&tapes);
+) -> Result<(S, Vec<Arc<KernelTrace>>), StudyError> {
     let mut gpu = Gpu::try_new(cfg.clone())?;
     gpu.set_records(Arc::clone(records));
     gpu.set_trace_recording(record_traces);
-    gpu.set_sanitizer_sink(move |tape| {
-        sink.lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(tape);
-    });
+    gpu.set_tape_sink(Box::new(sink));
     (target.run)(&mut gpu);
     let traces = gpu.take_recorded_traces();
-    let tapes = std::mem::take(&mut *tapes.lock().unwrap_or_else(PoisonError::into_inner));
-    Ok((tapes, traces))
+    let sink = gpu
+        .take_tape_sink()
+        .expect("no target installs a sanitizer sink of its own");
+    Ok((sink, traces))
 }
 
 /// Runs the sanitizer across the suite and the incremental variants.
 ///
-/// Each target runs once, directly (`sanitized_capture`); the
-/// checkers and lints then run over its tapes and traces. Jobs fan out
+/// Each target runs once, directly (`sanitized_run`), with the
+/// checkers folding its accesses as they execute; the lints then run
+/// over its traces. Jobs fan out
 /// across the session's workers; the session's trace cache and store
 /// are left untouched.
 ///
@@ -359,11 +358,8 @@ pub fn run_check(session: &StudySession, scale: Scale) -> Result<CheckReport, St
     let benches = session.run_indexed(targets.len(), |i| {
         let target = &targets[i];
         let _span = obs::span!("check.{}", target.label);
-        let (tapes, traces) = sanitized_capture(&cfg, target, true, session.records())?;
-        let mut analyzer = Analyzer::new();
-        for tape in &tapes {
-            analyzer.observe(tape);
-        }
+        let (analyzer, traces) =
+            sanitized_run(&cfg, target, Analyzer::new(), true, session.records())?;
         let launches = analyzer.launches();
         let mut findings = analyzer.finish();
         let mut metrics = Vec::new();

@@ -28,6 +28,7 @@
 //! the one store-backed path in [`CaptureCache`].
 
 use std::hash::Hash;
+use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -290,8 +291,8 @@ trait Persisted {
     type Key;
     /// The store key of `key`'s entry.
     fn store_key(key: &Self::Key) -> String;
-    /// The store payload.
-    fn encode(&self) -> Vec<u8>;
+    /// Writes the store payload to `out`, a chunk at a time.
+    fn encode(&self, out: &mut dyn Write) -> io::Result<()>;
 }
 
 impl<K, V> Default for CaptureCache<K, V> {
@@ -366,30 +367,35 @@ impl<K: Eq + Hash, V> CaptureCache<K, V> {
     }
 
     /// [`CaptureCache::fetch`] at `key`, keeping the result resident.
-    fn restore_or_capture(
+    fn restore_or_capture<D>(
         &self,
         key: K,
-        restore: impl FnOnce(&[u8]) -> Result<V, String>,
+        decode: impl FnMut(&mut dyn Read, usize) -> Result<D, String>,
+        restore: impl FnOnce(D) -> Result<V, String>,
         capture: impl FnOnce() -> Result<V, StudyError>,
     ) -> Result<Arc<V>, StudyError>
     where
         V: Persisted<Key = K>,
     {
         let skey = V::store_key(&key);
-        self.get_or_capture(key, || self.fetch(&skey, restore, capture))
+        self.get_or_capture(key, || self.fetch(&skey, decode, restore, capture))
     }
 
     /// The one restore-or-capture path: restores the store entry `skey`
-    /// or captures afresh. With a store attached, a verified entry goes
-    /// through `restore` — the side-specific decode-and-validate step. Any `restore` failure
-    /// (codec rejection, semantic staleness) quarantines the entry
-    /// with its reason exactly like bit rot, because a stale payload
-    /// must never reach a results table. Otherwise `capture` runs and
-    /// its result is persisted for the next process.
-    fn fetch(
+    /// or captures afresh. With a store attached, the entry's payload is
+    /// decoded by `decode` as it is read (the side-specific codec), and
+    /// the decoded value, once the entry has verified, goes through
+    /// `restore` — the side-specific validate step. Any `decode` or
+    /// `restore` failure (codec rejection, semantic staleness)
+    /// quarantines the entry with its reason exactly like bit rot,
+    /// because a stale payload must never reach a results table.
+    /// Otherwise `capture` runs and its result is persisted, encoded a
+    /// chunk at a time, for the next process.
+    fn fetch<D>(
         &self,
         skey: &str,
-        restore: impl FnOnce(&[u8]) -> Result<V, String>,
+        decode: impl FnMut(&mut dyn Read, usize) -> Result<D, String>,
+        restore: impl FnOnce(D) -> Result<V, String>,
         capture: impl FnOnce() -> Result<V, StudyError>,
     ) -> Result<V, StudyError>
     where
@@ -397,8 +403,8 @@ impl<K: Eq + Hash, V> CaptureCache<K, V> {
     {
         let store = self.store();
         if let Some(store) = &store {
-            if let Some(payload) = store.load(skey) {
-                match restore(&payload) {
+            if let Some(decoded) = store.load_with(skey, decode) {
+                match restore(decoded) {
                     Ok(restored) => {
                         self.restores.fetch_add(1, Ordering::Relaxed);
                         return Ok(restored);
@@ -410,7 +416,7 @@ impl<K: Eq + Hash, V> CaptureCache<K, V> {
         self.captures.fetch_add(1, Ordering::Relaxed);
         let captured = capture()?;
         if let Some(store) = &store {
-            store.save_or_warn(skey, &captured.encode());
+            store.save_or_warn(skey, |out| captured.encode(out));
         }
         Ok(captured)
     }
@@ -423,8 +429,8 @@ impl Persisted for CapturedRun {
         key.store_key()
     }
 
-    fn encode(&self) -> Vec<u8> {
-        simt::encode_capture_payload(&self.traces, self.h2d_bytes, self.d2h_bytes)
+    fn encode(&self, out: &mut dyn Write) -> io::Result<()> {
+        simt::write_capture_payload(&self.traces, self.h2d_bytes, self.d2h_bytes, out)
     }
 }
 
@@ -462,7 +468,8 @@ impl TraceCache {
         };
         self.restore_or_capture(
             key,
-            |payload| restore_gpu_run(payload, cfg, &self.replay.options()),
+            decode_gpu_run,
+            |decoded| restore_gpu_run(decoded, cfg, &self.replay.options()),
             || {
                 let _span = obs::span!("trace_cache.capture.{name}");
                 let mut gpu = Gpu::try_new(cfg.clone())?;
@@ -482,15 +489,18 @@ impl TraceCache {
     }
 }
 
-/// Decodes and re-times a persisted GPU capture; `Err` is the
+/// Decodes a persisted GPU capture as the store reads it; `Err` is the
 /// quarantine reason.
+fn decode_gpu_run(src: &mut dyn Read, len: usize) -> Result<simt::DecodedCapture, String> {
+    simt::read_capture_payload(src, len).map_err(|e| format!("payload: {e}"))
+}
+
+/// Re-times a decoded GPU capture; `Err` is the quarantine reason.
 fn restore_gpu_run(
-    payload: &[u8],
+    (traces, h2d_bytes, d2h_bytes): simt::DecodedCapture,
     cfg: &GpuConfig,
     opts: &ReplayOptions<'_>,
 ) -> Result<CapturedRun, String> {
-    let (traces, h2d_bytes, d2h_bytes) =
-        simt::decode_capture_payload(payload).map_err(|e| format!("payload: {e}"))?;
     if traces.is_empty() {
         return Err("payload records no launches".to_string());
     }
@@ -574,8 +584,8 @@ impl Persisted for CpuCapture {
         key.store_key()
     }
 
-    fn encode(&self) -> Vec<u8> {
-        tracekit::encode_capture(self)
+    fn encode(&self, out: &mut dyn Write) -> io::Result<()> {
+        tracekit::write_capture(self, out)
     }
 }
 
@@ -594,7 +604,8 @@ impl CpuTraceCache {
         let fingerprint = CpuCaptureFingerprint::of(cfg);
         self.restore_or_capture(
             CpuTraceKey::new(label, scale, fingerprint),
-            |payload| restore_cpu_capture(payload, &fingerprint),
+            decode_cpu_capture,
+            |cap| restore_cpu_capture(cap, &fingerprint),
             || Ok(CpuCapture::capture(workload, cfg)?),
         )
     }
@@ -618,17 +629,23 @@ impl CpuTraceCache {
         }
         self.fetch(
             &key.store_key(),
-            |payload| restore_cpu_capture(payload, &fingerprint),
+            decode_cpu_capture,
+            |cap| restore_cpu_capture(cap, &fingerprint),
             || Ok(CpuCapture::capture(workload, cfg)?),
         )
         .map(Arc::new)
     }
 }
 
-/// Decodes a persisted CPU capture and checks its replay geometry;
-/// `Err` is the quarantine reason.
-fn restore_cpu_capture(payload: &[u8], fp: &CpuCaptureFingerprint) -> Result<CpuCapture, String> {
-    let cap = tracekit::decode_capture(payload).map_err(|e| format!("payload: {e}"))?;
+/// Decodes a persisted CPU capture as the store reads it; `Err` is the
+/// quarantine reason.
+fn decode_cpu_capture(src: &mut dyn Read, len: usize) -> Result<CpuCapture, String> {
+    tracekit::read_capture(src, len).map_err(|e| format!("payload: {e}"))
+}
+
+/// Checks a decoded CPU capture's replay geometry; `Err` is the
+/// quarantine reason.
+fn restore_cpu_capture(cap: CpuCapture, fp: &CpuCaptureFingerprint) -> Result<CpuCapture, String> {
     // The key already spells the fingerprint, but the decoded geometry
     // is re-checked so a semantically stale payload behind a valid
     // frame still degrades to recapture instead of a wrong replay.

@@ -2,7 +2,9 @@
 //!
 //! The dynamic checkers ([`crate::dynamic`]) validate one concrete
 //! launch; their verdicts hold only for the grid actually executed. This
-//! module turns the same tapes into *symbolic* per-op-site contracts and
+//! module turns the same sanitizer events — folded as they happen by
+//! [`ContractFitter`], or replayed from held tapes by
+//! [`infer_contracts`] — into *symbolic* per-op-site contracts and
 //! proves properties for **all** grid shapes:
 //!
 //! 1. Every recorded lane-word becomes a sample
@@ -40,7 +42,10 @@
 use std::collections::HashMap;
 
 use obs::Json;
-use simt::{AccessKind, LaunchTape, MemSpace, TapeBuf, TapeEvent};
+use simt::{
+    AccessKind, AccessRef, BarrierRecord, LaunchInfo, LaunchTape, MemSpace, SimError, SiteTable,
+    TapeBuf, TapeSink,
+};
 
 use crate::dynamic::FindingSet;
 use crate::finding::{Finding, FindingKind};
@@ -406,114 +411,169 @@ impl SiteAccum {
 }
 
 /// Infers per-kernel, per-site access contracts from a pigeonhole set of
-/// launch tapes. `banks` / `seg_bytes` parameterize the symbolic
-/// bank-conflict and coalescing metrics (take them from the
-/// [`simt::GpuConfig`] the tapes were captured under).
+/// launch tapes, by replaying them through a [`ContractFitter`].
+/// `banks` / `seg_bytes` parameterize the symbolic bank-conflict and
+/// coalescing metrics (take them from the [`simt::GpuConfig`] the tapes
+/// were captured under).
 pub fn infer_contracts(tapes: &[LaunchTape], banks: u32, seg_bytes: u32) -> Vec<KernelContract> {
-    // (kernel, site label, buf name) -> accumulator slot; launch ordinal
-    // is per kernel, in tape order.
-    let mut slots: HashMap<(String, String, String), usize> = HashMap::new();
-    let mut accums: Vec<SiteAccum> = Vec::new();
-    let mut launch_ord: HashMap<String, i64> = HashMap::new();
-    let mut uniform: HashMap<String, bool> = HashMap::new();
-
+    let mut fitter = ContractFitter::new(banks, seg_bytes);
     for tape in tapes {
-        let g = {
-            let n = launch_ord.entry(tape.kernel.clone()).or_insert(0);
-            let g = *n;
-            *n += 1;
-            g
-        };
-        // (site id, buf) -> slot, resolved once per tape: the labels are
-        // built and hashed per distinct site, not per access.
-        let mut tape_slots: HashMap<(u32, TapeBuf), usize> = HashMap::new();
-        let mut barrier_counts = vec![0u64; tape.blocks as usize];
-        for ev in &tape.events {
-            match ev {
-                TapeEvent::Barrier(b) => {
-                    if let Some(c) = barrier_counts.get_mut(b.block as usize) {
-                        *c += 1;
-                    }
-                }
-                TapeEvent::Access(a) => {
-                    let slot = *tape_slots.entry((a.site, a.buf)).or_insert_with(|| {
-                        let key = (
-                            tape.kernel.clone(),
-                            tape.sites.name(a.site).to_string(),
-                            tape.buf_name(a.buf).to_string(),
-                        );
-                        *slots.entry(key).or_insert_with(|| {
-                            accums.push(SiteAccum::default());
-                            accums.len() - 1
-                        })
-                    });
-                    let acc = &mut accums[slot];
-                    acc.space = Some(a.space);
-                    acc.kind = Some(a.kind);
-                    acc.push(
-                        &a.lane_words,
-                        [i64::from(a.warp), i64::from(a.block), i64::from(a.phase), g],
-                        tape.extent(a.buf).map(i64::from),
-                    );
-                }
-            }
+        tape.replay(&mut fitter);
+    }
+    fitter.finish()
+}
+
+/// Streaming contract inference: folds each access into its op site's
+/// accumulator as the launch executes (install it as the device's
+/// [`TapeSink`]), then fits one contract per site in
+/// [`ContractFitter::finish`]. What it holds is bounded per site (at
+/// most [`FIT_SAMPLE_CAP`] samples and [`DIM_SET_CAP`] values per
+/// dimension), not per access.
+#[derive(Debug)]
+pub struct ContractFitter {
+    banks: u32,
+    seg_bytes: u32,
+    /// (kernel, site label, buf name) -> accumulator slot.
+    slots: HashMap<(String, String, String), usize>,
+    accums: Vec<SiteAccum>,
+    /// Launches seen per kernel: the next launch ordinal.
+    launch_ord: HashMap<String, i64>,
+    /// Whether every launch of a kernel had block-uniform barrier counts.
+    uniform: HashMap<String, bool>,
+    /// Ordinal of the current launch within its kernel.
+    launch: i64,
+    /// (site id, buf) -> slot, for the current launch: labels are built
+    /// and hashed per distinct site, not per access.
+    launch_slots: HashMap<(u32, TapeBuf), usize>,
+    /// Barriers passed per block of the current launch.
+    barrier_counts: Vec<u64>,
+}
+
+impl ContractFitter {
+    /// An empty fitter; `banks` / `seg_bytes` as for [`infer_contracts`].
+    pub fn new(banks: u32, seg_bytes: u32) -> ContractFitter {
+        ContractFitter {
+            banks,
+            seg_bytes,
+            slots: HashMap::new(),
+            accums: Vec::new(),
+            launch_ord: HashMap::new(),
+            uniform: HashMap::new(),
+            launch: 0,
+            launch_slots: HashMap::new(),
+            barrier_counts: Vec::new(),
         }
-        let tape_uniform = barrier_counts.windows(2).all(|w| w[0] == w[1]);
-        uniform
-            .entry(tape.kernel.clone())
-            .and_modify(|u| *u &= tape_uniform)
-            .or_insert(tape_uniform);
     }
 
-    let mut by_kernel: HashMap<String, Vec<SiteContract>> = HashMap::new();
-    let mut keys: Vec<((String, String, String), usize)> = slots.into_iter().collect();
-    keys.sort();
-    for ((kernel, site, buf), slot) in keys {
-        let acc = std::mem::take(&mut accums[slot]);
-        let form = match fit_affine(&acc.samples) {
-            Some(f) => Form::Affine(f),
-            None => Form::Interval {
-                min: acc.addr_min,
-                max: acc.addr_max,
-                stride: acc.stride,
-            },
-        };
-        let space = acc.space.unwrap_or(MemSpace::Global);
-        let (bank_degree, coalesce_segments) = match &form {
-            Form::Affine(f) => symbolic_degrees(f, &acc.observed[LANE], space, banks, seg_bytes),
-            Form::Interval { .. } => (0, 0),
-        };
-        by_kernel.entry(kernel).or_default().push(SiteContract {
-            site,
-            buf,
-            space,
-            kind: acc.kind.unwrap_or(AccessKind::Load),
-            count: acc.count,
-            form,
-            observed: acc.observed,
-            samples: acc.samples,
-            word_min: acc.addr_min,
-            word_max: acc.addr_max,
-            extent: match acc.extents.as_slice() {
-                [e] => Some(*e),
-                _ => None,
-            },
-            bank_degree,
-            coalesce_segments,
+    /// Fits every site observed so far, returning the contracts sorted
+    /// by kernel (sites by label, then buffer).
+    pub fn finish(mut self) -> Vec<KernelContract> {
+        let (banks, seg_bytes) = (self.banks, self.seg_bytes);
+        let mut by_kernel: HashMap<String, Vec<SiteContract>> = HashMap::new();
+        let mut keys: Vec<((String, String, String), usize)> = self.slots.into_iter().collect();
+        keys.sort();
+        for ((kernel, site, buf), slot) in keys {
+            let acc = std::mem::take(&mut self.accums[slot]);
+            let form = match fit_affine(&acc.samples) {
+                Some(f) => Form::Affine(f),
+                None => Form::Interval {
+                    min: acc.addr_min,
+                    max: acc.addr_max,
+                    stride: acc.stride,
+                },
+            };
+            let space = acc.space.unwrap_or(MemSpace::Global);
+            let (bank_degree, coalesce_segments) = match &form {
+                Form::Affine(f) => {
+                    symbolic_degrees(f, &acc.observed[LANE], space, banks, seg_bytes)
+                }
+                Form::Interval { .. } => (0, 0),
+            };
+            by_kernel.entry(kernel).or_default().push(SiteContract {
+                site,
+                buf,
+                space,
+                kind: acc.kind.unwrap_or(AccessKind::Load),
+                count: acc.count,
+                form,
+                observed: acc.observed,
+                samples: acc.samples,
+                word_min: acc.addr_min,
+                word_max: acc.addr_max,
+                extent: match acc.extents.as_slice() {
+                    [e] => Some(*e),
+                    _ => None,
+                },
+                bank_degree,
+                coalesce_segments,
+            });
+        }
+
+        let mut out: Vec<KernelContract> = by_kernel
+            .into_iter()
+            .map(|(kernel, sites)| KernelContract {
+                launches: self.launch_ord.get(&kernel).copied().unwrap_or(0) as u64,
+                barrier_uniform: self.uniform.get(&kernel).copied().unwrap_or(true),
+                kernel,
+                sites,
+            })
+            .collect();
+        out.sort_by(|a, b| a.kernel.cmp(&b.kernel));
+        out
+    }
+}
+
+impl TapeSink for ContractFitter {
+    fn begin(&mut self, launch: &LaunchInfo) {
+        let n = self.launch_ord.entry(launch.kernel.clone()).or_insert(0);
+        self.launch = *n;
+        *n += 1;
+        self.launch_slots.clear();
+        self.barrier_counts.clear();
+        self.barrier_counts.resize(launch.blocks as usize, 0);
+    }
+
+    fn access(&mut self, launch: &LaunchInfo, sites: &SiteTable, a: &AccessRef<'_>) {
+        let (slots, accums) = (&mut self.slots, &mut self.accums);
+        let slot = *self.launch_slots.entry((a.site, a.buf)).or_insert_with(|| {
+            let key = (
+                launch.kernel.clone(),
+                sites.name(a.site).to_string(),
+                launch.buf_name(a.buf).to_string(),
+            );
+            *slots.entry(key).or_insert_with(|| {
+                accums.push(SiteAccum::default());
+                accums.len() - 1
+            })
         });
+        let acc = &mut self.accums[slot];
+        acc.space = Some(a.space);
+        acc.kind = Some(a.kind);
+        acc.push(
+            a.lane_words,
+            [
+                i64::from(a.warp),
+                i64::from(a.block),
+                i64::from(a.phase),
+                self.launch,
+            ],
+            launch.extent(a.buf).map(i64::from),
+        );
     }
 
-    let mut out: Vec<KernelContract> = by_kernel
-        .into_iter()
-        .map(|(kernel, sites)| KernelContract {
-            launches: launch_ord.get(&kernel).copied().unwrap_or(0) as u64,
-            barrier_uniform: uniform.get(&kernel).copied().unwrap_or(true),
-            kernel,
-            sites,
-        })
-        .collect();
-    out.sort_by(|a, b| a.kernel.cmp(&b.kernel));
-    out
+    fn barrier(&mut self, _: &LaunchInfo, b: &BarrierRecord) {
+        if let Some(c) = self.barrier_counts.get_mut(b.block as usize) {
+            *c += 1;
+        }
+    }
+
+    fn end(&mut self, launch: &LaunchInfo, _: &SiteTable, _: Option<&SimError>) {
+        let uniform = self.barrier_counts.windows(2).all(|w| w[0] == w[1]);
+        self.uniform
+            .entry(launch.kernel.clone())
+            .and_modify(|u| *u &= uniform)
+            .or_insert(uniform);
+    }
 }
 
 /// Symbolic bank-conflict degree (shared) or coalesced-segment count

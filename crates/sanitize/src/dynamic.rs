@@ -1,7 +1,8 @@
-//! Dynamic checkers over captured launch tapes.
+//! Dynamic checkers over the sanitizer events of launches.
 //!
-//! [`Analyzer`] consumes the [`LaunchTape`]s of one application run (one
-//! benchmark = many launches against one device memory) and reports:
+//! [`Analyzer`] folds the sanitizer events of one application run (one
+//! benchmark = many launches against one device memory) as a
+//! [`TapeSink`], or replays held [`LaunchTape`]s, and reports:
 //!
 //! * **shared-memory races** — conflicting same-word accesses from
 //!   *different warps* of one CTA within one barrier interval, tracked
@@ -26,7 +27,10 @@
 
 use std::collections::BTreeMap;
 
-use simt::{AccessKind, LaunchTape, SimError, TapeBuf, TapeEvent};
+use simt::{
+    AccessKind, AccessRef, BarrierRecord, LaunchInfo, LaunchTape, SimError, SiteTable, TapeBuf,
+    TapeSink,
+};
 
 use crate::finding::{Finding, FindingKind};
 
@@ -85,7 +89,7 @@ impl WordState {
     }
 }
 
-/// Per-CTA shadow state, rebuilt for each block as the tape streams by.
+/// Per-CTA shadow state, rebuilt for each block as the events stream by.
 #[derive(Debug, Default)]
 struct BlockState {
     block: u32,
@@ -101,20 +105,24 @@ fn warp_bit(warp: u32) -> u64 {
     1u64 << warp.min(63)
 }
 
-/// Streaming checker over the launch tapes of one application run.
+/// Streaming checker over the launches of one application run.
 ///
-/// Feed every tape (in launch order) to [`Analyzer::observe`], then take
-/// the coalesced findings with [`Analyzer::finish`]. One-shot helper:
+/// Install it as the device's [`TapeSink`] (or feed held tapes, in
+/// launch order, to [`Analyzer::observe`]), then take the coalesced
+/// findings with [`Analyzer::finish`]. One-shot helper:
 /// [`analyze_tape`].
 #[derive(Debug, Default)]
 pub struct Analyzer {
     findings: FindingSet,
     /// Cross-launch kernel-write shadow for *uninitialized* global
-    /// allocations, indexed like the tape's allocation tables
+    /// allocations, indexed like the launch's allocation tables
     /// (`None` = initialized or never seen: no tracking needed).
     gwritten_f32: Vec<Option<Vec<bool>>>,
     gwritten_u32: Vec<Option<Vec<bool>>>,
     launches: u64,
+    /// Shared-memory shadow of the block the current launch is in
+    /// (`None` until its first shared access).
+    blk: Option<BlockState>,
 }
 
 impl Analyzer {
@@ -123,78 +131,14 @@ impl Analyzer {
         Analyzer::default()
     }
 
-    /// Number of tapes observed so far.
+    /// Number of launches observed so far.
     pub fn launches(&self) -> u64 {
         self.launches
     }
 
-    /// Checks one launch tape, accumulating findings.
+    /// Checks one held launch tape, accumulating findings.
     pub fn observe(&mut self, tape: &LaunchTape) {
-        self.launches += 1;
-        self.sync_global_shadows(tape);
-        let kernel = tape.kernel.as_str();
-        let mut blk = BlockState::default();
-        let mut blk_live = false;
-
-        for ev in &tape.events {
-            match ev {
-                TapeEvent::Access(a) => match a.buf {
-                    TapeBuf::SharedF32 => {
-                        if !blk_live || blk.block != a.block {
-                            let words = tape.shared_f32_words as usize;
-                            blk = BlockState {
-                                block: a.block,
-                                epoch: 1,
-                                phase: a.phase,
-                                words: vec![WordState::default(); words],
-                                written: vec![false; words],
-                            };
-                            blk_live = true;
-                        }
-                        if a.phase != blk.phase {
-                            // Barrier interval boundary: new epoch makes
-                            // every word's interval state read as empty.
-                            blk.phase = a.phase;
-                            blk.epoch += 1;
-                        }
-                        self.check_shared(tape, kernel, &mut blk, a);
-                    }
-                    TapeBuf::GlobalF32(_) | TapeBuf::GlobalU32(_) => {
-                        self.check_global(tape, kernel, a);
-                    }
-                },
-                TapeEvent::Barrier(b) => {
-                    let arrived = b.continues.iter().filter(|&&c| c).count();
-                    if arrived != 0 && arrived != b.continues.len() {
-                        self.findings.record(
-                            FindingKind::BarrierDivergence,
-                            kernel,
-                            "barrier",
-                            format!(
-                                "block {} phase {}: {}/{} warps arrived at the barrier",
-                                b.block,
-                                b.phase,
-                                arrived,
-                                b.continues.len()
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-
-        // Aborts no event stream can express (watchdog, empty grid, ...).
-        match &tape.aborted {
-            Some(SimError::KernelFault { .. }) | Some(SimError::BarrierDivergence { .. }) => {
-                // Already reported from the faulting access / the
-                // divergent barrier record.
-            }
-            Some(e) => {
-                self.findings
-                    .record(FindingKind::LaunchFailure, kernel, "launch", format!("{e}"));
-            }
-            None => {}
-        }
+        tape.replay(self);
     }
 
     /// Returns the coalesced findings, consuming the analyzer.
@@ -203,42 +147,53 @@ impl Analyzer {
     }
 
     /// Grows/initializes the uninitialized-allocation shadows to match
-    /// this tape's allocation tables.
-    fn sync_global_shadows(&mut self, tape: &LaunchTape) {
-        if self.gwritten_f32.len() < tape.allocs_f32.len() {
-            self.gwritten_f32.resize(tape.allocs_f32.len(), None);
+    /// this launch's allocation tables.
+    fn sync_global_shadows(&mut self, launch: &LaunchInfo) {
+        if self.gwritten_f32.len() < launch.allocs_f32.len() {
+            self.gwritten_f32.resize(launch.allocs_f32.len(), None);
         }
-        if self.gwritten_u32.len() < tape.allocs_u32.len() {
-            self.gwritten_u32.resize(tape.allocs_u32.len(), None);
+        if self.gwritten_u32.len() < launch.allocs_u32.len() {
+            self.gwritten_u32.resize(launch.allocs_u32.len(), None);
         }
-        for (i, a) in tape.allocs_f32.iter().enumerate() {
+        for (i, a) in launch.allocs_f32.iter().enumerate() {
             if !a.initialized && self.gwritten_f32[i].is_none() {
                 self.gwritten_f32[i] = Some(vec![false; a.words as usize]);
             }
         }
-        for (i, a) in tape.allocs_u32.iter().enumerate() {
+        for (i, a) in launch.allocs_u32.iter().enumerate() {
             if !a.initialized && self.gwritten_u32[i].is_none() {
                 self.gwritten_u32[i] = Some(vec![false; a.words as usize]);
             }
         }
     }
 
-    fn check_shared(
-        &mut self,
-        tape: &LaunchTape,
-        kernel: &str,
-        blk: &mut BlockState,
-        a: &simt::MemAccess,
-    ) {
-        let extent = tape.shared_f32_words;
-        let subject = tape.buf_name(a.buf).to_string();
+    fn check_shared(&mut self, launch: &LaunchInfo, a: &AccessRef<'_>) {
+        let words = launch.shared_f32_words as usize;
+        let blk = match &mut self.blk {
+            Some(blk) if blk.block == a.block => blk,
+            slot => slot.insert(BlockState {
+                block: a.block,
+                epoch: 1,
+                phase: a.phase,
+                words: vec![WordState::default(); words],
+                written: vec![false; words],
+            }),
+        };
+        if a.phase != blk.phase {
+            // Barrier interval boundary: new epoch makes every word's
+            // interval state read as empty.
+            blk.phase = a.phase;
+            blk.epoch += 1;
+        }
+        let (kernel, extent) = (launch.kernel.as_str(), launch.shared_f32_words);
+        let subject = launch.buf_name(a.buf);
         let bit = warp_bit(a.warp);
-        for &(lane, word) in &a.lane_words {
+        for &(lane, word) in a.lane_words {
             if word >= extent {
                 self.findings.record(
                     FindingKind::SharedOutOfBounds,
                     kernel,
-                    &subject,
+                    subject,
                     format!(
                         "block {} warp {} lane {}: {} {}[{}] out of bounds (len {})",
                         a.block,
@@ -261,7 +216,7 @@ impl Analyzer {
                         self.findings.record(
                             FindingKind::SharedRace,
                             kernel,
-                            &subject,
+                            subject,
                             format!(
                                 "block {} phase {}: warp {} lane {} wrote {}[{}] also touched \
                                  by warp {} in the same barrier interval",
@@ -283,7 +238,7 @@ impl Analyzer {
                         self.findings.record(
                             FindingKind::SharedReadBeforeWrite,
                             kernel,
-                            &subject,
+                            subject,
                             format!(
                                 "block {} warp {} lane {}: read {}[{}] before any thread of \
                                  the block wrote it",
@@ -296,7 +251,7 @@ impl Analyzer {
                         self.findings.record(
                             FindingKind::SharedRace,
                             kernel,
-                            &subject,
+                            subject,
                             format!(
                                 "block {} phase {}: warp {} lane {} read {}[{}] written by \
                                  warp {} in the same barrier interval",
@@ -317,28 +272,22 @@ impl Analyzer {
         }
     }
 
-    fn check_global(&mut self, tape: &LaunchTape, kernel: &str, a: &simt::MemAccess) {
-        let Some(extent) = tape.extent(a.buf) else {
+    fn check_global(&mut self, launch: &LaunchInfo, a: &AccessRef<'_>) {
+        let Some(extent) = launch.extent(a.buf) else {
             return;
         };
-        let subject = tape.buf_name(a.buf).to_string();
-        let (shadow, initialized) = match a.buf {
-            TapeBuf::GlobalF32(i) => (
-                self.gwritten_f32.get_mut(i as usize),
-                tape.allocs_f32
-                    .get(i as usize)
-                    .is_none_or(|al| al.initialized),
-            ),
-            TapeBuf::GlobalU32(i) => (
-                self.gwritten_u32.get_mut(i as usize),
-                tape.allocs_u32
-                    .get(i as usize)
-                    .is_none_or(|al| al.initialized),
-            ),
-            _ => unreachable!("check_global only sees global bufs"),
+        let (kernel, subject) = (launch.kernel.as_str(), launch.buf_name(a.buf));
+        let (shadows, allocs, i) = match a.buf {
+            TapeBuf::GlobalF32(i) => (&mut self.gwritten_f32, &launch.allocs_f32, i as usize),
+            TapeBuf::GlobalU32(i) => (&mut self.gwritten_u32, &launch.allocs_u32, i as usize),
+            TapeBuf::SharedF32 => unreachable!("check_global only sees global bufs"),
         };
-        let shadow = shadow.and_then(Option::as_mut);
-        for &(lane, word) in &a.lane_words {
+        // Only uninitialized allocations have a write shadow.
+        let mut shadow = match allocs.get(i) {
+            Some(alloc) if !alloc.initialized => shadows.get_mut(i).and_then(Option::as_mut),
+            _ => None,
+        };
+        for &(lane, word) in a.lane_words {
             if word >= extent {
                 let kind = match a.kind {
                     AccessKind::Load => FindingKind::GlobalOutOfBoundsLoad,
@@ -347,7 +296,7 @@ impl Analyzer {
                 self.findings.record(
                     kind,
                     kernel,
-                    &subject,
+                    subject,
                     format!(
                         "block {} warp {} lane {}: {} {}[{}] out of bounds (len {}, {:?} space)",
                         a.block,
@@ -362,42 +311,77 @@ impl Analyzer {
                 );
                 continue;
             }
-            if initialized {
+            let Some(written) = shadow.as_mut().and_then(|s| s.get_mut(word as usize)) else {
                 continue;
-            }
-            let Some(shadow) = &shadow else { continue };
-            let w = word as usize;
-            if a.kind == AccessKind::Load && !shadow[w] {
-                self.findings.record(
+            };
+            // An access is all loads or all stores, so a load never
+            // sees a mark made by its own warp instruction.
+            match a.kind {
+                AccessKind::Store => *written = true,
+                AccessKind::Load if !*written => self.findings.record(
                     FindingKind::GlobalReadBeforeWrite,
                     kernel,
-                    &subject,
+                    subject,
                     format!(
                         "block {} warp {} lane {}: read uninitialized {}[{}] before any \
                          kernel wrote it",
                         a.block, a.warp, lane, subject, word
                     ),
+                ),
+                AccessKind::Load => {}
+            }
+        }
+    }
+}
+
+impl TapeSink for Analyzer {
+    fn begin(&mut self, launch: &LaunchInfo) {
+        self.launches += 1;
+        self.sync_global_shadows(launch);
+        self.blk = None;
+    }
+
+    fn access(&mut self, launch: &LaunchInfo, _: &SiteTable, a: &AccessRef<'_>) {
+        match a.buf {
+            TapeBuf::SharedF32 => self.check_shared(launch, a),
+            TapeBuf::GlobalF32(_) | TapeBuf::GlobalU32(_) => self.check_global(launch, a),
+        }
+    }
+
+    fn barrier(&mut self, launch: &LaunchInfo, b: &BarrierRecord) {
+        let arrived = b.continues.iter().filter(|&&c| c).count();
+        if arrived != 0 && arrived != b.continues.len() {
+            self.findings.record(
+                FindingKind::BarrierDivergence,
+                &launch.kernel,
+                "barrier",
+                format!(
+                    "block {} phase {}: {}/{} warps arrived at the barrier",
+                    b.block,
+                    b.phase,
+                    arrived,
+                    b.continues.len()
+                ),
+            );
+        }
+    }
+
+    fn end(&mut self, launch: &LaunchInfo, _: &SiteTable, aborted: Option<&SimError>) {
+        // Aborts no event stream can express (watchdog, empty grid, ...).
+        // A kernel fault or barrier divergence was already reported from
+        // the faulting access or the divergent barrier record.
+        match aborted {
+            Some(SimError::KernelFault { .. } | SimError::BarrierDivergence { .. }) | None => {}
+            Some(e) => {
+                self.findings.record(
+                    FindingKind::LaunchFailure,
+                    &launch.kernel,
+                    "launch",
+                    format!("{e}"),
                 );
             }
         }
-        // Second pass for the shadow marks: borrow rules keep this out
-        // of the loop above (findings borrows self mutably).
-        if !initialized {
-            let shadow = match a.buf {
-                TapeBuf::GlobalF32(i) => self.gwritten_f32.get_mut(i as usize),
-                TapeBuf::GlobalU32(i) => self.gwritten_u32.get_mut(i as usize),
-                _ => None,
-            };
-            if let Some(Some(shadow)) = shadow {
-                if a.kind == AccessKind::Store {
-                    for &(_, word) in &a.lane_words {
-                        if (word as usize) < shadow.len() {
-                            shadow[word as usize] = true;
-                        }
-                    }
-                }
-            }
-        }
+        self.blk = None;
     }
 }
 

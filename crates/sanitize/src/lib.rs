@@ -3,9 +3,10 @@
 //! The simulator already *captures* everything a sanitizer needs: the
 //! trace path resolves every per-lane address against real allocation
 //! extents, and every barrier collects explicit per-warp votes. This
-//! crate consumes that record — [`simt::LaunchTape`]s from the
-//! sanitizer sink plus captured [`simt::KernelTrace`]s — and reports
-//! typed [`Finding`]s:
+//! crate consumes that record — the sanitizer events a [`simt::Gpu`]
+//! streams to its [`simt::TapeSink`] as each launch executes (or held
+//! [`simt::LaunchTape`]s replayed through one), plus captured
+//! [`simt::KernelTrace`]s — and reports typed [`Finding`]s:
 //!
 //! * **Dynamic checkers** ([`dynamic`], error severity): shared-memory
 //!   races, barrier divergence, out-of-bounds accesses, and
@@ -14,6 +15,8 @@
 //!   shared strides, uncoalesced per-warp global shapes, and redundant
 //!   per-CTA global traffic — the three anti-patterns the paper's
 //!   incremental SRAD/Leukocyte/Needleman-Wunsch versions remove.
+//! * **Access contracts** ([`contract`]): one affine form per static op
+//!   site, fitted by [`ContractFitter`] from the same events.
 //! * **Determinism lint** ([`determinism`], warning severity): a source
 //!   scan for `HashMap`/`HashSet` iteration feeding rendered output.
 //!
@@ -22,21 +25,16 @@
 //! [`report`] renders findings as text or as the `repro check --json`
 //! schema.
 //!
-//! Typical wiring (what `repro check` does):
+//! Typical wiring (what `repro check` does): the [`Analyzer`] folds each
+//! access as it happens, so no launch's events are held.
 //!
 //! ```
 //! use simt::{Gpu, GpuConfig};
-//! use std::sync::{Arc, Mutex};
 //!
-//! let tapes = Arc::new(Mutex::new(Vec::new()));
-//! let sink_tapes = Arc::clone(&tapes);
 //! let mut gpu = Gpu::try_new(GpuConfig::default()).unwrap();
-//! gpu.set_sanitizer_sink(move |tape| sink_tapes.lock().unwrap().push(tape));
+//! gpu.set_tape_sink(Box::new(sanitize::Analyzer::new()));
 //! // ... launch kernels ...
-//! let mut analyzer = sanitize::Analyzer::new();
-//! for tape in tapes.lock().unwrap().iter() {
-//!     analyzer.observe(tape);
-//! }
+//! let analyzer: sanitize::Analyzer = gpu.take_tape_sink().unwrap();
 //! let findings = analyzer.finish();
 //! assert!(findings.is_empty());
 //! ```
@@ -54,8 +52,8 @@ pub mod report;
 
 pub use classify::{classify_tape, expected_kind};
 pub use contract::{
-    check_contracts, compare_scales, contracts_json, fit_affine, infer_contracts, Affine, Form,
-    KernelContract, Sample, SiteContract,
+    check_contracts, compare_scales, contracts_json, fit_affine, infer_contracts, Affine,
+    ContractFitter, Form, KernelContract, Sample, SiteContract,
 };
 pub use determinism::{scan_source, scan_tree, workspace_members};
 pub use dynamic::{analyze_tape, Analyzer};

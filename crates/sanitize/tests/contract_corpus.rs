@@ -12,9 +12,57 @@
 //!   *false* contract error. Aborted tapes are partial evidence, and
 //!   partial evidence must degrade to weaker claims, never wrong ones.
 
-use sanitize::{check_contracts, infer_contracts, FindingKind, Severity};
-use simt::fault::{inject_with, Fault};
-use simt::{BufF32, Gpu, GpuConfig, GridShape, Kernel, LaunchTape, PhaseControl, WarpCtx};
+use sanitize::{
+    analyze_tape, check_contracts, contracts_json, infer_contracts, Analyzer, ContractFitter,
+    FindingKind, KernelContract, Severity,
+};
+use simt::fault::{inject_sink, inject_with, Fault};
+use simt::{
+    BufF32, Gpu, GpuConfig, GridShape, Kernel, LaunchTape, PhaseControl, TapeSink, WarpCtx,
+};
+
+/// Asserts two contract sets are the same: the same fitted forms and
+/// counts (the manifest payload) and the same proof findings (which
+/// also read the retained samples).
+fn assert_same_contracts(streamed: &[KernelContract], held: &[KernelContract], what: &str) {
+    assert_eq!(
+        contracts_json(streamed).to_string(),
+        contracts_json(held).to_string(),
+        "{what}: contracts differ"
+    );
+    assert_eq!(
+        check_contracts(streamed),
+        check_contracts(held),
+        "{what}: proofs differ"
+    );
+}
+
+#[test]
+fn streamed_contracts_equal_contracts_of_collected_tapes() {
+    let cfg = GpuConfig::gpgpusim_default();
+    for fault in Fault::all() {
+        let (_, tapes) = inject_with(fault, true);
+        let held = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
+        let fitter = ContractFitter::new(cfg.shared_banks, cfg.segment_bytes);
+        let (_, fitter) = inject_sink(fault, fitter);
+        assert_same_contracts(&fitter.finish(), &held, &format!("{fault:?}"));
+    }
+    for racy in [true, false] {
+        let (tapes, cfg) = capture_staging(2, racy);
+        let held = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
+        let fitter = ContractFitter::new(cfg.shared_banks, cfg.segment_bytes);
+        let streamed = run_staging(2, racy, fitter).finish();
+        assert_same_contracts(&streamed, &held, &format!("staging racy={racy}"));
+        // The dynamic checkers over the same launch: the racy variant
+        // reports one race per colliding access, so a lost access
+        // changes the counts.
+        let [tape] = tapes.as_slice() else {
+            panic!("{} tapes for one launch", tapes.len());
+        };
+        let streamed = run_staging(2, racy, Analyzer::new()).finish();
+        assert_eq!(streamed, analyze_tape(tape), "staging racy={racy}");
+    }
+}
 
 /// Fault classes whose scenario drives a word past an allocation's
 /// extent, leaving the violation on the tape.
@@ -115,6 +163,16 @@ impl Kernel for SradStaging {
         w.st_f32(out, move |lane, tid| Some((tid, staged[lane])));
         PhaseControl::Done
     }
+}
+
+/// Runs the staging kernel with `sink` as the sanitizer sink, which
+/// folds each access as it executes.
+fn run_staging<S: TapeSink>(warps: usize, racy: bool, sink: S) -> S {
+    let mut gpu = Gpu::try_new(GpuConfig::gpgpusim_default()).expect("default config");
+    gpu.set_tape_sink(Box::new(sink));
+    let out = gpu.mem_mut().alloc_f32("out", &vec![0.0f32; warps * WS]);
+    gpu.launch(&SradStaging { out, warps, racy });
+    gpu.take_tape_sink().expect("the sink is installed")
 }
 
 fn capture_staging(warps: usize, racy: bool) -> (Vec<LaunchTape>, GpuConfig) {

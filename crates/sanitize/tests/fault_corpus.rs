@@ -7,8 +7,8 @@
 //! trace-replay faults) have no expected kind and must produce no
 //! misclassification from whatever tapes they do leave.
 
-use sanitize::{analyze_tape, classify_tape, expected_kind, FindingKind, Severity};
-use simt::fault::{inject_with, Fault};
+use sanitize::{analyze_tape, classify_tape, expected_kind, Analyzer, FindingKind, Severity};
+use simt::fault::{inject_sink, inject_with, Fault};
 
 #[test]
 fn every_memory_and_barrier_fault_is_caught_and_classified() {
@@ -115,4 +115,25 @@ fn an_index_past_u32_max_is_taped_out_of_range() {
         classify_tape(tape),
         Some(FindingKind::GlobalOutOfBoundsLoad)
     );
+}
+
+/// Folding the events as each scenario executes must find exactly what
+/// analyzing the scenario's collected tapes finds, for every class —
+/// faulting launches, divergent barriers and aborts included.
+#[test]
+fn streamed_analysis_equals_analysis_of_collected_tapes() {
+    for fault in Fault::all() {
+        let (_, tapes) = inject_with(fault, true);
+        let mut held = Analyzer::new();
+        for tape in &tapes {
+            held.observe(tape);
+        }
+        let (_, streamed) = inject_sink(fault, Analyzer::new());
+        assert_eq!(streamed.launches(), tapes.len() as u64, "{fault:?}");
+        let held = held.finish();
+        if let [tape] = tapes.as_slice() {
+            assert_eq!(analyze_tape(tape), held, "{fault:?}");
+        }
+        assert_eq!(streamed.finish(), held, "{fault:?}");
+    }
 }

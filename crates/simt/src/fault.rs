@@ -17,14 +17,15 @@
 //! downstream crates and future fuzzing drivers can reuse the
 //! scenarios.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::config::{CacheGeom, GpuConfig};
 use crate::error::SimError;
 use crate::gpu::{try_time_trace, try_time_traces_concurrent, Gpu};
 use crate::isa::TOp;
 use crate::kernel::{GridShape, Kernel, PhaseControl, WarpCtx};
-use crate::sanitizer::LaunchTape;
+use crate::sanitizer::{AccessRef, BarrierRecord, LaunchInfo, LaunchTape, TapeCollector, TapeSink};
+use crate::shadow::SiteTable;
 use crate::trace::try_trace_kernel;
 
 /// A class of injectable fault.
@@ -241,39 +242,71 @@ pub fn inject(fault: Fault) -> Result<String, SimError> {
 /// launch tapes the scenario produced alongside the outcome.
 ///
 /// With `sanitize = true`, every [`Gpu`]-driven scenario installs a
-/// sanitizer sink before launching, so the fault harness doubles as the
-/// sanitizer's true-positive corpus: the memory and barrier fault
-/// classes ([`Fault::OutOfRangeLoad`], [`Fault::OutOfRangeStore`],
-/// [`Fault::SharedOutOfRange`], [`Fault::BarrierDivergence`]) each yield
-/// a tape from which `sanitize` must reproduce and classify the fault.
-/// Scenarios that never construct a `Gpu` (or whose fault lives in the
-/// configuration, rejected before any launch) return no tapes.
+/// collecting sanitizer sink before launching, so the fault harness
+/// doubles as the sanitizer's true-positive corpus: the memory and
+/// barrier fault classes ([`Fault::OutOfRangeLoad`],
+/// [`Fault::OutOfRangeStore`], [`Fault::SharedOutOfRange`],
+/// [`Fault::BarrierDivergence`]) each yield a tape from which
+/// `sanitize` must reproduce and classify the fault. Scenarios that
+/// never construct a `Gpu` (or whose fault lives in the configuration,
+/// rejected before any launch) return no tapes.
 pub fn inject_with(fault: Fault, sanitize: bool) -> (Result<String, SimError>, Vec<LaunchTape>) {
-    let tapes: Arc<Mutex<Vec<LaunchTape>>> = Arc::new(Mutex::new(Vec::new()));
-    let result = inject_impl(fault, sanitize.then_some(&tapes));
-    let collected = match Arc::try_unwrap(tapes) {
-        Ok(m) => m.into_inner().unwrap_or_default(),
-        Err(shared) => shared.lock().map(|v| v.clone()).unwrap_or_default(),
-    };
+    if !sanitize {
+        return (inject_impl(fault, &|_| {}), Vec::new());
+    }
+    let tapes: Arc<Mutex<Vec<LaunchTape>>> = Arc::default();
+    let sink = Arc::clone(&tapes);
+    let collect = TapeCollector::new(move |tape| {
+        sink.lock().expect("no tape push panics").push(tape);
+    });
+    let (result, _) = inject_sink(fault, collect);
+    let collected = std::mem::take(&mut *tapes.lock().expect("no tape push panics"));
     (result, collected)
 }
 
-/// Installs a collecting sanitizer sink on `gpu` when requested.
-fn attach_sink(gpu: &mut Gpu, tapes: Option<&Arc<Mutex<Vec<LaunchTape>>>>) {
-    if let Some(tapes) = tapes {
-        let sink = Arc::clone(tapes);
-        gpu.set_sanitizer_sink(move |tape| {
-            if let Ok(mut v) = sink.lock() {
-                v.push(tape);
-            }
-        });
+/// [`inject`] with `sink` receiving the sanitizer events of every
+/// launch the scenario makes, as they execute; returns the outcome and
+/// the sink.
+pub fn inject_sink<S: TapeSink>(fault: Fault, sink: S) -> (Result<String, SimError>, S) {
+    let shared = Arc::new(Mutex::new(sink));
+    let result = inject_impl(fault, &|gpu| {
+        gpu.set_tape_sink(Box::new(Forward(Arc::clone(&shared))));
+    });
+    let sink = Arc::into_inner(shared).expect("every device the scenario built is dropped");
+    (result, sink.into_inner().expect("the sink did not panic"))
+}
+
+/// Forwards a device's sanitizer events to a sink the harness keeps
+/// a handle on.
+struct Forward<S>(Arc<Mutex<S>>);
+
+impl<S: TapeSink> Forward<S> {
+    fn sink(&self) -> MutexGuard<'_, S> {
+        self.0.lock().expect("the sink did not panic")
     }
 }
 
-fn inject_impl(
-    fault: Fault,
-    tapes: Option<&Arc<Mutex<Vec<LaunchTape>>>>,
-) -> Result<String, SimError> {
+impl<S: TapeSink> TapeSink for Forward<S> {
+    fn begin(&mut self, launch: &LaunchInfo) {
+        self.sink().begin(launch);
+    }
+
+    fn access(&mut self, launch: &LaunchInfo, sites: &SiteTable, access: &AccessRef<'_>) {
+        self.sink().access(launch, sites, access);
+    }
+
+    fn barrier(&mut self, launch: &LaunchInfo, barrier: &BarrierRecord) {
+        self.sink().barrier(launch, barrier);
+    }
+
+    fn end(&mut self, launch: &LaunchInfo, sites: &SiteTable, aborted: Option<&SimError>) {
+        self.sink().end(launch, sites, aborted);
+    }
+}
+
+/// Runs `fault`'s scenario, calling `attach` on each device it builds
+/// before the first launch.
+fn inject_impl(fault: Fault, attach: &dyn Fn(&mut Gpu)) -> Result<String, SimError> {
     let cfg = GpuConfig::gpgpusim_default();
     match fault {
         Fault::ZeroSms
@@ -286,7 +319,7 @@ fn inject_impl(
         | Fault::DegenerateCacheGeometry
         | Fault::OversizedCacheGeometry => {
             let mut gpu = Gpu::try_new(broken_config(fault))?;
-            attach_sink(&mut gpu, tapes);
+            attach(&mut gpu);
             // try_new rejects every current config fault, so this is
             // unreachable today; kept total in case validation ever
             // loosens — the launch path re-validates.
@@ -296,7 +329,7 @@ fn inject_impl(
         }
         Fault::ZeroSizedGrid => {
             let mut gpu = Gpu::try_new(cfg)?;
-            attach_sink(&mut gpu, tapes);
+            attach(&mut gpu);
             gpu.try_launch(&Saboteur {
                 shape: GridShape {
                     blocks: 0,
@@ -309,7 +342,7 @@ fn inject_impl(
         }
         Fault::OutOfRangeLoad => {
             let mut gpu = Gpu::try_new(cfg)?;
-            attach_sink(&mut gpu, tapes);
+            attach(&mut gpu);
             let buf = gpu.mem_mut().alloc_f32_zeroed("victim", 128);
             gpu.try_launch(&Saboteur {
                 shape: GridShape::new(1, 64),
@@ -320,7 +353,7 @@ fn inject_impl(
         }
         Fault::OutOfRangeStore => {
             let mut gpu = Gpu::try_new(cfg)?;
-            attach_sink(&mut gpu, tapes);
+            attach(&mut gpu);
             let buf = gpu.mem_mut().alloc_f32_zeroed("victim", 128);
             gpu.try_launch(&Saboteur {
                 shape: GridShape::new(1, 64),
@@ -331,7 +364,7 @@ fn inject_impl(
         }
         Fault::SharedOversubscription => {
             let mut gpu = Gpu::try_new(cfg)?;
-            attach_sink(&mut gpu, tapes);
+            attach(&mut gpu);
             gpu.try_launch(&Saboteur {
                 shape: GridShape::new(1, 64),
                 // 256 kB of f32 scratch: exceeds every preset's SM.
@@ -342,7 +375,7 @@ fn inject_impl(
         }
         Fault::SharedOutOfRange => {
             let mut gpu = Gpu::try_new(cfg)?;
-            attach_sink(&mut gpu, tapes);
+            attach(&mut gpu);
             gpu.try_launch(&Saboteur {
                 shape: GridShape::new(1, 64),
                 shared_words: 32,
@@ -352,7 +385,7 @@ fn inject_impl(
         }
         Fault::BarrierDivergence => {
             let mut gpu = Gpu::try_new(cfg)?;
-            attach_sink(&mut gpu, tapes);
+            attach(&mut gpu);
             gpu.try_launch(&Saboteur {
                 shape: GridShape::new(1, 128),
                 shared_words: 0,
@@ -366,7 +399,7 @@ fn inject_impl(
             // budget would also fire, just later.
             tight.watchdog.max_phases = Some(512);
             let mut gpu = Gpu::try_new(tight)?;
-            attach_sink(&mut gpu, tapes);
+            attach(&mut gpu);
             gpu.try_launch(&Saboteur {
                 shape: GridShape::new(1, 64),
                 shared_words: 0,
@@ -376,7 +409,7 @@ fn inject_impl(
         }
         Fault::TruncatedTrace => {
             let mut gpu = Gpu::try_new(cfg.clone())?;
-            attach_sink(&mut gpu, tapes);
+            attach(&mut gpu);
             let data = gpu.mem_mut().alloc_f32_zeroed("data", 256);
             // A healthy two-warp kernel with one barrier...
             struct TwoPhase {
@@ -424,7 +457,7 @@ fn inject_impl(
         }
         Fault::WarpSizeMismatchTrace => {
             let mut gpu = Gpu::try_new(cfg.clone())?;
-            attach_sink(&mut gpu, tapes);
+            attach(&mut gpu);
             let data = gpu.mem_mut().alloc_f32_zeroed("data", 256);
             let trace = try_trace_kernel(&Victim { data, n: 256 }, gpu.mem_mut(), &cfg)?;
             let mut narrow = cfg;

@@ -76,6 +76,7 @@
 //! assert_eq!(records.drain().0.len(), 3); // one record per launch
 //! ```
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -87,13 +88,14 @@ use crate::dram::Dram;
 use crate::error::SimError;
 use crate::kernel::Kernel;
 use crate::memory::GpuMem;
-use crate::sanitizer::LaunchTape;
+use crate::sanitizer::{LaunchInfo, LaunchTape, TapeCollector, TapeSink};
+use crate::shadow::SiteTable;
 use crate::sm::{
     ctas_per_sm, fold_summary, run_epoch, CtaRt, EpochLog, EvKind, EvRec, IssueCosts, SmRt, WarpRt,
     SCHED_READY_MASK,
 };
 use crate::stats::{KernelStats, StallBreakdown, Timeline, TimelineSample};
-use crate::trace::{try_trace_kernel, try_trace_kernel_with, KernelTrace, TraceTotals};
+use crate::trace::{try_trace_kernel, try_trace_kernel_with, KernelTrace, Tap, TraceTotals};
 
 /// How one replay of a recorded run is carried out: its worker width
 /// and where its `kernel_stats` records go. Neither changes a result,
@@ -153,8 +155,8 @@ fn resolve_sim_threads(n: usize) -> usize {
     }
 }
 
-/// An installed sanitizer sink (a boxed closure; opaque to `Debug`).
-struct SanitizerSink(Box<dyn FnMut(LaunchTape) + Send + Sync>);
+/// An installed sanitizer sink (opaque to `Debug`).
+struct SanitizerSink(Box<dyn TapeSink>);
 
 impl std::fmt::Debug for SanitizerSink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -214,39 +216,65 @@ impl Gpu {
     }
 
     /// Installs a sanitizer sink: every subsequent launch (successful or
-    /// aborted) delivers one [`LaunchTape`] — the per-lane access and
-    /// barrier-vote record the `sanitize` crate's checkers consume. On an
-    /// aborted launch the tape carries the [`SimError`] in
-    /// [`LaunchTape::aborted`] along with the events recorded up to the
-    /// abort.
+    /// aborted) streams its per-lane access and barrier-vote events to
+    /// `sink` as it executes (see [`TapeSink`] for the protocol) — the
+    /// record the `sanitize` crate's checkers fold. Replaces any sink
+    /// installed before.
     ///
     /// Off by default and free when off: without a sink the executor
     /// records nothing, and with one the captured traces (and therefore
-    /// all replayed statistics) are byte-identical anyway. Tapes are
+    /// all replayed statistics) are byte-identical anyway. Events are
     /// produced during functional capture, which stays single-threaded —
     /// the intra-replay worker count ([`ReplayOptions::sim_threads`])
     /// cannot affect them.
-    pub fn set_sanitizer_sink(&mut self, sink: impl FnMut(LaunchTape) + Send + Sync + 'static) {
-        self.sanitizer = Some(SanitizerSink(Box::new(sink)));
+    pub fn set_tape_sink(&mut self, sink: Box<dyn TapeSink>) {
+        self.sanitizer = Some(SanitizerSink(sink));
     }
 
-    /// Captures a kernel's functional trace, delivering a sanitizer tape
-    /// to the installed sink (if any) even when the capture aborts.
-    fn capture(&mut self, kernel: &dyn Kernel) -> Result<KernelTrace, SimError> {
-        match self.sanitizer.as_mut() {
-            None => try_trace_kernel(kernel, &mut self.mem, &self.cfg),
-            Some(_) => {
-                let mut tape = LaunchTape::for_launch(kernel, &self.mem, &self.cfg);
-                let res = try_trace_kernel_with(kernel, &mut self.mem, &self.cfg, Some(&mut tape));
-                if let Err(e) = &res {
-                    tape.aborted = Some(e.clone());
-                }
-                if let Some(SanitizerSink(sink)) = self.sanitizer.as_mut() {
-                    sink(tape);
-                }
-                res
-            }
+    /// Removes the installed sanitizer sink and hands it back as `S`.
+    /// `None` (and the sink stays installed) if there is none or it is
+    /// not an `S`.
+    pub fn take_tape_sink<S: TapeSink>(&mut self) -> Option<S> {
+        let SanitizerSink(sink) = self.sanitizer.as_ref()?;
+        if !(&**sink as &dyn Any).is::<S>() {
+            return None;
         }
+        let SanitizerSink(sink) = self.sanitizer.take()?;
+        (sink as Box<dyn Any>)
+            .downcast::<S>()
+            .ok()
+            .map(|sink| *sink)
+    }
+
+    /// Installs a collecting sanitizer sink: every subsequent launch
+    /// delivers one whole [`LaunchTape`] to `sink` when it ends. On an
+    /// aborted launch the tape carries the [`SimError`] in
+    /// [`LaunchTape::aborted`] along with the events recorded up to the
+    /// abort. Holds a launch's events until it ends; consumers that can
+    /// fold events one at a time implement [`TapeSink`] and use
+    /// [`Gpu::set_tape_sink`] instead.
+    pub fn set_sanitizer_sink(&mut self, sink: impl FnMut(LaunchTape) + Send + Sync + 'static) {
+        self.set_tape_sink(Box::new(TapeCollector::new(sink)));
+    }
+
+    /// Captures a kernel's functional trace, streaming sanitizer events
+    /// to the installed sink (if any), whose launch ends even when the
+    /// capture aborts.
+    fn capture(&mut self, kernel: &dyn Kernel) -> Result<KernelTrace, SimError> {
+        let Some(SanitizerSink(sink)) = self.sanitizer.as_mut() else {
+            return try_trace_kernel(kernel, &mut self.mem, &self.cfg);
+        };
+        let launch = LaunchInfo::for_launch(kernel, &self.mem, &self.cfg);
+        let mut sites = SiteTable::new();
+        sink.begin(&launch);
+        let tap = Tap {
+            launch: &launch,
+            sites: &mut sites,
+            sink: &mut **sink,
+        };
+        let res = try_trace_kernel_with(kernel, &mut self.mem, &self.cfg, Some(tap));
+        sink.end(&launch, &sites, res.as_ref().err());
+        res
     }
 
     /// Turns transparent trace recording on or off. While on, every

@@ -24,8 +24,8 @@ use crate::banks::{distinct_words, warp_conflict_degree};
 use crate::coalesce::coalesce;
 use crate::isa::{ActiveMask, MemSpace, SegRange, TOp, MAX_WARP_SIZE};
 use crate::memory::{BufF32, BufU32, GpuMem, Handle, View};
-use crate::sanitizer::{AccessKind, LaunchTape, MemAccess, TapeBuf, TapeEvent};
-use crate::trace::WarpTrace;
+use crate::sanitizer::{AccessKind, MemAccess, TapeBuf};
+use crate::trace::{Tap, WarpTrace};
 
 /// Whether a warp has more phases (barrier-separated sections) to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,9 +159,9 @@ impl<T> DerefMut for Lanes<T> {
 /// allocation-free: a lane's thread id is computed, not looked up, and
 /// the lanes' `(lane, word)` pairs are staged in fixed stack buffers
 /// (`Lanes`) that the coalescer, the constant broadcast and the
-/// bank-conflict counter read. Only the returned per-lane
-/// values and, with a sanitizer attached, the tape's word lists touch
-/// the heap.
+/// bank-conflict counter read; with a sanitizer attached, the lane
+/// words are copied from them into one more stack buffer that the sink
+/// borrows. Only the returned per-lane values touch the heap.
 pub struct WarpCtx<'a> {
     pub(crate) mem: &'a mut GpuMem,
     pub(crate) shared_f32: &'a mut [f32],
@@ -179,12 +179,12 @@ pub struct WarpCtx<'a> {
     /// accesses become no-ops and the executor abandons the launch with
     /// [`crate::SimError::KernelFault`] when `run_warp` returns.
     pub(crate) fault: Option<String>,
-    /// Sanitizer tape of the enclosing launch, when a sink is installed
-    /// (`None` in normal runs: every recording site is guarded on it, so
-    /// taping never perturbs the emitted trace). Accesses are appended
-    /// to its event stream and their op sites interned into its
+    /// Sanitizer attachment of the enclosing launch, when a sink is
+    /// installed (`None` in normal runs: every recording site is guarded
+    /// on it, so taping never perturbs the emitted trace). Accesses go
+    /// to its sink, their op sites interned into its
     /// [`crate::shadow::SiteTable`].
-    pub(crate) tape: Option<&'a mut LaunchTape>,
+    pub(crate) tape: Option<Tap<'a>>,
 }
 
 impl std::fmt::Debug for WarpCtx<'_> {
@@ -240,40 +240,47 @@ impl WarpCtx<'_> {
         self.fault.is_some()
     }
 
-    /// Whether a sanitizer tape is attached to this launch.
+    /// Whether a sanitizer sink is attached to this launch.
     fn taping(&self) -> bool {
         self.tape.is_some()
     }
 
-    /// Records one warp-level access on the sanitizer tape (no-op when
-    /// no tape is attached; `words` is empty in that case too, because
-    /// the access loop only collects words while taping). `site` is
-    /// interned as the access's static op-site id.
+    /// Hands one warp-level access to the sanitizer sink: the staged
+    /// in-bounds `(lane, index)` pairs, then the faulting lane and
+    /// index if the access faulted. An access no lane took part in is
+    /// not reported. `site` is interned as the access's static op-site
+    /// id.
     fn tape_access(
         &mut self,
         site: &'static Location<'static>,
         kind: AccessKind,
         space: MemSpace,
         buf: TapeBuf,
-        words: Vec<(u8, u32)>,
-        faulted: bool,
+        staged: &[(usize, usize)],
+        fault_at: Option<(usize, usize)>,
     ) {
+        let mut words: Lanes<(u8, u32)> = Lanes::new();
+        for &(lane, idx) in staged.iter().chain(&fault_at) {
+            // Saturated: an index past `u32::MAX` still tapes out of
+            // range.
+            words.push((lane as u8, u32::try_from(idx).unwrap_or(u32::MAX)));
+        }
         if words.is_empty() {
             return;
         }
-        if let Some(tape) = self.tape.as_deref_mut() {
-            let site = tape.sites.intern(site);
-            tape.events.push(TapeEvent::Access(MemAccess {
+        if let Some(tap) = self.tape.as_mut() {
+            let access = MemAccess {
                 block: self.block as u32,
                 warp: self.warp_in_block as u32,
                 phase: self.phase as u32,
                 kind,
                 space,
                 buf,
-                site,
-                lane_words: words.into_boxed_slice(),
-                faulted,
-            }));
+                site: tap.sites.intern(site),
+                lane_words: &words[..],
+                faulted: fault_at.is_some(),
+            };
+            tap.sink.access(tap.launch, tap.sites, &access);
         }
     }
 
@@ -422,8 +429,7 @@ impl WarpCtx<'_> {
         if self.faulted() {
             return;
         }
-        let (tid0, mask, taping) = (self.tid0(), self.mask, self.taping());
-        let mut words: Vec<(u8, u32)> = Vec::new();
+        let (tid0, mask) = (self.tid0(), self.mask);
         let mut staged: Lanes<(usize, usize)> = Lanes::new();
         let mut fault = None;
         let view = target(&mut *self.mem, &mut *self.shared_f32);
@@ -432,27 +438,24 @@ impl WarpCtx<'_> {
             let Some((idx, value)) = lane(l, tid0 + l) else {
                 continue;
             };
-            if taping {
-                // Saturated: an index past `u32::MAX` still tapes out
-                // of range.
-                words.push((l as u8, u32::try_from(idx).unwrap_or(u32::MAX)));
-            }
             let Some(slot) = view.data.get_mut(idx) else {
-                fault = Some(oob_reason(kind, space, view.name, idx, len));
+                fault = Some((l, idx, oob_reason(kind, space, view.name, idx, len)));
                 break;
             };
             apply(l, slot, value);
             staged.push((l, idx));
         }
-        let faulted = fault.is_some();
+        if self.taping() {
+            let fault_at = fault.as_ref().map(|&(l, idx, _)| (l, idx));
+            self.tape_access(site, kind, space, buf, &staged, fault_at);
+        }
         let store = kind == AccessKind::Store;
         match fault {
-            Some(reason) => self.record_fault(reason),
+            Some((_, _, reason)) => self.record_fault(reason),
             None if space == MemSpace::Shared => self.emit_shared(&mut staged, store),
             None if space == MemSpace::Constant => self.emit_const(&mut staged.map(|(_, i)| i)),
             None => self.emit_gmem(space, store, &staged.map(|(_, i)| base + i as u64 * 4)),
         }
-        self.tape_access(site, kind, space, buf, words, faulted);
     }
 
     /// [`WarpCtx::access`] for a load: returns each lane's value (zero

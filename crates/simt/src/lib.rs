@@ -89,9 +89,13 @@ pub use isa::{ActiveMask, MemSpace, SegRange, TOp};
 pub use kernel::{GridShape, Kernel, PhaseControl, WarpCtx};
 pub use memory::{BufF32, BufU32, GpuMem};
 pub use sanitizer::{
-    AccessKind, AllocInfo, BarrierRecord, LaunchTape, MemAccess, TapeBuf, TapeEvent,
+    AccessKind, AccessRef, AllocInfo, BarrierRecord, LaunchInfo, LaunchTape, MemAccess, TapeBuf,
+    TapeEvent, TapeSink,
 };
-pub use serdes::{decode_capture_payload, encode_capture_payload, CodecError, TRACE_CODEC_VERSION};
+pub use serdes::{
+    decode_capture_payload, encode_capture_payload, read_capture_payload, write_capture_payload,
+    CodecError, DecodedCapture, TRACE_CODEC_VERSION,
+};
 pub use shadow::SiteTable;
 pub use stats::{
     KernelStats, MemMix, OccupancyHistogram, StallBreakdown, Timeline, TimelineSample,

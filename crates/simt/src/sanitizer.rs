@@ -1,33 +1,50 @@
-//! Sanitizer instrumentation: the per-launch access **tape**.
+//! Sanitizer instrumentation: the per-launch access **events** and the
+//! sink that receives them.
 //!
 //! The timing trace ([`crate::KernelTrace`]) deliberately forgets *which
 //! words* a warp touched — it keeps only the coalesced shape of each
 //! access, because that is all the timing model needs. A
 //! compute-sanitizer-style checker needs the opposite: the exact per-lane
 //! resolved word indices, the allocation each access targeted, and the
-//! per-warp barrier votes. This module defines that record — the
-//! [`LaunchTape`] — and the sink through which [`crate::Gpu`] delivers
-//! one tape per launch.
+//! per-warp barrier votes. This module defines those events and the
+//! [`TapeSink`] through which [`crate::Gpu`] delivers them *as the
+//! launch executes*: one [`TapeSink::begin`] with the launch's
+//! [`LaunchInfo`] (geometry and allocation snapshot), one
+//! [`TapeSink::access`] per warp-level memory instruction, one
+//! [`TapeSink::barrier`] per CTA barrier, and one [`TapeSink::end`]
+//! with the abort error, if any. Functional execution is sequential
+//! within a launch, so the events arrive in execution order and a
+//! consumer can fold them without holding them: an access's lane words
+//! are borrowed from the warp's stack buffer for the duration of the
+//! call.
+//!
+//! [`LaunchTape`] is the collecting sink: it holds one launch's events
+//! whole, for the fault harness, the tests and one-shot analyses
+//! ([`crate::Gpu::set_sanitizer_sink`] delivers one per launch), and
+//! [`LaunchTape::replay`] feeds a held tape through any other sink.
 //!
 //! Taping is **off by default and free when off**: the executor carries
-//! an `Option<&mut LaunchTape>` that is `None` unless a sink is
-//! installed with [`crate::Gpu::set_sanitizer_sink`], every recording
-//! site is guarded by that option, and no emitted [`crate::TOp`] changes
-//! either way — captured traces (and therefore every replayed statistic)
-//! are byte-identical with the sanitizer on or off.
+//! an `Option` that is `None` unless a sink is installed, every
+//! recording site is guarded by that option, and no emitted
+//! [`crate::TOp`] changes either way — captured traces (and therefore
+//! every replayed statistic) are byte-identical with the sanitizer on or
+//! off.
 //!
 //! Each access additionally carries the **static op site** that issued
 //! it — the kernel-source `file:line:column` of the `ld_*`/`st_*` call,
-//! captured via `#[track_caller]` and interned into
-//! [`LaunchTape::sites`] (see [`crate::shadow`]). The contract-inference
-//! layer groups accesses by site to fit one symbolic form per static
-//! memory instruction.
+//! captured via `#[track_caller]` and interned into the launch's
+//! [`SiteTable`] (see [`crate::shadow`]), which every access and the
+//! end of the launch pass to the sink. The contract-inference layer
+//! groups accesses by site to fit one symbolic form per static memory
+//! instruction.
 //!
-//! The tape is delivered to the sink even when the launch aborts with a
+//! The end of a launch is delivered even when the launch aborts with a
 //! [`SimError`] (out-of-bounds access, barrier divergence, watchdog …):
-//! the events recorded up to the abort, plus the error itself in
-//! [`LaunchTape::aborted`], are exactly what a checker needs to classify
-//! the failure. The `crates/sanitize` crate consumes these tapes.
+//! the events recorded up to the abort, plus the error itself, are
+//! exactly what a checker needs to classify the failure. The
+//! `crates/sanitize` crate consumes these events.
+
+use std::any::Any;
 
 use crate::config::GpuConfig;
 use crate::error::SimError;
@@ -47,9 +64,9 @@ pub enum AccessKind {
 
 /// The allocation an access resolved into.
 ///
-/// Global indices refer to [`LaunchTape::allocs_f32`] /
-/// [`LaunchTape::allocs_u32`]; shared accesses target the CTA's `f32`
-/// scratch declared by the kernel ([`LaunchTape::shared_f32_words`]).
+/// Global indices refer to [`LaunchInfo::allocs_f32`] /
+/// [`LaunchInfo::allocs_u32`]; shared accesses target the CTA's `f32`
+/// scratch declared by the kernel ([`LaunchInfo::shared_f32_words`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TapeBuf {
     /// A global `f32` buffer (index into the allocation table).
@@ -60,9 +77,12 @@ pub enum TapeBuf {
     SharedF32,
 }
 
-/// One warp-level memory instruction with per-lane resolved word indices.
+/// One warp-level memory instruction with per-lane resolved word
+/// indices. `W` holds the `(lane, word)` list: owned in a
+/// [`LaunchTape`], borrowed for the call when the executor hands the
+/// access to a [`TapeSink`] ([`AccessRef`]).
 #[derive(Debug, Clone)]
-pub struct MemAccess {
+pub struct MemAccess<W = Box<[(u8, u32)]>> {
     /// CTA (block) index of the accessing warp.
     pub block: u32,
     /// Warp index within the block.
@@ -75,16 +95,49 @@ pub struct MemAccess {
     pub space: MemSpace,
     /// Target allocation.
     pub buf: TapeBuf,
-    /// Static op site that issued the access (id into
-    /// [`LaunchTape::sites`]): the kernel-source location of the
-    /// `ld_*`/`st_*` call, shared by every dynamic execution of that
-    /// instruction.
+    /// Static op site that issued the access (id into the launch's
+    /// [`SiteTable`]): the kernel-source location of the `ld_*`/`st_*`
+    /// call, shared by every dynamic execution of that instruction.
     pub site: u32,
     /// `(lane, word index)` for each participating lane, in lane order.
-    pub lane_words: Box<[(u8, u32)]>,
+    pub lane_words: W,
     /// `true` if the access faulted: the **last** entry of `lane_words`
     /// is the out-of-range word and the remaining lanes were suppressed.
     pub faulted: bool,
+}
+
+/// An access as the executor delivers it: lane words borrowed for the
+/// duration of one [`TapeSink::access`] call.
+pub type AccessRef<'a> = MemAccess<&'a [(u8, u32)]>;
+
+impl MemAccess {
+    /// This access with its lane words borrowed.
+    pub(crate) fn borrowed(&self) -> AccessRef<'_> {
+        self.with_words(&self.lane_words)
+    }
+}
+
+impl AccessRef<'_> {
+    /// An owned copy of this access, for holding it past the call.
+    pub(crate) fn owned(&self) -> MemAccess {
+        self.with_words(self.lane_words.into())
+    }
+}
+
+impl<W> MemAccess<W> {
+    fn with_words<V>(&self, lane_words: V) -> MemAccess<V> {
+        MemAccess {
+            block: self.block,
+            warp: self.warp,
+            phase: self.phase,
+            kind: self.kind,
+            space: self.space,
+            buf: self.buf,
+            site: self.site,
+            lane_words,
+            faulted: self.faulted,
+        }
+    }
 }
 
 /// The barrier votes of one CTA at the end of one phase.
@@ -129,10 +182,10 @@ pub struct AllocInfo {
     pub initialized: bool,
 }
 
-/// Everything the sanitizer needs to know about one kernel launch: the
-/// launch geometry, the allocation tables, and the event stream.
+/// What a sink knows about a launch before its first event: the launch
+/// geometry and the allocation tables.
 #[derive(Debug, Clone)]
-pub struct LaunchTape {
+pub struct LaunchInfo {
     /// Kernel name.
     pub kernel: String,
     /// Number of CTAs launched.
@@ -147,20 +200,14 @@ pub struct LaunchTape {
     pub allocs_f32: Vec<AllocInfo>,
     /// Global `u32` allocations at launch time, in allocation order.
     pub allocs_u32: Vec<AllocInfo>,
-    /// The recorded access/barrier stream.
-    pub events: Vec<TapeEvent>,
-    /// Static op sites referenced by [`MemAccess::site`].
-    pub sites: SiteTable,
-    /// The error that abandoned the launch, if it did not complete.
-    pub aborted: Option<SimError>,
 }
 
-impl LaunchTape {
-    /// Builds an empty tape for a launch of `kernel` against `mem`,
-    /// snapshotting the allocation table.
-    pub fn for_launch(kernel: &dyn Kernel, mem: &GpuMem, cfg: &GpuConfig) -> LaunchTape {
+impl LaunchInfo {
+    /// Describes a launch of `kernel` against `mem`, snapshotting the
+    /// allocation table.
+    pub fn for_launch(kernel: &dyn Kernel, mem: &GpuMem, cfg: &GpuConfig) -> LaunchInfo {
         let shape = kernel.shape();
-        LaunchTape {
+        LaunchInfo {
             kernel: kernel.name().to_string(),
             blocks: shape.blocks as u32,
             threads_per_block: shape.threads_per_block as u32,
@@ -168,15 +215,12 @@ impl LaunchTape {
             shared_f32_words: kernel.shared_f32_words() as u32,
             allocs_f32: mem.snapshot_f32(),
             allocs_u32: mem.snapshot_u32(),
-            events: Vec::new(),
-            sites: SiteTable::new(),
-            aborted: None,
         }
     }
 
-    /// Word extent of `buf` under this tape's allocation tables
+    /// Word extent of `buf` under this launch's allocation tables
     /// (`None` for a global index past the snapshot, which cannot occur
-    /// for tapes produced by the executor).
+    /// for accesses produced by the executor).
     pub fn extent(&self, buf: TapeBuf) -> Option<u32> {
         match buf {
             TapeBuf::GlobalF32(i) => self.allocs_f32.get(i as usize).map(|a| a.words),
@@ -197,6 +241,111 @@ impl LaunchTape {
                 .get(i as usize)
                 .map_or("<unknown u32>", |a| a.name.as_str()),
             TapeBuf::SharedF32 => "shared f32",
+        }
+    }
+}
+
+/// A consumer of sanitizer events, installed on a device with
+/// [`crate::Gpu::set_tape_sink`].
+///
+/// Every launch makes exactly one [`begin`](TapeSink::begin), then its
+/// accesses and barriers in execution order, then exactly one
+/// [`end`](TapeSink::end) — also when the launch aborts. The `launch`
+/// passed to each call is the one `begin` received, and `sites` is the
+/// launch's op-site table as interned so far (it covers every site id
+/// the launch's accesses carry). A sink is [`Any`] so the device can
+/// hand the concrete consumer back ([`crate::Gpu::take_tape_sink`]).
+pub trait TapeSink: Any + Send + Sync {
+    /// A launch is about to execute.
+    fn begin(&mut self, launch: &LaunchInfo);
+    /// One warp-level memory access of the current launch.
+    fn access(&mut self, launch: &LaunchInfo, sites: &SiteTable, access: &AccessRef<'_>);
+    /// One CTA barrier (or divergent attempt at one) of the current
+    /// launch.
+    fn barrier(&mut self, launch: &LaunchInfo, barrier: &BarrierRecord);
+    /// The current launch is over: completed, or abandoned with
+    /// `aborted`.
+    fn end(&mut self, launch: &LaunchInfo, sites: &SiteTable, aborted: Option<&SimError>);
+}
+
+/// One launch's events held whole: the launch description, the
+/// access/barrier stream, the op-site table and the abort error.
+#[derive(Debug, Clone)]
+pub struct LaunchTape {
+    /// Geometry and allocation tables of the launch.
+    pub launch: LaunchInfo,
+    /// The recorded access/barrier stream.
+    pub events: Vec<TapeEvent>,
+    /// Static op sites referenced by [`MemAccess::site`].
+    pub sites: SiteTable,
+    /// The error that abandoned the launch, if it did not complete.
+    pub aborted: Option<SimError>,
+}
+
+impl LaunchTape {
+    /// An empty tape for `launch`.
+    pub fn new(launch: LaunchInfo) -> LaunchTape {
+        LaunchTape {
+            launch,
+            events: Vec::new(),
+            sites: SiteTable::new(),
+            aborted: None,
+        }
+    }
+
+    /// Feeds this tape through `sink` exactly as the executor delivered
+    /// it: `begin`, every event in order, `end`.
+    pub fn replay(&self, sink: &mut dyn TapeSink) {
+        sink.begin(&self.launch);
+        for ev in &self.events {
+            match ev {
+                TapeEvent::Access(a) => sink.access(&self.launch, &self.sites, &a.borrowed()),
+                TapeEvent::Barrier(b) => sink.barrier(&self.launch, b),
+            }
+        }
+        sink.end(&self.launch, &self.sites, self.aborted.as_ref());
+    }
+}
+
+/// The collecting sink behind [`crate::Gpu::set_sanitizer_sink`]: holds
+/// each launch's events in a [`LaunchTape`] and hands the finished tape
+/// to `deliver`.
+pub(crate) struct TapeCollector<F> {
+    deliver: F,
+    tape: Option<LaunchTape>,
+}
+
+impl<F> TapeCollector<F> {
+    pub(crate) fn new(deliver: F) -> TapeCollector<F> {
+        TapeCollector {
+            deliver,
+            tape: None,
+        }
+    }
+}
+
+impl<F: FnMut(LaunchTape) + Send + Sync + 'static> TapeSink for TapeCollector<F> {
+    fn begin(&mut self, launch: &LaunchInfo) {
+        self.tape = Some(LaunchTape::new(launch.clone()));
+    }
+
+    fn access(&mut self, _: &LaunchInfo, _: &SiteTable, access: &AccessRef<'_>) {
+        if let Some(tape) = &mut self.tape {
+            tape.events.push(TapeEvent::Access(access.owned()));
+        }
+    }
+
+    fn barrier(&mut self, _: &LaunchInfo, barrier: &BarrierRecord) {
+        if let Some(tape) = &mut self.tape {
+            tape.events.push(TapeEvent::Barrier(barrier.clone()));
+        }
+    }
+
+    fn end(&mut self, _: &LaunchInfo, sites: &SiteTable, aborted: Option<&SimError>) {
+        if let Some(mut tape) = self.tape.take() {
+            tape.sites = sites.clone();
+            tape.aborted = aborted.cloned();
+            (self.deliver)(tape);
         }
     }
 }
@@ -229,7 +378,7 @@ mod tests {
         let a = mem.alloc_f32("a", &[0.0; 100]);
         let b = mem.alloc_u32_zeroed("b", 7);
         let c = mem.alloc_f32_uninit("c", 9);
-        let tape = LaunchTape::for_launch(&Nop, &mem, &cfg);
+        let tape = LaunchInfo::for_launch(&Nop, &mem, &cfg);
         assert_eq!(tape.blocks, 2);
         assert_eq!(tape.threads_per_block, 64);
         assert_eq!(tape.shared_f32_words, 32);

@@ -15,11 +15,20 @@
 //! original: the codec preserves every field the timing model reads
 //! (op streams per warp per CTA in order, launch geometry, occupancy
 //! inputs, warp size).
+//!
+//! Both directions stream: [`write_capture_payload`] hands the payload
+//! to a writer in [`obs::codec::CHUNK`]-sized pieces and
+//! [`read_capture_payload`] decodes from a reader the same way, so the
+//! store persists and restores a capture holding only the traces
+//! themselves. [`encode_capture_payload`] and
+//! [`decode_capture_payload`] are the in-memory forms of the same
+//! bytes.
 
+use std::io::{self, Read, Write};
 use std::sync::Arc;
 
 pub use obs::codec::CodecError;
-use obs::codec::{put_str, put_u32, put_u64, Reader};
+use obs::codec::{encode_to_vec, Reader, Writer};
 
 use crate::isa::{MemSpace, SegRange, TOp};
 use crate::trace::{CtaTrace, KernelTrace, WarpTrace};
@@ -37,28 +46,61 @@ pub fn encode_capture_payload(
     h2d_bytes: u64,
     d2h_bytes: u64,
 ) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u32(&mut out, TRACE_CODEC_VERSION);
-    put_u64(&mut out, h2d_bytes);
-    put_u64(&mut out, d2h_bytes);
-    put_u32(&mut out, traces.len() as u32);
-    for t in traces {
-        encode_trace(t, &mut out);
-    }
-    out
+    encode_to_vec(|w| encode_capture(traces, h2d_bytes, d2h_bytes, w))
 }
 
-/// Decodes a payload produced by [`encode_capture_payload`], returning
-/// `(traces, h2d_bytes, d2h_bytes)`.
+/// [`encode_capture_payload`] into `out`, a chunk at a time.
+///
+/// # Errors
+///
+/// The first error `out` returned.
+pub fn write_capture_payload(
+    traces: &[Arc<KernelTrace>],
+    h2d_bytes: u64,
+    d2h_bytes: u64,
+    out: &mut dyn Write,
+) -> io::Result<()> {
+    let mut w = Writer::new(out);
+    encode_capture(traces, h2d_bytes, d2h_bytes, &mut w);
+    w.finish()
+}
+
+fn encode_capture(traces: &[Arc<KernelTrace>], h2d_bytes: u64, d2h_bytes: u64, w: &mut Writer<'_>) {
+    w.u32(TRACE_CODEC_VERSION);
+    w.u64(h2d_bytes);
+    w.u64(d2h_bytes);
+    w.u32(traces.len() as u32);
+    for t in traces {
+        encode_trace(t, w);
+    }
+}
+
+/// A decoded capture: `(traces, h2d_bytes, d2h_bytes)`.
+pub type DecodedCapture = (Vec<Arc<KernelTrace>>, u64, u64);
+
+/// Decodes a payload produced by [`encode_capture_payload`].
 ///
 /// # Errors
 ///
 /// A [`CodecError`] on any structural problem; no partially decoded
 /// trace is ever returned.
-pub fn decode_capture_payload(
-    bytes: &[u8],
-) -> Result<(Vec<Arc<KernelTrace>>, u64, u64), CodecError> {
-    let mut r = Reader::new(bytes);
+pub fn decode_capture_payload(bytes: &[u8]) -> Result<DecodedCapture, CodecError> {
+    read_capture_payload(&mut &bytes[..], bytes.len())
+}
+
+/// [`decode_capture_payload`] from the `len` payload bytes of `src`,
+/// read a chunk at a time. No count read from the payload reserves
+/// more memory than `len` bytes.
+///
+/// # Errors
+///
+/// As [`decode_capture_payload`]; a read error or a source shorter
+/// than `len` fails the field it interrupted.
+pub fn read_capture_payload(src: &mut dyn Read, len: usize) -> Result<DecodedCapture, CodecError> {
+    decode_capture(Reader::from_read(src, len))
+}
+
+fn decode_capture(mut r: Reader<&mut dyn Read>) -> Result<DecodedCapture, CodecError> {
     let version = r.u32("codec version")?;
     if version != TRACE_CODEC_VERSION {
         return Err(CodecError {
@@ -69,7 +111,7 @@ pub fn decode_capture_payload(
     let h2d = r.u64("h2d bytes")?;
     let d2h = r.u64("d2h bytes")?;
     let n = r.u32("trace count")? as usize;
-    let mut traces = Vec::with_capacity(n.min(r.remaining()));
+    let mut traces = Vec::with_capacity(r.capacity::<Arc<KernelTrace>>(n));
     for _ in 0..n {
         traces.push(Arc::new(decode_trace(&mut r)?));
     }
@@ -77,39 +119,39 @@ pub fn decode_capture_payload(
     Ok((traces, h2d, d2h))
 }
 
-fn encode_trace(t: &KernelTrace, out: &mut Vec<u8>) {
-    put_str(out, &t.name);
-    put_u64(out, t.threads_per_block as u64);
-    put_u32(out, t.regs_per_thread);
-    put_u32(out, t.shared_bytes_per_cta);
-    put_u32(out, t.warp_size as u32);
-    put_u32(out, t.ctas.len() as u32);
+fn encode_trace(t: &KernelTrace, w: &mut Writer<'_>) {
+    w.str(&t.name);
+    w.u64(t.threads_per_block as u64);
+    w.u32(t.regs_per_thread);
+    w.u32(t.shared_bytes_per_cta);
+    w.u32(t.warp_size as u32);
+    w.u32(t.ctas.len() as u32);
     for cta in &t.ctas {
-        put_u32(out, cta.warps.len() as u32);
+        w.u32(cta.warps.len() as u32);
         for warp in &cta.warps {
-            put_u32(out, warp.ops.len() as u32);
+            w.u32(warp.ops.len() as u32);
             for op in &warp.ops {
-                encode_op(op, &warp.segs, out);
+                encode_op(op, &warp.segs, w);
             }
         }
     }
 }
 
-fn decode_trace(r: &mut Reader<'_>) -> Result<KernelTrace, CodecError> {
+fn decode_trace(r: &mut Reader<&mut dyn Read>) -> Result<KernelTrace, CodecError> {
     let name = r.str("kernel name")?;
     let threads_per_block = r.u64("threads per block")? as usize;
     let regs_per_thread = r.u32("regs per thread")?;
     let shared_bytes_per_cta = r.u32("shared bytes per cta")?;
     let warp_size = r.u32("warp size")? as usize;
     let n_ctas = r.u32("cta count")? as usize;
-    let mut ctas = Vec::with_capacity(n_ctas.min(r.remaining()));
+    let mut ctas = Vec::with_capacity(r.capacity::<CtaTrace>(n_ctas));
     for _ in 0..n_ctas {
         let n_warps = r.u32("warp count")? as usize;
-        let mut warps = Vec::with_capacity(n_warps.min(r.remaining()));
+        let mut warps = Vec::with_capacity(r.capacity::<WarpTrace>(n_warps));
         for _ in 0..n_warps {
             let n_ops = r.u32("op count")? as usize;
             let mut warp = WarpTrace {
-                ops: Vec::with_capacity(n_ops.min(r.remaining())),
+                ops: Vec::with_capacity(r.capacity::<TOp>(n_ops)),
                 segs: Vec::new(),
             };
             for _ in 0..n_ops {
@@ -144,27 +186,27 @@ const TAG_BRANCH: u8 = 7;
 const TAG_BAR: u8 = 8;
 
 /// Encodes `op`, writing its segments (from its warp's `pool`) inline.
-fn encode_op(op: &TOp, pool: &[u64], out: &mut Vec<u8>) {
+fn encode_op(op: &TOp, pool: &[u64], w: &mut Writer<'_>) {
     match op {
         TOp::Alu { n, lanes } => {
-            out.push(TAG_ALU);
-            put_u32(out, *n);
-            out.push(*lanes);
+            w.u8(TAG_ALU);
+            w.u32(*n);
+            w.u8(*lanes);
         }
         TOp::Sfu { n, lanes } => {
-            out.push(TAG_SFU);
-            put_u32(out, *n);
-            out.push(*lanes);
+            w.u8(TAG_SFU);
+            w.u32(*n);
+            w.u8(*lanes);
         }
         TOp::Shared {
             degree,
             lanes,
             store,
         } => {
-            out.push(TAG_SHARED);
-            out.push(*degree);
-            out.push(*lanes);
-            out.push(u8::from(*store));
+            w.u8(TAG_SHARED);
+            w.u8(*degree);
+            w.u8(*lanes);
+            w.u8(u8::from(*store));
         }
         TOp::Gmem {
             space,
@@ -172,37 +214,37 @@ fn encode_op(op: &TOp, pool: &[u64], out: &mut Vec<u8>) {
             lanes,
             segs,
         } => {
-            out.push(TAG_GMEM);
-            out.push(u8::from(*space == MemSpace::Local));
-            out.push(u8::from(*store));
-            out.push(*lanes);
-            put_segs(out, segs.of(pool));
+            w.u8(TAG_GMEM);
+            w.u8(u8::from(*space == MemSpace::Local));
+            w.u8(u8::from(*store));
+            w.u8(*lanes);
+            put_segs(w, segs.of(pool));
         }
         TOp::Tex { lanes, segs } => {
-            out.push(TAG_TEX);
-            out.push(*lanes);
-            put_segs(out, segs.of(pool));
+            w.u8(TAG_TEX);
+            w.u8(*lanes);
+            put_segs(w, segs.of(pool));
         }
         TOp::Const { lanes, unique } => {
-            out.push(TAG_CONST);
-            out.push(*lanes);
-            out.push(*unique);
+            w.u8(TAG_CONST);
+            w.u8(*lanes);
+            w.u8(*unique);
         }
         TOp::Param { n, lanes } => {
-            out.push(TAG_PARAM);
-            put_u32(out, *n);
-            out.push(*lanes);
+            w.u8(TAG_PARAM);
+            w.u32(*n);
+            w.u8(*lanes);
         }
         TOp::Branch { lanes } => {
-            out.push(TAG_BRANCH);
-            out.push(*lanes);
+            w.u8(TAG_BRANCH);
+            w.u8(*lanes);
         }
-        TOp::Bar => out.push(TAG_BAR),
+        TOp::Bar => w.u8(TAG_BAR),
     }
 }
 
 /// Decodes one op of `warp`, appending its segments to the warp's pool.
-fn decode_op(r: &mut Reader<'_>, warp: &mut WarpTrace) -> Result<TOp, CodecError> {
+fn decode_op(r: &mut Reader<&mut dyn Read>, warp: &mut WarpTrace) -> Result<TOp, CodecError> {
     let tag = r.u8("op tag")?;
     Ok(match tag {
         TAG_ALU => TOp::Alu {
@@ -260,17 +302,15 @@ fn decode_op(r: &mut Reader<'_>, warp: &mut WarpTrace) -> Result<TOp, CodecError
 }
 
 /// A `u32` count followed by that many `u64` segment addresses.
-fn put_segs(out: &mut Vec<u8>, segs: &[u64]) {
-    put_u32(out, segs.len() as u32);
-    for &s in segs {
-        put_u64(out, s);
-    }
+fn put_segs(w: &mut Writer, segs: &[u64]) {
+    w.u32(segs.len() as u32);
+    w.u64s(segs);
 }
 
 /// Reads what [`put_segs`] wrote into `warp`'s pool, returning its
 /// range. A count that does not fit a [`SegRange`] is an error.
 fn segs(
-    r: &mut Reader<'_>,
+    r: &mut Reader<&mut dyn Read>,
     warp: &mut WarpTrace,
     what: &'static str,
 ) -> Result<SegRange, CodecError> {
@@ -475,21 +515,23 @@ mod tests {
 
     #[test]
     fn a_segment_count_beyond_a_range_is_a_typed_error() {
-        let mut bytes = Vec::new();
-        put_u32(&mut bytes, TRACE_CODEC_VERSION);
-        put_u64(&mut bytes, 0);
-        put_u64(&mut bytes, 0);
-        put_u32(&mut bytes, 1); // one trace
-        put_str(&mut bytes, "t");
-        put_u64(&mut bytes, 32);
-        for field in [1, 0, 32, 1, 1, 1] {
-            // regs, shared bytes, warp size, one CTA, one warp, one op
-            put_u32(&mut bytes, field);
-        }
-        bytes.extend([TAG_TEX, 32]);
+        let mut bytes = encode_to_vec(|w| {
+            w.u32(TRACE_CODEC_VERSION);
+            w.u64(0);
+            w.u64(0);
+            w.u32(1); // one trace
+            w.str("t");
+            w.u64(32);
+            for field in [1, 0, 32, 1, 1, 1] {
+                // regs, shared bytes, warp size, one CTA, one warp, one op
+                w.u32(field);
+            }
+            w.u8(TAG_TEX);
+            w.u8(32);
+        });
         let n = u32::from(u16::MAX) + 1;
         let count_at = bytes.len();
-        put_u32(&mut bytes, n);
+        bytes.extend(n.to_le_bytes());
         bytes.resize(bytes.len() + 8 * n as usize, 0);
         let err = decode_capture_payload(&bytes).unwrap_err();
         assert!(err.to_string().contains("segment range"), "{err}");

@@ -12,7 +12,8 @@ use crate::error::SimError;
 use crate::isa::{ActiveMask, SegRange, TOp};
 use crate::kernel::{Kernel, PhaseControl, WarpCtx};
 use crate::memory::GpuMem;
-use crate::sanitizer::{BarrierRecord, LaunchTape, TapeEvent};
+use crate::sanitizer::{BarrierRecord, LaunchInfo, TapeSink};
+use crate::shadow::SiteTable;
 use crate::stats::{MemMix, OccupancyHistogram};
 
 /// The trace of one warp: its operation stream, with barriers inline,
@@ -237,15 +238,43 @@ pub fn try_trace_kernel(
     try_trace_kernel_with(kernel, mem, cfg, None)
 }
 
-/// [`try_trace_kernel`] with an optional sanitizer tape attached: every
-/// per-lane resolved access and every CTA barrier vote is appended to
-/// `tape.events` as execution proceeds (see [`crate::sanitizer`]). The
-/// emitted [`KernelTrace`] is byte-identical with or without a tape.
+/// The sanitizer attachment of one launch: where its events go, the
+/// launch they belong to, and its op-site table.
+pub(crate) struct Tap<'a> {
+    pub(crate) launch: &'a LaunchInfo,
+    pub(crate) sites: &'a mut SiteTable,
+    pub(crate) sink: &'a mut dyn TapeSink,
+}
+
+impl Tap<'_> {
+    /// The same attachment, borrowed for one warp's context.
+    pub(crate) fn reborrow(&mut self) -> Tap<'_> {
+        Tap {
+            launch: self.launch,
+            sites: &mut *self.sites,
+            sink: &mut *self.sink,
+        }
+    }
+
+    fn barrier(&mut self, block: usize, phase: usize, continues: Box<[bool]>) {
+        let record = BarrierRecord {
+            block: block as u32,
+            phase: phase as u32,
+            continues,
+        };
+        self.sink.barrier(self.launch, &record);
+    }
+}
+
+/// [`try_trace_kernel`] with an optional sanitizer attached: every
+/// per-lane resolved access and every CTA barrier vote goes to the
+/// tap's sink as execution proceeds (see [`crate::sanitizer`]). The
+/// emitted [`KernelTrace`] is byte-identical with or without a tap.
 ///
-/// On an error return the tape holds every event recorded up to the
-/// abort — including the faulting access (flagged `faulted`) and, for
-/// barrier divergence, the mixed vote vector. The caller is responsible
-/// for stamping [`LaunchTape::aborted`] ([`crate::Gpu`] does).
+/// On an error return the sink has seen every event up to the abort —
+/// including the faulting access (flagged `faulted`) and, for barrier
+/// divergence, the mixed vote vector. Beginning and ending the launch
+/// on the sink is the caller's job ([`crate::Gpu`] does both).
 ///
 /// # Errors
 ///
@@ -254,7 +283,7 @@ pub(crate) fn try_trace_kernel_with(
     kernel: &dyn Kernel,
     mem: &mut GpuMem,
     cfg: &GpuConfig,
-    mut tape: Option<&mut LaunchTape>,
+    mut tape: Option<Tap<'_>>,
 ) -> Result<KernelTrace, SimError> {
     let _span = obs::span!("simt.trace.{}", kernel.name());
     let shape = kernel.shape();
@@ -297,7 +326,7 @@ pub(crate) fn try_trace_kernel_with(
                     banks: cfg.shared_banks,
                     seg_bytes: cfg.segment_bytes,
                     fault: None,
-                    tape: tape.as_deref_mut(),
+                    tape: tape.as_mut().map(Tap::reborrow),
                 };
                 let pc = kernel.run_warp(&mut ctx);
                 if let Some(reason) = ctx.fault.take() {
@@ -311,12 +340,9 @@ pub(crate) fn try_trace_kernel_with(
                     // Record the divergent vote vector (as collected so
                     // far) before abandoning: the sanitizer classifies
                     // barrier divergence from exactly this record.
-                    if let Some(t) = tape.as_deref_mut() {
-                        t.events.push(TapeEvent::Barrier(BarrierRecord {
-                            block: block as u32,
-                            phase: phase as u32,
-                            continues: votes.iter().map(|v| *v == PhaseControl::Continue).collect(),
-                        }));
+                    if let Some(t) = tape.as_mut() {
+                        let continues = votes.iter().map(|v| *v == PhaseControl::Continue);
+                        t.barrier(block, phase, continues.collect());
                     }
                     return Err(SimError::BarrierDivergence {
                         kernel: kernel.name().to_string(),
@@ -327,12 +353,8 @@ pub(crate) fn try_trace_kernel_with(
             }
             match votes.first() {
                 Some(PhaseControl::Continue) => {
-                    if let Some(t) = tape.as_deref_mut() {
-                        t.events.push(TapeEvent::Barrier(BarrierRecord {
-                            block: block as u32,
-                            phase: phase as u32,
-                            continues: vec![true; warps_per_block].into_boxed_slice(),
-                        }));
+                    if let Some(t) = tape.as_mut() {
+                        t.barrier(block, phase, vec![true; warps_per_block].into());
                     }
                     for t in &mut traces {
                         t.ops.push(TOp::Bar);

@@ -21,6 +21,17 @@
 //! ends up at this path — into a detected corruption instead of a
 //! silently wrong replay.
 //!
+//! The store writes and reads an entry in chunks (`TraceStore::save_with`
+//! and `TraceStore::load_with`); the framing is the same either way. On
+//! save, a first pass of the payload producer into a counting
+//! `Fnv1a` hasher gives the length and checksum the header carries
+//! before any payload byte is written. On load, the header is checked
+//! first, the declared length against the file size, and then the
+//! decoder reads the payload through a reader bounded by the declared
+//! length that hashes every byte it hands out; the checksum is compared
+//! once the payload has been read, before the decoded value is
+//! returned.
+//!
 //! FNV-1a detects every single-byte change: each step
 //! `h' = (h ^ b) * P` is a bijection of `h` for fixed `b` (P is odd),
 //! and two distinct bytes at the same position map one state to two
@@ -30,7 +41,7 @@
 //! exhaustively over random entries.
 
 use std::fmt;
-use std::io::{self, Read};
+use std::io::{self, Read, Write};
 
 /// Magic bytes opening every entry ("Rodinia Trace Store Entry").
 pub const MAGIC: [u8; 4] = *b"RTSE";
@@ -48,12 +59,61 @@ const POST_KEY: usize = 8 + 8;
 
 /// FNV-1a 64-bit hash of `bytes`.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    let mut h = Fnv1a::default();
+    h.update(bytes);
+    h.hash()
+}
+
+/// An incremental FNV-1a 64 hash that also counts its input: hashing
+/// a payload in pieces gives [`fnv1a64`] of the whole. As a [`Write`]
+/// sink it measures a payload producer without keeping its output.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Fnv1a {
+    hash: u64,
+    len: u64,
+}
+
+impl Default for Fnv1a {
+    fn default() -> Fnv1a {
+        Fnv1a {
+            hash: 0xcbf2_9ce4_8422_2325,
+            len: 0,
+        }
     }
-    h
+}
+
+impl Fnv1a {
+    /// Hashes `bytes` after everything hashed so far.
+    pub(crate) fn update(&mut self, bytes: &[u8]) {
+        let mut h = self.hash;
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.hash = h;
+        self.len += bytes.len() as u64;
+    }
+
+    /// The hash of everything hashed so far.
+    pub(crate) fn hash(&self) -> u64 {
+        self.hash
+    }
+
+    /// How many bytes have been hashed.
+    pub(crate) fn len(&self) -> u64 {
+        self.len
+    }
+}
+
+impl Write for Fnv1a {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.update(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 /// Why an entry failed verification. Every variant is treated the same
@@ -95,6 +155,12 @@ pub enum Corruption {
         /// Checksum computed over the payload.
         computed: u64,
     },
+    /// The framing verified, but the caller's decoder rejected the
+    /// payload (codec version skew, a malformed field).
+    Undecodable {
+        /// The decoder's reason.
+        reason: String,
+    },
 }
 
 impl fmt::Display for Corruption {
@@ -115,20 +181,22 @@ impl fmt::Display for Corruption {
                 f,
                 "checksum mismatch: stored {stored:016x}, computed {computed:016x}"
             ),
+            Corruption::Undecodable { reason } => f.write_str(reason),
         }
     }
 }
 
-/// The frame header of `payload` under `key`: every byte of the entry
-/// before the payload. [`encode_entry`] is this followed by `payload`;
-/// the store writes the two parts in turn, so it never builds a second
+/// The frame header of a payload of `len` bytes with FNV-1a checksum
+/// `checksum` under `key`: every byte of the entry before the payload.
+/// [`encode_entry`] is this followed by the payload; the store writes
+/// the header and then streams the payload, so it never builds a
 /// payload-sized buffer.
 ///
 /// # Panics
 ///
 /// Panics if `key` is longer than `u16::MAX` bytes; store keys are
 /// short fingerprint strings, so this is a caller bug.
-pub(crate) fn entry_header(key: &str, payload: &[u8]) -> Vec<u8> {
+pub(crate) fn entry_header(key: &str, len: u64, checksum: u64) -> Vec<u8> {
     let kb = key.as_bytes();
     assert!(kb.len() <= usize::from(u16::MAX), "store key too long");
     let mut out = Vec::with_capacity(PRE_KEY + kb.len() + POST_KEY);
@@ -136,8 +204,8 @@ pub(crate) fn entry_header(key: &str, payload: &[u8]) -> Vec<u8> {
     out.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     out.extend_from_slice(&(kb.len() as u16).to_le_bytes());
     out.extend_from_slice(kb);
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(&len.to_le_bytes());
+    out.extend_from_slice(&checksum.to_le_bytes());
     out
 }
 
@@ -147,7 +215,7 @@ pub(crate) fn entry_header(key: &str, payload: &[u8]) -> Vec<u8> {
 ///
 /// As `entry_header`.
 pub fn encode_entry(key: &str, payload: &[u8]) -> Vec<u8> {
-    let mut out = entry_header(key, payload);
+    let mut out = entry_header(key, payload.len() as u64, fnv1a64(payload));
     out.extend_from_slice(payload);
     out
 }
@@ -237,35 +305,112 @@ pub fn decode_entry<'a>(key: &str, bytes: &'a [u8]) -> Result<&'a [u8], Corrupti
     Ok(payload)
 }
 
-/// Reads one entry from `r` and verifies it against `key` exactly as
-/// [`decode_entry`] would over the same bytes, but reads the header and
-/// the payload into separate buffers, so the payload arrives in its own
-/// allocation with no copy out of a whole-file buffer. `size_hint` is
-/// the expected entry size (the file length); it only sizes the payload
-/// buffer.
+/// The payload of an entry as its decoder sees it: at most the declared
+/// length of the underlying reader, hashed as it is handed out. A read
+/// error is kept, so the store can tell an unreadable entry (retry,
+/// then miss) from a corrupt one (quarantine).
+struct Checked<R> {
+    inner: R,
+    left: u64,
+    fnv: Fnv1a,
+    err: Option<io::Error>,
+}
+
+impl<R: Read> Read for Checked<R> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        let want = buf
+            .len()
+            .min(usize::try_from(self.left).unwrap_or(usize::MAX));
+        match self.inner.read(&mut buf[..want]) {
+            Ok(n) => {
+                self.fnv.update(&buf[..n]);
+                self.left -= n as u64;
+                Ok(n)
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => Err(e),
+            Err(e) => {
+                let kept = io::Error::new(e.kind(), e.to_string());
+                self.err.get_or_insert(kept);
+                Err(e)
+            }
+        }
+    }
+}
+
+/// Reads one entry of `size` bytes from `r`, verifies it against `key`
+/// and decodes its payload with `decode`, which is given a reader of
+/// the payload and its declared length. The verdict is
+/// [`decode_entry`]'s for the same bytes — the header checks, then the
+/// declared length against `size`, then the checksum — and only then
+/// the decoder's: a value is returned only from an entry that passes
+/// every check, and a decoder's rejection of a verified payload is
+/// [`Corruption::Undecodable`]. No payload byte is held here: the
+/// decoder reads straight from `r`, and what it leaves unread is read
+/// for the checksum and dropped.
 ///
 /// # Errors
 ///
-/// The outer error is a read failure; the inner one the [`Corruption`]
-/// [`decode_entry`] reports for the same bytes.
-pub(crate) fn read_entry(
+/// The outer error is a read failure (including one the decoder met);
+/// the inner one the [`Corruption`] that rejected the entry.
+pub fn read_entry<T>(
     key: &str,
     mut r: impl Read,
-    size_hint: u64,
-) -> io::Result<Result<Vec<u8>, Corruption>> {
+    size: u64,
+    decode: &mut dyn FnMut(&mut dyn Read, usize) -> Result<T, String>,
+) -> io::Result<Result<T, Corruption>> {
     let mut head = Vec::with_capacity(PRE_KEY + key.len() + POST_KEY);
     r.by_ref().take(PRE_KEY as u64).read_to_end(&mut head)?;
     if head.len() == PRE_KEY {
         let rest = key_len(&head) + POST_KEY;
         r.by_ref().take(rest as u64).read_to_end(&mut head)?;
     }
-    let hint = usize::try_from(size_hint).unwrap_or(0);
-    let mut payload = Vec::with_capacity(hint.saturating_sub(head.len()));
-    r.read_to_end(&mut payload)?;
-    let have = (head.len() + payload.len()) as u64;
-    Ok(check_header(key, &head, have)
-        .and_then(|header| check_payload(&header, &payload))
-        .map(|()| payload))
+    let header = match check_header(key, &head, head.len() as u64) {
+        Ok(h) => h,
+        Err(c) => return Ok(Err(c)),
+    };
+    let declared = header.declared;
+    let actual = size.saturating_sub(head.len() as u64);
+    let len = match usize::try_from(declared) {
+        Ok(len) if actual == declared => len,
+        _ => return Ok(Err(Corruption::LengthMismatch { declared, actual })),
+    };
+    let mut payload = Checked {
+        inner: r,
+        left: declared,
+        fnv: Fnv1a::default(),
+        err: None,
+    };
+    let decoded = decode(&mut payload, len);
+    // Whatever the decoder left unread still counts for the checksum
+    // (a rejected payload is read to the end, like an accepted one).
+    let drained = io::copy(&mut payload, &mut io::sink());
+    if let Some(e) = payload.err {
+        return Err(e);
+    }
+    drained?;
+    let got = payload.fnv.len();
+    if got != declared {
+        return Ok(Err(Corruption::LengthMismatch {
+            declared,
+            actual: got,
+        }));
+    }
+    let computed = payload.fnv.hash();
+    if computed != header.checksum {
+        return Ok(Err(Corruption::ChecksumMismatch {
+            stored: header.checksum,
+            computed,
+        }));
+    }
+    Ok(decoded.map_err(|reason| Corruption::Undecodable { reason }))
+}
+
+/// The identity decoder: the whole payload, read into one buffer of
+/// exactly its declared length.
+pub(crate) fn read_payload(r: &mut dyn Read, len: usize) -> Result<Vec<u8>, String> {
+    let mut payload = Vec::with_capacity(len);
+    r.read_to_end(&mut payload).map_err(|e| e.to_string())?;
+    Ok(payload)
 }
 
 #[cfg(test)]
@@ -344,7 +489,9 @@ mod tests {
         // Every truncation and every single-byte change of one entry:
         // reading it from a stream gives decode_entry's verdict.
         let bytes = encode_entry("key", b"payload");
-        let verdict = |b: &[u8]| read_entry("key", b, b.len() as u64).expect("in-memory read");
+        let verdict = |b: &[u8]| {
+            read_entry("key", b, b.len() as u64, &mut read_payload).expect("in-memory read")
+        };
         let decoded = |b: &[u8]| decode_entry("key", b).map(<[u8]>::to_vec);
         for cut in 0..=bytes.len() {
             assert_eq!(verdict(&bytes[..cut]), decoded(&bytes[..cut]), "cut {cut}");
@@ -355,6 +502,35 @@ mod tests {
             assert_eq!(verdict(&bad), decoded(&bad), "byte {at}");
         }
         assert_eq!(verdict(&bytes), Ok(b"payload".to_vec()));
+    }
+
+    #[test]
+    fn incremental_hash_matches_one_shot() {
+        let bytes: Vec<u8> = (0..1000u32).map(|i| (i * 7) as u8).collect();
+        let mut h = Fnv1a::default();
+        for part in bytes.chunks(37) {
+            h.update(part);
+        }
+        assert_eq!((h.hash(), h.len()), (fnv1a64(&bytes), 1000));
+    }
+
+    #[test]
+    fn a_decoder_rejection_comes_after_every_framing_check() {
+        let bytes = encode_entry("key", b"payload");
+        let mut reject = |r: &mut dyn Read, len: usize| -> Result<(), String> {
+            let mut first = [0u8; 3];
+            r.read_exact(&mut first).map_err(|e| e.to_string())?;
+            assert_eq!((&first, len), (b"pay", 7));
+            Err("not a capture".to_string())
+        };
+        let size = bytes.len() as u64;
+        let verdict = read_entry("key", &bytes[..], size, &mut reject).expect("read");
+        let reason = "not a capture".to_string();
+        assert_eq!(verdict, Err(Corruption::Undecodable { reason }));
+        let mut bad = bytes.clone();
+        *bad.last_mut().expect("payload byte") ^= 1;
+        let verdict = read_entry("key", &bad[..], size, &mut reject).expect("read");
+        assert!(matches!(verdict, Err(Corruption::ChecksumMismatch { .. })));
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub mod fault;
 pub mod journal;
 pub mod store;
 
-pub use entry::{decode_entry, encode_entry, fnv1a64, Corruption, FORMAT_VERSION};
+pub use entry::{decode_entry, encode_entry, fnv1a64, read_entry, Corruption, FORMAT_VERSION};
 pub use error::StoreError;
 pub use fault::{inject, StoreFault};
 pub use journal::{Journal, SweepJournal, JOURNAL_SCHEMA};

@@ -2,12 +2,12 @@
 //! retry, and LRU eviction.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, SystemTime};
 
-use crate::entry::{entry_header, fnv1a64, read_entry};
+use crate::entry::{entry_header, fnv1a64, read_entry, read_payload, Fnv1a};
 use crate::error::StoreError;
 
 /// Environment variable: crash the process (deterministically) right
@@ -147,23 +147,42 @@ impl TraceStore {
         self.root.join(JOURNAL_DIR).join(name)
     }
 
-    /// Loads and verifies `key`'s entry, returning its payload. The
-    /// header and the payload are read into separate buffers
-    /// (`read_entry`), so the payload is returned in the buffer it
-    /// was read into, not copied out of the whole file.
+    /// Loads and verifies `key`'s entry, returning its payload in one
+    /// buffer of exactly the verified length.
     ///
     /// `None` means "capture instead": the entry is absent, unreadable
     /// after retries, or failed verification (in which case it has been
     /// quarantined). A load **never** fails a study and **never**
     /// returns bytes that failed verification.
     pub fn load(&self, key: &str) -> Option<Vec<u8>> {
+        self.load_with(key, read_payload)
+    }
+
+    /// Loads `key`'s entry through `decode`, which reads the payload
+    /// from the entry file a chunk at a time: it is given a reader of
+    /// the payload and the payload's declared length (already checked
+    /// against the file size), and no payload-sized buffer is built
+    /// unless it builds one. The header is verified before `decode`
+    /// runs and the checksum after it has read the payload, so a value
+    /// is returned only from an entry that passes every check, exactly
+    /// as [`load`](TraceStore::load) would have returned its bytes.
+    ///
+    /// `None` as for [`load`](TraceStore::load); a payload `decode`
+    /// rejects (`Err` with the reason) is quarantined like bit rot.
+    /// `decode` may run more than once when a transient read error is
+    /// retried.
+    pub fn load_with<T>(
+        &self,
+        key: &str,
+        mut decode: impl FnMut(&mut dyn Read, usize) -> Result<T, String>,
+    ) -> Option<T> {
         let _span = obs::span!("store.load");
         let reg = obs::Registry::global();
         let path = self.entry_path(key);
         let read = || {
             let f = File::open(&path)?;
             let size = f.metadata()?.len();
-            read_entry(key, f, size)
+            read_entry(key, f, size, &mut decode)
         };
         let verdict = match self.with_retry(read) {
             Ok(v) => v,
@@ -179,10 +198,10 @@ impl TraceStore {
             }
         };
         match verdict {
-            Ok(payload) => {
+            Ok(value) => {
                 reg.incr("store.hit");
                 self.touch(&path);
-                Some(payload)
+                Some(value)
             }
             Err(c) => {
                 self.quarantine(key, &c.to_string());
@@ -191,35 +210,54 @@ impl TraceStore {
         }
     }
 
-    /// Atomically writes `payload` as `key`'s entry: temp file in the
-    /// store directory (the frame header, then `payload` itself, so no
-    /// framed copy of it is built), `fsync`, rename. A crash at any
-    /// point leaves either the old entry or the new one — never a torn
-    /// hybrid — which is what makes a kill-mid-sweep run resumable.
+    /// Atomically writes `payload` as `key`'s entry (see
+    /// [`save_with`](TraceStore::save_with)).
+    ///
+    /// # Errors
+    ///
+    /// As [`save_with`](TraceStore::save_with).
+    pub fn save(&self, key: &str, payload: &[u8]) -> Result<(), StoreError> {
+        self.save_with(key, |out| out.write_all(payload))
+    }
+
+    /// Atomically writes the payload `produce` writes as `key`'s entry,
+    /// a chunk at a time: a first pass of `produce` into a hasher gives
+    /// the length and checksum for the frame header; the second writes
+    /// the header and then the payload through a buffered writer into a
+    /// temp file in the store directory, which is `fsync`ed and renamed
+    /// over the entry. A crash at any point leaves either the old entry
+    /// or the new one — never a torn hybrid — which is what makes a
+    /// kill-mid-sweep run resumable. `produce` must write the same
+    /// bytes every time it runs (it runs at least twice).
     ///
     /// Runs the LRU eviction pass afterwards when a budget is set.
     ///
     /// # Errors
     ///
-    /// [`StoreError::Io`] if the write still fails after the bounded
-    /// retry-with-backoff. Most callers want [`save_or_warn`] instead.
+    /// [`StoreError::Io`] if `produce` fails or the write still fails
+    /// after the bounded retry-with-backoff. Most callers want
+    /// [`save_or_warn`] instead.
     ///
     /// [`save_or_warn`]: TraceStore::save_or_warn
-    pub fn save(&self, key: &str, payload: &[u8]) -> Result<(), StoreError> {
+    pub fn save_with(
+        &self,
+        key: &str,
+        produce: impl Fn(&mut dyn Write) -> io::Result<()>,
+    ) -> Result<(), StoreError> {
         let _span = obs::span!("store.save");
         let reg = obs::Registry::global();
-        let header = entry_header(key, payload);
         let path = self.entry_path(key);
-        let tmp = self.root.join(format!(
-            ".tmp-{:016x}-{}",
-            fnv1a64(key.as_bytes()),
-            std::process::id()
-        ));
+        let mut sum = Fnv1a::default();
+        produce(&mut sum).map_err(|e| StoreError::io(&path, &e))?;
+        let header = entry_header(key, sum.len(), sum.hash());
+        let tmp = temp_path(&self.root, &format!("{:016x}", fnv1a64(key.as_bytes())));
         let write_tmp = || -> io::Result<()> {
-            let mut f = File::create(&tmp)?;
+            let mut f = BufWriter::new(File::create(&tmp)?);
             f.write_all(&header)?;
-            f.write_all(payload)?;
-            f.sync_all()
+            produce(&mut f)?;
+            f.into_inner()
+                .map_err(io::IntoInnerError::into_error)?
+                .sync_all()
         };
         if let Err(e) = self.with_retry(write_tmp) {
             let _ = fs::remove_file(&tmp);
@@ -242,11 +280,11 @@ impl TraceStore {
         Ok(())
     }
 
-    /// [`save`](TraceStore::save), downgrading failure to a single
-    /// warning per store: a store that stops accepting writes mid-run
-    /// (ENOSPC, yanked volume) must cost warnings, not results.
-    pub fn save_or_warn(&self, key: &str, payload: &[u8]) {
-        if let Err(e) = self.save(key, payload) {
+    /// [`save_with`](TraceStore::save_with), downgrading failure to a
+    /// single warning per store: a store that stops accepting writes
+    /// mid-run (ENOSPC, yanked volume) must cost warnings, not results.
+    pub fn save_or_warn(&self, key: &str, produce: impl Fn(&mut dyn Write) -> io::Result<()>) {
+        if let Err(e) = self.save_with(key, produce) {
             if !self.warned_write.swap(true, Ordering::Relaxed) {
                 eprintln!("store: {e}; continuing with in-memory caching only");
             }
@@ -447,9 +485,21 @@ fn touch_path(entry: &Path) -> PathBuf {
     PathBuf::from(os)
 }
 
+/// A temp-file path in `dir` for writing `name`, unique to this call:
+/// the process id keeps processes apart and a process-wide counter
+/// keeps threads (and successive writes) of one process apart, so
+/// concurrent writers of one file never share a temp file.
+fn temp_path(dir: &Path, name: &str) -> PathBuf {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    dir.join(format!(".tmp-{name}-{}-{n}", std::process::id()))
+}
+
 /// Atomically writes `bytes` to `dir/file_name` (temp + fsync +
 /// rename), creating `dir` if needed. Used for derived artifacts that
 /// ride along with the store (the deterministic study manifest).
+/// Concurrent writers of one file each write their own temp file, so
+/// the file always holds one writer's bytes whole.
 ///
 /// # Errors
 ///
@@ -457,7 +507,7 @@ fn touch_path(entry: &Path) -> PathBuf {
 pub fn write_atomic(dir: &Path, file_name: &str, bytes: &[u8]) -> Result<PathBuf, StoreError> {
     fs::create_dir_all(dir).map_err(|e| StoreError::io(dir, &e))?;
     let path = dir.join(file_name);
-    let tmp = dir.join(format!(".tmp-{file_name}-{}", std::process::id()));
+    let tmp = temp_path(dir, file_name);
     let write = || -> io::Result<()> {
         let mut f = OpenOptions::new()
             .write(true)
@@ -640,6 +690,67 @@ mod tests {
         let p2 = write_atomic(&dir, "out.json", b"{\"v\":2}").expect("rewrite");
         assert_eq!(p1, p2);
         assert_eq!(fs::read(&p2).expect("read"), b"{\"v\":2}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_write_atomic_never_tears_the_file() {
+        // Threads of one process writing one file: each write must land
+        // whole, and no writer may fail on another's temp file.
+        let dir = test_dir("concurrent");
+        let bodies: Vec<Vec<u8>> = (0..4u8).map(|t| vec![b'a' + t; 64 << 10]).collect();
+        let errors = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for body in &bodies {
+                let (dir, errors) = (&dir, &errors);
+                s.spawn(move || {
+                    for _ in 0..50 {
+                        if write_atomic(dir, "STUDY_manifest.json", body).is_err() {
+                            errors.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(errors.load(Ordering::Relaxed), 0, "writer errors");
+        let on_disk = fs::read(dir.join("STUDY_manifest.json")).expect("read");
+        assert!(bodies.contains(&on_disk), "torn file");
+        let leftovers = fs::read_dir(&dir).expect("list").count();
+        assert_eq!(leftovers, 1, "temp files left behind");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_with_writes_encode_entry_bytes_and_load_with_decodes_them() {
+        let dir = test_dir("stream");
+        let store = TraceStore::open(&dir).expect("open");
+        let words: Vec<u64> = (0..100_000u64)
+            .map(|i| i.wrapping_mul(0x9e37_79b9))
+            .collect();
+        let produce = |out: &mut dyn Write| {
+            for w in &words {
+                out.write_all(&w.to_le_bytes())?;
+            }
+            Ok(())
+        };
+        store.save_with("k", produce).expect("save");
+        let mut payload = Vec::new();
+        produce(&mut payload).expect("in memory");
+        let on_disk = fs::read(store.entry_path("k")).expect("read entry");
+        assert!(on_disk == crate::entry::encode_entry("k", &payload));
+        let decoded = store.load_with("k", |r, len| {
+            assert_eq!(len, payload.len());
+            let mut back = Vec::new();
+            let mut word = [0u8; 8];
+            while r.read_exact(&mut word).is_ok() {
+                back.push(u64::from_le_bytes(word));
+            }
+            Ok(back)
+        });
+        assert_eq!(decoded.as_deref(), Some(&words[..]));
+        // A payload the decoder rejects is quarantined, not returned.
+        assert_eq!(store.load_with("k", |_, _| Err::<(), _>("no".into())), None);
+        assert_eq!(store.quarantined_count(), 1);
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -80,6 +80,8 @@ pub use error::TraceError;
 pub use footprint::Footprints;
 pub use mix::{InstrMix, MixClass};
 pub use profile::{profile, CpuWorkload, Profile, ProfileConfig, Profiler, MAX_THREADS};
-pub use serdes::{decode_capture, encode_capture, CpuCodecError, CPU_CODEC_VERSION};
+pub use serdes::{
+    decode_capture, encode_capture, read_capture, write_capture, CpuCodecError, CPU_CODEC_VERSION,
+};
 pub use trace::{profile_via_replay, CpuCapture};
 pub use tracer::{Ev, ThreadTracer};

@@ -25,8 +25,15 @@
 //! panics on malformed input. The codec carries *no* checksum —
 //! integrity is the store framing layer's job (`store::encode_entry`);
 //! this layer only has to fail cleanly on anything that slips through.
+//!
+//! [`write_capture`] and [`read_capture`] move the payload a chunk at a
+//! time, so a capture is saved and restored holding only its packed
+//! words; [`encode_capture`] and [`decode_capture`] are the in-memory
+//! forms of the same bytes.
 
-use obs::codec::{put_str, put_u32, put_u64, Reader};
+use std::io::{self, Read, Write};
+
+use obs::codec::{encode_to_vec, Reader, Writer};
 
 use crate::mix::InstrMix;
 use crate::profile::Profile;
@@ -43,11 +50,25 @@ pub const CPU_CODEC_VERSION: u32 = 1;
 
 /// Serializes a capture into a store payload.
 pub fn encode_capture(cap: &CpuCapture) -> Vec<u8> {
+    encode_to_vec(|w| encode(cap, w))
+}
+
+/// [`encode_capture`] into `out`, a chunk at a time.
+///
+/// # Errors
+///
+/// The first error `out` returned.
+pub fn write_capture(cap: &CpuCapture, out: &mut dyn Write) -> io::Result<()> {
+    let mut w = Writer::new(out);
+    encode(cap, &mut w);
+    w.finish()
+}
+
+fn encode(cap: &CpuCapture, w: &mut Writer<'_>) {
     let base = cap.base();
     let words = cap.packed_words();
-    let mut out = Vec::with_capacity(64 + base.name.len() + words.len() * 8);
-    put_u32(&mut out, CPU_CODEC_VERSION);
-    put_str(&mut out, &base.name);
+    w.u32(CPU_CODEC_VERSION);
+    w.str(&base.name);
     for n in [
         base.mix.alu,
         base.mix.branches,
@@ -60,12 +81,9 @@ pub fn encode_capture(cap: &CpuCapture) -> Vec<u8> {
         cap.line(),
         words.len() as u64,
     ] {
-        put_u64(&mut out, n);
+        w.u64(n);
     }
-    for &w in words {
-        put_u64(&mut out, w);
-    }
-    out
+    w.u64s(words);
 }
 
 /// Deserializes a payload back into a capture.
@@ -75,7 +93,19 @@ pub fn encode_capture(cap: &CpuCapture) -> Vec<u8> {
 /// A [`CpuCodecError`] on version skew, truncation, invalid UTF-8, or
 /// trailing bytes. Never panics on malformed input.
 pub fn decode_capture(bytes: &[u8]) -> Result<CpuCapture, CpuCodecError> {
-    let mut r = Reader::new(bytes);
+    read_capture(&mut &bytes[..], bytes.len())
+}
+
+/// [`decode_capture`] from the `len` payload bytes of `src`, read a
+/// chunk at a time. A corrupt word count fails before anything is
+/// allocated for the words.
+///
+/// # Errors
+///
+/// As [`decode_capture`]; a read error or a source shorter than `len`
+/// fails the field it interrupted.
+pub fn read_capture(src: &mut dyn Read, len: usize) -> Result<CpuCapture, CpuCodecError> {
+    let mut r = Reader::from_read(src, len);
     let version = r.u32("codec version")?;
     if version != CPU_CODEC_VERSION {
         return Err(CpuCodecError {

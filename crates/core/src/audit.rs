@@ -183,9 +183,9 @@ impl Verdict for AuditReport {
 ///
 /// # Errors
 ///
-/// [`StudyError::Sim`] if a run itself fails — a *failed launch*
-/// is not an error here (its partial tape is still evidence), but a
-/// refused configuration is.
+/// [`StudyError::Sim`] if the device refuses the configuration. A
+/// launch that aborts with a [`simt::SimError`] panics the run instead:
+/// the targets launch through the panicking [`simt::Gpu::launch`].
 pub fn run_audit(session: &StudySession, scale: Scale) -> Result<AuditReport, StudyError> {
     let cfg = GpuConfig::gpgpusim_default();
     let tiny_targets = suite_targets(Scale::Tiny);

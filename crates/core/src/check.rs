@@ -348,9 +348,12 @@ pub(crate) fn sanitized_run<S: TapeSink>(
 ///
 /// # Errors
 ///
-/// [`StudyError::Sim`] if a run itself fails — a *failed launch* is
-/// not an error here (it becomes a finding), but a refused
-/// configuration is.
+/// [`StudyError::Sim`] if the device refuses the configuration. A
+/// launch that aborts with a [`simt::SimError`] is neither an error nor
+/// a finding here: the targets launch through the panicking
+/// [`Gpu::launch`], so the run panics with the error's message. Only
+/// the fault harness (`simt::fault::inject_sink`), which launches
+/// through [`Gpu::try_launch`], turns an aborted launch into findings.
 pub fn run_check(session: &StudySession, scale: Scale) -> Result<CheckReport, StudyError> {
     let cfg = GpuConfig::gpgpusim_default();
     let lint_cfg = LintConfig::default();

@@ -107,7 +107,9 @@ impl Coalescer {
     ///
     /// # Errors
     ///
-    /// The leader's [`StudyError`], shared by every joined caller.
+    /// The leader's [`StudyError`], shared by every joined caller. If
+    /// the leader's `produce` panics, the panic continues in the leader
+    /// and every joined caller gets a [`StudyError::Registry`].
     pub fn join(
         &self,
         key: &str,
@@ -128,16 +130,14 @@ impl Coalescer {
             }
         };
         if leader {
+            let mut publish = Publish {
+                coalescer: self,
+                key,
+                cell: &cell,
+                result: None,
+            };
             let result = produce().map(Arc::new);
-            *cell
-                .result
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result.clone());
-            cell.ready.notify_all();
-            self.map
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .remove(key);
+            publish.result = Some(result.clone());
             result
         } else {
             self.coalesced.fetch_add(1, Ordering::SeqCst);
@@ -154,6 +154,40 @@ impl Coalescer {
             slot.clone()
                 .expect("loop exits only once the leader published")
         }
+    }
+}
+
+/// The leader's obligation to its key: publish a result to the
+/// followers and retire the slot, also when `produce` panics — the
+/// followers then get an error instead of blocking forever, and the
+/// next identical request runs afresh.
+struct Publish<'a> {
+    coalescer: &'a Coalescer,
+    key: &'a str,
+    cell: &'a CoalesceCell,
+    /// The leader's result; `None` while `produce` runs.
+    result: Option<Result<Arc<Vec<u8>>, StudyError>>,
+}
+
+impl Drop for Publish<'_> {
+    fn drop(&mut self) {
+        let result = self.result.take().unwrap_or_else(|| {
+            Err(StudyError::Registry {
+                id: self.key.to_string(),
+                reason: "panicked while executing; the request produced no result",
+            })
+        });
+        *self
+            .cell
+            .result
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner) = Some(result);
+        self.cell.ready.notify_all();
+        self.coalescer
+            .map
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .remove(self.key);
     }
 }
 
@@ -316,12 +350,8 @@ impl Server {
                     // is still waiting to start.
                     *state.inflight() += 1;
                     std::thread::spawn(move || {
-                        let _ = handle_connection(&state, stream);
-                        let mut inflight = state.inflight();
-                        *inflight -= 1;
-                        if *inflight == 0 {
-                            state.idle.notify_all();
-                        }
+                        let done = Finished(&state);
+                        let _ = handle_connection(done.0, stream);
                     });
                 }
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
@@ -345,6 +375,20 @@ impl Server {
     }
 }
 
+/// Counts a connection's handler out of `inflight` when it ends,
+/// returning or panicking, so a drain never waits on a dead handler.
+struct Finished<'a>(&'a ServerState);
+
+impl Drop for Finished<'_> {
+    fn drop(&mut self) {
+        let mut inflight = self.0.inflight();
+        *inflight -= 1;
+        if *inflight == 0 {
+            self.0.idle.notify_all();
+        }
+    }
+}
+
 struct HttpRequest {
     method: String,
     path: String,
@@ -355,7 +399,10 @@ fn find_subslice(haystack: &[u8], needle: &[u8]) -> Option<usize> {
     haystack.windows(needle.len()).position(|w| w == needle)
 }
 
-fn read_http_request(stream: &mut TcpStream) -> Result<HttpRequest, String> {
+/// Reads one request: the header block up to `\r\n\r\n`, then a body of
+/// `Content-Length` bytes. Every malformed, oversized or cut-off request
+/// is an `Err` naming the problem.
+fn read_http_request(stream: &mut impl Read) -> Result<HttpRequest, String> {
     let mut buf = Vec::new();
     let mut chunk = [0u8; 4096];
     let header_end = loop {
@@ -516,6 +563,8 @@ fn handle_connection(state: &ServerState, mut stream: TcpStream) -> io::Result<(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
     use std::sync::mpsc;
 
     #[test]
@@ -573,6 +622,114 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, StudyError::Registry { .. }));
         assert_eq!(c.in_flight(), 0);
+    }
+
+    #[test]
+    fn a_panicking_leader_fails_its_followers_and_retires_the_key() {
+        let c = Arc::new(Coalescer::new());
+        let (entered_tx, entered_rx) = mpsc::channel::<()>();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        let leader = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || {
+                let _ = c.join("k", || {
+                    entered_tx.send(()).expect("test is waiting");
+                    release_rx.recv().expect("test releases the leader");
+                    panic!("leader dies mid-request");
+                });
+            })
+        };
+        entered_rx.recv().expect("leader started");
+        let follower = {
+            let c = Arc::clone(&c);
+            std::thread::spawn(move || c.join("k", || Ok(b"follower ran".to_vec())))
+        };
+        // A follower counts itself before blocking: release the leader
+        // only once it has provably joined.
+        while c.coalesced() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release_tx.send(()).expect("leader is waiting");
+        assert!(leader.join().is_err(), "the panic stays with the leader");
+        let err = follower
+            .join()
+            .expect("the follower does not panic")
+            .unwrap_err();
+        assert!(matches!(err, StudyError::Registry { .. }), "{err:?}");
+        assert_eq!(c.in_flight(), 0, "the key is retired");
+        let again = c.join("k", || Ok(b"fresh".to_vec())).expect("re-run");
+        assert_eq!(again.as_slice(), b"fresh");
+    }
+
+    /// Requests as a client might send them: a request line, headers
+    /// (maybe a `Content-Length` that is well-formed, huge, negative or
+    /// garbage), maybe the blank line, then a body of any length; or
+    /// arbitrary bytes, non-UTF-8 included; or a header block past the
+    /// cap.
+    struct RawRequest;
+
+    impl Strategy for RawRequest {
+        type Value = Vec<u8>;
+
+        fn generate(&self, rng: &mut TestRng) -> Vec<u8> {
+            let bytes = |rng: &mut TestRng, max: u64| -> Vec<u8> {
+                (0..rng.below(max)).map(|_| rng.next_u64() as u8).collect()
+            };
+            let pick = |rng: &mut TestRng, options: &[&str]| -> Vec<u8> {
+                options[rng.below(options.len() as u64) as usize].into()
+            };
+            match rng.below(8) {
+                0 => return bytes(rng, 512),
+                1 => return vec![b'a'; MAX_HEADER_BYTES + 4096],
+                _ => {}
+            }
+            let mut out = pick(rng, &["GET", "POST", "PUT", "", "G\u{e9}T"]);
+            out.push(b' ');
+            out.extend(pick(rng, &["/study", "/healthz", "/shutdown", "", "/x y"]));
+            out.extend(pick(rng, &[" HTTP/1.1", "", " \u{0}"]));
+            for _ in 0..rng.below(4) {
+                out.extend_from_slice(b"\r\n");
+                out.extend(pick(rng, &["Host", "X", "content-length", ""]));
+                out.extend(pick(rng, &[": ", ":", " "]));
+                out.extend(bytes(rng, 12));
+            }
+            let big = (MAX_BODY_BYTES + 1).to_string();
+            let small = rng.below(64).to_string();
+            let length = [
+                small.as_str(),
+                big.as_str(),
+                "18446744073709551615",
+                "99999999999999999999999999",
+                "-1",
+                "-4096",
+                "12abc",
+                " 7 ",
+                "",
+                "0x10",
+            ];
+            if rng.below(4) != 0 {
+                out.extend_from_slice(b"\r\nContent-Length: ");
+                out.extend(pick(rng, &length));
+            }
+            if rng.below(4) != 0 {
+                out.extend_from_slice(b"\r\n\r\n");
+            }
+            out.extend(bytes(rng, 96));
+            out
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Whatever arrives, the reader answers `Ok` or `Err` without
+        /// panicking, and never returns a body past the cap.
+        #[test]
+        fn the_http_reader_never_panics(bytes in RawRequest) {
+            if let Ok(req) = read_http_request(&mut &bytes[..]) {
+                prop_assert!(req.body.len() <= MAX_BODY_BYTES);
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 //! The dynamic checkers ([`crate::dynamic`]) validate one concrete
 //! launch; their verdicts hold only for the grid actually executed. This
 //! module turns the same sanitizer events — folded as they happen by
-//! [`ContractFitter`], or replayed from held tapes by
-//! [`infer_contracts`] — into *symbolic* per-op-site contracts and
+//! [`ContractFitter`] — into *symbolic* per-op-site contracts and
 //! proves properties for **all** grid shapes:
 //!
 //! 1. Every recorded lane-word becomes a sample
@@ -43,8 +42,8 @@ use std::collections::HashMap;
 
 use obs::Json;
 use simt::{
-    AccessKind, AccessRef, BarrierRecord, LaunchInfo, LaunchTape, MemSpace, SimError, SiteTable,
-    TapeBuf, TapeSink,
+    AccessKind, BarrierRecord, LaunchInfo, MemAccess, MemSpace, SimError, SiteTable, TapeBuf,
+    TapeSink,
 };
 
 use crate::dynamic::FindingSet;
@@ -192,7 +191,7 @@ impl SiteContract {
 pub struct KernelContract {
     /// Kernel name.
     pub kernel: String,
-    /// Number of launches (tapes) the evidence came from.
+    /// Number of launches the evidence came from.
     pub launches: u64,
     /// Whether every launch had a block-uniform barrier phase count
     /// (blocks of one CTA grid all passing the same number of barriers).
@@ -410,19 +409,6 @@ impl SiteAccum {
     }
 }
 
-/// Infers per-kernel, per-site access contracts from a pigeonhole set of
-/// launch tapes, by replaying them through a [`ContractFitter`].
-/// `banks` / `seg_bytes` parameterize the symbolic bank-conflict and
-/// coalescing metrics (take them from the [`simt::GpuConfig`] the tapes
-/// were captured under).
-pub fn infer_contracts(tapes: &[LaunchTape], banks: u32, seg_bytes: u32) -> Vec<KernelContract> {
-    let mut fitter = ContractFitter::new(banks, seg_bytes);
-    for tape in tapes {
-        tape.replay(&mut fitter);
-    }
-    fitter.finish()
-}
-
 /// Streaming contract inference: folds each access into its op site's
 /// accumulator as the launch executes (install it as the device's
 /// [`TapeSink`]), then fits one contract per site in
@@ -450,7 +436,9 @@ pub struct ContractFitter {
 }
 
 impl ContractFitter {
-    /// An empty fitter; `banks` / `seg_bytes` as for [`infer_contracts`].
+    /// An empty fitter. `banks` / `seg_bytes` parameterize the symbolic
+    /// bank-conflict and coalescing metrics (take them from the
+    /// [`simt::GpuConfig`] the launches run under).
     pub fn new(banks: u32, seg_bytes: u32) -> ContractFitter {
         ContractFitter {
             banks,
@@ -533,7 +521,7 @@ impl TapeSink for ContractFitter {
         self.barrier_counts.resize(launch.blocks as usize, 0);
     }
 
-    fn access(&mut self, launch: &LaunchInfo, sites: &SiteTable, a: &AccessRef<'_>) {
+    fn access(&mut self, launch: &LaunchInfo, sites: &SiteTable, a: &MemAccess<'_>) {
         let (slots, accums) = (&mut self.slots, &mut self.accums);
         let slot = *self.launch_slots.entry((a.site, a.buf)).or_insert_with(|| {
             let key = (
@@ -1045,7 +1033,7 @@ mod tests {
 
     /// Builds a site whose samples, observed sets, and word span all
     /// derive from evaluating `f` over the given dimension ranges —
-    /// i.e. a contract exactly as [`infer_contracts`] would fit it from
+    /// i.e. a contract exactly as [`ContractFitter`] would fit it from
     /// an unguarded kernel.
     fn site_from_form(
         site: &str,

@@ -2,7 +2,7 @@
 //!
 //! [`Analyzer`] folds the sanitizer events of one application run (one
 //! benchmark = many launches against one device memory) as a
-//! [`TapeSink`], or replays held [`LaunchTape`]s, and reports:
+//! [`TapeSink`], and reports:
 //!
 //! * **shared-memory races** — conflicting same-word accesses from
 //!   *different warps* of one CTA within one barrier interval, tracked
@@ -28,8 +28,7 @@
 use std::collections::BTreeMap;
 
 use simt::{
-    AccessKind, AccessRef, BarrierRecord, LaunchInfo, LaunchTape, SimError, SiteTable, TapeBuf,
-    TapeSink,
+    AccessKind, BarrierRecord, LaunchInfo, MemAccess, SimError, SiteTable, TapeBuf, TapeSink,
 };
 
 use crate::finding::{Finding, FindingKind};
@@ -107,10 +106,8 @@ fn warp_bit(warp: u32) -> u64 {
 
 /// Streaming checker over the launches of one application run.
 ///
-/// Install it as the device's [`TapeSink`] (or feed held tapes, in
-/// launch order, to [`Analyzer::observe`]), then take the coalesced
-/// findings with [`Analyzer::finish`]. One-shot helper:
-/// [`analyze_tape`].
+/// Install it as the device's [`TapeSink`], then take the coalesced
+/// findings with [`Analyzer::finish`].
 #[derive(Debug, Default)]
 pub struct Analyzer {
     findings: FindingSet,
@@ -134,11 +131,6 @@ impl Analyzer {
     /// Number of launches observed so far.
     pub fn launches(&self) -> u64 {
         self.launches
-    }
-
-    /// Checks one held launch tape, accumulating findings.
-    pub fn observe(&mut self, tape: &LaunchTape) {
-        tape.replay(self);
     }
 
     /// Returns the coalesced findings, consuming the analyzer.
@@ -167,7 +159,7 @@ impl Analyzer {
         }
     }
 
-    fn check_shared(&mut self, launch: &LaunchInfo, a: &AccessRef<'_>) {
+    fn check_shared(&mut self, launch: &LaunchInfo, a: &MemAccess<'_>) {
         let words = launch.shared_f32_words as usize;
         let blk = match &mut self.blk {
             Some(blk) if blk.block == a.block => blk,
@@ -272,7 +264,7 @@ impl Analyzer {
         }
     }
 
-    fn check_global(&mut self, launch: &LaunchInfo, a: &AccessRef<'_>) {
+    fn check_global(&mut self, launch: &LaunchInfo, a: &MemAccess<'_>) {
         let Some(extent) = launch.extent(a.buf) else {
             return;
         };
@@ -341,7 +333,7 @@ impl TapeSink for Analyzer {
         self.blk = None;
     }
 
-    fn access(&mut self, launch: &LaunchInfo, _: &SiteTable, a: &AccessRef<'_>) {
+    fn access(&mut self, launch: &LaunchInfo, _: &SiteTable, a: &MemAccess<'_>) {
         match a.buf {
             TapeBuf::SharedF32 => self.check_shared(launch, a),
             TapeBuf::GlobalF32(_) | TapeBuf::GlobalU32(_) => self.check_global(launch, a),
@@ -390,11 +382,4 @@ fn kind_verb(kind: AccessKind) -> &'static str {
         AccessKind::Load => "read",
         AccessKind::Store => "write",
     }
-}
-
-/// Checks a single tape with a fresh [`Analyzer`].
-pub fn analyze_tape(tape: &LaunchTape) -> Vec<Finding> {
-    let mut a = Analyzer::new();
-    a.observe(tape);
-    a.finish()
 }

@@ -4,9 +4,8 @@
 //! trace path resolves every per-lane address against real allocation
 //! extents, and every barrier collects explicit per-warp votes. This
 //! crate consumes that record — the sanitizer events a [`simt::Gpu`]
-//! streams to its [`simt::TapeSink`] as each launch executes (or held
-//! [`simt::LaunchTape`]s replayed through one), plus captured
-//! [`simt::KernelTrace`]s — and reports typed [`Finding`]s:
+//! streams to its [`simt::TapeSink`] as each launch executes, plus
+//! captured [`simt::KernelTrace`]s — and reports typed [`Finding`]s:
 //!
 //! * **Dynamic checkers** ([`dynamic`], error severity): shared-memory
 //!   races, barrier divergence, out-of-bounds accesses, and
@@ -50,13 +49,13 @@ pub mod finding;
 pub mod lint;
 pub mod report;
 
-pub use classify::{classify_tape, expected_kind};
+pub use classify::{classify_findings, expected_kind};
 pub use contract::{
-    check_contracts, compare_scales, contracts_json, fit_affine, infer_contracts, Affine,
-    ContractFitter, Form, KernelContract, Sample, SiteContract,
+    check_contracts, compare_scales, contracts_json, fit_affine, Affine, ContractFitter, Form,
+    KernelContract, Sample, SiteContract,
 };
 pub use determinism::{scan_source, scan_tree, workspace_members};
-pub use dynamic::{analyze_tape, Analyzer};
+pub use dynamic::Analyzer;
 pub use finding::{error_count, warning_count, Finding, FindingKind, Severity};
 pub use lint::{lint_trace, measure_trace, KernelLintMetrics, LintConfig};
 pub use report::{finding_json, findings_json, render_findings};

@@ -6,62 +6,27 @@
 //! the contract checker fits symbolic access forms and proves properties
 //! for all grids. The bar here is the same in both directions:
 //!
-//! * Every memory-fault class that leaves an out-of-bounds word on the
-//!   tape must surface as [`FindingKind::ContractOutOfBounds`].
+//! * Every memory-fault class that streams an out-of-bounds word must
+//!   surface as [`FindingKind::ContractOutOfBounds`].
 //! * No fault class — however it aborts the launch — may provoke a
-//!   *false* contract error. Aborted tapes are partial evidence, and
+//!   *false* contract error. Aborted launches are partial evidence, and
 //!   partial evidence must degrade to weaker claims, never wrong ones.
 
-use sanitize::{
-    analyze_tape, check_contracts, contracts_json, infer_contracts, Analyzer, ContractFitter,
-    FindingKind, KernelContract, Severity,
-};
-use simt::fault::{inject_sink, inject_with, Fault};
-use simt::{
-    BufF32, Gpu, GpuConfig, GridShape, Kernel, LaunchTape, PhaseControl, TapeSink, WarpCtx,
-};
+use sanitize::{check_contracts, ContractFitter, FindingKind, KernelContract, Severity};
+use simt::fault::{inject_sink, Fault};
+use simt::{BufF32, Gpu, GpuConfig, GridShape, Kernel, PhaseControl, WarpCtx};
 
-/// Asserts two contract sets are the same: the same fitted forms and
-/// counts (the manifest payload) and the same proof findings (which
-/// also read the retained samples).
-fn assert_same_contracts(streamed: &[KernelContract], held: &[KernelContract], what: &str) {
-    assert_eq!(
-        contracts_json(streamed).to_string(),
-        contracts_json(held).to_string(),
-        "{what}: contracts differ"
-    );
-    assert_eq!(
-        check_contracts(streamed),
-        check_contracts(held),
-        "{what}: proofs differ"
-    );
+/// A fitter parameterized by the default configuration, which every
+/// scenario here runs under.
+fn fitter() -> ContractFitter {
+    let cfg = GpuConfig::gpgpusim_default();
+    ContractFitter::new(cfg.shared_banks, cfg.segment_bytes)
 }
 
-#[test]
-fn streamed_contracts_equal_contracts_of_collected_tapes() {
-    let cfg = GpuConfig::gpgpusim_default();
-    for fault in Fault::all() {
-        let (_, tapes) = inject_with(fault, true);
-        let held = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
-        let fitter = ContractFitter::new(cfg.shared_banks, cfg.segment_bytes);
-        let (_, fitter) = inject_sink(fault, fitter);
-        assert_same_contracts(&fitter.finish(), &held, &format!("{fault:?}"));
-    }
-    for racy in [true, false] {
-        let (tapes, cfg) = capture_staging(2, racy);
-        let held = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
-        let fitter = ContractFitter::new(cfg.shared_banks, cfg.segment_bytes);
-        let streamed = run_staging(2, racy, fitter).finish();
-        assert_same_contracts(&streamed, &held, &format!("staging racy={racy}"));
-        // The dynamic checkers over the same launch: the racy variant
-        // reports one race per colliding access, so a lost access
-        // changes the counts.
-        let [tape] = tapes.as_slice() else {
-            panic!("{} tapes for one launch", tapes.len());
-        };
-        let streamed = run_staging(2, racy, Analyzer::new()).finish();
-        assert_eq!(streamed, analyze_tape(tape), "staging racy={racy}");
-    }
+/// Fits the contracts of `fault`'s scenario as it executes.
+fn fit_fault(fault: Fault) -> (Result<String, simt::SimError>, Vec<KernelContract>) {
+    let (outcome, fitter) = inject_sink(fault, fitter());
+    (outcome, fitter.finish())
 }
 
 /// Fault classes whose scenario drives a word past an allocation's
@@ -74,12 +39,10 @@ const OOB_FAULTS: [Fault; 3] = [
 
 #[test]
 fn oob_fault_classes_are_contract_bounds_violations() {
-    let cfg = GpuConfig::gpgpusim_default();
     for fault in OOB_FAULTS {
-        let (outcome, tapes) = inject_with(fault, true);
+        let (outcome, contracts) = fit_fault(fault);
         assert!(outcome.is_err(), "{fault:?}: scenario no longer faults");
-        assert!(!tapes.is_empty(), "{fault:?}: no tape to infer from");
-        let contracts = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
+        assert!(!contracts.is_empty(), "{fault:?}: no launch to infer from");
         let findings = check_contracts(&contracts);
         assert!(
             findings
@@ -95,12 +58,10 @@ fn no_fault_class_provokes_a_false_contract_error() {
     // Across the whole harness, the only *error*-severity contract
     // finding allowed is the bounds violation on the classes that
     // genuinely go out of bounds. Everything else — divergent barriers,
-    // truncated traces, config rejections — leaves tapes (or none) from
-    // which no race or bounds claim may be minted.
-    let cfg = GpuConfig::gpgpusim_default();
+    // truncated traces, config rejections — streams launches (or none)
+    // from which no race or bounds claim may be minted.
     for fault in Fault::all() {
-        let (_, tapes) = inject_with(fault, true);
-        let contracts = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
+        let (_, contracts) = fit_fault(fault);
         let spurious: Vec<_> = check_contracts(&contracts)
             .into_iter()
             .filter(|f| f.severity() == Severity::Error)
@@ -165,31 +126,15 @@ impl Kernel for SradStaging {
     }
 }
 
-/// Runs the staging kernel with `sink` as the sanitizer sink, which
-/// folds each access as it executes.
-fn run_staging<S: TapeSink>(warps: usize, racy: bool, sink: S) -> S {
+/// Fits the contracts of one launch of the staging kernel as it
+/// executes.
+fn fit_staging(warps: usize, racy: bool) -> Vec<KernelContract> {
     let mut gpu = Gpu::try_new(GpuConfig::gpgpusim_default()).expect("default config");
-    gpu.set_tape_sink(Box::new(sink));
+    gpu.set_tape_sink(Box::new(fitter()));
     let out = gpu.mem_mut().alloc_f32("out", &vec![0.0f32; warps * WS]);
     gpu.launch(&SradStaging { out, warps, racy });
-    gpu.take_tape_sink().expect("the sink is installed")
-}
-
-fn capture_staging(warps: usize, racy: bool) -> (Vec<LaunchTape>, GpuConfig) {
-    use std::sync::{Arc, Mutex};
-    let cfg = GpuConfig::gpgpusim_default();
-    let mut gpu = Gpu::try_new(cfg.clone()).expect("default config");
-    let tapes: Arc<Mutex<Vec<LaunchTape>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&tapes);
-    gpu.set_sanitizer_sink(move |t| {
-        if let Ok(mut v) = sink.lock() {
-            v.push(t);
-        }
-    });
-    let out = gpu.mem_mut().alloc_f32("out", &vec![0.0f32; warps * WS]);
-    gpu.launch(&SradStaging { out, warps, racy });
-    let collected = tapes.lock().expect("sink mutex").clone();
-    (collected, cfg)
+    let fitter: ContractFitter = gpu.take_tape_sink().expect("the fitter is installed");
+    fitter.finish()
 }
 
 #[test]
@@ -198,8 +143,7 @@ fn reintroduced_srad_staging_race_is_proven_from_tiny_evidence() {
     // at all. The proof must still be *symbolic*: the finding claims
     // the collision for every grid with >= 2 warps per block, not just
     // this one.
-    let (tapes, cfg) = capture_staging(2, true);
-    let contracts = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
+    let contracts = fit_staging(2, true);
     let races: Vec<_> = check_contracts(&contracts)
         .into_iter()
         .filter(|f| f.kind == FindingKind::ContractRace)
@@ -221,8 +165,7 @@ fn fixed_srad_staging_indexing_proves_clean() {
     // Block-local slot (`warp * WS + lane`): the fitted warp
     // coefficient is the warp stride, so no two warps share a word and
     // the checker proves race-freedom — zero findings of any severity.
-    let (tapes, cfg) = capture_staging(2, false);
-    let contracts = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
+    let contracts = fit_staging(2, false);
     let findings = check_contracts(&contracts);
     assert!(
         findings.is_empty(),

@@ -1,7 +1,7 @@
 //! Property tests for affine access-contract inference.
 //!
 //! Two properties, end to end through the real capture pipeline
-//! (kernel → sanitizer tape → [`sanitize::infer_contracts`]):
+//! (kernel → sanitizer events → [`sanitize::ContractFitter`]):
 //!
 //! 1. On randomly generated *affine* kernels — one store site whose
 //!    index is `c0 + cl*lane + cw*warp + cb*block` — inference recovers
@@ -13,8 +13,8 @@
 //!    non-affine caveat warnings, no errors.
 
 use proptest::prelude::*;
-use sanitize::{check_contracts, infer_contracts, FindingKind, Form, Severity};
-use simt::{BufF32, Gpu, GpuConfig, GridShape, Kernel, LaunchTape, PhaseControl, WarpCtx};
+use sanitize::{check_contracts, ContractFitter, FindingKind, Form, KernelContract, Severity};
+use simt::{BufF32, Gpu, GpuConfig, GridShape, Kernel, PhaseControl, WarpCtx};
 
 const WS: usize = 32;
 
@@ -70,21 +70,19 @@ impl Kernel for PermKernel {
     }
 }
 
-fn capture(build: impl FnOnce(&mut Gpu) -> Box<dyn Kernel>) -> (Vec<LaunchTape>, GpuConfig) {
-    use std::sync::{Arc, Mutex};
+/// Launches the kernel `build` makes once, fitting its contracts as
+/// it executes.
+fn fit(build: impl FnOnce(&mut Gpu) -> Box<dyn Kernel>) -> Vec<KernelContract> {
     let cfg = GpuConfig::gpgpusim_default();
     let mut gpu = Gpu::try_new(cfg.clone()).expect("default config");
-    let tapes: Arc<Mutex<Vec<LaunchTape>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&tapes);
-    gpu.set_sanitizer_sink(move |t| {
-        if let Ok(mut v) = sink.lock() {
-            v.push(t);
-        }
-    });
+    gpu.set_tape_sink(Box::new(ContractFitter::new(
+        cfg.shared_banks,
+        cfg.segment_bytes,
+    )));
     let kernel = build(&mut gpu);
     gpu.launch(kernel.as_ref());
-    let out = tapes.lock().expect("sink mutex").clone();
-    (out, cfg)
+    let fitter: ContractFitter = gpu.take_tape_sink().expect("the fitter is installed");
+    fitter.finish()
 }
 
 fn permutation(n: usize, seed: u64) -> Vec<usize> {
@@ -124,13 +122,12 @@ proptest! {
         cb in 1usize..=260,
     ) {
         let words = c0 + cl * (WS - 1) + cw * (warps - 1) + cb * (blocks - 1) + 1;
-        let (tapes, cfg) = capture(|gpu| {
+        let contracts = fit(|gpu| {
             let buf = gpu.mem_mut().alloc_f32("data", &vec![0.0; words]);
             Box::new(AffineKernel { buf, blocks, warps, c0, cl, cw, cb })
         });
-        prop_assert_eq!(tapes.len(), 1);
-        let contracts = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
         prop_assert_eq!(contracts.len(), 1);
+        prop_assert_eq!(contracts[0].launches, 1);
         prop_assert_eq!(contracts[0].sites.len(), 1);
         let site = &contracts[0].sites[0];
         match &site.form {
@@ -152,8 +149,7 @@ proptest! {
         seed in 0u64..1 << 32,
     ) {
         let perm = permutation(warps * WS, seed);
-        let (tapes, cfg) = capture(|_| Box::new(PermKernel { perm, warps }));
-        let contracts = infer_contracts(&tapes, cfg.shared_banks, cfg.segment_bytes);
+        let contracts = fit(|_| Box::new(PermKernel { perm, warps }));
         prop_assert_eq!(contracts.len(), 1);
         let site = &contracts[0].sites[0];
         match site.form {

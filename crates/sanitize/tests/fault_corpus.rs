@@ -1,14 +1,22 @@
 //! The `simt::fault` harness as the sanitizer's true-positive corpus.
 //!
 //! Every fault class that corrupts memory behavior or barrier structure
-//! must leave a tape from which the sanitizer reproduces and *classifies*
-//! the fault ([`sanitize::expected_kind`] maps class to finding kind).
-//! Classes whose fault lives before any launch (configuration and
-//! trace-replay faults) have no expected kind and must produce no
-//! misclassification from whatever tapes they do leave.
+//! must stream a launch from which the sanitizer reproduces and
+//! *classifies* the fault ([`sanitize::expected_kind`] maps class to
+//! finding kind). Classes whose fault lives before any launch
+//! (configuration and trace-replay faults) have no expected kind and
+//! must produce no misclassification from whatever launches they do
+//! make.
 
-use sanitize::{analyze_tape, classify_tape, expected_kind, Analyzer, FindingKind, Severity};
-use simt::fault::{inject_sink, inject_with, Fault};
+use sanitize::{classify_findings, expected_kind, Analyzer, Finding, FindingKind, Severity};
+use simt::fault::{inject, inject_sink, Fault};
+
+/// Runs `fault`'s scenario under a fresh [`Analyzer`] and returns the
+/// outcome, the number of launches the analyzer saw and its findings.
+fn analyze(fault: Fault) -> (Result<String, simt::SimError>, u64, Vec<Finding>) {
+    let (outcome, analyzer) = inject_sink(fault, Analyzer::new());
+    (outcome, analyzer.launches(), analyzer.finish())
+}
 
 #[test]
 fn every_memory_and_barrier_fault_is_caught_and_classified() {
@@ -18,19 +26,16 @@ fn every_memory_and_barrier_fault_is_caught_and_classified() {
             continue;
         };
         covered += 1;
-        let (outcome, tapes) = inject_with(fault, true);
+        let (outcome, launches, findings) = analyze(fault);
         assert!(
             outcome.is_err(),
             "{fault:?}: scenario no longer faults; corpus is stale"
         );
-        assert!(
-            !tapes.is_empty(),
-            "{fault:?}: faulting launch produced no tape"
-        );
-        let kinds: Vec<_> = tapes.iter().filter_map(classify_tape).collect();
-        assert!(
-            kinds.contains(&expected),
-            "{fault:?}: expected {expected:?}, sanitizer classified {kinds:?}"
+        assert_eq!(launches, 1, "{fault:?}: the faulting launch was not taped");
+        assert_eq!(
+            classify_findings(&findings),
+            Some(expected),
+            "{fault:?}: sanitizer findings {findings:?}"
         );
     }
     // The corpus covers the four memory/barrier classes; a new Fault
@@ -48,28 +53,31 @@ fn config_and_replay_faults_are_never_misclassified() {
         if expected_kind(fault).is_some() {
             continue;
         }
-        let (_outcome, tapes) = inject_with(fault, true);
-        for tape in &tapes {
-            let misclassified: Vec<_> = analyze_tape(tape)
-                .into_iter()
-                .filter(|f| f.severity() == Severity::Error && f.kind != FindingKind::LaunchFailure)
-                .collect();
-            assert!(
-                misclassified.is_empty(),
-                "{fault:?}: spurious sanitizer errors {misclassified:?}"
-            );
-        }
+        let (_outcome, _, findings) = analyze(fault);
+        let misclassified: Vec<_> = findings
+            .into_iter()
+            .filter(|f| f.severity() == Severity::Error && f.kind != FindingKind::LaunchFailure)
+            .collect();
+        assert!(
+            misclassified.is_empty(),
+            "{fault:?}: spurious sanitizer errors {misclassified:?}"
+        );
     }
 }
 
 #[test]
 fn sanitizer_off_by_default_collects_nothing() {
-    // `inject_with(_, false)` must not install a sink: the zero-cost
-    // disabled path of the tracing contract.
+    // A device starts with no sink, and a launch does not install one:
+    // the zero-cost disabled path of the tracing contract. Taping does
+    // not change a scenario's outcome either.
+    use simt::{Gpu, GpuConfig};
+
+    let mut gpu = Gpu::new(GpuConfig::gpgpusim_default());
+    assert!(gpu.take_tape_sink::<Analyzer>().is_none());
     for fault in [Fault::OutOfRangeLoad, Fault::BarrierDivergence] {
-        let (outcome, tapes) = inject_with(fault, false);
-        assert!(outcome.is_err());
-        assert!(tapes.is_empty(), "{fault:?}: tape without a sink");
+        let (taped, _, _) = analyze(fault);
+        assert!(taped.is_err(), "{fault:?}");
+        assert_eq!(inject(fault), taped, "{fault:?}");
     }
 }
 
@@ -78,8 +86,6 @@ fn sanitizer_off_by_default_collects_nothing() {
 /// last taped word is the out-of-range one.
 #[test]
 fn an_index_past_u32_max_is_taped_out_of_range() {
-    use std::sync::{Arc, Mutex};
-
     use simt::{BufF32, Gpu, GpuConfig, GridShape, Kernel, PhaseControl, SimError, WarpCtx};
 
     struct Wide(BufF32);
@@ -98,42 +104,17 @@ fn an_index_past_u32_max_is_taped_out_of_range() {
 
     let mut gpu = Gpu::new(GpuConfig::gpgpusim_default());
     let victim = gpu.mem_mut().alloc_f32("victim", &[0.0; 128]);
-    let tapes = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&tapes);
-    gpu.set_sanitizer_sink(move |t| sink.lock().unwrap().push(t));
+    gpu.set_tape_sink(Box::new(Analyzer::new()));
     match gpu.try_launch(&Wide(victim)) {
         Err(SimError::KernelFault { reason, .. }) => {
             assert_eq!(reason, "read out of bounds: victim[4294967297] (len 128)");
         }
         other => panic!("expected a kernel fault, got {other:?}"),
     }
-    let tapes = tapes.lock().unwrap();
-    let [tape] = tapes.as_slice() else {
-        panic!("{} tapes for one launch", tapes.len());
-    };
+    let analyzer: Analyzer = gpu.take_tape_sink().expect("the analyzer is installed");
+    assert_eq!(analyzer.launches(), 1);
     assert_eq!(
-        classify_tape(tape),
+        classify_findings(&analyzer.finish()),
         Some(FindingKind::GlobalOutOfBoundsLoad)
     );
-}
-
-/// Folding the events as each scenario executes must find exactly what
-/// analyzing the scenario's collected tapes finds, for every class —
-/// faulting launches, divergent barriers and aborts included.
-#[test]
-fn streamed_analysis_equals_analysis_of_collected_tapes() {
-    for fault in Fault::all() {
-        let (_, tapes) = inject_with(fault, true);
-        let mut held = Analyzer::new();
-        for tape in &tapes {
-            held.observe(tape);
-        }
-        let (_, streamed) = inject_sink(fault, Analyzer::new());
-        assert_eq!(streamed.launches(), tapes.len() as u64, "{fault:?}");
-        let held = held.finish();
-        if let [tape] = tapes.as_slice() {
-            assert_eq!(analyze_tape(tape), held, "{fault:?}");
-        }
-        assert_eq!(streamed.finish(), held, "{fault:?}");
-    }
 }

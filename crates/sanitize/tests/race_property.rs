@@ -14,8 +14,8 @@
 //! with anything.
 
 use proptest::prelude::*;
-use sanitize::{analyze_tape, FindingKind, Severity};
-use simt::{Gpu, GpuConfig, GridShape, Kernel, LaunchTape, PhaseControl, WarpCtx};
+use sanitize::{Analyzer, Finding, FindingKind, Severity};
+use simt::{Gpu, GpuConfig, GridShape, Kernel, PhaseControl, WarpCtx};
 
 /// Lanes (and shared words) each warp owns.
 const SLOT: usize = 32;
@@ -51,20 +51,13 @@ impl Kernel for SlotWriter {
     }
 }
 
-/// Runs the kernel with a sanitizer sink attached and returns its tape.
-fn tape_of(assign: Vec<usize>) -> LaunchTape {
-    use std::sync::{Arc, Mutex};
+/// Runs the kernel under an [`Analyzer`] and returns its findings.
+fn findings_of(assign: Vec<usize>) -> Vec<Finding> {
     let mut gpu = Gpu::try_new(GpuConfig::gpgpusim_default()).expect("default config");
-    let tapes: Arc<Mutex<Vec<LaunchTape>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&tapes);
-    gpu.set_sanitizer_sink(move |t| {
-        if let Ok(mut v) = sink.lock() {
-            v.push(t);
-        }
-    });
+    gpu.set_tape_sink(Box::new(Analyzer::new()));
     gpu.launch(&SlotWriter { assign });
-    let mut v = tapes.lock().expect("sink mutex");
-    v.pop().expect("one launch, one tape")
+    let analyzer: Analyzer = gpu.take_tape_sink().expect("the analyzer is installed");
+    analyzer.finish()
 }
 
 /// Deterministic Fisher–Yates from an explicit seed (splitmix64), so
@@ -91,7 +84,7 @@ proptest! {
     /// Race-free permutations never produce a finding of any severity.
     #[test]
     fn permutation_is_never_flagged(n in 2usize..=4, seed in 0u64..1 << 32) {
-        let findings = analyze_tape(&tape_of(permutation(n, seed)));
+        let findings = findings_of(permutation(n, seed));
         prop_assert!(
             findings.is_empty(),
             "clean kernel flagged: {:?}",
@@ -111,7 +104,7 @@ proptest! {
         let from = (pick % n as u64) as usize;
         let to = (from + 1 + (pick / n as u64) as usize % (n - 1)) % n;
         assign[to] = assign[from]; // two warps, one slot
-        let findings = analyze_tape(&tape_of(assign));
+        let findings = findings_of(assign);
         prop_assert!(
             findings.iter().any(|f| f.kind == FindingKind::SharedRace),
             "racy kernel not flagged: {:?}",

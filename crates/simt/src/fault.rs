@@ -24,7 +24,7 @@ use crate::error::SimError;
 use crate::gpu::{try_time_trace, try_time_traces_concurrent, Gpu};
 use crate::isa::TOp;
 use crate::kernel::{GridShape, Kernel, PhaseControl, WarpCtx};
-use crate::sanitizer::{AccessRef, BarrierRecord, LaunchInfo, LaunchTape, TapeCollector, TapeSink};
+use crate::sanitizer::{BarrierRecord, LaunchInfo, MemAccess, TapeSink};
 use crate::shadow::SiteTable;
 use crate::trace::try_trace_kernel;
 
@@ -235,38 +235,21 @@ fn broken_config(fault: Fault) -> GpuConfig {
 /// carries a description of a documented degraded completion and is
 /// reserved for future soft-fault classes.
 pub fn inject(fault: Fault) -> Result<String, SimError> {
-    inject_with(fault, false).0
-}
-
-/// [`inject`] with the sanitizer optionally attached, returning the
-/// launch tapes the scenario produced alongside the outcome.
-///
-/// With `sanitize = true`, every [`Gpu`]-driven scenario installs a
-/// collecting sanitizer sink before launching, so the fault harness
-/// doubles as the sanitizer's true-positive corpus: the memory and
-/// barrier fault classes ([`Fault::OutOfRangeLoad`],
-/// [`Fault::OutOfRangeStore`], [`Fault::SharedOutOfRange`],
-/// [`Fault::BarrierDivergence`]) each yield a tape from which
-/// `sanitize` must reproduce and classify the fault. Scenarios that
-/// never construct a `Gpu` (or whose fault lives in the configuration,
-/// rejected before any launch) return no tapes.
-pub fn inject_with(fault: Fault, sanitize: bool) -> (Result<String, SimError>, Vec<LaunchTape>) {
-    if !sanitize {
-        return (inject_impl(fault, &|_| {}), Vec::new());
-    }
-    let tapes: Arc<Mutex<Vec<LaunchTape>>> = Arc::default();
-    let sink = Arc::clone(&tapes);
-    let collect = TapeCollector::new(move |tape| {
-        sink.lock().expect("no tape push panics").push(tape);
-    });
-    let (result, _) = inject_sink(fault, collect);
-    let collected = std::mem::take(&mut *tapes.lock().expect("no tape push panics"));
-    (result, collected)
+    inject_impl(fault, &|_| {})
 }
 
 /// [`inject`] with `sink` receiving the sanitizer events of every
 /// launch the scenario makes, as they execute; returns the outcome and
 /// the sink.
+///
+/// The fault harness thus doubles as the sanitizer's true-positive
+/// corpus: the memory and barrier fault classes
+/// ([`Fault::OutOfRangeLoad`], [`Fault::OutOfRangeStore`],
+/// [`Fault::SharedOutOfRange`], [`Fault::BarrierDivergence`]) each
+/// stream a launch from which `sanitize` must reproduce and classify
+/// the fault. Scenarios that never construct a `Gpu` (or whose fault
+/// lives in the configuration, rejected before any launch) deliver no
+/// launch to the sink.
 pub fn inject_sink<S: TapeSink>(fault: Fault, sink: S) -> (Result<String, SimError>, S) {
     let shared = Arc::new(Mutex::new(sink));
     let result = inject_impl(fault, &|gpu| {
@@ -291,7 +274,7 @@ impl<S: TapeSink> TapeSink for Forward<S> {
         self.sink().begin(launch);
     }
 
-    fn access(&mut self, launch: &LaunchInfo, sites: &SiteTable, access: &AccessRef<'_>) {
+    fn access(&mut self, launch: &LaunchInfo, sites: &SiteTable, access: &MemAccess<'_>) {
         self.sink().access(launch, sites, access);
     }
 

@@ -88,7 +88,7 @@ use crate::dram::Dram;
 use crate::error::SimError;
 use crate::kernel::Kernel;
 use crate::memory::GpuMem;
-use crate::sanitizer::{LaunchInfo, LaunchTape, TapeCollector, TapeSink};
+use crate::sanitizer::{LaunchInfo, TapeSink};
 use crate::shadow::SiteTable;
 use crate::sm::{
     ctas_per_sm, fold_summary, run_epoch, CtaRt, EpochLog, EvKind, EvRec, IssueCosts, SmRt, WarpRt,
@@ -244,17 +244,6 @@ impl Gpu {
             .downcast::<S>()
             .ok()
             .map(|sink| *sink)
-    }
-
-    /// Installs a collecting sanitizer sink: every subsequent launch
-    /// delivers one whole [`LaunchTape`] to `sink` when it ends. On an
-    /// aborted launch the tape carries the [`SimError`] in
-    /// [`LaunchTape::aborted`] along with the events recorded up to the
-    /// abort. Holds a launch's events until it ends; consumers that can
-    /// fold events one at a time implement [`TapeSink`] and use
-    /// [`Gpu::set_tape_sink`] instead.
-    pub fn set_sanitizer_sink(&mut self, sink: impl FnMut(LaunchTape) + Send + Sync + 'static) {
-        self.set_tape_sink(Box::new(TapeCollector::new(sink)));
     }
 
     /// Captures a kernel's functional trace, streaming sanitizer events

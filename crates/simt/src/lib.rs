@@ -89,8 +89,7 @@ pub use isa::{ActiveMask, MemSpace, SegRange, TOp};
 pub use kernel::{GridShape, Kernel, PhaseControl, WarpCtx};
 pub use memory::{BufF32, BufU32, GpuMem};
 pub use sanitizer::{
-    AccessKind, AccessRef, AllocInfo, BarrierRecord, LaunchInfo, LaunchTape, MemAccess, TapeBuf,
-    TapeEvent, TapeSink,
+    AccessKind, AllocInfo, BarrierRecord, LaunchInfo, MemAccess, TapeBuf, TapeSink,
 };
 pub use serdes::{
     decode_capture_payload, encode_capture_payload, read_capture_payload, write_capture_payload,

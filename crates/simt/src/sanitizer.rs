@@ -16,12 +16,8 @@
 //! within a launch, so the events arrive in execution order and a
 //! consumer can fold them without holding them: an access's lane words
 //! are borrowed from the warp's stack buffer for the duration of the
-//! call.
-//!
-//! [`LaunchTape`] is the collecting sink: it holds one launch's events
-//! whole, for the fault harness, the tests and one-shot analyses
-//! ([`crate::Gpu::set_sanitizer_sink`] delivers one per launch), and
-//! [`LaunchTape::replay`] feeds a held tape through any other sink.
+//! call. The sink is the only way events leave the simulator: nothing
+//! holds a launch's events whole.
 //!
 //! Taping is **off by default and free when off**: the executor carries
 //! an `Option` that is `None` unless a sink is installed, every
@@ -78,11 +74,10 @@ pub enum TapeBuf {
 }
 
 /// One warp-level memory instruction with per-lane resolved word
-/// indices. `W` holds the `(lane, word)` list: owned in a
-/// [`LaunchTape`], borrowed for the call when the executor hands the
-/// access to a [`TapeSink`] ([`AccessRef`]).
+/// indices, as the executor hands it to a [`TapeSink`]: the lane words
+/// are borrowed for the duration of one [`TapeSink::access`] call.
 #[derive(Debug, Clone)]
-pub struct MemAccess<W = Box<[(u8, u32)]>> {
+pub struct MemAccess<'a> {
     /// CTA (block) index of the accessing warp.
     pub block: u32,
     /// Warp index within the block.
@@ -100,44 +95,10 @@ pub struct MemAccess<W = Box<[(u8, u32)]>> {
     /// call, shared by every dynamic execution of that instruction.
     pub site: u32,
     /// `(lane, word index)` for each participating lane, in lane order.
-    pub lane_words: W,
+    pub lane_words: &'a [(u8, u32)],
     /// `true` if the access faulted: the **last** entry of `lane_words`
     /// is the out-of-range word and the remaining lanes were suppressed.
     pub faulted: bool,
-}
-
-/// An access as the executor delivers it: lane words borrowed for the
-/// duration of one [`TapeSink::access`] call.
-pub type AccessRef<'a> = MemAccess<&'a [(u8, u32)]>;
-
-impl MemAccess {
-    /// This access with its lane words borrowed.
-    pub(crate) fn borrowed(&self) -> AccessRef<'_> {
-        self.with_words(&self.lane_words)
-    }
-}
-
-impl AccessRef<'_> {
-    /// An owned copy of this access, for holding it past the call.
-    pub(crate) fn owned(&self) -> MemAccess {
-        self.with_words(self.lane_words.into())
-    }
-}
-
-impl<W> MemAccess<W> {
-    fn with_words<V>(&self, lane_words: V) -> MemAccess<V> {
-        MemAccess {
-            block: self.block,
-            warp: self.warp,
-            phase: self.phase,
-            kind: self.kind,
-            space: self.space,
-            buf: self.buf,
-            site: self.site,
-            lane_words,
-            faulted: self.faulted,
-        }
-    }
 }
 
 /// The barrier votes of one CTA at the end of one phase.
@@ -154,17 +115,6 @@ pub struct BarrierRecord {
     pub phase: u32,
     /// Per-warp vote: `true` = `Continue` (arrived at the barrier).
     pub continues: Box<[bool]>,
-}
-
-/// One entry of a launch tape, in execution order (blocks run
-/// sequentially; within a block, warps run a phase at a time in warp
-/// order).
-#[derive(Debug, Clone)]
-pub enum TapeEvent {
-    /// A warp-level memory access.
-    Access(MemAccess),
-    /// A CTA barrier (or a divergent attempt at one).
-    Barrier(BarrierRecord),
 }
 
 /// Extent (and initialization state) of one global allocation at launch
@@ -259,95 +209,13 @@ pub trait TapeSink: Any + Send + Sync {
     /// A launch is about to execute.
     fn begin(&mut self, launch: &LaunchInfo);
     /// One warp-level memory access of the current launch.
-    fn access(&mut self, launch: &LaunchInfo, sites: &SiteTable, access: &AccessRef<'_>);
+    fn access(&mut self, launch: &LaunchInfo, sites: &SiteTable, access: &MemAccess<'_>);
     /// One CTA barrier (or divergent attempt at one) of the current
     /// launch.
     fn barrier(&mut self, launch: &LaunchInfo, barrier: &BarrierRecord);
     /// The current launch is over: completed, or abandoned with
     /// `aborted`.
     fn end(&mut self, launch: &LaunchInfo, sites: &SiteTable, aborted: Option<&SimError>);
-}
-
-/// One launch's events held whole: the launch description, the
-/// access/barrier stream, the op-site table and the abort error.
-#[derive(Debug, Clone)]
-pub struct LaunchTape {
-    /// Geometry and allocation tables of the launch.
-    pub launch: LaunchInfo,
-    /// The recorded access/barrier stream.
-    pub events: Vec<TapeEvent>,
-    /// Static op sites referenced by [`MemAccess::site`].
-    pub sites: SiteTable,
-    /// The error that abandoned the launch, if it did not complete.
-    pub aborted: Option<SimError>,
-}
-
-impl LaunchTape {
-    /// An empty tape for `launch`.
-    pub fn new(launch: LaunchInfo) -> LaunchTape {
-        LaunchTape {
-            launch,
-            events: Vec::new(),
-            sites: SiteTable::new(),
-            aborted: None,
-        }
-    }
-
-    /// Feeds this tape through `sink` exactly as the executor delivered
-    /// it: `begin`, every event in order, `end`.
-    pub fn replay(&self, sink: &mut dyn TapeSink) {
-        sink.begin(&self.launch);
-        for ev in &self.events {
-            match ev {
-                TapeEvent::Access(a) => sink.access(&self.launch, &self.sites, &a.borrowed()),
-                TapeEvent::Barrier(b) => sink.barrier(&self.launch, b),
-            }
-        }
-        sink.end(&self.launch, &self.sites, self.aborted.as_ref());
-    }
-}
-
-/// The collecting sink behind [`crate::Gpu::set_sanitizer_sink`]: holds
-/// each launch's events in a [`LaunchTape`] and hands the finished tape
-/// to `deliver`.
-pub(crate) struct TapeCollector<F> {
-    deliver: F,
-    tape: Option<LaunchTape>,
-}
-
-impl<F> TapeCollector<F> {
-    pub(crate) fn new(deliver: F) -> TapeCollector<F> {
-        TapeCollector {
-            deliver,
-            tape: None,
-        }
-    }
-}
-
-impl<F: FnMut(LaunchTape) + Send + Sync + 'static> TapeSink for TapeCollector<F> {
-    fn begin(&mut self, launch: &LaunchInfo) {
-        self.tape = Some(LaunchTape::new(launch.clone()));
-    }
-
-    fn access(&mut self, _: &LaunchInfo, _: &SiteTable, access: &AccessRef<'_>) {
-        if let Some(tape) = &mut self.tape {
-            tape.events.push(TapeEvent::Access(access.owned()));
-        }
-    }
-
-    fn barrier(&mut self, _: &LaunchInfo, barrier: &BarrierRecord) {
-        if let Some(tape) = &mut self.tape {
-            tape.events.push(TapeEvent::Barrier(barrier.clone()));
-        }
-    }
-
-    fn end(&mut self, _: &LaunchInfo, sites: &SiteTable, aborted: Option<&SimError>) {
-        if let Some(mut tape) = self.tape.take() {
-            tape.sites = sites.clone();
-            tape.aborted = aborted.cloned();
-            (self.deliver)(tape);
-        }
-    }
 }
 
 #[cfg(test)]

@@ -21,8 +21,8 @@ use std::panic::Location;
 
 /// Interns static op-site labels (`file:line:column`) into dense ids.
 ///
-/// One table lives for each taped launch (and is kept on each
-/// [`crate::LaunchTape`]); ids index into
+/// One table lives for each taped launch (every access and the end of
+/// the launch hand it to the [`crate::TapeSink`]); ids index into
 /// [`SiteTable::names`]. Interning is keyed on the raw `Location`
 /// coordinates so the hot path never formats a string for a site it has
 /// already seen.

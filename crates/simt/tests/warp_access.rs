@@ -8,11 +8,11 @@
 //! fault flag), the interned op site, and the `KernelFault` reason.
 
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex};
 
 use simt::{
-    AccessKind, BufF32, BufU32, Gpu, GpuConfig, GridShape, Kernel, LaunchTape, MemSpace,
-    PhaseControl, SegRange, SimError, TOp, TapeBuf, TapeEvent, WarpCtx,
+    AccessKind, BarrierRecord, BufF32, BufU32, Gpu, GpuConfig, GridShape, Kernel, LaunchInfo,
+    MemAccess, MemSpace, PhaseControl, SegRange, SimError, SiteTable, TOp, TapeBuf, TapeSink,
+    WarpCtx,
 };
 
 /// Lanes in the warp, words in every buffer and in the shared scratch.
@@ -108,6 +108,58 @@ impl Kernel for Probe {
     }
 }
 
+/// One taped access, held past the sink call, with its op-site label.
+struct Taped {
+    block: u32,
+    warp: u32,
+    phase: u32,
+    kind: AccessKind,
+    space: MemSpace,
+    buf: TapeBuf,
+    site: String,
+    lane_words: Vec<(u8, u32)>,
+    faulted: bool,
+}
+
+/// A sink recording every event of the launches it sees.
+#[derive(Default)]
+struct Recorder {
+    begins: usize,
+    ends: usize,
+    accesses: Vec<Taped>,
+    barriers: usize,
+    aborted: Option<SimError>,
+}
+
+impl TapeSink for Recorder {
+    fn begin(&mut self, _: &LaunchInfo) {
+        self.begins += 1;
+    }
+
+    fn access(&mut self, _: &LaunchInfo, sites: &SiteTable, a: &MemAccess<'_>) {
+        self.accesses.push(Taped {
+            block: a.block,
+            warp: a.warp,
+            phase: a.phase,
+            kind: a.kind,
+            space: a.space,
+            buf: a.buf,
+            site: sites.name(a.site).to_string(),
+            lane_words: a.lane_words.to_vec(),
+            faulted: a.faulted,
+        });
+    }
+
+    fn barrier(&mut self, _: &LaunchInfo, _: &BarrierRecord) {
+        self.barriers += 1;
+    }
+
+    fn end(&mut self, _: &LaunchInfo, _: &SiteTable, aborted: Option<&SimError>) {
+        self.ends += 1;
+        self.aborted = aborted.cloned();
+    }
+}
+
 /// Everything one run of a probe leaves behind.
 struct Run {
     result: Result<(), SimError>,
@@ -115,7 +167,7 @@ struct Run {
     segs: Vec<u64>,
     seen: Vec<u32>,
     line: u32,
-    tape: LaunchTape,
+    tape: Recorder,
     f: Vec<f32>,
     u: Vec<u32>,
 }
@@ -128,9 +180,7 @@ fn run(op: Op, past: usize) -> Run {
         f: gpu.mem_mut().alloc_f32("f", &init_f),
         u: gpu.mem_mut().alloc_u32("u", &init_u),
     };
-    let tapes = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&tapes);
-    gpu.set_sanitizer_sink(move |t| sink.lock().unwrap().push(t));
+    gpu.set_tape_sink(Box::new(Recorder::default()));
     gpu.set_trace_recording(true);
     let probe = Probe {
         bufs,
@@ -147,8 +197,8 @@ fn run(op: Op, past: usize) -> Run {
         }
         more => panic!("{} traces for one launch", more.len()),
     };
-    let mut tapes = std::mem::take(&mut *tapes.lock().unwrap());
-    assert_eq!(tapes.len(), 1, "one tape per launch");
+    let tape: Recorder = gpu.take_tape_sink().expect("the recorder is installed");
+    assert_eq!((tape.begins, tape.ends), (1, 1), "one tape per launch");
     let (seen, line) = probe.seen.into_inner();
     Run {
         result,
@@ -156,7 +206,7 @@ fn run(op: Op, past: usize) -> Run {
         segs,
         seen,
         line,
-        tape: tapes.remove(0),
+        tape,
         f: gpu.mem().read_f32(bufs.f),
         u: gpu.mem().read_u32(bufs.u),
     }
@@ -260,26 +310,18 @@ fn cases() -> Vec<Case> {
 /// on word `l + past`.
 fn check_tape(case: &Case, run: &Run, past: usize) {
     let name = case.name;
-    let accesses: Vec<_> = run
-        .tape
-        .events
-        .iter()
-        .map(|e| match e {
-            TapeEvent::Access(a) => a,
-            TapeEvent::Barrier(_) => panic!("{name}: unexpected barrier"),
-        })
-        .collect();
-    let [a] = accesses.as_slice() else {
-        panic!("{name}: {} accesses taped", accesses.len());
+    assert_eq!(run.tape.barriers, 0, "{name}: unexpected barrier");
+    let [a] = run.tape.accesses.as_slice() else {
+        panic!("{name}: {} accesses taped", run.tape.accesses.len());
     };
     assert_eq!(a.kind, case.kind, "{name}");
     assert_eq!(a.space, case.space, "{name}");
     assert_eq!(a.buf, case.buf, "{name}");
     assert_eq!((a.block, a.warp, a.phase), (0, 0, 0), "{name}");
     let words: Vec<(u8, u32)> = (0..N).map(|l| (l as u8, (l + past) as u32)).collect();
-    assert_eq!(*a.lane_words, *words, "{name}");
+    assert_eq!(a.lane_words, words, "{name}");
     assert_eq!(a.faulted, past > 0, "{name}");
-    let site = run.tape.sites.name(a.site);
+    let site = &a.site;
     let mut parts = site.rsplitn(3, ':');
     let (_col, line, file) = (parts.next(), parts.next(), parts.next());
     assert_eq!(file, Some("tests/warp_access.rs"), "{name}: site {site}");

@@ -222,17 +222,16 @@ pub fn encode_entry(key: &str, payload: &[u8]) -> Vec<u8> {
 
 /// The verified header fields of one entry.
 struct Header {
-    /// Header bytes before the payload.
-    len: usize,
     /// Declared payload length.
     declared: u64,
     /// Stored payload checksum.
     checksum: u64,
 }
 
-/// Verifies the header of an entry of `have` bytes whose leading bytes
-/// are `head` (all of it, or at least its whole header) against `key`.
-fn check_header(key: &str, head: &[u8], have: u64) -> Result<Header, Corruption> {
+/// Verifies against `key` the header of an entry whose leading bytes
+/// are `head`: its whole header, or all of a shorter entry.
+fn check_header(key: &str, head: &[u8]) -> Result<Header, Corruption> {
+    let have = head.len() as u64;
     if head.len() < PRE_KEY {
         return Err(Corruption::Truncated {
             need: PRE_KEY as u64,
@@ -261,7 +260,6 @@ fn check_header(key: &str, head: &[u8], have: u64) -> Result<Header, Corruption>
     }
     let at = len - POST_KEY;
     Ok(Header {
-        len,
         declared: u64::from_le_bytes(head[at..at + 8].try_into().expect("8 bytes")),
         checksum: u64::from_le_bytes(head[at + 8..len].try_into().expect("8 bytes")),
     })
@@ -272,37 +270,19 @@ fn key_len(head: &[u8]) -> usize {
     usize::from(u16::from_le_bytes(head[8..10].try_into().expect("2 bytes")))
 }
 
-/// Verifies `payload` against its header's declared length and
-/// checksum.
-fn check_payload(header: &Header, payload: &[u8]) -> Result<(), Corruption> {
-    if payload.len() as u64 != header.declared {
-        return Err(Corruption::LengthMismatch {
-            declared: header.declared,
-            actual: payload.len() as u64,
-        });
-    }
-    let computed = fnv1a64(payload);
-    if computed != header.checksum {
-        return Err(Corruption::ChecksumMismatch {
-            stored: header.checksum,
-            computed,
-        });
-    }
-    Ok(())
-}
-
 /// Verifies the framing of `bytes` against `key` and returns the
-/// payload slice.
+/// payload slice: [`read_entry`] over the slice, with a decoder that
+/// leaves the payload to the checksum pass.
 ///
 /// # Errors
 ///
 /// A [`Corruption`] naming the first check that failed. No payload
 /// byte is ever returned from an entry that fails any check.
 pub fn decode_entry<'a>(key: &str, bytes: &'a [u8]) -> Result<&'a [u8], Corruption> {
-    let header = check_header(key, bytes, bytes.len() as u64)?;
-    let payload = &bytes[header.len..];
-    check_payload(&header, payload)?;
-    Ok(payload)
+    let mut skip = |_: &mut dyn Read, len: usize| Ok(len);
+    let len = read_entry(key, bytes, bytes.len() as u64, &mut skip)
+        .expect("reading a slice cannot fail")?;
+    Ok(&bytes[bytes.len() - len..])
 }
 
 /// The payload of an entry as its decoder sees it: at most the declared
@@ -339,10 +319,9 @@ impl<R: Read> Read for Checked<R> {
 
 /// Reads one entry of `size` bytes from `r`, verifies it against `key`
 /// and decodes its payload with `decode`, which is given a reader of
-/// the payload and its declared length. The verdict is
-/// [`decode_entry`]'s for the same bytes — the header checks, then the
-/// declared length against `size`, then the checksum — and only then
-/// the decoder's: a value is returned only from an entry that passes
+/// the payload and its declared length. The header is checked first,
+/// then the declared length against `size`, then the checksum, and
+/// only then is the decoder's verdict taken: a value is returned only from an entry that passes
 /// every check, and a decoder's rejection of a verified payload is
 /// [`Corruption::Undecodable`]. No payload byte is held here: the
 /// decoder reads straight from `r`, and what it leaves unread is read
@@ -364,7 +343,7 @@ pub fn read_entry<T>(
         let rest = key_len(&head) + POST_KEY;
         r.by_ref().take(rest as u64).read_to_end(&mut head)?;
     }
-    let header = match check_header(key, &head, head.len() as u64) {
+    let header = match check_header(key, &head) {
         Ok(h) => h,
         Err(c) => return Ok(Err(c)),
     };
@@ -485,23 +464,26 @@ mod tests {
     }
 
     #[test]
-    fn read_entry_agrees_with_decode_entry() {
-        // Every truncation and every single-byte change of one entry:
-        // reading it from a stream gives decode_entry's verdict.
+    fn every_truncation_and_byte_flip_is_rejected() {
+        // Read from a stream and decoded from a slice alike: no prefix
+        // of an entry and no single-byte change of it verifies.
         let bytes = encode_entry("key", b"payload");
-        let verdict = |b: &[u8]| {
+        let read = |b: &[u8]| {
             read_entry("key", b, b.len() as u64, &mut read_payload).expect("in-memory read")
         };
-        let decoded = |b: &[u8]| decode_entry("key", b).map(<[u8]>::to_vec);
-        for cut in 0..=bytes.len() {
-            assert_eq!(verdict(&bytes[..cut]), decoded(&bytes[..cut]), "cut {cut}");
+        for cut in 0..bytes.len() {
+            let b = &bytes[..cut];
+            assert!(read(b).is_err(), "cut {cut} read");
+            assert!(decode_entry("key", b).is_err(), "cut {cut} decoded");
         }
         for at in 0..bytes.len() {
             let mut bad = bytes.clone();
             bad[at] ^= 0x5a;
-            assert_eq!(verdict(&bad), decoded(&bad), "byte {at}");
+            assert!(read(&bad).is_err(), "byte {at} read");
+            assert!(decode_entry("key", &bad).is_err(), "byte {at} decoded");
         }
-        assert_eq!(verdict(&bytes), Ok(b"payload".to_vec()));
+        assert_eq!(read(&bytes), Ok(b"payload".to_vec()));
+        assert_eq!(decode_entry("key", &bytes), Ok(&b"payload"[..]));
     }
 
     #[test]

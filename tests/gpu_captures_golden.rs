@@ -19,7 +19,7 @@
 //! never changes what it records, and that every capture's cached
 //! instruction totals equal its per-op sums.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use rodinia_repro::datasets::Scale;
 use rodinia_repro::rodinia_gpu::leukocyte::Leukocyte;
@@ -28,7 +28,8 @@ use rodinia_repro::rodinia_gpu::suite::all_benchmarks;
 use rodinia_repro::rodinia_study::trace_cache::CapturedRun;
 use rodinia_repro::rodinia_study::trace_cache::{CaptureFingerprint, TraceCache};
 use rodinia_repro::simt::{
-    encode_capture_payload, Gpu, GpuConfig, KernelTrace, MemMix, OccupancyHistogram,
+    encode_capture_payload, BarrierRecord, Gpu, GpuConfig, KernelTrace, LaunchInfo, MemAccess,
+    MemMix, OccupancyHistogram, SimError, SiteTable, TapeSink,
 };
 use rodinia_repro::store::fnv1a64;
 
@@ -92,8 +93,21 @@ fn gpu_captures_match_the_golden_digests() {
     );
 }
 
+/// Counts the launches a device streams to it, and nothing else.
+#[derive(Default)]
+struct LaunchCounter(usize);
+
+impl TapeSink for LaunchCounter {
+    fn begin(&mut self, _: &LaunchInfo) {}
+    fn access(&mut self, _: &LaunchInfo, _: &SiteTable, _: &MemAccess<'_>) {}
+    fn barrier(&mut self, _: &LaunchInfo, _: &BarrierRecord) {}
+    fn end(&mut self, _: &LaunchInfo, _: &SiteTable, _: Option<&SimError>) {
+        self.0 += 1;
+    }
+}
+
 /// Runs every Tiny benchmark with trace recording on, with or without
-/// a sanitizer sink, and returns its traces and the number of tapes
+/// a sanitizer sink, and returns its traces and the number of launches
 /// the sink received.
 fn recorded(cfg: &GpuConfig, taped: bool) -> Vec<(String, Vec<Arc<KernelTrace>>, usize)> {
     all_benchmarks(Scale::Tiny)
@@ -101,13 +115,11 @@ fn recorded(cfg: &GpuConfig, taped: bool) -> Vec<(String, Vec<Arc<KernelTrace>>,
         .map(|b| {
             let mut gpu = Gpu::new(cfg.clone());
             gpu.set_trace_recording(true);
-            let tapes = Arc::new(Mutex::new(0usize));
             if taped {
-                let tapes = Arc::clone(&tapes);
-                gpu.set_sanitizer_sink(move |_| *tapes.lock().unwrap() += 1);
+                gpu.set_tape_sink(Box::new(LaunchCounter::default()));
             }
             b.run_on(&mut gpu);
-            let n = *tapes.lock().unwrap();
+            let n = gpu.take_tape_sink::<LaunchCounter>().map_or(0, |c| c.0);
             (b.abbrev().to_string(), gpu.take_recorded_traces(), n)
         })
         .collect()

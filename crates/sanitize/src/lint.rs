@@ -127,7 +127,7 @@ impl KernelLintMetrics {
             // Load-segment multiset of this CTA, for the redundancy ratio.
             let mut seg_counts: BTreeMap<u64, u64> = BTreeMap::new();
             for warp in &cta.warps {
-                for op in &warp.ops {
+                for (op, run) in warp.runs() {
                     match op {
                         TOp::Shared { degree, .. } => {
                             shared_ops += 1;
@@ -138,21 +138,20 @@ impl KernelLintMetrics {
                             space: MemSpace::Global,
                             store,
                             lanes,
-                            segs,
+                            ..
                         } => {
-                            let segs = segs.of(&warp.segs);
                             global_ops += 1;
-                            actual_segments += segs.len() as u64;
+                            actual_segments += run.len() as u64;
                             ideal_segments += (u64::from(*lanes) * WORD_BYTES).div_ceil(SEG_BYTES);
                             if !store {
-                                for &s in segs {
+                                for &s in run {
                                     *seg_counts.entry(s).or_insert(0) += 1;
                                 }
                             }
                         }
-                        TOp::Tex { segs, .. } => {
+                        TOp::Tex { .. } => {
                             tex_ops += 1;
-                            for &s in segs.of(&warp.segs) {
+                            for &s in run {
                                 *seg_counts.entry(s).or_insert(0) += 1;
                             }
                         }

@@ -94,6 +94,21 @@ pub enum SimError {
         /// Warps parked at barriers.
         warps_parked: usize,
     },
+    /// A trace that replay cannot walk: one warp's memory ops name more
+    /// or fewer segment addresses than its pool holds, or the warp has
+    /// more than `u32::MAX` ops or pool addresses (see
+    /// [`crate::trace::WarpTrace`]). Capture and the trace codec never
+    /// build one; a hand-edited trace can.
+    MalformedTrace {
+        /// Kernel name.
+        kernel: String,
+        /// CTA index in the trace.
+        cta: usize,
+        /// Warp index in the CTA.
+        warp: usize,
+        /// What is wrong with the warp.
+        reason: String,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -146,6 +161,16 @@ impl fmt::Display for SimError {
                 f,
                 "scheduling deadlock: all live warps parked at barriers \
                  (cycle {cycle}, {warps_parked} parked)"
+            ),
+            SimError::MalformedTrace {
+                kernel,
+                cta,
+                warp,
+                reason,
+            } => write!(
+                f,
+                "malformed trace of kernel {kernel}: warp {warp} of CTA \
+                 {cta}: {reason}"
             ),
         }
     }

@@ -542,6 +542,9 @@ pub fn time_traces_concurrent(traces: &[&KernelTrace], cfg: &GpuConfig) -> Concu
 ///   `cfg.watchdog.max_cycles`.
 /// * [`SimError::Deadlock`] — every live warp is parked at a barrier
 ///   that can never release (e.g. a truncated or corrupted trace).
+/// * [`SimError::MalformedTrace`] — a warp's ops do not name exactly
+///   the segment addresses its pool holds (see
+///   [`KernelTrace::try_totals`]).
 pub fn try_time_traces_concurrent(
     traces: &[&KernelTrace],
     cfg: &GpuConfig,
@@ -568,6 +571,9 @@ pub fn try_time_traces_concurrent(
             kernel: trace.name.clone(),
             reason: e,
         })?;
+        // Counted and checked once per trace: replay walks each warp's
+        // segment pool with a cursor and does not bounds-check it.
+        trace.try_totals()?;
     }
     let _span = obs::span!("simt.replay.{}", traces[0].name);
     let mut engine = Engine::new(traces, cfg);
@@ -733,6 +739,7 @@ impl<'a> Engine<'a> {
                 ops: &warp.ops,
                 segs: &warp.segs,
                 pc: 0,
+                seg: 0,
                 ready_at: at,
                 at_barrier: false,
                 waiting_mem: false,
@@ -1095,9 +1102,10 @@ impl<'a> Engine<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::isa::{MemSpace, SegRange, TOp};
     use crate::kernel::{GridShape, PhaseControl, WarpCtx};
     use crate::memory::BufF32;
-    use crate::trace::trace_kernel;
+    use crate::trace::{trace_kernel, CtaTrace, WarpTrace};
 
     /// Pure-compute kernel: `iters` ALU instructions per thread.
     struct Compute {
@@ -1148,6 +1156,57 @@ mod tests {
         setup(&mut mem);
         let trace = trace_kernel(kernel, &mut mem, cfg);
         time_trace(&trace, cfg)
+    }
+
+    /// One warp of 32 lanes: two texture fetches and a global load,
+    /// each naming one segment address, over `pool`.
+    fn tex_tex_load(pool: Vec<u64>) -> KernelTrace {
+        let segs = SegRange { len: 1 };
+        let ops = vec![
+            TOp::Tex { lanes: 32, segs },
+            TOp::Tex { lanes: 32, segs },
+            TOp::Gmem {
+                space: MemSpace::Global,
+                store: false,
+                lanes: 32,
+                segs,
+            },
+        ];
+        let warp = WarpTrace { ops, segs: pool };
+        let ctas = vec![CtaTrace { warps: vec![warp] }];
+        KernelTrace::new("tex-tex-load".into(), ctas, 32, 16, 0, 32)
+    }
+
+    #[test]
+    fn a_texture_fetch_advances_its_warps_segment_cursor() {
+        let cfg = GpuConfig::gpgpusim_default();
+        let stats = time_trace(&tex_tex_load(vec![0, 4096, 8192]), &cfg);
+        // Each fetch takes its own run: two distinct segments, two
+        // misses. A fetch that left the cursor behind would re-read
+        // segment 0 and hit.
+        assert_eq!((stats.tex_misses, stats.tex_hits), (2, 0));
+    }
+
+    #[test]
+    fn a_pool_that_does_not_match_its_ops_is_a_typed_error() {
+        let cfg = GpuConfig::gpgpusim_default();
+        for (pool, named) in [
+            (vec![0, 4096], "name 3"),
+            (vec![0, 64, 128, 192], "holds 4"),
+        ] {
+            match try_time_trace(&tex_tex_load(pool), &cfg) {
+                Err(SimError::MalformedTrace {
+                    kernel,
+                    cta: 0,
+                    warp: 0,
+                    reason,
+                }) => {
+                    assert_eq!(kernel, "tex-tex-load");
+                    assert!(reason.contains(named), "{reason}");
+                }
+                other => panic!("expected a malformed-trace error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -123,12 +123,12 @@ impl ActiveMask {
 /// One warp-level operation in a captured kernel trace.
 ///
 /// Memory operations are stored *post-coalescing*: global/local/texture
-/// accesses carry a [`SegRange`] naming the 64-byte segment addresses
-/// they touch in their warp's segment pool
+/// accesses carry a [`SegRange`] counting the 64-byte segment addresses
+/// they take from their warp's segment pool
 /// ([`crate::trace::WarpTrace::segs`]), shared-memory accesses carry
 /// their bank-conflict serialization degree, and constant accesses
 /// carry the number of distinct addresses (a value > 1 serializes the
-/// broadcast). Every op is a 12-byte `Copy` word, so a warp's trace is
+/// broadcast). Every op is an 8-byte `Copy` word, so a warp's trace is
 /// two flat arrays: its ops and its segment pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TOp {
@@ -196,36 +196,37 @@ pub enum TOp {
     Bar,
 }
 
-/// Where one memory op's coalesced segment addresses sit in its warp's
-/// segment pool: `len` addresses from index `start`. A warp instruction
+/// How many coalesced segment addresses one memory op takes from its
+/// warp's segment pool. A range names no start: a warp's memory ops
+/// take their runs from the pool strictly in program order, so an op's
+/// run starts where the previous memory op's run ended, at the sum of
+/// the earlier ops' lengths, and every reader walks the pool with a
+/// running cursor (see [`crate::trace::WarpTrace`]). A warp instruction
 /// touches at most two segments per lane, so `len` never exceeds 128.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SegRange {
-    /// Index of the first address in the pool.
-    pub start: u32,
     /// Number of addresses.
     pub len: u16,
 }
 
 impl SegRange {
-    /// The range of `len` pool entries from `start`, or `None` if
-    /// either does not fit its field.
-    pub fn new(start: usize, len: usize) -> Option<SegRange> {
+    /// The range of `len` pool entries, or `None` if `len` does not fit.
+    pub fn new(len: usize) -> Option<SegRange> {
         Some(SegRange {
-            start: u32::try_from(start).ok()?,
             len: u16::try_from(len).ok()?,
         })
     }
 
-    /// The addresses this range names in `pool`.
+    /// The addresses this range names in `pool` when the earlier
+    /// memory ops of its warp took `start` addresses.
     ///
     /// # Panics
     ///
-    /// Panics if the range lies outside `pool`. Capture and the trace
-    /// codec only build ranges inside their own warp's pool.
+    /// Panics if the range lies outside `pool`. Replay checks each
+    /// warp's pool once per trace ([`crate::KernelTrace::try_totals`]).
     #[inline]
-    pub fn of(self, pool: &[u64]) -> &[u64] {
-        &pool[self.start as usize..][..self.len as usize]
+    pub fn at(self, pool: &[u64], start: usize) -> &[u64] {
+        &pool[start..][..self.len as usize]
     }
 }
 
@@ -257,6 +258,16 @@ impl TOp {
     /// Number of thread-level (scalar) instructions this op represents.
     pub fn thread_instructions(&self) -> u64 {
         self.warp_instructions() * self.lanes() as u64
+    }
+
+    /// The pool range of a global, local or texture access, if this is
+    /// one.
+    #[inline]
+    pub fn segs(&self) -> Option<SegRange> {
+        match *self {
+            TOp::Gmem { segs, .. } | TOp::Tex { segs, .. } => Some(segs),
+            _ => None,
+        }
     }
 
     /// The memory space of a memory operation, if this is one.
@@ -322,17 +333,18 @@ mod tests {
             space: MemSpace::Global,
             store: false,
             lanes: 32,
-            segs: SegRange { start: 1, len: 2 },
+            segs: SegRange { len: 2 },
         };
         assert_eq!(mem.warp_instructions(), 1);
         assert_eq!(mem.mem_space(), Some(MemSpace::Global));
-        assert_eq!(SegRange { start: 1, len: 2 }.of(&[7, 0, 64, 9]), &[0, 64]);
+        assert_eq!(mem.segs(), Some(SegRange { len: 2 }));
+        assert_eq!(SegRange { len: 2 }.at(&[7, 0, 64, 9], 1), &[0, 64]);
         assert_eq!(TOp::Branch { lanes: 4 }.mem_space(), None);
     }
 
     #[test]
-    fn an_op_is_one_twelve_byte_word() {
-        assert_eq!(std::mem::size_of::<TOp>(), 12);
+    fn an_op_is_one_eight_byte_word() {
+        assert_eq!(std::mem::size_of::<TOp>(), 8);
     }
 
     #[test]

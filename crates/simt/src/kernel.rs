@@ -25,7 +25,7 @@ use crate::coalesce::coalesce;
 use crate::isa::{ActiveMask, MemSpace, SegRange, TOp, MAX_WARP_SIZE};
 use crate::memory::{BufF32, BufU32, GpuMem, Handle, View};
 use crate::sanitizer::{AccessKind, MemAccess, TapeBuf};
-use crate::trace::{Tap, WarpTrace};
+use crate::trace::{Tap, WarpTrace, MAX_WARP_TRACE_LEN};
 
 /// Whether a warp has more phases (barrier-separated sections) to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -360,7 +360,8 @@ impl WarpCtx<'_> {
         let pool = &mut self.trace.segs;
         let start = pool.len();
         let n = coalesce(addrs, 4, self.seg_bytes, pool);
-        let Some(segs) = SegRange::new(start, n) else {
+        let segs = SegRange::new(n).filter(|_| pool.len() <= MAX_WARP_TRACE_LEN);
+        let Some(segs) = segs else {
             pool.truncate(start);
             self.record_fault("warp segment pool exceeds 2^32 addresses".to_string());
             return;

@@ -130,8 +130,8 @@ fn encode_trace(t: &KernelTrace, w: &mut Writer<'_>) {
         w.u32(cta.warps.len() as u32);
         for warp in &cta.warps {
             w.u32(warp.ops.len() as u32);
-            for op in &warp.ops {
-                encode_op(op, &warp.segs, w);
+            for (op, run) in warp.runs() {
+                encode_op(op, run, w);
             }
         }
     }
@@ -185,8 +185,8 @@ const TAG_PARAM: u8 = 6;
 const TAG_BRANCH: u8 = 7;
 const TAG_BAR: u8 = 8;
 
-/// Encodes `op`, writing its segments (from its warp's `pool`) inline.
-fn encode_op(op: &TOp, pool: &[u64], w: &mut Writer<'_>) {
+/// Encodes `op`, writing its segment run inline.
+fn encode_op(op: &TOp, run: &[u64], w: &mut Writer<'_>) {
     match op {
         TOp::Alu { n, lanes } => {
             w.u8(TAG_ALU);
@@ -212,18 +212,18 @@ fn encode_op(op: &TOp, pool: &[u64], w: &mut Writer<'_>) {
             space,
             store,
             lanes,
-            segs,
+            ..
         } => {
             w.u8(TAG_GMEM);
             w.u8(u8::from(*space == MemSpace::Local));
             w.u8(u8::from(*store));
             w.u8(*lanes);
-            put_segs(w, segs.of(pool));
+            put_segs(w, run);
         }
-        TOp::Tex { lanes, segs } => {
+        TOp::Tex { lanes, .. } => {
             w.u8(TAG_TEX);
             w.u8(*lanes);
-            put_segs(w, segs.of(pool));
+            put_segs(w, run);
         }
         TOp::Const { lanes, unique } => {
             w.u8(TAG_CONST);
@@ -307,8 +307,10 @@ fn put_segs(w: &mut Writer, segs: &[u64]) {
     w.u64s(segs);
 }
 
-/// Reads what [`put_segs`] wrote into `warp`'s pool, returning its
-/// range. A count that does not fit a [`SegRange`] is an error.
+/// Reads what [`put_segs`] wrote onto the end of `warp`'s pool,
+/// returning its range. A count that does not fit a [`SegRange`], or a
+/// pool that outgrows [`crate::trace::MAX_WARP_TRACE_LEN`], is an
+/// error.
 fn segs(
     r: &mut Reader<&mut dyn Read>,
     warp: &mut WarpTrace,
@@ -340,17 +342,17 @@ mod tests {
                 space: MemSpace::Global,
                 store: false,
                 lanes: 32,
-                segs: SegRange { start: 0, len: 3 },
+                segs: SegRange { len: 3 },
             },
             TOp::Gmem {
                 space: MemSpace::Local,
                 store: true,
                 lanes: 8,
-                segs: SegRange { start: 3, len: 1 },
+                segs: SegRange { len: 1 },
             },
             TOp::Tex {
                 lanes: 32,
-                segs: SegRange { start: 4, len: 1 },
+                segs: SegRange { len: 1 },
             },
             TOp::Const {
                 lanes: 32,

@@ -92,10 +92,15 @@ pub(crate) struct WarpRt<'a> {
     /// placement so the (very hot) issue path reads `ops[pc]` directly
     /// instead of chasing trace → CTA → warp indirections every issue.
     pub ops: &'a [TOp],
-    /// The segment pool `ops`' memory operations index into.
+    /// The segment pool `ops`' memory operations take their runs from,
+    /// in program order.
     pub segs: &'a [u64],
-    /// Next operation to issue.
-    pub pc: usize,
+    /// Next operation to issue. Replay checks once per trace that a
+    /// warp's ops and pool fit a `u32`.
+    pub pc: u32,
+    /// Start in `segs` of the next memory op's run: the number of
+    /// addresses the issued memory ops took.
+    pub seg: u32,
     /// Cycle at which the warp may issue again. While `unresolved` is
     /// set this holds only the synchronous floor (issue + hit
     /// components); the epoch barrier maxes in the shared-memory
@@ -657,12 +662,13 @@ impl<'a> SmRt<'a> {
         out.last_cycle = out.last_cycle.max(cycle);
         let seq = self.seq;
         self.seq += 1;
-        let (ops, pool, pc) = {
-            let warp = &self.warp_tab[w];
-            (warp.ops, warp.segs, warp.pc)
-        };
-        let op = &ops[pc];
-        self.warp_tab[w].pc += 1;
+        let warp = &mut self.warp_tab[w];
+        let (ops, pool, seg_at) = (warp.ops, warp.segs, warp.seg as usize);
+        let op = &ops[warp.pc as usize];
+        warp.pc += 1;
+        if let TOp::Gmem { segs, .. } | TOp::Tex { segs, .. } = op {
+            warp.seg += u32::from(segs.len);
+        }
 
         let lanes = op.lanes() as usize;
         let ic = match op {
@@ -724,7 +730,7 @@ impl<'a> SmRt<'a> {
                 let tex = &mut self.tex;
                 let start = out.segs.len();
                 out.segs.extend(
-                    segs.of(pool)
+                    segs.at(pool, seg_at)
                         .iter()
                         .copied()
                         .filter(|&seg| !tex.as_mut().is_some_and(|t| t.access(seg))),
@@ -737,7 +743,7 @@ impl<'a> SmRt<'a> {
                 if *store {
                     // Stores retire through a write buffer; the warp does
                     // not wait, but bandwidth is consumed.
-                    out.segs.extend_from_slice(segs.of(pool));
+                    out.segs.extend_from_slice(segs.at(pool, seg_at));
                     log_mem(out, start, 0, false);
                     (ic, cycle + ic + cfg.alu_latency as u64)
                 } else {
@@ -748,7 +754,7 @@ impl<'a> SmRt<'a> {
                         None => (None, 0),
                     };
                     out.segs
-                        .extend(segs.of(pool).iter().copied().filter(|&seg| {
+                        .extend(segs.at(pool, seg_at).iter().copied().filter(|&seg| {
                             let hit = l1.as_mut().is_some_and(|l1| l1.access(seg));
                             if hit {
                                 done = done.max(cycle + l1_lat);
@@ -807,7 +813,8 @@ impl<'a> SmRt<'a> {
         out.horizon = out.horizon.max(ready_at);
 
         // Trace drained?
-        if self.warp_tab[w].pc == ops.len() {
+        if self.warp_tab[w].pc as usize == ops.len() {
+            debug_assert_eq!(self.warp_tab[w].seg as usize, pool.len(), "pool not walked");
             self.retire_warp(w, cycle, seq, out);
         }
     }
@@ -1098,6 +1105,7 @@ mod tests {
             ops: &[],
             segs: &[],
             pc: 0,
+            seg: 0,
             ready_at: 42,
             at_barrier: false,
             waiting_mem: true,

@@ -16,25 +16,83 @@ use crate::sanitizer::{BarrierRecord, LaunchInfo, TapeSink};
 use crate::shadow::SiteTable;
 use crate::stats::{MemMix, OccupancyHistogram};
 
+/// The most ops, and the most pool addresses, one warp's trace may
+/// hold: replay keeps each warp's op and pool cursors in `u32`s.
+pub const MAX_WARP_TRACE_LEN: usize = u32::MAX as usize;
+
 /// The trace of one warp: its operation stream, with barriers inline,
-/// and the one segment pool its memory ops index into. Capture and the
-/// trace codec both leave the two vectors exact-size.
+/// and the one segment pool its memory ops take their addresses from.
+/// Capture and the trace codec both leave the two vectors exact-size.
+///
+/// # The pool is read in program order
+///
+/// A memory op ([`TOp::Gmem`], [`TOp::Tex`]) stores only how many
+/// addresses it takes ([`SegRange::len`]), not where they start. The
+/// pool holds exactly the ops' runs, back to back in program order, so
+/// an op's run starts at the sum of the earlier memory ops' lengths and
+/// every reader walks the pool with a running cursor: replay keeps one
+/// per warp, and [`WarpTrace::runs`] keeps one for everything else.
+/// Capture appends each op's run with [`WarpTrace::push_segs`] as it
+/// pushes the op, and the trace codec writes each op's run inline, so
+/// both keep this invariant. Replay refuses a hand-built trace that
+/// breaks it with [`SimError::MalformedTrace`] (see
+/// [`KernelTrace::try_totals`]).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct WarpTrace {
     /// Captured operations in program order.
     pub ops: Vec<TOp>,
-    /// Coalesced segment addresses of the memory ops, in program order;
-    /// each op's run is at its [`SegRange`].
+    /// Coalesced segment addresses of the memory ops, one run per op in
+    /// program order.
     pub segs: Vec<u64>,
 }
 
 impl WarpTrace {
-    /// Appends `segs` to the pool and returns their range, or `None`
-    /// (pool unchanged) if the range does not fit a [`SegRange`].
+    /// Appends `segs` to the pool as the run of the next memory op and
+    /// returns its range, or `None` (pool unchanged) if the run does
+    /// not fit a [`SegRange`] or the pool would outgrow
+    /// [`MAX_WARP_TRACE_LEN`].
     pub fn push_segs(&mut self, segs: &[u64]) -> Option<SegRange> {
-        let range = SegRange::new(self.segs.len(), segs.len())?;
+        let range = SegRange::new(segs.len())?;
+        if self.segs.len() + segs.len() > MAX_WARP_TRACE_LEN {
+            return None;
+        }
         self.segs.extend_from_slice(segs);
         Some(range)
+    }
+
+    /// Each op with the run of pool addresses it names (empty for an op
+    /// that is not a global, local or texture access), walking the pool
+    /// in program order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the ops name more addresses than the pool holds.
+    pub fn runs(&self) -> impl Iterator<Item = (&TOp, &[u64])> {
+        let mut at = 0;
+        self.ops.iter().map(move |op| match op.segs() {
+            Some(range) => {
+                let run = range.at(&self.segs, at);
+                at += run.len();
+                (op, run)
+            }
+            None => (op, &[][..]),
+        })
+    }
+}
+
+/// Why replay cannot walk a warp of `ops` ops whose pool holds `pool`
+/// addresses while its ops name `named`, or `None` if it can.
+fn malformed(ops: usize, pool: usize, named: u64) -> Option<String> {
+    if ops > MAX_WARP_TRACE_LEN {
+        Some(format!("{ops} ops, more than 2^32 - 1"))
+    } else if pool > MAX_WARP_TRACE_LEN {
+        Some(format!("{pool} pool addresses, more than 2^32 - 1"))
+    } else if named != pool as u64 {
+        Some(format!(
+            "its ops name {named} segment addresses but its pool holds {pool}"
+        ))
+    } else {
+        None
     }
 }
 
@@ -94,26 +152,38 @@ impl TraceTotals {
         }
     }
 
-    /// Counts `trace` op by op.
-    fn count(trace: &KernelTrace) -> TraceTotals {
+    /// Counts `trace` op by op, checking that each warp's ops name
+    /// exactly the addresses its pool holds.
+    fn count(trace: &KernelTrace) -> Result<TraceTotals, SimError> {
         let mut t = TraceTotals::empty(trace.warp_size);
-        for op in trace
-            .ctas
-            .iter()
-            .flat_map(|c| &c.warps)
-            .flat_map(|w| &w.ops)
-        {
-            let wi = op.warp_instructions();
-            t.warp_instructions += wi;
-            t.thread_instructions += op.thread_instructions();
-            if op.lanes() > 0 {
-                t.occupancy.record(op.lanes(), wi);
-            }
-            if let Some(space) = op.mem_space() {
-                t.mem_mix.add(space, wi);
+        for (cta, c) in trace.ctas.iter().enumerate() {
+            for (warp, w) in c.warps.iter().enumerate() {
+                let mut named = 0u64;
+                for op in &w.ops {
+                    let wi = op.warp_instructions();
+                    t.warp_instructions += wi;
+                    t.thread_instructions += op.thread_instructions();
+                    if op.lanes() > 0 {
+                        t.occupancy.record(op.lanes(), wi);
+                    }
+                    if let Some(space) = op.mem_space() {
+                        t.mem_mix.add(space, wi);
+                    }
+                    if let Some(range) = op.segs() {
+                        named += u64::from(range.len);
+                    }
+                }
+                if let Some(reason) = malformed(w.ops.len(), w.segs.len(), named) {
+                    return Err(SimError::MalformedTrace {
+                        kernel: trace.name.clone(),
+                        cta,
+                        warp,
+                        reason,
+                    });
+                }
             }
         }
-        t
+        Ok(t)
     }
 
     /// Adds another trace's totals into these.
@@ -125,12 +195,12 @@ impl TraceTotals {
     }
 }
 
-/// The lazily filled [`TraceTotals`] of one trace. It is not part of
-/// what a trace *is*: every cache compares equal, and a clone starts
-/// empty, so a copy that is edited before its first replay (as the
-/// fault harness edits one) is counted afresh.
+/// The lazily filled [`TraceTotals`] of one trace, or why it cannot be
+/// replayed. It is not part of what a trace *is*: every cache compares
+/// equal, and a clone starts empty, so a copy that is edited before its
+/// first replay (as the fault harness edits one) is counted afresh.
 #[derive(Debug, Default)]
-struct TotalsCache(OnceLock<TraceTotals>);
+struct TotalsCache(OnceLock<Result<TraceTotals, SimError>>);
 
 impl Clone for TotalsCache {
     fn clone(&self) -> Self {
@@ -168,14 +238,32 @@ impl KernelTrace {
     /// The trace's instruction totals, counted on the first call and
     /// reused by every later replay. The trace must not be edited in
     /// place after that first call; debug builds recount and assert.
-    pub fn totals(&self) -> &TraceTotals {
+    ///
+    /// The same pass checks, once per trace, what replay's per-warp
+    /// cursors rely on: each warp's ops name exactly the addresses its
+    /// pool holds, and neither its ops nor its pool outgrow
+    /// [`MAX_WARP_TRACE_LEN`].
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::MalformedTrace`] for the first warp that breaks that.
+    pub fn try_totals(&self) -> Result<&TraceTotals, SimError> {
         let totals = self.totals.0.get_or_init(|| TraceTotals::count(self));
         debug_assert!(
             *totals == TraceTotals::count(self),
             "{}: cached totals are stale",
             self.name
         );
-        totals
+        totals.as_ref().map_err(Clone::clone)
+    }
+
+    /// [`KernelTrace::try_totals`] of a well-formed trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the trace is malformed.
+    pub fn totals(&self) -> &TraceTotals {
+        self.try_totals().unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Total scalar (thread-level) instructions in the trace.
@@ -483,6 +571,28 @@ mod tests {
         // Warp 1 has only 8 active lanes.
         let last = &trace.ctas[0].warps[1].ops[0];
         assert_eq!(last.lanes(), 8);
+    }
+
+    #[test]
+    fn a_warp_past_u32_max_ops_or_addresses_is_malformed() {
+        let max = MAX_WARP_TRACE_LEN;
+        assert_eq!(malformed(max, max, max as u64), None);
+        assert!(malformed(max + 1, 0, 0).unwrap().contains("ops"));
+        let reason = malformed(1, max + 1, max as u64 + 1).unwrap();
+        assert!(reason.contains("pool addresses"), "{reason}");
+        assert!(malformed(1, 3, 2).unwrap().contains("name 2"));
+    }
+
+    #[test]
+    fn push_segs_refuses_a_run_wider_than_a_range() {
+        let mut warp = WarpTrace::default();
+        assert_eq!(warp.push_segs(&[0; 3]), Some(SegRange { len: 3 }));
+        assert_eq!(warp.push_segs(&vec![0; 1 << 16]), None);
+        assert_eq!(
+            warp.segs.len(),
+            3,
+            "a refused run leaves the pool as it was"
+        );
     }
 
     #[test]

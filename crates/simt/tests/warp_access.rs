@@ -229,7 +229,7 @@ struct Case {
     reason: &'static str,
 }
 
-const SEGS: SegRange = SegRange { start: 0, len: 2 };
+const SEGS: SegRange = SegRange { len: 2 };
 /// Device addresses: `f` is allocated first at 0, `u` at the next
 /// 256-byte boundary; each 128-byte buffer spans two 64-byte segments.
 const F_SEGS: [u64; 2] = [0, 64];

@@ -227,7 +227,7 @@ impl SweepJournal {
         let (inner, records) = Journal::open(path, study_key, true)?;
         let mut done = BTreeMap::new();
         for r in records {
-            let Some(i) = r.get("i").and_then(Json::as_f64) else {
+            let Some(i) = r.get("i").and_then(Json::as_f64).and_then(job_index) else {
                 continue;
             };
             let Some(bits_hex) = r.get("bits").and_then(Json::as_str) else {
@@ -236,7 +236,7 @@ impl SweepJournal {
             let Ok(bits) = u64::from_str_radix(bits_hex, 16) else {
                 continue;
             };
-            done.insert(i as usize, f64::from_bits(bits));
+            done.insert(i, f64::from_bits(bits));
         }
         Ok((SweepJournal { inner }, done))
     }
@@ -268,6 +268,18 @@ impl SweepJournal {
     }
 }
 
+/// A record's `i` as a job index, if it is a non-negative integer that
+/// a JSON number holds exactly (below 2^53); `None` for anything else,
+/// so a damaged record is skipped rather than misfiled.
+fn job_index(i: f64) -> Option<usize> {
+    const EXACT: f64 = (1u64 << 53) as f64;
+    if (0.0..EXACT).contains(&i) && i.fract() == 0.0 {
+        usize::try_from(i as u64).ok()
+    } else {
+        None
+    }
+}
+
 /// The journal record of job `i`'s response.
 fn sweep_record(i: usize, response: f64) -> Json {
     Json::obj(vec![
@@ -279,6 +291,8 @@ fn sweep_record(i: usize, response: f64) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRng;
 
     fn test_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("rodinia-journal-{}", std::process::id()));
@@ -447,5 +461,133 @@ mod tests {
         );
         let _ = fs::remove_file(&shuffled);
         let _ = fs::remove_file(&ordered);
+    }
+
+    /// `text` as one journal line with a valid checksum.
+    fn framed(text: &str) -> String {
+        format!("{:016x}\t{text}\n", fnv1a64(text.as_bytes()))
+    }
+
+    /// The header line of a sweep journal for `study`.
+    fn header(study: &str) -> String {
+        line(&Json::obj(vec![
+            ("schema", Json::from(JOURNAL_SCHEMA)),
+            ("study", Json::from(study)),
+        ]))
+    }
+
+    #[test]
+    fn a_record_whose_index_is_not_a_non_negative_integer_is_skipped() {
+        let path = test_path("odd-index.sweep");
+        let mut text = header("pb/v1");
+        for i in ["-1", "2.5", "1e300", "\"3\"", "null", "4"] {
+            text += &framed(&format!("{{\"i\":{i},\"bits\":\"3ff0000000000000\"}}"));
+        }
+        fs::write(&path, text).expect("write");
+        let (_, done) = SweepJournal::open(&path, "pb/v1").expect("open");
+        assert_eq!(done.keys().copied().collect::<Vec<_>>(), [4]);
+        let _ = fs::remove_file(&path);
+    }
+
+    /// Journal files as damage or a buggy writer might leave them:
+    /// arbitrary bytes (non-UTF-8 included), maybe after a valid
+    /// header; or a valid header, then checksummed lines of odd JSON
+    /// (sweep records whose `i` is a job index or any other value, and
+    /// values that are no record), then a checksummed tail that is no
+    /// record. The second shape comes with the responses a resume must
+    /// file: those whose `i` is a job index, the last per index winning.
+    struct OddJournal;
+
+    impl Strategy for OddJournal {
+        type Value = (Vec<u8>, Option<BTreeMap<usize, u64>>);
+
+        fn generate(&self, rng: &mut TestRng) -> Self::Value {
+            let pick = |rng: &mut TestRng, options: &[&'static str]| {
+                options[rng.below(options.len() as u64) as usize]
+            };
+            if rng.below(3) == 0 {
+                let mut out = match rng.below(2) {
+                    0 => header("pb/v1").into_bytes(),
+                    _ => Vec::new(),
+                };
+                out.extend((0..rng.below(512)).map(|_| rng.next_u64() as u8));
+                return (out, None);
+            }
+            let mut text = header("pb/v1");
+            let mut filed = BTreeMap::new();
+            for _ in 0..rng.below(12) {
+                let bits = rng.next_u64();
+                let i = match rng.below(5) {
+                    0 => {
+                        let not_records = [
+                            "{}",
+                            "[]",
+                            "0",
+                            "\"bits\"",
+                            "{\"i\":1}",
+                            "{\"i\":2,\"bits\":\"zz\"}",
+                            "{\"i\":3,\"bits\":7}",
+                            "{\"bits\":\"0\"}",
+                        ];
+                        text += &framed(pick(rng, &not_records));
+                        continue;
+                    }
+                    1 | 2 => {
+                        let job = rng.below(8);
+                        filed.insert(job as usize, bits);
+                        job.to_string()
+                    }
+                    3 => match rng.below(2) {
+                        0 => format!("-{}", 1 + rng.below(1 << 40)),
+                        _ => format!("{}.5", rng.below(16)),
+                    },
+                    _ => pick(
+                        rng,
+                        &[
+                            "1e300",
+                            "-0.5",
+                            "\"2\"",
+                            "null",
+                            "true",
+                            "[1]",
+                            "{}",
+                            "18446744073709551616",
+                        ],
+                    )
+                    .to_string(),
+                };
+                text += &framed(&format!("{{\"i\":{i},\"bits\":\"{bits:016x}\"}}"));
+            }
+            // Printable, but without `{`, so never a record.
+            let tail: String = (0..rng.below(40))
+                .map(|_| char::from(b' ' + rng.below(91) as u8))
+                .collect();
+            text += &framed(&tail);
+            (text.into_bytes(), Some(filed))
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Whatever a sweep journal holds, opening it answers `Ok` or a
+        /// typed error without panicking, and files a response only
+        /// under an index a record spelled as one.
+        #[test]
+        fn a_sweep_journal_never_panics_and_files_only_job_indices(
+            journal in OddJournal,
+        ) {
+            let (bytes, filed) = journal;
+            let path = test_path("odd.sweep");
+            fs::write(&path, &bytes).expect("write");
+            let opened: Result<_, StoreError> = SweepJournal::open(&path, "pb/v1");
+            let _ = fs::remove_file(&path);
+            if let Some(filed) = filed {
+                let (_, done) = opened.expect("a readable journal opens");
+                let got: BTreeMap<usize, u64> =
+                    done.iter().map(|(&i, r)| (i, r.to_bits())).collect();
+                prop_assert_eq!(got, filed);
+            }
+        }
     }
 }

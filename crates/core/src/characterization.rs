@@ -284,8 +284,10 @@ impl IncrementalVersions {
 }
 
 /// Runs the Table III experiment: one job per incremental version.
-/// The v1 rows are keyed in the trace cache by `(family, scale, "v1")`;
-/// the v2 rows are the suite instances, so they share the suite
+/// The v1 rows are keyed in the trace cache by `(family, scale, "v1")`
+/// and read by nothing else, so they are streamed
+/// ([`crate::trace_cache::TraceCache::stream_fn`]) and freed after the
+/// row; the v2 rows are the suite instances, so they share the suite
 /// capture every other GPU experiment replays.
 pub fn incremental_versions(
     session: &StudySession,
@@ -304,10 +306,10 @@ pub fn incremental_versions(
         let _bench = obs::span!("bench.{family}.{variant}");
         let cache = session.cache();
         let run = match (family, variant) {
-            ("SRAD", "v1") => cache.capture_fn(family, scale, variant, &base, |gpu| {
+            ("SRAD", "v1") => cache.stream_fn(family, scale, variant, &base, |gpu| {
                 Srad::v1(scale).run(gpu)
             }),
-            ("LC", "v1") => cache.capture_fn(family, scale, variant, &base, |gpu| {
+            ("LC", "v1") => cache.stream_fn(family, scale, variant, &base, |gpu| {
                 Leukocyte::v1(scale).run(gpu)
             }),
             ("SRAD", _) => cache.capture_benchmark(&Srad::v2(scale), scale, &base),
@@ -434,7 +436,10 @@ pub fn offload_overheads(
 /// Runs the Figure 5 experiment. The GTX 280 shares its capture
 /// fingerprint with the default machine; the two GTX 480 variants share
 /// a second fingerprint (32 shared-memory banks), so each benchmark is
-/// captured at most twice and the L1-bias point is a pure replay.
+/// captured at most twice and the L1-bias point is a pure replay. No
+/// other experiment reads the GTX 480 capture, so each job streams it
+/// ([`crate::trace_cache::TraceCache::stream_fn`]) and frees it after
+/// its two replays.
 pub fn fermi_study(session: &StudySession, scale: Scale) -> Result<FermiStudy, StudyError> {
     let benches = all_benchmarks(scale);
     let rows = session.run_indexed(benches.len(), |i| {
@@ -445,13 +450,11 @@ pub fn fermi_study(session: &StudySession, scale: Scale) -> Result<FermiStudy, S
             .capture_benchmark(b, scale, &GpuConfig::gtx280())?;
         let opts = session.replay_options();
         let t280 = run280.stats_for(&GpuConfig::gtx280(), &opts)?.time_us();
-        let run480 =
-            session
-                .cache()
-                .capture_benchmark(b, scale, &GpuConfig::gtx480_shared_bias())?;
-        let tsb = run480
-            .stats_for(&GpuConfig::gtx480_shared_bias(), &opts)?
-            .time_us();
+        let fermi = GpuConfig::gtx480_shared_bias();
+        let run480 = session
+            .cache()
+            .stream_fn(b.abbrev(), scale, "", &fermi, |gpu| b.run_on(gpu))?;
+        let tsb = run480.stats_for(&fermi, &opts)?.time_us();
         let tlb = run480
             .stats_for(&GpuConfig::gtx480_l1_bias(), &opts)?
             .time_us();

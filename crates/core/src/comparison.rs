@@ -1,13 +1,16 @@
 //! The cross-suite comparison study (Section V): profiles all 24
 //! workloads once, then derives Figures 6–10 from the shared profiles.
 //!
-//! Profiling goes through the capture-once trace pipeline: one job per
-//! workload on the session's worker pool captures the workload's memory
-//! trace once (through [`crate::trace_cache::CpuTraceCache`] and its
-//! store), replays it at the eight cache capacities and drops it. The
-//! assembled profiles are byte-identical to the direct
-//! [`tracekit::profile()`] path at any worker count (proven in
-//! `tests/cpu_replay_determinism.rs`).
+//! Profiling runs one job per workload on the session's worker pool,
+//! through [`crate::trace_cache::CpuTraceCache::profile_workload`].
+//! Without a store, each workload is profiled live: its references feed
+//! a [`tracekit::Sweep`] of the eight cache capacities as they happen,
+//! the way the paper's Pin tool simulates them online, and no trace is
+//! stored. With a store, the job restores or captures (and persists)
+//! the workload's trace, replays it through the same sweep and drops
+//! it. The assembled profiles are byte-identical on every path and at
+//! any worker count (proven against one full cache replay per capacity
+//! in `tests/cpu_replay_determinism.rs`).
 
 use analysis::cluster::{try_flat_clusters, try_hierarchical, Linkage};
 use analysis::dendrogram::render_dendrogram;
@@ -87,13 +90,13 @@ impl ComparisonStudy {
     /// expensive step; every figure below reuses the result.
     ///
     /// One fan-out over the session pool, one job per workload: the job
-    /// takes the workload's capture (a capture already resident in the
-    /// session's CPU trace cache, else a store restore, else a fresh
-    /// capture that is persisted), replays it at every capacity, keeps
-    /// the profile and drops the capture. So at most one capture per
-    /// worker is alive at a time, and none that a job restored or
-    /// captured outlives it. Results are reassembled in submission
-    /// order, so the study is byte-identical for any `--jobs` value.
+    /// keeps the workload's profile and no trace. It replays a capture
+    /// already resident in the session's CPU trace cache; with a store
+    /// attached it restores or captures (and persists) one and drops it
+    /// after the replay; otherwise it profiles the workload live. So at
+    /// most one trace per worker is alive at a time, and none without a
+    /// store. Results are reassembled in submission order, so the study
+    /// is byte-identical for any `--jobs` value.
     ///
     /// # Errors
     ///
@@ -107,12 +110,9 @@ impl ComparisonStudy {
         let labels: Vec<String> = workloads.iter().map(|w| w.label.clone()).collect();
         let profiles = session.run_indexed(workloads.len(), |i| {
             let w = &workloads[i];
-            let capture =
-                session
-                    .cpu_cache()
-                    .stream_workload(&w.label, w.workload.as_ref(), scale, &cfg)?;
-            let stats = capture.replay_all(&cfg.cache_sizes)?;
-            Ok(capture.profile_with(stats))
+            session
+                .cpu_cache()
+                .profile_workload(&w.label, w.workload.as_ref(), scale, &cfg)
         })?;
         Ok(ComparisonStudy { labels, profiles })
     }

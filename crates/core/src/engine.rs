@@ -69,9 +69,10 @@ use crate::trace_cache::{CpuTraceCache, ReplaySettings, TraceCache};
 ///   the trace;
 /// * **the comparison corpus** — the 24-workload CPU profile behind
 ///   Figures 6–12 is built at most once per scale
-///   ([`StudySession::corpus`]); it streams each CPU capture through
-///   one job and drops it, so the [`CpuTraceCache`] holds only what a
-///   caller made resident with `capture_workload`;
+///   ([`StudySession::corpus`]); each job keeps its workload's profile
+///   and no trace (it profiles live without a store, and drops a
+///   stored capture after its replay), so the [`CpuTraceCache`] holds
+///   only what a caller made resident with `capture_workload`;
 /// * **experiment tables** — each `(artifact, scale)` is computed at
 ///   most once ([`StudySession::tables`]); later requests naming it
 ///   share the finished tables.

@@ -95,6 +95,15 @@ impl<K: Eq + Hash, V> OnceMap<K, V> {
         result
     }
 
+    /// Whether an entry at `key` is present (computed, failed, or in
+    /// flight), without waiting for it.
+    pub(crate) fn contains(&self, key: &K) -> bool {
+        self.map
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .contains_key(key)
+    }
+
     /// The entry at `key` if one is present, waiting for it if another
     /// caller is still computing it; `None` (and no entry created)
     /// otherwise.
@@ -132,6 +141,7 @@ mod tests {
         assert_eq!((m.len(), m.computed(), m.reused()), (2, 2, 2));
         assert_eq!(m.get(&1).map(|r| r.map(|v| *v)), Some(Ok(10)));
         assert!(m.get(&3).is_none());
+        assert!(m.contains(&2) && !m.contains(&3));
         assert_eq!(m.len(), 2, "a miss creates no entry");
     }
 }

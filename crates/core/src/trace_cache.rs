@@ -15,15 +15,25 @@
 //! exactly-once capture even under concurrent lookups: racing workers
 //! block on the first initializer instead of capturing twice.
 //!
+//! A request holds each trace only until its last reader has used it.
+//! Captures under the default fingerprint are read by most GPU
+//! experiments, so [`TraceCache::capture_fn`] keeps them resident. A
+//! capture with a single reader — the GTX 480 captures of Figure 5 and
+//! the Table III v1 variants — goes through [`TraceCache::stream_fn`]:
+//! a resident capture is shared, but a miss is restored or captured
+//! (and persisted) for the caller alone and freed when it is done. The
+//! session memoizes tables, so no later request reads it again.
+//!
 //! [`CpuTraceCache`] is the Pin-side instance of the same generic
 //! [`CaptureCache`]: it caches [`CpuCapture`]s — a workload's
 //! interleaved memory-reference trace plus its capacity-independent
-//! characteristics — keyed by `(workload, scale, capture fingerprint)`,
-//! so the eight shared-cache capacities of the comparison study replay
-//! one capture instead of re-running the workload eight times. The
-//! comparison corpus reads it through
-//! [`CpuTraceCache::stream_workload`], which never makes a capture
-//! resident, so a session keeps CPU profiles rather than CPU traces.
+//! characteristics — keyed by `(workload, scale, capture fingerprint)`.
+//! The comparison corpus reads it through
+//! [`CpuTraceCache::profile_workload`], which returns the profile, not
+//! the trace: a resident capture is replayed, a store-backed session
+//! restores or captures (and persists) one for the caller alone, and
+//! otherwise the workload is profiled live with no trace at all. So a
+//! session keeps CPU profiles rather than CPU traces.
 //! Both instances restore, validate, quarantine, and persist through
 //! the one store-backed path in [`CaptureCache`].
 
@@ -36,7 +46,7 @@ use datasets::Scale;
 use rodinia_gpu::suite::GpuBenchmark;
 use simt::{Gpu, GpuConfig, KernelStats, KernelTrace, ReplayOptions};
 use store::TraceStore;
-use tracekit::{CpuCapture, CpuWorkload, ProfileConfig};
+use tracekit::{CpuCapture, CpuWorkload, Profile, ProfileConfig};
 
 use crate::error::StudyError;
 use crate::once_map::OnceMap;
@@ -366,10 +376,15 @@ impl<K: Eq + Hash, V> CaptureCache<K, V> {
         self.map.get_or_init(key, capture)
     }
 
-    /// [`CaptureCache::fetch`] at `key`, keeping the result resident.
-    fn restore_or_capture<D>(
+    /// The one lookup path of both sides. A resident entry at `key` is
+    /// shared. On a miss, [`CaptureCache::fetch`] restores or captures
+    /// it: with `resident` the result is kept in the cache (captured
+    /// exactly once under concurrent lookups), otherwise the caller
+    /// owns it and it is freed when the caller drops it.
+    fn lookup<D>(
         &self,
         key: K,
+        resident: bool,
         decode: impl FnMut(&mut dyn Read, usize) -> Result<D, String>,
         restore: impl FnOnce(D) -> Result<V, String>,
         capture: impl FnOnce() -> Result<V, StudyError>,
@@ -378,7 +393,13 @@ impl<K: Eq + Hash, V> CaptureCache<K, V> {
         V: Persisted<Key = K>,
     {
         let skey = V::store_key(&key);
-        self.get_or_capture(key, || self.fetch(&skey, decode, restore, capture))
+        if resident {
+            return self.get_or_capture(key, || self.fetch(&skey, decode, restore, capture));
+        }
+        match self.map.get(&key) {
+            Some(shared) => shared,
+            None => self.fetch(&skey, decode, restore, capture).map(Arc::new),
+        }
     }
 
     /// The one restore-or-capture path: restores the store entry `skey`
@@ -447,13 +468,42 @@ impl TraceCache {
     }
 
     /// Captures an arbitrary workload closure under `cfg`, keyed by
-    /// `(name, scale, variant)` plus `cfg`'s fingerprint. The closure
-    /// runs at most once; it must drive every kernel launch through the
-    /// provided [`Gpu`]. With a store attached, a verified persisted
-    /// capture short-circuits the closure entirely, and a fresh capture
-    /// is persisted for the next process.
+    /// `(name, scale, variant)` plus `cfg`'s fingerprint, and keeps the
+    /// capture resident. The closure runs at most once; it must drive
+    /// every kernel launch through the provided [`Gpu`]. With a store
+    /// attached, a verified persisted capture short-circuits the
+    /// closure entirely, and a fresh capture is persisted for the next
+    /// process.
     pub fn capture_fn(
         &self,
+        name: &str,
+        scale: Scale,
+        variant: &'static str,
+        cfg: &GpuConfig,
+        run: impl FnOnce(&mut Gpu) -> KernelStats,
+    ) -> Result<Arc<CapturedRun>, StudyError> {
+        self.gpu_lookup(true, name, scale, variant, cfg, run)
+    }
+
+    /// [`TraceCache::capture_fn`] for a capture with a single reader: a
+    /// capture already resident is shared, but a miss is restored, or
+    /// captured and persisted, for the caller alone, so the trace is
+    /// freed as soon as the caller drops it. A capture is counted in
+    /// [`CaptureCache::captures`] either way.
+    pub fn stream_fn(
+        &self,
+        name: &str,
+        scale: Scale,
+        variant: &'static str,
+        cfg: &GpuConfig,
+        run: impl FnOnce(&mut Gpu) -> KernelStats,
+    ) -> Result<Arc<CapturedRun>, StudyError> {
+        self.gpu_lookup(false, name, scale, variant, cfg, run)
+    }
+
+    fn gpu_lookup(
+        &self,
+        resident: bool,
         name: &str,
         scale: Scale,
         variant: &'static str,
@@ -466,8 +516,9 @@ impl TraceCache {
             variant,
             fingerprint: CaptureFingerprint::of(cfg),
         };
-        self.restore_or_capture(
+        self.lookup(
             key,
+            resident,
             decode_gpu_run,
             |decoded| restore_gpu_run(decoded, cfg, &self.replay.options()),
             || {
@@ -591,9 +642,9 @@ impl Persisted for CpuCapture {
 
 impl CpuTraceCache {
     /// Captures `workload` under `cfg` (once per `(label, scale,
-    /// fingerprint)`). With a store attached, a verified persisted
-    /// capture short-circuits the run, and a fresh capture is persisted
-    /// for the next process.
+    /// fingerprint)`) and keeps the capture resident. With a store
+    /// attached, a verified persisted capture short-circuits the run,
+    /// and a fresh capture is persisted for the next process.
     pub fn capture_workload(
         &self,
         label: &str,
@@ -601,39 +652,53 @@ impl CpuTraceCache {
         scale: Scale,
         cfg: &ProfileConfig,
     ) -> Result<Arc<CpuCapture>, StudyError> {
-        let fingerprint = CpuCaptureFingerprint::of(cfg);
-        self.restore_or_capture(
-            CpuTraceKey::new(label, scale, fingerprint),
-            decode_cpu_capture,
-            |cap| restore_cpu_capture(cap, &fingerprint),
-            || Ok(CpuCapture::capture(workload, cfg)?),
-        )
+        let key = CpuTraceKey::new(label, scale, CpuCaptureFingerprint::of(cfg));
+        self.cpu_lookup(key, true, workload, cfg)
     }
 
-    /// [`CpuTraceCache::capture_workload`] without residency: a capture
-    /// already cached is shared, but a miss is restored or captured
-    /// (and persisted) for the caller alone, so the trace is freed as
-    /// soon as the caller drops it. A capture is recorded in
-    /// [`CaptureCache::captures`] either way.
-    pub fn stream_workload(
+    /// The [`Profile`] of `workload` under `cfg`, holding no trace past
+    /// this call. A resident capture is replayed. With a store attached,
+    /// the capture is restored, or captured and persisted, for this
+    /// call alone and then replayed. Otherwise the workload is profiled
+    /// live ([`tracekit::profile()`]): no packed words are recorded and
+    /// nothing is counted in [`CaptureCache::captures`]. The profile is
+    /// the same on every path.
+    ///
+    /// # Errors
+    ///
+    /// [`StudyError::Trace`] if `cfg` is invalid or a trace buffer could
+    /// not grow.
+    pub fn profile_workload(
         &self,
         label: &str,
         workload: &dyn CpuWorkload,
         scale: Scale,
         cfg: &ProfileConfig,
-    ) -> Result<Arc<CpuCapture>, StudyError> {
-        let fingerprint = CpuCaptureFingerprint::of(cfg);
-        let key = CpuTraceKey::new(label, scale, fingerprint);
-        if let Some(resident) = self.map.get(&key) {
-            return resident;
+    ) -> Result<Profile, StudyError> {
+        let key = CpuTraceKey::new(label, scale, CpuCaptureFingerprint::of(cfg));
+        if self.store().is_none() && !self.map.contains(&key) {
+            return Ok(tracekit::profile(workload, cfg)?);
         }
-        self.fetch(
-            &key.store_key(),
+        let capture = self.cpu_lookup(key, false, workload, cfg)?;
+        let stats = capture.replay_all(&cfg.cache_sizes)?;
+        Ok(capture.profile_with(stats))
+    }
+
+    fn cpu_lookup(
+        &self,
+        key: CpuTraceKey,
+        resident: bool,
+        workload: &dyn CpuWorkload,
+        cfg: &ProfileConfig,
+    ) -> Result<Arc<CpuCapture>, StudyError> {
+        let fingerprint = key.fingerprint;
+        self.lookup(
+            key,
+            resident,
             decode_cpu_capture,
             |cap| restore_cpu_capture(cap, &fingerprint),
             || Ok(CpuCapture::capture(workload, cfg)?),
         )
-        .map(Arc::new)
     }
 }
 

@@ -114,3 +114,20 @@ fn table3_shares_the_suite_captures_of_its_v2_rows() {
         "table3 differs from a fresh session's"
     );
 }
+
+#[test]
+fn single_reader_captures_are_not_kept_resident() {
+    use ExperimentId::{Fig5, Table3};
+    let session = StudySession::new(2);
+    let req = request(&[Fig5, Table3], 2, 1);
+    let served = body(&session, &req);
+    // The 12 default-fingerprint suite captures (Figure 5's GTX 280
+    // points and Table III's v2 rows) stay; the 12 GTX 480 captures and
+    // the 2 v1 variants were each read by one job and freed.
+    assert_eq!(session.cache().len(), 12);
+    assert_eq!(session.cache().captures(), 26);
+    assert!(
+        served == fresh_body(&req),
+        "fig5 and table3 differ from a fresh session's"
+    );
+}

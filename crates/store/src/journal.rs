@@ -71,8 +71,8 @@ impl Journal {
         let mut records = Vec::new();
         let mut valid_len: u64 = 0;
         if resume {
-            if let Ok(text) = fs::read_to_string(path) {
-                let (parsed, len) = parse_valid_prefix(&text);
+            if let Ok(bytes) = fs::read(path) {
+                let (parsed, len) = parse_valid_prefix(&bytes);
                 // The first record must be a matching header.
                 let header_ok = parsed.first().is_some_and(|h| {
                     h.get("schema").and_then(Json::as_str) == Some(JOURNAL_SCHEMA)
@@ -169,16 +169,19 @@ fn line(record: &Json) -> String {
     format!("{:016x}\t{text}\n", fnv1a64(text.as_bytes()))
 }
 
-/// Parses the longest valid line prefix of `text`, returning the
-/// records and the byte length of that prefix.
-fn parse_valid_prefix(text: &str) -> (Vec<Json>, u64) {
+/// Parses the longest valid line prefix of `bytes`, returning the
+/// records and the byte length of that prefix. A line that is not
+/// UTF-8 is damaged like any other: the prefix ends before it.
+fn parse_valid_prefix(bytes: &[u8]) -> (Vec<Json>, u64) {
     let mut records = Vec::new();
     let mut offset = 0usize;
-    for line in text.split_inclusive('\n') {
-        if !line.ends_with('\n') {
+    for line in bytes.split_inclusive(|&b| b == b'\n') {
+        let Some(body) = line.strip_suffix(b"\n") else {
             break; // torn tail: no newline made it to disk
-        }
-        let body = &line[..line.len() - 1];
+        };
+        let Ok(body) = std::str::from_utf8(body) else {
+            break;
+        };
         let Some((sum_hex, json_text)) = body.split_once('\t') else {
             break;
         };
@@ -294,12 +297,41 @@ mod tests {
     use proptest::prelude::*;
     use proptest::test_runner::TestRng;
 
-    fn test_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("rodinia-journal-{}", std::process::id()));
+    /// A journal path in a directory of its own under the temp
+    /// directory; dropping it removes the directory.
+    struct TestPath {
+        dir: PathBuf,
+        path: PathBuf,
+    }
+
+    impl std::ops::Deref for TestPath {
+        type Target = Path;
+        fn deref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    impl AsRef<Path> for TestPath {
+        fn as_ref(&self) -> &Path {
+            &self.path
+        }
+    }
+
+    impl Drop for TestPath {
+        fn drop(&mut self) {
+            let _ = fs::remove_dir_all(&self.dir);
+        }
+    }
+
+    fn test_path(name: &str) -> TestPath {
+        let dir =
+            std::env::temp_dir().join(format!("rodinia-journal-{}-{name}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
         let _ = fs::create_dir_all(&dir);
-        let path = dir.join(name);
-        let _ = fs::remove_file(&path);
-        path
+        TestPath {
+            path: dir.join(name),
+            dir,
+        }
     }
 
     fn rec(n: u64) -> Json {
@@ -318,7 +350,6 @@ mod tests {
         let (_, prior) = Journal::open(&path, "study-a", true).expect("reopen");
         assert_eq!(prior.len(), 2);
         assert_eq!(prior[1].get("n").and_then(Json::as_f64), Some(2.0));
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -330,7 +361,6 @@ mod tests {
         }
         let (_, prior) = Journal::open(&path, "study-a", false).expect("reopen fresh");
         assert!(prior.is_empty(), "resume=false discards prior records");
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -342,7 +372,6 @@ mod tests {
         }
         let (_, prior) = Journal::open(&path, "study-b", true).expect("reopen");
         assert!(prior.is_empty(), "a different study never inherits records");
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -365,7 +394,24 @@ mod tests {
         drop(j);
         let (_, prior) = Journal::open(&path, "study-a", true).expect("reopen again");
         assert_eq!(prior.len(), 2);
-        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_non_utf8_tail_cuts_the_prefix_at_its_line() {
+        let path = test_path("non-utf8.sweep");
+        {
+            let (j, _) = SweepJournal::open(&path, "pb/v1").expect("open");
+            j.record(0, 1.5).expect("record");
+            j.record(1, 2.5).expect("record");
+        }
+        let intact = fs::metadata(&path).expect("stat").len();
+        let mut bytes = fs::read(&path).expect("read");
+        bytes.extend_from_slice(b"0123\xff");
+        fs::write(&path, &bytes).expect("damage");
+        let (_, done) = SweepJournal::open(&path, "pb/v1").expect("reopen");
+        assert_eq!(done.len(), 2, "both records before the damage resume");
+        assert_eq!(done[&1], 2.5);
+        assert_eq!(fs::metadata(&path).expect("stat").len(), intact);
     }
 
     #[test]
@@ -391,7 +437,6 @@ mod tests {
         fs::write(&path, rebuilt).expect("rewrite");
         let (_, prior) = Journal::open(&path, "study-a", true).expect("reopen");
         assert_eq!(prior.len(), 1, "records after the damage are not trusted");
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -405,7 +450,6 @@ mod tests {
         fs::write(&path, text.replacen(JOURNAL_SCHEMA, "other-schema/v0", 1)).expect("rewrite");
         let (_, prior) = Journal::open(&path, "study-a", true).expect("reopen");
         assert!(prior.is_empty());
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -422,7 +466,6 @@ mod tests {
         assert_eq!(done.len(), 2);
         assert_eq!(done[&0].to_bits(), awkward.to_bits(), "bit-exact resume");
         assert_eq!(done[&7], 1.0e18);
-        let _ = fs::remove_file(&path);
     }
 
     #[test]
@@ -459,8 +502,6 @@ mod tests {
                 .starts_with(".tmp-")),
             "no temp file is left behind"
         );
-        let _ = fs::remove_file(&shuffled);
-        let _ = fs::remove_file(&ordered);
     }
 
     /// `text` as one journal line with a valid checksum.
@@ -486,7 +527,6 @@ mod tests {
         fs::write(&path, text).expect("write");
         let (_, done) = SweepJournal::open(&path, "pb/v1").expect("open");
         assert_eq!(done.keys().copied().collect::<Vec<_>>(), [4]);
-        let _ = fs::remove_file(&path);
     }
 
     /// Journal files as damage or a buggy writer might leave them:
@@ -581,7 +621,6 @@ mod tests {
             let path = test_path("odd.sweep");
             fs::write(&path, &bytes).expect("write");
             let opened: Result<_, StoreError> = SweepJournal::open(&path, "pb/v1");
-            let _ = fs::remove_file(&path);
             if let Some(filed) = filed {
                 let (_, done) = opened.expect("a readable journal opens");
                 let got: BTreeMap<usize, u64> =

@@ -7,12 +7,18 @@
 //! more distinct threads have accessed it during its current residency,
 //! and every access to such a line counts toward the shared-access rate.
 //!
-//! The hot loop is laid out for the replay path of the capture-once
-//! pipeline (see [`crate::trace`]): per-entry state is two words — the
-//! line tag, and a packed `stamp << 8 | thread_mask` word — the set
-//! index is a mask of the line number, the address-to-line mapping is a
-//! shift, and LRU victim selection is a branchless min-fold over the
-//! packed stamps.
+//! [`SharedCache`] simulates one capacity. Its hot loop is laid out for
+//! per-reference work: per-entry state is two words — the line tag,
+//! and a packed `stamp << 8 | thread_mask` word — the set index is a
+//! mask of the line number, the address-to-line mapping is a shift, and
+//! LRU victim selection is a branchless min-fold over the packed
+//! stamps.
+//!
+//! [`Sweep`] simulates a whole list of capacities in one pass over a
+//! reference stream, the way the paper's Pin tool does online. It runs
+//! only the capacities whose stats can still differ, and it is the one
+//! cutoff rule behind both the live profiler ([`crate::Profiler`]) and
+//! the replay of a stored capture ([`crate::CpuCapture::replay_all`]).
 
 use crate::error::TraceError;
 
@@ -56,13 +62,18 @@ impl SharedCache {
     /// [`TraceError::LineNotPowerOfTwo`] if set count or line size defeat
     /// the mask/shift index mapping.
     pub fn new(bytes: u64, ways: usize, line: u64) -> Result<SharedCache, TraceError> {
-        let sets = validate_geometry(bytes, ways, line)? as usize;
-        let entries = sets * ways;
-        Ok(SharedCache {
+        let sets = validate_geometry(bytes, ways, line)?;
+        Ok(SharedCache::with_sets(bytes, sets, ways, line))
+    }
+
+    /// An empty cache of an already validated geometry.
+    fn with_sets(bytes: u64, sets: u64, ways: usize, line: u64) -> SharedCache {
+        let entries = sets as usize * ways;
+        SharedCache {
             bytes,
             ways,
             line,
-            set_mask: sets as u64 - 1,
+            set_mask: sets - 1,
             line_shift: line.trailing_zeros(),
             tags: vec![u64::MAX; entries],
             meta: vec![0; entries],
@@ -72,7 +83,7 @@ impl SharedCache {
             shared_accesses: 0,
             finished_incarnations: 0,
             finished_shared: 0,
-        })
+        }
     }
 
     /// Capacity in bytes.
@@ -85,13 +96,6 @@ impl SharedCache {
         self.line
     }
 
-    /// Valid lines evicted so far. Every eviction ends one residency,
-    /// and before [`finish`](SharedCache::finish) flushes the live ones
-    /// nothing else does, so this is the finished-residency count.
-    pub fn evictions(&self) -> u64 {
-        self.finished_incarnations
-    }
-
     /// Simulates one access by `tid` to byte address `addr`.
     pub fn access(&mut self, tid: usize, addr: u64) {
         self.access_line(tid, addr >> self.line_shift);
@@ -102,24 +106,33 @@ impl SharedCache {
     /// computed once at capture time instead of per capacity.
     #[inline]
     pub fn access_line(&mut self, tid: usize, lineno: u64) {
-        self.clock += 1;
-        self.accesses += 1;
+        self.touch::<false>(tid, lineno);
+    }
+
+    /// One access. With `STOP`, a miss whose victim is valid returns
+    /// `false` before any state changes: [`Sweep`] splits its frontier
+    /// there. The check sits in the miss path, after the one tag scan
+    /// every access makes.
+    #[inline(always)]
+    fn touch<const STOP: bool>(&mut self, tid: usize, lineno: u64) -> bool {
+        let clock = self.clock + 1;
         let base = (lineno & self.set_mask) as usize * self.ways;
         let tbit = 1u64 << (tid as u32 & (MASK_BITS - 1));
         for e in base..base + self.ways {
             if self.tags[e] == lineno {
                 let mask = (self.meta[e] | tbit) & THREAD_MASK;
-                self.meta[e] = (self.clock << MASK_BITS) | mask;
+                self.meta[e] = (clock << MASK_BITS) | mask;
+                self.clock = clock;
+                self.accesses += 1;
                 // mask & (mask - 1) != 0  <=>  >= 2 thread bits set.
                 self.shared_accesses += u64::from(mask & (mask - 1) != 0);
-                return;
+                return true;
             }
         }
         // Miss: evict LRU, selected by a branchless min-fold over the
         // packed stamps (the mask bits below the stamp never change the
         // ordering between distinct stamps, and equal stamps cannot
         // occur — the clock is unique per access).
-        self.misses += 1;
         let mut victim = base;
         let mut best = self.meta[base] >> MASK_BITS;
         for e in base + 1..base + self.ways {
@@ -129,10 +142,66 @@ impl SharedCache {
             best = if better { stamp } else { best };
         }
         if self.tags[victim] != u64::MAX {
+            if STOP {
+                return false;
+            }
             self.finish_incarnation(victim);
         }
+        self.clock = clock;
+        self.accesses += 1;
+        self.misses += 1;
         self.tags[victim] = lineno;
-        self.meta[victim] = (self.clock << MASK_BITS) | tbit;
+        self.meta[victim] = (clock << MASK_BITS) | tbit;
+        true
+    }
+
+    /// Feeds packed `(lineno << 8) | tid` words in order.
+    fn feed(&mut self, words: &[u64]) {
+        for &w in words {
+            self.touch::<false>((w & 0xff) as usize, w >> 8);
+        }
+    }
+
+    /// Feeds packed words in order up to the first one that would evict
+    /// a valid line, which is left unapplied; returns how many were
+    /// applied.
+    fn feed_until_eviction(&mut self, words: &[u64]) -> usize {
+        words
+            .iter()
+            .position(|&w| !self.touch::<true>((w & 0xff) as usize, w >> 8))
+            .unwrap_or(words.len())
+    }
+
+    /// This cache as a cache of `sets` sets (more than it has) that had
+    /// seen the same accesses. Exact only while this cache has evicted
+    /// nothing: it then holds every line it was ever given, with the
+    /// stamp and thread mask the larger cache would hold too.
+    ///
+    /// Each entry keeps its way. The larger set of a line takes lines
+    /// from one set of this cache only (both set counts are powers of
+    /// two), so no two entries meet in one slot. Way order inside a set
+    /// changes no hit, no victim and no stat.
+    fn grown_to(&self, sets: u64) -> SharedCache {
+        let bytes = sets * self.ways as u64 * self.line;
+        let mut big = SharedCache::with_sets(bytes, sets, self.ways, self.line);
+        let set_entries = self
+            .tags
+            .chunks_exact(self.ways)
+            .zip(self.meta.chunks_exact(self.ways));
+        for (tags, meta) in set_entries {
+            for (way, (&tag, &meta)) in tags.iter().zip(meta).enumerate() {
+                if tag != u64::MAX {
+                    let slot = (tag & big.set_mask) as usize * big.ways + way;
+                    big.tags[slot] = tag;
+                    big.meta[slot] = meta;
+                }
+            }
+        }
+        big.clock = self.clock;
+        big.accesses = self.accesses;
+        big.misses = self.misses;
+        big.shared_accesses = self.shared_accesses;
+        big
     }
 
     fn finish_incarnation(&mut self, e: usize) {
@@ -182,6 +251,155 @@ pub fn validate_geometry(bytes: u64, ways: usize, line: u64) -> Result<u64, Trac
         });
     }
     Ok(sets)
+}
+
+/// Several capacities of one geometry simulated in one pass, running
+/// only the capacities whose stats can still differ; the result equals
+/// one full [`SharedCache`] run per capacity.
+///
+/// The sweep simulates capacities in ascending set order up to its
+/// *frontier*: the fewest-set capacity that has evicted nothing so far.
+/// Every larger capacity reports the frontier's stats under its own
+/// `capacity`. That is exact. With a shared associativity and line size
+/// and power-of-two set counts, each set of a larger cache receives a
+/// subset of the lines of one set of the frontier, so it evicts nothing
+/// either. Without evictions each line has one residency, from its first
+/// touch on: an access misses exactly when it is the line's first, and
+/// a line's thread mask is the set of threads that have touched it. So
+/// every counter is the same in both caches.
+///
+/// Just before the frontier's first eviction, the sweep splits it into
+/// the next capacity (re-inserting each resident line and copying the
+/// counters), and repeats while the new frontier would evict too. A
+/// capacity that has evicted is simulated to the end.
+#[derive(Debug)]
+pub struct Sweep {
+    /// Each requested capacity with the index of its set count in
+    /// `rungs`, in request order.
+    sizes: Vec<(u64, usize)>,
+    /// The distinct set counts requested, ascending.
+    rungs: Vec<u64>,
+    /// The caches of `rungs[..caches.len()]`. Every one but the last
+    /// has evicted.
+    caches: Vec<SharedCache>,
+    /// Whether the last cache has evicted nothing yet, so it is the
+    /// frontier and stands in for every larger capacity.
+    frontier: bool,
+}
+
+impl Sweep {
+    /// A sweep of `sizes` (in any order, repeats allowed), each with
+    /// `ways` associativity and `line`-byte lines.
+    ///
+    /// # Errors
+    ///
+    /// The [`SharedCache::new`] error of the first invalid capacity in
+    /// `sizes`.
+    pub fn new(sizes: &[u64], ways: usize, line: u64) -> Result<Sweep, TraceError> {
+        let sets = sizes
+            .iter()
+            .map(|&bytes| validate_geometry(bytes, ways, line))
+            .collect::<Result<Vec<u64>, _>>()?;
+        let mut rungs = sets.clone();
+        rungs.sort_unstable();
+        rungs.dedup();
+        let sizes = sizes
+            .iter()
+            .zip(&sets)
+            .map(|(&bytes, s)| (bytes, rungs.partition_point(|r| r < s)))
+            .collect();
+        let caches = rungs
+            .first()
+            .map(|&s| SharedCache::with_sets(s * ways as u64 * line, s, ways, line))
+            .into_iter()
+            .collect();
+        Ok(Sweep {
+            sizes,
+            rungs,
+            caches,
+            frontier: true,
+        })
+    }
+
+    /// Simulates a run of packed `(lineno << 8) | tid` references at
+    /// every capacity, in order. Runs may be of any length: feeding a
+    /// trace in pieces gives the same stats as feeding it whole. Each
+    /// cache takes the whole run before the next one does, so its hot
+    /// loop keeps the cache's state in registers and in the processor's
+    /// caches.
+    pub fn access_words(&mut self, mut words: &[u64]) {
+        while let Some((last, evicted)) = self.caches.split_last_mut() {
+            if !self.frontier {
+                for c in &mut self.caches {
+                    c.feed(words);
+                }
+                return;
+            }
+            let taken = last.feed_until_eviction(words);
+            let Some(&w) = words.get(taken) else {
+                for c in evicted {
+                    c.feed(words);
+                }
+                return;
+            };
+            for c in evicted {
+                c.feed(&words[..=taken]);
+            }
+            self.split(w);
+            words = &words[taken + 1..];
+        }
+    }
+
+    /// The frontier is about to evict on word `w`: split it into the
+    /// next capacity, let it evict, and try `w` on the new frontier,
+    /// until one takes it without evicting or no larger capacity is
+    /// left.
+    #[cold]
+    fn split(&mut self, w: u64) {
+        let w = std::slice::from_ref(&w);
+        while let Some(&sets) = self.rungs.get(self.caches.len()) {
+            let Some(frontier) = self.caches.last_mut() else {
+                return;
+            };
+            let grown = frontier.grown_to(sets);
+            frontier.feed(w);
+            self.caches.push(grown);
+            let n = self.caches.len();
+            if self.caches[n - 1].feed_until_eviction(w) == 1 {
+                return;
+            }
+        }
+        // The largest capacity evicts too: none is left to stand in for.
+        self.frontier = false;
+        if let Some(largest) = self.caches.last_mut() {
+            largest.feed(w);
+        }
+    }
+
+    /// Capacities simulated so far (the rest share the frontier's stats).
+    pub fn simulated(&self) -> usize {
+        self.caches.len()
+    }
+
+    /// Finalizes the stats of every requested capacity, in request
+    /// order, and adds the capacities simulated to `tracekit.replays`
+    /// and the others to `tracekit.replays_skipped`.
+    pub fn finish(self) -> Vec<CacheStats> {
+        let reg = obs::Registry::global();
+        reg.add("tracekit.replays", self.caches.len() as u64);
+        reg.add(
+            "tracekit.replays_skipped",
+            (self.sizes.len() - self.caches.len()) as u64,
+        );
+        let done: Vec<CacheStats> = self.caches.into_iter().map(SharedCache::finish).collect();
+        self.sizes
+            .iter()
+            .map(|&(capacity, rung)| CacheStats {
+                capacity,
+                ..done[rung.min(done.len() - 1)]
+            })
+            .collect()
+    }
 }
 
 /// Final statistics of one cache capacity.

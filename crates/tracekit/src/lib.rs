@@ -12,19 +12,20 @@
 //! * [`Profiler`] runs a workload's *logical threads* and interleaves
 //!   their event streams round-robin with a fixed quantum, making every
 //!   measurement deterministic;
-//! * [`cache::SharedCache`] simulates the shared cache at every
-//!   configured capacity simultaneously in one pass, collecting misses
-//!   per memory reference (working set), the fraction of resident lines
-//!   shared between threads, and accesses to shared lines per reference
-//!   (sharing);
+//! * [`cache::SharedCache`] simulates the shared cache at one capacity,
+//!   collecting misses per memory reference (working set), the fraction
+//!   of resident lines shared between threads, and accesses to shared
+//!   lines per reference (sharing); [`cache::Sweep`] runs every
+//!   configured capacity in the same pass, simulating only the ones
+//!   whose stats can still differ, so the profiler stores no trace;
 //! * [`mix::InstrMix`] tallies the ALU / branch / read / write
 //!   instruction mix;
 //! * [`footprint::Footprints`] counts 64-byte instruction blocks and
 //!   4 kB data blocks touched (Figures 11 and 12);
-//! * [`trace::CpuCapture`] is the capture-once path: the interleaved
-//!   reference stream is recorded once as packed line-granular words
-//!   and then replayed per capacity, skipping the capacities that
-//!   cannot differ — byte-identical to the direct path;
+//! * [`trace::CpuCapture`] records the interleaved reference stream as
+//!   packed line-granular words, for a persistent store to keep; its
+//!   replay feeds the words to the same [`cache::Sweep`] and is
+//!   byte-identical to the direct path;
 //! * [`error::TraceError`] is the crate's typed error — no fallible
 //!   entry point panics.
 //!
@@ -56,7 +57,7 @@
 //! assert_eq!(p.mix.reads, 8 * 1024);
 //! assert_eq!(p.cache_stats.len(), 8);
 //!
-//! // The same workload through the capture-once pipeline gives the
+//! // A stored capture of the same workload replays to the
 //! // byte-identical profile:
 //! let cap = tracekit::CpuCapture::capture(&Sum, &ProfileConfig::default()).unwrap();
 //! let stats = cap.replay_all(&ProfileConfig::default().cache_sizes).unwrap();
@@ -75,7 +76,7 @@ pub mod serdes;
 pub mod trace;
 pub mod tracer;
 
-pub use cache::{CacheStats, SharedCache};
+pub use cache::{CacheStats, SharedCache, Sweep};
 pub use error::TraceError;
 pub use footprint::Footprints;
 pub use mix::{InstrMix, MixClass};
@@ -83,5 +84,5 @@ pub use profile::{profile, CpuWorkload, Profile, ProfileConfig, Profiler, MAX_TH
 pub use serdes::{
     decode_capture, encode_capture, read_capture, write_capture, CpuCodecError, CPU_CODEC_VERSION,
 };
-pub use trace::{profile_via_replay, CpuCapture};
+pub use trace::CpuCapture;
 pub use tracer::{Ev, ThreadTracer};

@@ -3,14 +3,16 @@
 //! configured cache capacity plus the mix/footprint collectors
 //! simultaneously.
 //!
-//! The driver has two sinks for memory references: the **direct** sink
-//! feeds all configured [`SharedCache`] capacities as events are
-//! applied (the seed path), and the **capture** sink records the
-//! line-granular reference stream into a packed trace instead, for the
-//! replay pipeline in [`crate::trace`]. Both sinks see the identical
-//! interleaved stream, which is what makes replay byte-identical.
+//! The driver has two sinks for memory references. The **direct** sink
+//! feeds a [`Sweep`] of the configured capacities as events are
+//! applied, so it stores no trace, like the paper's online Pin tool.
+//! The **capture** sink records the line-granular reference stream into
+//! a packed trace instead, for the persistent store and the replay in
+//! [`crate::trace`], which runs the same [`Sweep`]. Both sinks see the
+//! identical interleaved stream, which is what makes replay
+//! byte-identical.
 
-use crate::cache::{validate_geometry, CacheStats, SharedCache};
+use crate::cache::{validate_geometry, CacheStats, Sweep};
 use crate::error::TraceError;
 use crate::footprint::Footprints;
 use crate::mix::InstrMix;
@@ -97,17 +99,26 @@ impl Profile {
 /// Where the interleaved memory-reference stream goes.
 #[derive(Debug)]
 enum Sink {
-    /// Feed every configured cache capacity as references arrive.
-    Direct(Vec<SharedCache>),
-    /// Record packed `(lineno << 8) | tid` words for later replay.
-    Capture(Vec<u64>),
+    /// Feed every configured cache capacity, [`LIVE_BLOCK`] packed words
+    /// at a time.
+    Direct(Sweep),
+    /// Keep every packed word for later replay.
+    Capture,
 }
+
+/// Packed words the direct sink buffers before the sweep takes them:
+/// each cache then runs its hot loop over a whole block (32 kB, which
+/// stays in the processor's caches), not one reference at a time.
+const LIVE_BLOCK: usize = 4096;
 
 /// The instrumentation context a workload runs against.
 #[derive(Debug)]
 pub struct Profiler {
     cfg: ProfileConfig,
     sink: Sink,
+    /// Packed `(lineno << 8) | tid` words: the block not yet fed to the
+    /// sweep (direct sink) or the whole trace (capture sink).
+    words: Vec<u64>,
     mix: InstrMix,
     footprints: Footprints,
     regions: Vec<(u64, u64)>,
@@ -153,12 +164,11 @@ impl Profiler {
     /// exceeds [`MAX_THREADS`].
     pub fn new(cfg: &ProfileConfig) -> Result<Profiler, TraceError> {
         check_config(cfg)?;
-        let caches = cfg
-            .cache_sizes
-            .iter()
-            .map(|&b| SharedCache::new(b, cfg.ways, cfg.line))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Profiler::with_sink(cfg, Sink::Direct(caches)))
+        let sweep = Sweep::new(&cfg.cache_sizes, cfg.ways, cfg.line)?;
+        // Room for a block and a straddling access's second word, so
+        // the direct sink never grows its buffer.
+        let words = Vec::with_capacity(LIVE_BLOCK + 1);
+        Ok(Profiler::with_sink(cfg, Sink::Direct(sweep), words))
     }
 
     /// Creates a capture-mode profiler: memory references are recorded
@@ -171,12 +181,13 @@ impl Profiler {
         for &b in &cfg.cache_sizes {
             validate_geometry(b, cfg.ways, cfg.line)?;
         }
-        Ok(Profiler::with_sink(cfg, Sink::Capture(Vec::new())))
+        Ok(Profiler::with_sink(cfg, Sink::Capture, Vec::new()))
     }
 
-    fn with_sink(cfg: &ProfileConfig, sink: Sink) -> Profiler {
+    fn with_sink(cfg: &ProfileConfig, sink: Sink, words: Vec<u64>) -> Profiler {
         Profiler {
             sink,
+            words,
             cfg: cfg.clone(),
             mix: InstrMix::default(),
             footprints: Footprints::with_bases(DATA_BASE, CODE_BASE),
@@ -292,24 +303,19 @@ impl Profiler {
     fn access(&mut self, tid: usize, addr: u64, size: u8) {
         let first = addr >> self.line_shift;
         let last = (addr + size.max(1) as u64 - 1) >> self.line_shift;
-        match &mut self.sink {
-            Sink::Direct(caches) => {
-                for c in caches.iter_mut() {
-                    c.access_line(tid, first);
-                    // A straddling access touches the next line too.
-                    if last != first {
-                        c.access_line(tid, last);
-                    }
-                }
-            }
-            Sink::Capture(words) => {
-                if words.capacity() - words.len() < 2 && !grow_words(words, &mut self.failed) {
-                    return;
-                }
-                words.push((first << 8) | tid as u64);
-                if last != first {
-                    words.push((last << 8) | tid as u64);
-                }
+        let words = &mut self.words;
+        if words.capacity() - words.len() < 2 && !grow_words(words, &mut self.failed) {
+            return;
+        }
+        words.push((first << 8) | tid as u64);
+        // A straddling access touches the next line too.
+        if last != first {
+            words.push((last << 8) | tid as u64);
+        }
+        if let Sink::Direct(sweep) = &mut self.sink {
+            if words.len() >= LIVE_BLOCK {
+                sweep.access_words(words);
+                words.clear();
             }
         }
     }
@@ -342,12 +348,14 @@ impl Profiler {
         reg.add("tracekit.writes", self.mix.writes);
         reg.add("tracekit.alu", self.mix.alu);
         reg.add("tracekit.branches", self.mix.branches);
-        let (cache_stats, words) = match self.sink {
-            Sink::Direct(caches) => (
-                caches.into_iter().map(SharedCache::finish).collect(),
-                Vec::new(),
-            ),
-            Sink::Capture(words) => (Vec::new(), words),
+        let mut words = self.words;
+        let cache_stats = match self.sink {
+            Sink::Direct(mut sweep) => {
+                sweep.access_words(&words);
+                words.clear();
+                sweep.finish()
+            }
+            Sink::Capture => Vec::new(),
         };
         Ok((
             Profile {
@@ -399,8 +407,8 @@ fn interleave(streams: &[(usize, EventStream)], quantum: usize, mut apply: impl 
     }
 }
 
-/// Profiles `workload` under `cfg` in one pass (the direct path: all
-/// capacities simulated simultaneously).
+/// Profiles `workload` under `cfg` in one pass (the direct path: one
+/// [`Sweep`] of every capacity, fed live, with no trace stored).
 ///
 /// # Errors
 ///

@@ -189,13 +189,11 @@ mod tests {
         assert_eq!(back.packed_words(), cap.packed_words());
         assert_eq!(back.ways(), cap.ways());
         assert_eq!(back.line(), cap.line());
-        for &size in &cfg().cache_sizes {
-            assert_eq!(
-                back.replay(size).expect("replay decoded"),
-                cap.replay(size).expect("replay original"),
-                "replay at {size} bytes must match"
-            );
-        }
+        let sizes = &cfg().cache_sizes;
+        assert_eq!(
+            back.replay_all(sizes).expect("replay decoded"),
+            cap.replay_all(sizes).expect("replay original"),
+        );
     }
 
     #[test]

@@ -1,28 +1,27 @@
-//! Capture-once / replay-many memory traces.
+//! Captured memory traces, for the persistent store.
 //!
-//! The direct path ([`crate::profile()`]) pushes every interleaved memory
-//! reference through all eight cache capacities as it is generated —
-//! O(events x capacities) cache work per workload, repeated from
-//! scratch on every study run. This module splits that into:
+//! The direct path ([`crate::profile()`]) feeds every interleaved memory
+//! reference to a [`Sweep`] of the cache capacities as it is generated,
+//! and stores nothing. A trace is worth keeping only when a later
+//! process can reuse it, so this module splits that pass in two:
 //!
 //! 1. **capture** — run the workload once under a capture-mode
 //!    [`Profiler`], recording the line-granular reference stream as
 //!    packed `(lineno << 8) | tid` words (mix, footprints and event
 //!    counts are finalized here too; they do not depend on capacity);
-//! 2. **replay** — feed the packed words to a single [`SharedCache`]
-//!    per capacity. [`CpuCapture::replay_all`] simulates only the
-//!    capacities whose stats can differ: once a capacity evicts
-//!    nothing, every one with at least as many sets has the same stats.
+//! 2. **replay** — feed the packed words to the same [`Sweep`]
+//!    ([`CpuCapture::replay_all`]), which simulates only the capacities
+//!    whose stats can differ.
 //!
 //! Because the packed words record exactly the `(tid, lineno)` pairs
-//! the direct sink would have fed each cache — including the second
-//! line of a straddling access — each replayed cache observes the
+//! the direct sink would have fed the sweep — including the second
+//! line of a straddling access — the replayed sweep observes the
 //! byte-identical access sequence, and [`CacheStats`] come out equal to
 //! the direct path's. `tests` below prove it; the study-level
 //! determinism is re-proven per workload in
 //! `tests/cpu_replay_determinism.rs` at the workspace root.
 
-use crate::cache::{validate_geometry, CacheStats, SharedCache};
+use crate::cache::{CacheStats, Sweep};
 use crate::error::TraceError;
 use crate::profile::{CpuWorkload, Profile, ProfileConfig, Profiler};
 
@@ -123,85 +122,22 @@ impl CpuCapture {
         }
     }
 
-    /// Replays the trace against one cache capacity.
+    /// Replays the trace at every capacity in `sizes` through one
+    /// [`Sweep`], which simulates only the capacities whose stats can
+    /// differ; the stats come back in the order of `sizes`.
     ///
-    /// Emits a `tracekit.replay.{name}` span and bumps the
-    /// `tracekit.replays` registry counter.
-    ///
-    /// # Errors
-    ///
-    /// A [`TraceError`] if `bytes` is not a valid geometry with the
-    /// captured associativity and line size.
-    pub fn replay(&self, bytes: u64) -> Result<CacheStats, TraceError> {
-        Ok(self.simulate(bytes)?.finish())
-    }
-
-    /// Feeds the whole trace to a fresh cache of `bytes` capacity and
-    /// returns it unfinished, so its eviction count can still be read.
-    fn simulate(&self, bytes: u64) -> Result<SharedCache, TraceError> {
-        let _span = obs::span!("tracekit.replay.{}", self.base.name);
-        let mut cache = SharedCache::new(bytes, self.ways, self.line)?;
-        for &w in &self.words {
-            cache.access_line((w & 0xff) as usize, w >> 8);
-        }
-        obs::Registry::global().add("tracekit.replays", 1);
-        Ok(cache)
-    }
-
-    /// Replays every capacity in `sizes`, in order, simulating only
-    /// the capacities whose stats can differ; equal to
-    /// `sizes.map(replay)`.
-    ///
-    /// Once a capacity evicts nothing, every capacity with at least as
-    /// many sets reuses its stats with only `capacity` changed, and is
-    /// counted in `tracekit.replays_skipped` instead of
-    /// `tracekit.replays`. This is exact. All capacities share the
-    /// captured ways and line size, and the set index is `lineno &
-    /// (sets - 1)` with a power-of-two set count, so each set of a cache
-    /// with more sets receives a subset of the lines of one set of the
-    /// cache with fewer. A cache that evicted nothing never had more
-    /// than `ways` distinct lines in any set, so neither does the
-    /// larger one, and it evicts nothing either. Without evictions each
-    /// line has one residency, from its first touch to the end: an
-    /// access misses exactly when it is the line's first, and a line's
-    /// thread mask after each access is the set of threads that have
-    /// touched it so far. So misses, shared accesses, residencies and
-    /// shared residencies are the same in both caches. The rule keeps
-    /// the fewest-set capacity that evicted nothing seen so far, so it
-    /// holds for `sizes` in any order.
+    /// Emits a `tracekit.replay.{name}` span; the sweep adds to the
+    /// `tracekit.replays` and `tracekit.replays_skipped` counters.
     ///
     /// # Errors
     ///
-    /// The first [`TraceError`] from a capacity's geometry.
+    /// The [`TraceError`] of the first capacity in `sizes` that is not a
+    /// valid geometry with the captured associativity and line size.
     pub fn replay_all(&self, sizes: &[u64]) -> Result<Vec<CacheStats>, TraceError> {
-        // The set count and stats of the fewest-set capacity so far
-        // that evicted nothing.
-        let mut no_evictions: Option<(u64, CacheStats)> = None;
-        let mut skipped = 0;
-        let all = sizes
-            .iter()
-            .map(|&bytes| {
-                let sets = validate_geometry(bytes, self.ways, self.line)?;
-                if let Some((fits, stats)) = no_evictions {
-                    if sets >= fits {
-                        skipped += 1;
-                        return Ok(CacheStats {
-                            capacity: bytes,
-                            ..stats
-                        });
-                    }
-                }
-                let cache = self.simulate(bytes)?;
-                let evicted = cache.evictions() > 0;
-                let stats = cache.finish();
-                if !evicted {
-                    no_evictions = Some((sets, stats));
-                }
-                Ok(stats)
-            })
-            .collect();
-        obs::Registry::global().add("tracekit.replays_skipped", skipped);
-        all
+        let _span = obs::span!("tracekit.replay.{}", self.base.name);
+        let mut sweep = Sweep::new(sizes, self.ways, self.line)?;
+        sweep.access_words(&self.words);
+        Ok(sweep.finish())
     }
 
     /// Assembles a full [`Profile`] from this capture plus
@@ -214,25 +150,10 @@ impl CpuCapture {
     }
 }
 
-/// Capture + sequential full-sweep replay: the drop-in equivalent of
-/// [`crate::profile()`] through the trace pipeline. Produces a profile
-/// byte-identical to the direct path's.
-///
-/// # Errors
-///
-/// A [`TraceError`] if the configuration is invalid.
-pub fn profile_via_replay(
-    workload: &dyn CpuWorkload,
-    cfg: &ProfileConfig,
-) -> Result<Profile, TraceError> {
-    let cap = CpuCapture::capture(workload, cfg)?;
-    let stats = cap.replay_all(&cfg.cache_sizes)?;
-    Ok(cap.profile_with(stats))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::SharedCache;
     use crate::profile::profile;
     use crate::tracer::ThreadTracer;
 
@@ -275,19 +196,20 @@ mod tests {
     #[test]
     fn replay_is_byte_identical_to_direct() {
         let direct = profile(&Mixed, &cfg()).expect("direct profile");
-        let replayed = profile_via_replay(&Mixed, &cfg()).expect("replayed profile");
-        assert_eq!(direct, replayed);
+        let cap = CpuCapture::capture(&Mixed, &cfg()).expect("capture");
+        let stats = cap.replay_all(&cfg().cache_sizes).expect("replay");
+        assert_eq!(direct, cap.profile_with(stats));
     }
 
     #[test]
     fn capture_is_reusable_across_capacities() {
         let cap = CpuCapture::capture(&Mixed, &cfg()).expect("capture");
         assert!(cap.words() > 0);
-        let a = cap.replay(8 * 1024).expect("replay");
-        let b = cap.replay(8 * 1024).expect("replay again");
+        let a = cap.replay_all(&[8 * 1024]).expect("replay");
+        let b = cap.replay_all(&[8 * 1024]).expect("replay again");
         assert_eq!(a, b, "replay does not mutate the capture");
         let direct = profile(&Mixed, &cfg()).expect("direct");
-        assert_eq!(&a, direct.at_capacity(8 * 1024));
+        assert_eq!(&a[0], direct.at_capacity(8 * 1024));
     }
 
     #[test]
@@ -315,7 +237,7 @@ mod tests {
     fn replay_rejects_bad_capacity() {
         let cap = CpuCapture::capture(&Mixed, &cfg()).expect("capture");
         assert!(matches!(
-            cap.replay(48 * 1024),
+            cap.replay_all(&[8 * 1024, 48 * 1024]),
             Err(TraceError::SetsNotPowerOfTwo { .. })
         ));
     }
@@ -337,17 +259,23 @@ mod tests {
         };
         let cap = CpuCapture::from_parts(base, words, 4, 64);
         let sizes: Vec<u64> = (0..8).map(|i| 256u64 << i).collect();
+        let mut sweep = Sweep::new(&sizes, 4, 64).expect("valid geometries");
+        sweep.access_words(cap.packed_words());
+        assert_eq!(sweep.simulated(), 3, "only 1, 2 and 4 sets are simulated");
         let reg = obs::Registry::global();
         let skipped_before = reg.counter("tracekit.replays_skipped");
-        let all = cap.replay_all(&sizes).expect("replay all");
-        let replays = reg
-            .span_stat("tracekit.replay.trace-tests.fits")
-            .map(|s| s.count);
-        assert_eq!(replays, Some(3), "only 1, 2 and 4 sets are simulated");
+        let all = sweep.finish();
         assert!(reg.counter("tracekit.replays_skipped") >= skipped_before + 5);
+        assert_eq!(all, cap.replay_all(&sizes).expect("replay all"));
         let each: Vec<CacheStats> = sizes
             .iter()
-            .map(|&b| cap.replay(b).expect("replay"))
+            .map(|&b| {
+                let mut c = SharedCache::new(b, 4, 64).expect("geometry");
+                for &w in cap.packed_words() {
+                    c.access_line((w & 0xff) as usize, w >> 8);
+                }
+                c.finish()
+            })
             .collect();
         assert_eq!(all, each);
         assert_eq!(all[7].misses, 16, "only compulsory misses once it fits");
@@ -357,7 +285,7 @@ mod tests {
     fn capture_publishes_counters() {
         let before = obs::Registry::global().counter("tracekit.captures");
         let cap = CpuCapture::capture(&Mixed, &cfg()).expect("capture");
-        let _ = cap.replay(8 * 1024).expect("replay");
+        let _ = cap.replay_all(&[8 * 1024]).expect("replay");
         let reg = obs::Registry::global();
         assert!(reg.counter("tracekit.captures") > before);
         assert!(reg.counter("tracekit.capture.words") >= cap.words() as u64);
